@@ -199,8 +199,9 @@ def q_cdc_replay_events(sf_dir: str):
     """The flagship CDC path under the driver's DuckDB oracle: the
     driver's events table is cut into changelog segments, tailed through
     the real ingest stack — tailer → ValidateAndDivert → LakeTable.apply
-    (exactly-once epoch commits, delta state files, manifest swap) — and
-    the converged lake state is read back (merge-on-read LWW fold).
+    (exactly-once epoch commits, shuffle-free L0 run files, manifest
+    swap) — and the converged lake state is read back (merge-on-read LWW
+    fold over the pending runs).
     key=user_id, lsn=event_id; oracle = the LWW window function.
     Mirrors the reference flagship flow ListenDICOM → DeidentifyDICOM →
     PutDICOM (DeidentifyDICOM.java:173-193, PutDICOM.java:123-263) and
@@ -236,8 +237,8 @@ def q_cdc_replay_events(sf_dir: str):
 
     lake = LakeTable(os.path.join(work, "lake"), num_partitions=8, key="user_id")
     lake.init()
-    # two epochs (3 segments each) so the converged read spans multiple
-    # delta commits, then the exactly-once read-back
+    # two epochs (3 segments each) so the converged read folds the L0
+    # runs of multiple commits, then the exactly-once read-back
     tail_until_caught_up(lake, log_dir, max_segments_per_epoch=3)
     out = lake.read(include_tombstones=True)
 

@@ -91,13 +91,11 @@ def run_bench() -> dict:
 
     lake_dir = os.path.join(WORK_ROOT, f"bench_lake_p{num_partitions}")
 
-    commit_mode = os.environ.get("RAYCDC_BENCH_COMMIT_MODE", "l0")
     l0_compact = int(os.environ.get("RAYCDC_BENCH_L0_COMPACT", "24"))
 
     def prep_lake() -> LakeTable:
         shutil.rmtree(lake_dir, ignore_errors=True)
-        lake = LakeTable(lake_dir, num_partitions=num_partitions, commit_mode=commit_mode,
-                         l0_compact_files=l0_compact)
+        lake = LakeTable(lake_dir, num_partitions=num_partitions, l0_compact_files=l0_compact)
         lake.init()
         lake.apply(base_as_inserts(read_parquet_clean(base_dir)), ["__base__"])
         return lake
@@ -147,7 +145,7 @@ def run_bench() -> dict:
         t0 = time.time()
         tail(lake)
         headline = min(headline, time.time() - t0)
-    # exact converged count (merge-on-read scan; untimed — delta/L0 epochs
+    # exact converged count (merge-on-read scan; untimed — L0 epochs
     # defer live-row accounting to read/compaction by design)
     n_rows = lake.read().count()
     timings["cdc_replay_tokens"] = round(headline, 3)

@@ -91,7 +91,8 @@ def main(argv=None) -> int:
     vp.add_argument("lake")
     vp.add_argument("--keep", type=int, default=1)
 
-    cp = sub.add_parser("compact", help="fold every partition's deltas into a fresh base")
+    cp = sub.add_parser("compact", help="fold every partition's base and pending "
+                                        "L0 runs into a fresh base")
     cp.add_argument("lake")
     cp.add_argument("--drop-tombstones", action="store_true",
                     help="also drop delete tombstones (only safe once upstream "
@@ -202,9 +203,9 @@ def main(argv=None) -> int:
                     "epoch": m["epoch"],
                     "partitions": m["num_partitions"],
                     "segments_applied": len(m["segments_applied"]),
-                    "live_rows": live,  # None ⇒ deltas/L0 runs pending (use --exact)
-                    "state_rows": sum(int(pt.get("rows", 0)) for pt in ents),
-                    "pending_deltas": sum(len(pt.get("deltas", [])) for pt in ents),
+                    "live_rows": live,  # None ⇒ L0 runs pending (use --exact)
+                    # compacted rows + rows in pending runs (tombstones included)
+                    "state_rows": sum(int(pt.get("rows", 0)) for pt in ents + m.get("l0", [])),
                     "pending_l0_runs": len(m.get("l0", [])),
                     "last_history": (m.get("history") or [None])[-1],
                 }

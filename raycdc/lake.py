@@ -1,5 +1,5 @@
 """The Parquet lake: partitioned converged state with an exactly-once
-epoch/manifest commit protocol, **delta-epoch commits with
+epoch/manifest commit protocol, **shuffle-free L0-run commits with
 merge-on-read**, threshold compaction, and checkpoint-resume.
 
 Reference capabilities re-expressed (SURVEY.md §2.1 S2/S5, §2.7 W4/W5):
@@ -7,12 +7,12 @@ Reference capabilities re-expressed (SURVEY.md §2.1 S2/S5, §2.7 W4/W5):
 * ``ProcessSession.commitAsync()`` atomic publish + the durable Derby
   ``uid_map`` (``DeidentifyDICOM.java:192``,
   ``DeidentificationController.java:93-99``) → **two-phase commit**:
-  per-partition epoch parquet files are written first (to temp names,
-  then atomically renamed), and a single ``_manifest.json`` swap is the
-  only commit point. A crash between epoch write and manifest swap
-  leaves the lake at the previous epoch; re-running the apply
-  regenerates byte-identical epoch content and commits — replay
-  reconverges (north rule exactly-once).
+  the epoch's parquet files (L0 runs, compacted bases) are written
+  first (to temp names, then atomically renamed), and a single
+  ``_manifest.json`` swap is the only commit point. A crash between
+  epoch write and manifest swap leaves the lake at the previous epoch;
+  re-running the apply regenerates byte-identical epoch content and
+  commits — replay reconverges (north rule exactly-once).
 * ``PutDICOM`` retry-by-requeue (``PutDICOM.java:83-86``) → Ray task
   retries are safe because every write is tmp+rename idempotent and the
   merge is deterministic.
@@ -21,24 +21,19 @@ Reference capabilities re-expressed (SURVEY.md §2.1 S2/S5, §2.7 W4/W5):
 
 **Write-amplification design (the 100-TB property).** An epoch writes
 only that epoch's (LWW-reduced) events — bytes written are proportional
-to events applied, NOT to state size — in one of two commit modes:
+to events applied, NOT to state size — and needs **no shuffle at all**:
+each ingest task writes one bucket-SORTED L0 run file with ~P row
+groups; partition reads prune to their own row groups via parquet
+statistics (``filters=``). The apply epoch is a map-only pass — on a
+multi-node cluster every write is node-local and zero bytes cross the
+network, so ingest scales linearly with nodes; merge cost moves to
+read/compaction (LSM level-0 / Hudi merge-on-read shape).
+Auto-compaction folds pending runs into per-partition base files once
+there are more than ``l0_compact_files`` of them.
 
-* ``shuffle`` — a hash-bucket all-to-all routes events to their owning
-  partition and each touched partition appends one *delta* file;
-  auto-compaction when a partition accumulates ``compact_deltas``
-  pending deltas. Read fan-in ≤ ``compact_deltas`` + 1 per partition.
-* ``l0`` — **no shuffle at all**: each ingest task writes one
-  bucket-SORTED run file with ~P row groups; partition reads prune to
-  their own row groups via parquet statistics (``filters=``). The apply
-  epoch is a map-only pass — on a multi-node cluster every write is
-  node-local and zero bytes cross the network, so ingest scales
-  linearly with nodes; merge cost moves to read/compaction
-  (LSM level-0 / Hudi merge-on-read shape). Auto-compaction bounds
-  pending runs at ``l0_compact_files``.
-
-``read()`` is merge-on-read in both modes: each partition's base +
-deltas/pruned runs are folded (per-key last-writer-wins) inside one
-parallel Ray task per partition.
+``read()`` is merge-on-read: each partition's base + pruned runs are
+folded (per-key last-writer-wins) inside one parallel Ray task per
+partition.
 
 State model: state files hold the converged rows PLUS their winning
 ``lsn`` and ``op`` — including **delete tombstones**. Tombstones are
@@ -55,10 +50,9 @@ epochs. Stale locks are broken only on same-host crash evidence or
 lease expiry (the shared-filesystem case), via an atomic rename so two
 waiters can never double-break (see ``_WriterLock``).
 
-Scale: ``num_partitions`` bounds per-task state (O(total rows / P));
-output is partitioned parquet so a failed run resumes by skipping
-committed epochs; the merge shuffle moves only the *reduced* event
-stream (see apply.py two-level fold).
+Scale: ``num_partitions`` bounds per-task read and compaction state
+(O(total rows / P)); output is partitioned parquet so a failed run
+resumes by skipping committed epochs.
 """
 
 from __future__ import annotations
@@ -75,7 +69,7 @@ import pyarrow.parquet as pq
 
 import ray.data
 
-from raycdc.apply import _PartialLww, drop_tombstones, last_writer_per_key
+from raycdc.apply import drop_tombstones, last_writer_per_key
 from raycdc.schema_evo import conform_to, schema_from_str, schema_to_str, unify
 from raycdc.util import bucket_of
 
@@ -133,12 +127,21 @@ def _host() -> str:
     return socket.gethostname()
 
 
-def _part_files(ent: dict) -> tuple[str | None, list[str]]:
-    """(base, deltas) of a manifest partition entry; understands the v1
-    single-file layout (``{"file": ...}``) for old manifests."""
-    if "file" in ent:
-        return ent["file"], []
-    return ent.get("base"), list(ent.get("deltas", []))
+def _bases(m: dict) -> dict[int, str | None]:
+    """pid -> base file of every manifest partition entry. Refuses the
+    layouts only the removed shuffle commit mode wrote — pending
+    ``deltas`` and the v1 single-file ``{"file": ...}`` entry — rather
+    than fold (or vacuum) the lake without those files' rows."""
+    bases = {}
+    for k, ent in m["partitions"].items():
+        if ent.get("deltas") or "file" in ent:
+            raise ValueError(
+                f"lake partition {k} has pending delta files from the removed "
+                "shuffle commit mode (or the v1 single-file layout); this "
+                "engine reads only base files plus L0 runs"
+            )
+        bases[int(k)] = ent.get("base")
+    return bases
 
 
 class ConcurrentWriterError(RuntimeError):
@@ -257,37 +260,29 @@ class LakeTable:
         key: str = "doc_id",
         lsn_col: str = "lsn",
         op_col: str = "op",
-        compact_deltas: int = 4,
-        commit_mode: str = "shuffle",
+        commit_mode: str = "l0",
         l0_compact_files: int = 24,
         lock_lease_s: float = 600.0,
         metrics_name: str | None = None,
     ):
-        """``commit_mode`` picks the ingest/merge trade:
+        """Ingest is **shuffle-free** (LSM level-0 / merge-on-read style):
+        each ingest task writes one bucket-SORTED run file with
+        ~``num_partitions`` row groups, so a partition read prunes to its
+        own row groups via parquet statistics. There is no all-to-all in
+        the apply path — the epoch is map-only and scales linearly with
+        cores/nodes. Reads fold base + every pending L0 run (pruned);
+        when pending runs exceed ``l0_compact_files`` the apply
+        auto-compacts (Ray-parallel, one task per partition,
+        storage-pruned reads — still no network shuffle).
 
-        * ``"shuffle"`` — per-partition delta files via a hash-bucket
-          all-to-all each epoch. Reads fold ≤ ``compact_deltas`` files
-          per partition. Read-optimized.
-        * ``"l0"`` — **shuffle-free ingest** (LSM level-0 / merge-on-read
-          style): each ingest task writes one bucket-SORTED run file
-          with ~``num_partitions`` row groups, so a partition read
-          prunes to its own row groups via parquet statistics. No
-          all-to-all in the apply path at all — the epoch is map-only
-          and scales linearly with cores/nodes. Reads fold base + every
-          pending L0 run (pruned); when pending runs exceed
-          ``l0_compact_files`` the apply auto-compacts (Ray-parallel,
-          one task per partition, storage-pruned reads — still no
-          network shuffle). Write-optimized; the 10^10-event ingest
-          path.
+        ``commit_mode`` accepts only ``"l0"``, the one commit mode.
         """
-        if commit_mode not in ("shuffle", "l0"):
-            raise ValueError("commit_mode must be 'shuffle' or 'l0'")
+        if commit_mode != "l0":
+            raise ValueError(f"commit_mode must be 'l0' (the one commit mode), got {commit_mode!r}")
         self.path = path
         self.key = key
         self.lsn_col = lsn_col
         self.op_col = op_col
-        self.compact_deltas = compact_deltas
-        self.commit_mode = commit_mode
         self.l0_compact_files = l0_compact_files
         self.lock_lease_s = lock_lease_s
         # optional LogCacheStatistics-analog counters: epoch stats are
@@ -358,7 +353,7 @@ class LakeTable:
             "num_partitions": self._requested_partitions,
             "key": self.key,
             "segments_applied": [],
-            # str(pid) -> {base, deltas, rows, live_rows|None, watermark}
+            # str(pid) -> {base, rows, live_rows, watermark}
             "partitions": {},
             # L0 run files (bucket-sorted, span all partitions): [{file, rows, watermark}]
             "l0": [],
@@ -377,11 +372,9 @@ class LakeTable:
             outs = []
             for row in batch.to_pylist():
                 pid = int(row["pid"])
-                parts = [
-                    pq.read_table(os.path.join(lake_path, f))
-                    for f in json.loads(row["files"])
-                ]
-                for f in json.loads(row.get("l0") or "[]"):
+                base = row["base"]
+                parts = [pq.read_table(os.path.join(lake_path, base))] if base else []
+                for f in json.loads(row["l0"]):
                     # bucket-sorted run file: parquet row-group statistics
                     # prune the read to this partition's row groups
                     t0 = pq.read_table(
@@ -420,12 +413,15 @@ class LakeTable:
         return buckets is None or pid in buckets
 
     def _descriptors(self, m: dict) -> list[dict]:
+        """One ``{pid, base, l0}`` row per partition with state: its base
+        file ("" if none) and the JSON list of L0 runs that may hold it."""
         l0_ents = m.get("l0", [])
+        bases = _bases(m)
         descs = []
         # candidate pids: every partition some run may touch + every
-        # partition with state files — sparse L0 metadata keeps the task
+        # partition with a base — sparse L0 metadata keeps the task
         # count proportional to touched partitions, not num_partitions
-        pids = set(int(p) for p in m["partitions"])
+        pids = set(bases)
         for e in l0_ents:
             if e.get("buckets") is not None:
                 pids.update(int(b) for b in e["buckets"])
@@ -434,19 +430,17 @@ class LakeTable:
             else:
                 pids.update(range(m["num_partitions"]))
         for pid in sorted(pids):
-            ent = m["partitions"].get(str(pid), {})
-            base, deltas = _part_files(ent) if ent else (None, [])
-            files = ([base] if base else []) + deltas
+            base = bases.get(pid) or ""
             l0_files = [e["file"] for e in l0_ents if self._run_may_contain(e, pid)]
-            if files or l0_files:
-                descs.append({"pid": pid, "files": json.dumps(files), "l0": json.dumps(l0_files)})
+            if base or l0_files:
+                descs.append({"pid": pid, "base": base, "l0": json.dumps(l0_files)})
         return descs
 
     def read(
         self, include_tombstones: bool = False, epoch: int | None = None
     ) -> ray.data.Dataset:
         """The converged table as a streaming Dataset — merge-on-read:
-        one Ray task per partition folds base + deltas. ``epoch`` time-
+        one Ray task per partition folds base + L0 runs. ``epoch`` time-
         travels to any retained snapshot (state files are immutable and
         content-named, so an old manifest replays its exact table; see
         :meth:`epochs` / :meth:`vacuum`)."""
@@ -475,21 +469,12 @@ class LakeTable:
         (manifest metadata); otherwise one merge-on-read counting scan."""
         m = self.manifest()
         ents = m["partitions"].values()
-        if not m.get("l0") and ents and all(
-            ent.get("live_rows") is not None for ent in ents
-        ):
+        if not m.get("l0") and all(ent.get("live_rows") is not None for ent in ents):
             return sum(ent["live_rows"] for ent in ents)
-        if not ents and not m.get("l0"):
-            return 0
         return self.read().count()
 
     # ------------------------------------------------------------ apply
-    def apply(
-        self,
-        events_ds: ray.data.Dataset,
-        segment_names: list[str],
-        batch_size: int = 65536,
-    ) -> dict:
+    def apply(self, events_ds: ray.data.Dataset, segment_names: list[str]) -> dict:
         """Apply one epoch of change events exactly once.
 
         ``segment_names`` identifies the input (changelog segment files);
@@ -502,9 +487,8 @@ class LakeTable:
         Events must be pre-validated (see routing.split_valid); the
         stream must carry (key, lsn, op, payload...) columns.
 
-        Bytes written per epoch ∝ events applied (delta files), except
-        for partitions whose pending delta count reached
-        ``compact_deltas`` — those are compacted in the same epoch.
+        Bytes written per epoch ∝ events applied (L0 runs); an epoch that
+        leaves more than ``l0_compact_files`` runs pending also compacts.
         """
         m = self.manifest()
         done = set(m["segments_applied"])
@@ -515,159 +499,10 @@ class LakeTable:
             raise ValueError(
                 "segment batch partially committed — tailer must pass only uncommitted segments"
             )
+        _bases(m)  # refuse an unreadable layout before writing anything
 
         with _WriterLock(self.path, lease_s=self.lock_lease_s):
-            return self._apply_locked(m, new_names, events_ds, batch_size)
-
-    def _apply_locked(self, m: dict, new_names: list[str], events_ds, batch_size: int) -> dict:
-        epoch = m["epoch"] + 1
-        P = m["num_partitions"]
-        key, lsn_col, op_col = self.key, self.lsn_col, self.op_col
-        lake_path = self.path
-        compact_deltas = self.compact_deltas
-        epoch_rel = f"state/e{epoch:06d}"
-        os.makedirs(os.path.join(lake_path, epoch_rel), exist_ok=True)
-        if self.commit_mode == "l0":
-            return self._apply_l0(m, new_names, events_ds, epoch, epoch_rel, batch_size)
-        part_entries = {
-            int(k): _part_files(v) for k, v in m["partitions"].items()
-        }  # pid -> (base, deltas)
-
-        t0 = time.time()
-
-        # level-1 reduce + bucket stamp (stateless tasks, zero-copy Arrow)
-        reduced = events_ds.map_batches(
-            _PartialLww(key, lsn_col), batch_format="pyarrow", batch_size=batch_size
-        )
-
-        def stamp(t: pa.Table) -> pa.Table:
-            return t.append_column("_bucket", pa.array(bucket_of(t.column(key), P)))
-
-        bucketed = reduced.map_batches(stamp, batch_format="pyarrow", batch_size=batch_size)
-
-        def merge_partition(group: pa.Table) -> pa.Table:
-            """Per-partition epoch write: fold THIS epoch's events to one
-            row per key, then either append a delta file (cheap, O(epoch
-            events)) or — first write / threshold reached — compact into
-            a new base. Deterministic content, tmp+rename write — safe
-            under Ray task retries."""
-            pid = int(group["_bucket"][0].as_py())
-            group = group.drop_columns(["_bucket"])
-            folded = last_writer_per_key(group, key=key, lsn_col=lsn_col).sort_by(key)
-            base, deltas = part_entries.get(pid, (None, []))
-            compact = base is None or len(deltas) + 1 >= compact_deltas
-            if compact:
-                old = [
-                    pq.read_table(os.path.join(lake_path, f))
-                    for f in (([base] if base else []) + deltas)
-                ]
-                if old:
-                    allt = pa.concat_tables([*old, folded], promote_options="permissive")
-                    folded = last_writer_per_key(allt, key=key, lsn_col=lsn_col).sort_by(key)
-                rel = f"{epoch_rel}/part-{pid:05d}.parquet"
-                live = drop_tombstones(folded, op_col).num_rows
-            else:
-                rel = f"{epoch_rel}/part-{pid:05d}.delta.parquet"
-                live = -1  # unknown without reading base state (by design)
-            _atomic_write_parquet(os.path.join(lake_path, rel), folded)
-            wm = pc.max(folded[lsn_col]).as_py() if folded.num_rows else -1
-            return pa.table(
-                {
-                    "pid": pa.array([pid], type=pa.int64()),
-                    "file": pa.array([rel]),
-                    "kind": pa.array(["base" if compact else "delta"]),
-                    "rows": pa.array([folded.num_rows], type=pa.int64()),
-                    "live_rows": pa.array([live], type=pa.int64()),
-                    "watermark": pa.array([wm], type=pa.int64()),
-                    "events_in": pa.array([group.num_rows], type=pa.int64()),
-                    "schema": pa.array([schema_to_str(folded.schema)]),
-                }
-            )
-
-        stats_rows = (
-            bucketed.groupby("_bucket")
-            .map_groups(merge_partition, batch_format="pyarrow")
-            .take_all()
-        )
-
-        # ---- commit point: single atomic manifest swap (with epoch CAS)
-        partitions = {
-            k: dict(v) for k, v in m["partitions"].items()
-        }
-        touched = 0
-        events_in = 0
-        compactions = 0
-        max_part_events = 0
-        for r in stats_rows:
-            pid = str(r["pid"])
-            old = partitions.get(pid, {})
-            old_base, old_deltas = _part_files(old) if old else (None, [])
-            wm = max(int(r["watermark"]), int(old.get("watermark", -1)))
-            if r["kind"] == "base":
-                ent = {
-                    "base": r["file"],
-                    "deltas": [],
-                    "rows": int(r["rows"]),
-                    "live_rows": int(r["live_rows"]),
-                    "watermark": wm,
-                }
-                compactions += 1 if (old_base or old_deltas) else 0
-            else:
-                ent = {
-                    "base": old_base,
-                    "deltas": old_deltas + [r["file"]],
-                    "rows": int(old.get("rows", 0)) + int(r["rows"]),
-                    "live_rows": None,  # exact only after compaction
-                    "watermark": wm,
-                }
-            partitions[pid] = ent
-            touched += 1
-            events_in += int(r["events_in"])
-            max_part_events = max(max_part_events, int(r["events_in"]))
-        schemas = [schema_from_str(r["schema"]) for r in stats_rows]
-        if m.get("schema"):
-            schemas.append(schema_from_str(m["schema"]))
-        # CAS: the manifest must still be at the epoch we read at entry —
-        # a competing committed writer would otherwise be silently undone
-        cur = self.manifest()
-        if cur["epoch"] != m["epoch"]:
-            raise ConcurrentWriterError(
-                f"manifest advanced from epoch {m['epoch']} to {cur['epoch']} during apply"
-            )
-        m2 = dict(m)
-        if schemas:
-            m2["schema"] = schema_to_str(unify(schemas))
-        m2["epoch"] = epoch
-        m2["segments_applied"] = list(m["segments_applied"]) + list(new_names)
-        m2["partitions"] = partitions
-        m2["history"] = list(m.get("history", [])) + [
-            {
-                "epoch": epoch,
-                "segments": list(new_names),
-                "partitions_touched": touched,
-                "compactions": compactions,
-                "events_after_reduce": events_in,
-                # skew signal (SURVEY §4): a hot partition shows up as
-                # max ≫ mean events per touched partition
-                "max_partition_events": max_part_events,
-                "skew_ratio": round(max_part_events * touched / max(1, events_in), 3),
-                "wall_sec": round(time.time() - t0, 3),
-            }
-        ]
-        self._commit_manifest(m2)
-        self._publish_epoch_metrics(
-            {
-                "lake.epochs_committed": 1,
-                "lake.events_after_reduce": events_in,
-                "lake.partitions_touched": touched,
-                "lake.compactions": compactions,
-                "lake.keys_live": sum(
-                    int(ent["live_rows"]) for ent in partitions.values()
-                    if ent.get("live_rows") not in (None, -1)
-                ),
-            }
-        )
-        return m2["history"][-1]
+            return self._apply_locked(m, new_names, events_ds)
 
     def _publish_epoch_metrics(self, items: dict) -> None:
         """Driver-side counter publish (LogCacheStatistics analog) from
@@ -678,8 +513,7 @@ class LakeTable:
 
         Metrics(self.metrics_name).actor.incr_many.remote(items)
 
-    def _apply_l0(self, m: dict, new_names: list[str], events_ds, epoch: int,
-                  epoch_rel: str, batch_size: int) -> dict:
+    def _apply_locked(self, m: dict, new_names: list[str], events_ds) -> dict:
         """Shuffle-free epoch commit: one map-only pass folds each input
         block per key, stamps + sorts by bucket, and writes ONE run file
         per block with ~P row groups (so partition reads prune via
@@ -688,6 +522,9 @@ class LakeTable:
         manifest swap stays the only commit point)."""
         import hashlib
 
+        epoch = m["epoch"] + 1
+        epoch_rel = f"state/e{epoch:06d}"
+        os.makedirs(os.path.join(self.path, epoch_rel), exist_ok=True)
         P = m["num_partitions"]
         key, lsn_col = self.key, self.lsn_col
         lake_path = self.path
@@ -725,15 +562,7 @@ class LakeTable:
             digest = hashlib.md5(lsns.tobytes() + kh.tobytes()).hexdigest()[:16]
             rel = f"{epoch_rel}/l0-{digest}.parquet"
             rg = max(2048, -(-t.num_rows // P))  # ≈ one row group per partition
-            tmp = os.path.join(lake_path, rel) + f".tmp.{uuid.uuid4().hex[:8]}"
-            pq.write_table(t, tmp, row_group_size=rg)
-            fd = os.open(tmp, os.O_RDONLY)
-            try:
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-            os.replace(tmp, os.path.join(lake_path, rel))
-            _fsync_dir(os.path.join(lake_path, rel))
+            _atomic_write_parquet(os.path.join(lake_path, rel), t, row_group_size=rg)
             wm = int(lsns.max()) if len(lsns) else -1
             sch = schema_to_str(t.drop_columns(["_bucket"]).schema)
             # run-pruning metadata: which partitions this run can contain —
@@ -764,6 +593,8 @@ class LakeTable:
         schemas = [schema_from_str(r["schema"]) for r in stats_rows]
         if m.get("schema"):
             schemas.append(schema_from_str(m["schema"]))
+        # CAS: the manifest must still be at the epoch we read at entry —
+        # a competing committed writer would otherwise be silently undone
         cur = self.manifest()
         if cur["epoch"] != m["epoch"]:
             raise ConcurrentWriterError(
@@ -785,12 +616,13 @@ class LakeTable:
             }
             for r in stats_rows
         ]
+        events_out = sum(int(r["rows"]) for r in stats_rows)
         m2["history"] = list(m.get("history", [])) + [
             {
                 "epoch": epoch,
                 "segments": list(new_names),
                 "l0_runs": len(stats_rows),
-                "events_after_reduce": sum(int(r["rows"]) for r in stats_rows),
+                "events_after_reduce": events_out,
                 "wall_sec": round(time.time() - t0, 3),
             }
         ]
@@ -798,7 +630,7 @@ class LakeTable:
         self._publish_epoch_metrics(
             {
                 "lake.epochs_committed": 1,
-                "lake.events_after_reduce": sum(int(r["rows"]) for r in stats_rows),
+                "lake.events_after_reduce": events_out,
                 "lake.l0_runs_written": len(stats_rows),
             }
         )
@@ -834,11 +666,7 @@ class LakeTable:
         referenced: set[str] = set()
         for m in manifests:
             referenced.update(e["file"] for e in m.get("l0", []))
-            for ent in m["partitions"].values():
-                base, deltas = _part_files(ent)
-                if base:
-                    referenced.add(base)
-                referenced.update(deltas)
+            referenced.update(b for b in _bases(m).values() if b)
         removed = []
         state_dir = os.path.join(self.path, "state")
         if not os.path.isdir(state_dir):
@@ -858,7 +686,7 @@ class LakeTable:
     def compact(self, drop_tombs: bool = False,
                 zorder: list[str] | None = None) -> int:
         """Full compaction (Ray-parallel): every partition's base +
-        deltas + pending L0 runs fold into a fresh base file; optionally
+        pending L0 runs fold into a fresh base file; optionally
         drop tombstones (safe once upstream segments can no longer be
         replayed). ``zorder`` clusters each fresh base on a Morton key
         over the named numeric columns (per-partition min-max quantize)
@@ -939,7 +767,6 @@ class LakeTable:
             old = partitions.get(str(r["pid"]), {})
             partitions[str(r["pid"])] = {
                 "base": r["file"],
-                "deltas": [],
                 "rows": int(r["rows"]),
                 "live_rows": int(r["live_rows"]),
                 "watermark": max(int(r["watermark"]), int(old.get("watermark", -1))),
@@ -962,10 +789,11 @@ class LakeTable:
 def lineage(lake: "LakeTable", pid: int | None = None) -> list[dict]:
     """Per-partition LINEAGE from the retained manifest snapshots: for
     every epoch, which changelog segments fed it and which state files
-    each partition gained (plus the partition's LSN watermark after the
-    epoch) — the provenance record the north-star names beside metrics.
-    Derived entirely from immutable manifests (no data reads); epochs
-    already vacuumed have no snapshot and are omitted."""
+    each partition gained — its base plus the L0 runs whose bucket
+    metadata admits it — with the partition's LSN watermark (the highest
+    over those files) — the provenance record the north-star names
+    beside metrics. Derived entirely from immutable manifests (no data
+    reads); epochs already vacuumed have no snapshot and are omitted."""
     rows: list[dict] = []
     prev_segs: set = set()
     prev_files: dict = {}
@@ -973,35 +801,26 @@ def lineage(lake: "LakeTable", pid: int | None = None) -> list[dict]:
         m = lake.manifest(e)
         segs = set(m.get("segments_applied", []))
         new_segs = sorted(segs - prev_segs)
-        for spid, ent in sorted(m.get("partitions", {}).items(), key=lambda kv: int(kv[0])):
-            ipid = int(spid)
+        run_wm = {r["file"]: r.get("watermark") for r in m.get("l0", [])}
+        for d in lake._descriptors(m):
+            ipid = d["pid"]
             if pid is not None and ipid != pid:
                 continue
-            base, deltas = _part_files(ent)
-            files = set([base] if base else []) | set(deltas)
+            runs = json.loads(d["l0"])
+            files = set(runs) | ({d["base"]} if d["base"] else set())
             added = sorted(files - prev_files.get(ipid, set()))
+            ent = m["partitions"].get(str(ipid), {})
             if e == 0 or added or new_segs:
+                wms = [run_wm[f] for f in runs] + [ent.get("watermark")]
                 rows.append({
                     "epoch": e,
                     "pid": ipid,
                     "segments": new_segs,
                     "files_added": added,
-                    "watermark": ent.get("watermark"),
-                    "live_rows": ent.get("live_rows"),
+                    "watermark": max((w for w in wms if w is not None), default=None),
+                    # exact only once no run is pending for the partition
+                    "live_rows": None if runs else ent.get("live_rows"),
                 })
             prev_files[ipid] = files
-        seen_l0 = prev_files.get(-1, set())
-        for ent in m.get("l0", []):
-            if ent["file"] in seen_l0:
-                continue
-            rows.append({
-                "epoch": e,
-                "pid": None,  # L0 runs span partitions (bucket-sorted)
-                "segments": new_segs,
-                "files_added": [ent["file"]],
-                "watermark": ent.get("watermark"),
-                "live_rows": None,
-            })
-        prev_files[-1] = seen_l0 | {x["file"] for x in m.get("l0", [])}
         prev_segs = segs
     return rows

@@ -47,8 +47,9 @@ from raycdc.lake import LakeTable, _atomic_write_json, _atomic_write_parquet
 def _manifest_files(lake: LakeTable, m: dict) -> set:
     files: set = set()
     for d in lake._descriptors(m):
-        files.update(json.loads(d["files"]))
-        files.update(json.loads(d.get("l0") or "[]"))
+        if d["base"]:
+            files.add(d["base"])
+        files.update(json.loads(d["l0"]))
     return files
 
 

@@ -177,7 +177,6 @@ def cdc_replay(
     fresh: bool = True,
     min_len: int | None = None,
     max_len: int | None = None,
-    commit_mode: str = "l0",
 ) -> ray.data.Dataset:
     """The flagship: synthesize (cached) → bootstrap lake → seed base →
     tail the changelog to convergence → return the converged table.
@@ -201,14 +200,10 @@ def cdc_replay(
     )
     if fresh:
         shutil.rmtree(lake_dir, ignore_errors=True)
-    # the flagship ingests shuffle-free (L0 runs + merge-on-read): the
-    # apply epoch is map-only and scales linearly — see lake.py
-    lake = LakeTable(lake_dir, num_partitions=num_partitions, commit_mode=commit_mode)
+    lake = LakeTable(lake_dir, num_partitions=num_partitions)
     lake.init()
     if "__base__" not in lake.manifest()["segments_applied"]:
-        lake.apply(
-            base_as_inserts(read_parquet_clean(base_dir)), ["__base__"], batch_size=batch_size
-        )
+        lake.apply(base_as_inserts(read_parquet_clean(base_dir)), ["__base__"])
     tail_until_caught_up(
         lake,
         log_dir,

@@ -94,10 +94,10 @@ class ValidateAndDivert:
     pipeline. One pass over the input — the hot-path variant of
     :func:`split_valid`.
 
-    The dead-letter stream is at-least-once (a retried task rewrites its
-    rows under a new file name) — fine for a repair/diagnostics stream,
-    mirroring the reference's failure-relationship loop-back semantics
-    (``PutDICOM.java:83-86``).
+    Dead-letter files are named from their rows' content, as L0 runs
+    are, so a retried task rewrites the identical file instead of adding
+    a duplicate — the reference's failure-relationship loop-back
+    (``PutDICOM.java:83-86``) without double-counted failures.
 
     Stateless by design: prefer :func:`make_validator` (a plain function
     for ``map_batches``) on the hot path — task stages FUSE with
@@ -127,15 +127,19 @@ def make_validator(dead_letter_dir: str | None = None):
         ok_mask = pc.equal(routes, ROUTE_OK)
         n_bad = batch.num_rows - pc.sum(ok_mask.cast(pa.int64())).as_py()
         if n_bad and dead_letter_dir:
-            import uuid
+            import hashlib
 
+            import polars as pl
             import pyarrow.parquet as pq
 
             os.makedirs(dead_letter_dir, exist_ok=True)  # remote worker may not have it
             dead = stamped.filter(pc.invert(ok_mask))
-            pq.write_table(
-                dead, os.path.join(dead_letter_dir, f"dead-{uuid.uuid4().hex[:12]}.parquet")
-            )
+            # content-derived name over every column (dead rows may lack a
+            # key or lsn, so those alone could collide): a retried task
+            # rewrites the identical file
+            rows_h = pl.from_arrow(dead).hash_rows(seed=0).to_numpy()
+            digest = hashlib.md5(rows_h.tobytes()).hexdigest()[:16]
+            pq.write_table(dead, os.path.join(dead_letter_dir, f"dead-{digest}.parquet"))
         return stamped.filter(ok_mask).drop_columns([ROUTE_COL])
 
     return validate_divert

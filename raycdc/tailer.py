@@ -163,7 +163,7 @@ def tail_once(
     )
     if transform is not None:
         ok = transform(ok)
-    return lake.apply(ok, todo, batch_size=batch_size)
+    return lake.apply(ok, todo)
 
 
 def tail_until_caught_up(

@@ -45,17 +45,17 @@ def collect(ds) -> pa.Table:
     return pa.concat_tables(batches, promote_options="permissive") if batches else pa.table({})
 
 
-@pytest.fixture(params=["shuffle", "l0"])
+@pytest.fixture(params=["l0"])
 def lake(tmp_path, request):
-    """Every core lake test runs under BOTH commit modes: per-partition
-    delta shuffling and shuffle-free L0 runs (merge-on-read)."""
+    """The core lake under its one commit mode — shuffle-free L0 runs
+    (merge-on-read); the param names the mode in each test id."""
     lk = LakeTable(str(tmp_path / "lake"), num_partitions=8, commit_mode=request.param)
     lk.init()
     return lk
 
 
 def seeded_lake(lk: LakeTable, base: pa.Table):
-    lk.apply(base_as_inserts(rd.from_arrow(base)), ["__base__"], batch_size=256)
+    lk.apply(base_as_inserts(rd.from_arrow(base)), ["__base__"])
     return lk
 
 
@@ -121,9 +121,9 @@ def test_partial_overlap_rejected(lake, tmp_path):
     seeded_lake(lake, base)
     segs = sorted(os.listdir(log_dir))
     ev = rd.read_parquet([os.path.join(log_dir, segs[0])])
-    lake.apply(ev, [segs[0]], batch_size=256)
+    lake.apply(ev, [segs[0]])
     with pytest.raises(ValueError, match="partially committed"):
-        lake.apply(ev, [segs[0], segs[1]], batch_size=256)
+        lake.apply(ev, [segs[0], segs[1]])
 
 
 def test_crash_between_epoch_write_and_manifest_swap(lake, tmp_path, monkeypatch):
@@ -281,41 +281,14 @@ def test_delta_epoch_bytes_proportional_to_events(tmp_path):
         os.path.getsize(os.path.join(epoch_dir, f)) for f in os.listdir(epoch_dir)
     )
     assert epoch_bytes < seed_bytes * 0.05, (epoch_bytes, seed_bytes)
-    m = lk.manifest()
-    assert any(ent["deltas"] for ent in m["partitions"].values())
+    # the tiny epoch wrote exactly one L0 run holding its 10 rows
+    new_runs = [e for e in lk.manifest()["l0"] if e["file"].startswith("state/e000002/")]
+    assert [e["rows"] for e in new_runs] == [10]
     # merge-on-read returns the updated values
     got = canon(collect(lk.read()))
     assert got.num_rows == 5000
     row = got.filter(pa.array([d == "doc-00000003" for d in got["doc_id"].to_pylist()]))
     assert row["tokens"].to_pylist() == [[1, 2, 3]]
-
-
-def test_auto_compaction_threshold(tmp_path):
-    """Once a partition accumulates compact_deltas pending deltas, the
-    next epoch compacts it: deltas reset, read fan-in stays bounded."""
-    lk = LakeTable(str(tmp_path / "lake"), num_partitions=2, compact_deltas=2)
-    lk.init()
-    base = base_table(50, seed=13, min_len=4, max_len=8)
-    seeded_lake(lk, base)
-    for k in range(4):
-        ev = pa.table(
-            {
-                "lsn": pa.array([1000 + k], type=pa.int64()),
-                "op": ["update"],
-                "doc_id": ["doc-00000001"],
-                "tokens": pa.array([[k]], type=pa.list_(pa.int32())),
-                "n_tok": pa.array([1], type=pa.int32()),
-                "source": ["web"],
-            }
-        )
-        lk.apply(rd.from_arrow(ev), [f"s{k}"])
-    m = lk.manifest()
-    for ent in m["partitions"].values():
-        assert len(ent["deltas"]) < 2  # threshold enforced
-    assert any(h.get("compactions", 0) for h in m["history"])
-    got = collect(lk.read())
-    row = got.filter(pa.array([d == "doc-00000001" for d in got["doc_id"].to_pylist()]))
-    assert row["tokens"].to_pylist() == [[3]]  # last writer (lsn 1003)
 
 
 def test_concurrent_writer_lock(lake, tmp_path):
@@ -428,7 +401,7 @@ def test_l0_run_pruning_metadata(tmp_path):
     from raycdc.util import bucket_of
 
     P = 8
-    lk = LakeTable(str(tmp_path / "lake"), num_partitions=P, commit_mode="l0")
+    lk = LakeTable(str(tmp_path / "lake"), num_partitions=P)
     lk.init()
     # craft keys whose buckets are known, split into two disjoint-bucket blocks
     keys = [f"doc-{i:04d}" for i in range(200)]
@@ -450,8 +423,8 @@ def test_l0_run_pruning_metadata(tmp_path):
             }
         )
 
-    lk.apply(rd.from_arrow(events_for(lo, 1)), ["s-lo"], batch_size=256)
-    lk.apply(rd.from_arrow(events_for(hi, 100)), ["s-hi"], batch_size=256)
+    lk.apply(rd.from_arrow(events_for(lo, 1)), ["s-lo"])
+    lk.apply(rd.from_arrow(events_for(hi, 100)), ["s-hi"])
     m = lk.manifest()
     assert len(m["l0"]) == 2
     for ent in m["l0"]:
@@ -477,11 +450,11 @@ def test_l0_run_pruning_metadata(tmp_path):
 def test_l0_duplicate_block_content_counted_once(tmp_path):
     """Two input blocks with identical content produce ONE run file and
     ONE manifest entry (not a double-fold)."""
-    lk = LakeTable(str(tmp_path / "lake"), num_partitions=4, commit_mode="l0")
+    lk = LakeTable(str(tmp_path / "lake"), num_partitions=4)
     lk.init()
     ev = _one_event()
     dup = rd.from_arrow(ev).union(rd.from_arrow(ev))  # 2 identical blocks
-    r = lk.apply(dup, ["s1"], batch_size=256)
+    r = lk.apply(dup, ["s1"])
     m = lk.manifest()
     assert len(m["l0"]) == 1
     assert r["events_after_reduce"] == 1
@@ -493,7 +466,7 @@ def test_vacuum_removes_unreferenced_epochs(lake, tmp_path):
     base, log_dir, _ = make_log(tmp_path, seed=43, n_segments=3)
     seeded_lake(lake, base)
     tail_until_caught_up(lake, log_dir, max_segments_per_epoch=1, batch_size=256)
-    # delta epochs keep every file referenced; compaction supersedes them
+    # pending L0 runs keep every file referenced; compaction supersedes them
     lake.compact()
     state_root = os.path.join(lake.path, "state")
     before = sum(len(fs) for _, _, fs in os.walk(state_root))
@@ -510,7 +483,7 @@ def test_tail_forever_picks_up_segments_mid_run(tmp_path):
     restart; the loop exits once idle for idle_timeout_s."""
     from raycdc.tailer import tail_forever
 
-    lk = LakeTable(str(tmp_path / "lake"), num_partitions=4, commit_mode="l0")
+    lk = LakeTable(str(tmp_path / "lake"), num_partitions=4)
     lk.init()
     cfg = EventGenConfig(n_events=300, n_base=40, seed=11, min_len=4, max_len=8)
     log_dir = str(tmp_path / "log")
@@ -545,8 +518,7 @@ def test_l0_auto_compaction_bounds_fan_in(tmp_path):
     """L0 mode: pending run files trigger an auto-compaction that folds
     them into per-partition bases (manifest l0 clears), and the folded
     state still matches the oracle."""
-    lk = LakeTable(str(tmp_path / "lake"), num_partitions=4, commit_mode="l0",
-                   l0_compact_files=3)
+    lk = LakeTable(str(tmp_path / "lake"), num_partitions=4, l0_compact_files=3)
     lk.init()
     base, log_dir, all_events = make_log(tmp_path, seed=47, n_segments=5)
     seeded_lake(lk, base)
@@ -652,14 +624,14 @@ def test_compact_zorder_clusters_rowgroups_and_preserves_state(tmp_path):
     assert any(f < 1.0 for f in frac), frac
 
 
-@pytest.mark.parametrize("mode", ["l0", "shuffle"])
+@pytest.mark.parametrize("mode", ["l0"])
 def test_midepoch_task_failure_then_rerun_commits_once(tmp_path, mode):
     """Mid-epoch WRITE failure (VERDICT r3 §7): a worker task dies after
     sibling tasks have already written state files for the epoch, before
     the driver's take_all() returns. The manifest must not advance; the
-    clean re-run must commit exactly once; in L0 mode the content-derived
-    run names make the rewrite overwrite (not duplicate) any orphans, so
-    the epoch directory ends with exactly the manifest-referenced files."""
+    clean re-run must commit exactly once; the content-derived run names
+    make the rewrite overwrite (not duplicate) any orphans, so the epoch
+    directory ends with exactly the manifest-referenced files."""
     import glob as _glob
     import time as _time
 
@@ -687,39 +659,33 @@ def test_midepoch_task_failure_then_rerun_commits_once(tmp_path, mode):
 
     # small batches => many tasks => siblings complete before the poison
     with pytest.raises(Exception):
-        lk.apply(valid.map_batches(poison, batch_format="pyarrow", batch_size=64),
-                 segs, batch_size=64)
+        lk.apply(valid.map_batches(poison, batch_format="pyarrow", batch_size=64), segs)
     assert lk.manifest()["epoch"] == epoch0  # commit point never reached
     orphans = _glob.glob(os.path.join(lk.path, "state", "*", "*.parquet"))
     assert orphans, "precondition: some state files were written mid-epoch"
 
     # clean re-run commits exactly once and converges
-    r = lk.apply(valid, segs, batch_size=64)
+    r = lk.apply(valid, segs)
     assert r.get("noop") is not True
     assert lk.manifest()["epoch"] == epoch0 + 1
     assert_eq(collect(lk.read()), fold_events(base, all_events))
     # idempotence: the same segments again are a no-op
-    assert lk.apply(valid, segs, batch_size=64).get("noop") is True
+    assert lk.apply(valid, segs).get("noop") is True
 
-    if mode == "l0":
-        # content-named rewrite: every file in the epoch dirs is referenced
-        # by the manifest (orphans were overwritten, never duplicated)
-        referenced = {e["file"] for e in lk.manifest().get("l0", [])}
-        for ent in lk.manifest()["partitions"].values():
-            b = ent.get("base")
-            if b:
-                referenced.add(b)
-            referenced.update(ent.get("deltas") or [])
-        on_disk = {
-            os.path.relpath(p, lk.path)
-            for p in _glob.glob(os.path.join(lk.path, "state", "*", "*.parquet"))
-        }
-        assert on_disk == referenced, (
-            f"orphan/duplicate run files: {sorted(on_disk - referenced)}"
-        )
+    # content-named rewrite: every file in the epoch dirs is referenced
+    # by the manifest (orphans were overwritten, never duplicated)
+    referenced = {e["file"] for e in lk.manifest().get("l0", [])}
+    referenced.update(ent["base"] for ent in lk.manifest()["partitions"].values())
+    on_disk = {
+        os.path.relpath(p, lk.path)
+        for p in _glob.glob(os.path.join(lk.path, "state", "*", "*.parquet"))
+    }
+    assert on_disk == referenced, (
+        f"orphan/duplicate run files: {sorted(on_disk - referenced)}"
+    )
 
 
-@pytest.mark.parametrize("mode", ["l0", "shuffle"])
+@pytest.mark.parametrize("mode", ["l0"])
 def test_tail_forever_concurrent_writer(tmp_path, mode):
     """Concurrent-writer ingest (VERDICT r4 §8 — the ListenDICOM
     create-commit-rollback analog, `ListenDICOM.java:165-171`): a writer
@@ -792,3 +758,29 @@ def test_tail_forever_concurrent_writer(tmp_path, mode):
     # a dot-prefixed temp name must never be visible to the tailer
     assert not [f for f in os.listdir(log_dir) if f.startswith(".")]
     assert_eq(collect(lk.read()), fold_events(base, all_events))
+
+
+def test_shuffle_layout_manifest_refused(tmp_path):
+    """Manifest entries only the removed shuffle commit mode wrote —
+    pending delta files, or the v1 single-file layout — are refused
+    loudly: reading, compacting, vacuuming or applying onto such a lake
+    would otherwise drop those files' rows without a word."""
+    with pytest.raises(ValueError, match="commit_mode"):
+        LakeTable(str(tmp_path / "x"), commit_mode="shuffle")
+    lk = LakeTable(str(tmp_path / "lake"), num_partitions=2)
+    lk.init()
+    lk.apply(rd.from_arrow(_one_event()), ["s1"])
+    lk.compact()
+    good = lk.manifest()
+    (pid, ent), = good["partitions"].items()
+    legacy = [
+        dict(ent, deltas=[ent["base"]]),  # a pending delta file
+        {"file": ent["base"], "rows": 1, "watermark": 1},  # v1 layout
+    ]
+    for bad in legacy:
+        lake_mod._atomic_write_json(lk.manifest_path, dict(good, partitions={pid: bad}))
+        for op in (lk.read, lk.compact, lk.vacuum,
+                   lambda: lk.apply(rd.from_arrow(_one_event("k2", 2)), ["s2"])):
+            with pytest.raises(ValueError, match="pending delta files"):
+                op()
+        assert lk.manifest()["epoch"] == good["epoch"]  # nothing committed

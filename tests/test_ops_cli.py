@@ -73,7 +73,8 @@ def test_cli_lifecycle(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out.strip().splitlines()[-1]).get("noop") is True
 
     assert main(["tail", lake, log_dir, "--dead-letter", dead]) == 0
-    # after a delta-epoch tail, live_rows is not exact from metadata alone
+    # after a tail, L0 runs are pending: live_rows is not exact from
+    # metadata alone, but state_rows counts the runs' rows
     assert main(["status", lake]) == 0
     status = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert status["epoch"] == 2 and status["state_rows"] > 0
@@ -168,7 +169,7 @@ def test_cli_compact(tmp_path, capsys):
     # after compaction live_rows is exact straight from the manifest
     assert main(["status", lake]) == 0
     status = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert status["live_rows"] is not None and status["pending_deltas"] == 0
+    assert status["live_rows"] is not None and status["pending_l0_runs"] == 0
 
 
 def test_grouped_shift_from_min_matches_broadcast():

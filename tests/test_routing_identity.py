@@ -133,3 +133,24 @@ def test_validate_schema_tolerant():
     )
     counts = route_counts(validate(rd.from_arrow(t)))
     assert counts == {ROUTE_OK: 1, ROUTE_DEAD_LETTER: 1}
+
+
+def test_dead_letter_file_named_from_content(tmp_path):
+    """A retried validate task rewrites its dead letters under the same
+    content-derived name instead of adding a duplicate file."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from raycdc.routing import make_validator
+
+    cfg = EventGenConfig(n_events=200, n_base=20, seed=5, pct_malformed=0.2, min_len=4, max_len=8)
+    ev = events_table(cfg)
+    n_bad = int(is_malformed_mask(ev).sum())
+    dl = str(tmp_path / "dead")
+    validator = make_validator(dl)
+    for _ in range(2):  # the original attempt and its retry
+        ok = validator(ev)
+    assert ok.num_rows == 200 - n_bad
+    assert len(os.listdir(dl)) == 1
+    assert pq.read_table(dl).num_rows == n_bad

@@ -36,7 +36,7 @@ def test_schema_roundtrip_serialization():
 import pytest
 
 
-@pytest.fixture(params=["shuffle", "l0"])
+@pytest.fixture(params=["l0"])
 def commit_mode(request):
     return request.param
 
@@ -47,7 +47,7 @@ def test_lake_schema_evolution_add_column(tmp_path, commit_mode):
     lk = LakeTable(str(tmp_path / "lake"), num_partitions=4, commit_mode=commit_mode)
     lk.init()
     base = base_table(50, seed=2, min_len=4, max_len=8)
-    lk.apply(base_as_inserts(rd.from_arrow(base)), ["__base__"], batch_size=64)
+    lk.apply(base_as_inserts(rd.from_arrow(base)), ["__base__"])
 
     evolved = pa.table(
         {
@@ -60,7 +60,7 @@ def test_lake_schema_evolution_add_column(tmp_path, commit_mode):
             "lang": ["en", "fr"],  # NEW column
         }
     )
-    lk.apply(rd.from_arrow(evolved), ["seg-evolved"], batch_size=64)
+    lk.apply(rd.from_arrow(evolved), ["seg-evolved"])
     out = pa.concat_tables(
         list(lk.read().iter_batches(batch_size=None, batch_format="pyarrow")),
         promote_options="permissive",
@@ -72,7 +72,7 @@ def test_lake_schema_evolution_add_column(tmp_path, commit_mode):
     # an untouched base row backfills null
     assert by_id[base["doc_id"][5].as_py()]["lang"] is None
     assert out.num_rows == 51
-    # compaction folds the evolved deltas into new bases without losing
+    # compaction folds the evolved L0 runs into new bases without losing
     # the evolved schema or any rows
     lk.compact()
     out2 = pa.concat_tables(
@@ -88,7 +88,7 @@ def test_lake_schema_evolution_widen(tmp_path, commit_mode):
     lk = LakeTable(str(tmp_path / "lake"), num_partitions=2, commit_mode=commit_mode)
     lk.init()
     base = base_table(10, seed=4, min_len=4, max_len=8)
-    lk.apply(base_as_inserts(rd.from_arrow(base)), ["__base__"], batch_size=64)
+    lk.apply(base_as_inserts(rd.from_arrow(base)), ["__base__"])
     widened = pa.table(
         {
             "lsn": pa.array([500], type=pa.int64()),
@@ -99,7 +99,7 @@ def test_lake_schema_evolution_widen(tmp_path, commit_mode):
             "source": ["web"],
         }
     )
-    lk.apply(rd.from_arrow(widened), ["seg-widen"], batch_size=64)
+    lk.apply(rd.from_arrow(widened), ["seg-widen"])
     out = pa.concat_tables(
         list(lk.read().iter_batches(batch_size=None, batch_format="pyarrow")),
         promote_options="permissive",
