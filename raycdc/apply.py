@@ -21,6 +21,14 @@ hash-bucket ``groupby`` whose per-bucket fold is the same vectorized
 kernel. Hot keys cost at most one surviving row per batch at level 1, so
 skew in the *event stream* never concentrates on one reducer; an optional
 salt spreads residual level-2 skew further (SURVEY.md §7.4).
+
+One kernel, :func:`lww_winners`, computes the winners of every LWW fold
+in the engine from one sort of the key columns only (:func:`lww_order`)
+and returns winner row indices in (bucket, key) order. :func:`last_writer_per_key` copies
+the payload once in that order — the lake's L0 run write (already
+bucket-sorted for its row groups) and its merge-on-read / compaction
+fold (key-ordered). The two levels above need no order and materialize
+the same winners in input order.
 """
 
 from __future__ import annotations
@@ -38,39 +46,85 @@ META_COLS = ("_bucket",)
 TOMBSTONE_OPS = ("delete",)
 
 
-def last_writer_per_key(t: pa.Table, key: str = "doc_id", lsn_col: str = "lsn") -> pa.Table:
-    """Vectorized within-table LWW reduce: keep the highest-``lsn`` row per
-    ``key``. Ties (duplicate replays of the same (key, lsn)) keep one row
-    arbitrarily — replays carry identical payloads by contract, so the
-    choice is immaterial (idempotence, reference analog
-    ``DeidentificationController.java:110-117``).
+def lww_order(t: pa.Table, key: str = "doc_id", lsn_col: str = "lsn") -> pa.Array:
+    """The one sort of every LWW fold: row indices of ``t`` in
+    (``_bucket`` when ``t`` carries it, key, lsn) order, sorting only
+    those key columns. The lake's run writer calls it itself — the sort
+    doubles as the run's row-group layout — and hands it to the fold."""
+    cols = [key, lsn_col]
+    if "_bucket" in t.column_names:
+        cols.insert(0, "_bucket")
+    return pc.sort_indices(t.select(cols), sort_keys=[(c, "ascending") for c in cols])
 
-    Hot-path note: only the (key, lsn) columns are sorted/reordered; the
-    winner set is scattered back to original positions and the payload
-    (token lists — the heavy bytes) is copied ONCE by the final filter,
-    never reordered by a full-table take. Output row order is the input
-    order of the winners, which every consumer treats as unordered."""
+
+def lww_winners(t: pa.Table, key: str = "doc_id", lsn_col: str = "lsn",
+                order: pa.Array | None = None) -> np.ndarray:
+    """THE LWW kernel: row indices of the highest-``lsn`` row per ``key``,
+    in (``_bucket`` when ``t`` carries it, key) order — every LWW fold in
+    the engine computes its winners here.
+
+    The winner of each key is the last row of its run in the
+    :func:`lww_order` sort (``order``, computed here when not given).
+    That sort is stable, so ties (duplicate replays of the same
+    (key, lsn)) keep the LAST such row in input order — replays carry
+    identical payloads by contract, so the choice is immaterial
+    (idempotence, reference analog
+    ``DeidentificationController.java:110-117``) but deterministic. Null
+    keys never compare equal, so each null-key row is its own winner.
+    ``_bucket`` only orders the output, so it must be a function of the
+    key within ``t`` (a salted sub-bucket column is folded one bucket
+    group at a time)."""
     n = t.num_rows
     if n <= 1:
-        return t
-    keycols = t.select([key, lsn_col])
-    idx = pc.sort_indices(keycols, sort_keys=[(key, "ascending"), (lsn_col, "ascending")])
-    idx_np = np.asarray(idx)
-    keys_sorted = t.column(key).combine_chunks().take(idx)
+        return np.arange(n, dtype=np.int64)
+    idx = lww_order(t, key, lsn_col) if order is None else order
+    keys_sorted = t.column(key).take(idx)
     # last row of each run of equal keys (in sorted order)
-    neq = pc.not_equal(keys_sorted.slice(1), keys_sorted.slice(0, n - 1))
     last_of_run = np.ones(n, dtype=bool)
+    neq = pc.not_equal(keys_sorted.slice(1), keys_sorted.slice(0, n - 1))
     last_of_run[: n - 1] = np.asarray(neq.fill_null(True))
-    keep = np.zeros(n, dtype=bool)
-    keep[idx_np[last_of_run]] = True
+    return np.asarray(idx)[last_of_run]
+
+
+def _is_tomb(op: pa.Array | pa.ChunkedArray) -> np.ndarray:
+    """The one tombstone predicate: True where ``op`` is a delete."""
+    return np.asarray(pc.is_in(op, value_set=pa.array(TOMBSTONE_OPS)))
+
+
+def _live(t: pa.Table, win: np.ndarray, op_col: str | None) -> np.ndarray:
+    """``win`` minus the rows whose ``op_col`` is a tombstone."""
+    if op_col is None or op_col not in t.column_names or not len(win):
+        return win
+    return win[~_is_tomb(t.column(op_col).take(win))]
+
+
+def last_writer_per_key(t: pa.Table, key: str = "doc_id", lsn_col: str = "lsn",
+                        tombstone_col: str | None = None,
+                        order: pa.Array | None = None) -> pa.Table:
+    """Within-table LWW reduce: the :func:`lww_winners` rows, ordered by
+    (``_bucket`` when present, key). The payload (token lists — the
+    heavy bytes) is copied ONCE, by a single take in that order, so an
+    L0 run comes out bucket-sorted with no second sort or take. With
+    ``tombstone_col`` set, winners that are tombstones are dropped
+    before the take (the merge-on-read path). ``order`` is a
+    :func:`lww_order` of ``t`` the caller already holds."""
+    return t.take(_live(t, lww_winners(t, key, lsn_col, order), tombstone_col))
+
+
+def _in_input_order(t: pa.Table, rows: np.ndarray) -> pa.Table:
+    """Materialize ``rows`` of ``t`` in input order with one mask filter,
+    for folds whose consumers need no order: on unsorted multi-chunk
+    batches it beat both an ordered take and a sorted-index take
+    (``scripts/kernel_bench.py`` ``lww_unordered_fold``)."""
+    keep = np.zeros(t.num_rows, dtype=bool)
+    keep[rows] = True
     return t.filter(pa.array(keep))
 
 
 def drop_tombstones(t: pa.Table, op_col: str = "op") -> pa.Table:
     if op_col not in t.column_names or t.num_rows == 0:
         return t
-    keep = pc.invert(pc.is_in(t.column(op_col), value_set=pa.array(TOMBSTONE_OPS)))
-    return t.filter(keep)
+    return t.filter(pa.array(~_is_tomb(t.column(op_col))))
 
 
 def lww_apply_table(
@@ -92,8 +146,7 @@ def lww_apply_table(
         parts.append(b.select(events.column_names) if set(events.column_names) <= set(b.column_names) else b)
     parts.append(events)
     allt = pa.concat_tables(parts, promote_options="permissive")
-    out = last_writer_per_key(allt, key=key, lsn_col=lsn_col)
-    return drop_tombstones(out, op_col=op_col)
+    return last_writer_per_key(allt, key=key, lsn_col=lsn_col, tombstone_col=op_col)
 
 
 class _MetricsMixin:
@@ -128,7 +181,7 @@ class _PartialLww(_MetricsMixin):
         self.metrics_name = metrics_name
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        out = last_writer_per_key(batch, self.key, self.lsn_col)
+        out = _in_input_order(batch, lww_winners(batch, self.key, self.lsn_col))
         if self.metrics_name:
             self._incr_many(
                 {
@@ -172,10 +225,11 @@ class _FinalFold(_MetricsMixin):
 
     def __call__(self, group: pa.Table) -> pa.Table:
         rows_in = group.num_rows
-        out = last_writer_per_key(group, self.key, self.lsn_col)
-        winners = out.num_rows
+        win = lww_winners(group, self.key, self.lsn_col)
+        winners = len(win)
         if self.drop_tomb:
-            out = drop_tombstones(out, self.op_col)
+            win = _live(group, win, self.op_col)
+        out = _in_input_order(group, win)
         if self.metrics_name:
             self._incr_many(
                 {

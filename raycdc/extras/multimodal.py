@@ -154,8 +154,12 @@ def decode_wav(data: bytes) -> tuple[np.ndarray, int]:
     pos, rate, samples = 12, None, None
     while pos + 8 <= len(data):
         cid, size = data[pos:pos + 4], struct.unpack_from("<I", data, pos + 4)[0]
+        if pos + 8 + size > len(data):
+            raise ValueError(f"truncated WAV payload (short {cid!r} chunk)")
         body = data[pos + 8:pos + 8 + size]
         if cid == b"fmt ":
+            if size < 16:
+                raise ValueError(f"truncated WAV payload ({size}-byte fmt chunk)")
             fmt, ch, rate, _, _, bits = struct.unpack_from("<HHIIHH", body, 0)
             if fmt != 1 or ch != 1 or bits != 16:
                 raise ValueError(f"unsupported WAV (fmt={fmt}, ch={ch}, bits={bits})")

@@ -69,7 +69,7 @@ import pyarrow.parquet as pq
 
 import ray.data
 
-from raycdc.apply import drop_tombstones, last_writer_per_key
+from raycdc.apply import drop_tombstones, last_writer_per_key, lww_order
 from raycdc.schema_evo import conform_to, schema_from_str, schema_to_str, unify
 from raycdc.util import bucket_of
 
@@ -101,7 +101,12 @@ def _atomic_write_parquet(path: str, table: pa.Table,
     """Durable tmp+fsync+rename: the manifest swap is only a valid commit
     point if the epoch files it references are already on stable storage."""
     tmp = f"{path}.tmp.{uuid.uuid4().hex[:8]}"
-    pq.write_table(table, tmp, row_group_size=row_group_size)
+    # every run, base and MV state file: zstd, no dictionary pages —
+    # dictionary-encoding the token lists (a large vocabulary) cost ~40%
+    # of encode time and made files larger; min/max statistics are
+    # written either way, so ``_bucket`` row-group pruning is unaffected
+    pq.write_table(table, tmp, row_group_size=row_group_size,
+                   use_dictionary=False, compression="zstd")
     fd = os.open(tmp, os.O_RDONLY)
     try:
         os.fsync(fd)
@@ -389,10 +394,12 @@ class LakeTable:
                     if len(parts) == 1
                     else pa.concat_tables(parts, promote_options="permissive")
                 )
-                if len(parts) > 1:  # base files are already one-row-per-key
-                    t = last_writer_per_key(t, key=key, lsn_col=lsn_col)
+                tomb_col = None if include_tombstones else op_col
+                if len(parts) > 1:  # base files and runs are already one-row-per-key
+                    t = last_writer_per_key(t, key=key, lsn_col=lsn_col, tombstone_col=tomb_col)
+                elif tomb_col:
+                    t = drop_tombstones(t, tomb_col)
                 if not include_tombstones:
-                    t = drop_tombstones(t, op_col)
                     t = t.drop_columns([c for c in META_COLS if c in t.column_names])
                 outs.append(t)
             return pa.concat_tables(outs, promote_options="permissive")
@@ -514,10 +521,10 @@ class LakeTable:
         Metrics(self.metrics_name).actor.incr_many.remote(items)
 
     def _apply_locked(self, m: dict, new_names: list[str], events_ds) -> dict:
-        """Shuffle-free epoch commit: one map-only pass folds each input
-        block per key, stamps + sorts by bucket, and writes ONE run file
-        per block with ~P row groups (so partition reads prune via
-        parquet statistics). File names are content-derived → a retried
+        """Shuffle-free epoch commit: one map-only pass stamps each input
+        block's buckets, folds it per key into (bucket, key) order, and
+        writes ONE run file per block with ~P row groups (so partition
+        reads prune via parquet statistics). File names are content-derived → a retried
         task rewrites the identical file (exactly-once preserved; the
         manifest swap stays the only commit point)."""
         import hashlib
@@ -547,10 +554,12 @@ class LakeTable:
             )
             if t.num_rows == 0:
                 return empty
-            t = last_writer_per_key(t, key=key, lsn_col=lsn_col)
+            # one sort, of the key columns only: the run's (bucket, key)
+            # row-group layout, which the fold reuses to pick its winners —
+            # so the payload is copied once, already in layout order
             t = t.append_column("_bucket", pa.array(bucket_of(t.column(key), P)))
-            idx = pc.sort_indices(t, sort_keys=[("_bucket", "ascending"), (key, "ascending")])
-            t = t.take(idx)
+            t = last_writer_per_key(t, key=key, lsn_col=lsn_col,
+                                    order=lww_order(t, key, lsn_col))
             lsns = np.asarray(t.column(lsn_col).combine_chunks().cast(pa.int64()))
             # content-derived name: (lsn stream ⊕ key hashes) — a retried
             # task rewrites the identical file; distinct blocks (even with
@@ -713,7 +722,9 @@ class LakeTable:
             rows = []
             for i in range(batch.num_rows):
                 one = batch.slice(i, 1)
-                t = fold(one).sort_by(key)
+                # key order comes from the fold; a partition without
+                # pending runs keeps its base's order
+                t = fold(one)
                 if zorder and t.num_rows:
                     from raycdc.ops import zorder_key
 

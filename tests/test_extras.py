@@ -1089,6 +1089,15 @@ def test_multimodal_wav_roundtrip_and_audio_stats():
     assert (got == [1, 2, 3]).all() and rate == 16000
     with pytest.raises(ValueError, match="WAVE"):
         decode_wav(b"nonsense")
+    # a truncated chunk raises instead of under-decoding (like decode_rvid)
+    whole = encode_wav(np.arange(1024, dtype=np.int16), 22050)
+    with pytest.raises(ValueError, match="truncated"):
+        decode_wav(whole[:-100])  # data chunk declares more bytes than remain
+    short_fmt = (b"RIFF" + (36).to_bytes(4, "little") + b"WAVE"
+                 + b"fmt " + (8).to_bytes(4, "little") + b"\x01\x00\x01\x00\x22\x56\x00\x00"
+                 + b"data" + (16).to_bytes(4, "little") + bytes(16))
+    with pytest.raises(ValueError, match="truncated"):
+        decode_wav(short_fmt)  # fmt body too short for its fields
 
     ids = [f"clip-{i}" for i in range(5)]
     docs = rd.from_arrow(pa.table({"doc_id": pa.array(ids)}))

@@ -462,6 +462,58 @@ def test_l0_duplicate_block_content_counted_once(tmp_path):
     assert got.num_rows == 1
 
 
+def test_l0_run_name_is_pinned_across_retries(tmp_path, monkeypatch):
+    """Run names are part of the durable format: an epoch retried by a
+    newer engine (an upgrade taken mid-epoch) must rewrite the SAME
+    content-named file, never add a second one. The digest is pinned:
+    md5 of the winners' lsn and key hashes, in (bucket, key) order."""
+    cfg = EventGenConfig(n_events=400, n_base=60, seed=11, min_len=4, max_len=12,
+                         dup_replay_rate=0.05)
+    ev = with_replays_and_disorder(events_table(cfg), cfg)
+    ev = ev.filter(pa.array(~is_malformed_mask(ev)))
+    lk = LakeTable(str(tmp_path / "lake"), num_partitions=8)
+    lk.init()
+
+    def crashing_write(path, obj):
+        raise OSError("simulated crash before manifest swap")
+
+    monkeypatch.setattr(lake_mod, "_atomic_write_json", crashing_write)
+    with pytest.raises(OSError):
+        lk.apply(rd.from_arrow(ev), ["s0"])
+    monkeypatch.undo()
+    assert lk.manifest()["epoch"] == 0
+    lk.apply(rd.from_arrow(ev), ["s0"])
+    name = "l0-e96f6127ff9e873f.parquet"
+    assert [e["file"] for e in lk.manifest()["l0"]] == [f"state/e000001/{name}"]
+    assert os.listdir(os.path.join(lk.path, "state", "e000001")) == [name]
+
+
+def test_run_and_base_files_are_zstd_without_dictionary(tmp_path):
+    """Every L0 run and compacted base is zstd-compressed with no
+    dictionary pages, and each run's row groups keep the ``_bucket``
+    min/max statistics that partition reads prune by."""
+    base, log_dir, all_events = make_log(tmp_path, seed=53, n_segments=2)
+    lk = LakeTable(str(tmp_path / "lake"), num_partitions=8)
+    lk.init()
+    seeded_lake(lk, base)
+    tail_until_caught_up(lk, log_dir, batch_size=256)
+    runs = [e["file"] for e in lk.manifest()["l0"]]
+    lk.compact()
+    bases = [ent["base"] for ent in lk.manifest()["partitions"].values()]
+    assert runs and bases
+    for rel in runs + bases:
+        md = pq.ParquetFile(os.path.join(lk.path, rel)).metadata
+        for g in range(md.num_row_groups):
+            rg = md.row_group(g)
+            for c in range(rg.num_columns):
+                col = rg.column(c)
+                assert col.compression == "ZSTD", (rel, col.path_in_schema)
+                assert not col.has_dictionary_page, (rel, col.path_in_schema)
+                if rel in runs and col.path_in_schema == "_bucket":
+                    assert col.statistics.has_min_max, rel
+    assert_eq(collect(lk.read()), fold_events(base, all_events))
+
+
 def test_vacuum_removes_unreferenced_epochs(lake, tmp_path):
     base, log_dir, _ = make_log(tmp_path, seed=43, n_segments=3)
     seeded_lake(lake, base)

@@ -105,3 +105,85 @@ def test_funnel_single_key_matches_naive(events, window):
         rd.from_arrow(t), "k", "us", "e", steps=steps, window=window, num_buckets=2
     ).to_pandas()
     assert int(out["steps_reached"].iloc[0]) == naive()
+
+
+def _filter_lww_reference(t: pa.Table, key: str = "doc_id", lsn_col: str = "lsn") -> pa.Table:
+    # the filter kernel the shared winner kernel replaced: winners scattered
+    # back to input positions and copied by one filter, in input order
+    import pyarrow.compute as pc
+
+    n = t.num_rows
+    if n <= 1:
+        return t
+    keycols = t.select([key, lsn_col])
+    idx = pc.sort_indices(keycols, sort_keys=[(key, "ascending"), (lsn_col, "ascending")])
+    idx_np = np.asarray(idx)
+    keys_sorted = t.column(key).combine_chunks().take(idx)
+    neq = pc.not_equal(keys_sorted.slice(1), keys_sorted.slice(0, n - 1))
+    last_of_run = np.ones(n, dtype=bool)
+    last_of_run[: n - 1] = np.asarray(neq.fill_null(True))
+    keep = np.zeros(n, dtype=bool)
+    keep[idx_np[last_of_run]] = True
+    return t.filter(pa.array(keep))
+
+
+_CHANGES = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=9),  # key: few keys -> many versions
+              st.integers(min_value=0, max_value=4),  # lsn: narrow -> (key, lsn) replays
+              st.sampled_from(["insert", "update", "delete"])),
+    min_size=0, max_size=60,
+)
+
+
+def _changes_table(changes, with_bucket: bool) -> pa.Table:
+    from raycdc.util import bucket_of
+
+    keys = pa.array([f"k{k}" for k, _, _ in changes], pa.string())
+    t = pa.table({
+        "doc_id": keys,
+        "lsn": pa.array([lsn for _, lsn, _ in changes], pa.int64()),
+        "op": pa.array([op for _, _, op in changes], pa.string()),
+        "row": pa.array(np.arange(len(changes), dtype=np.int64)),  # which row won
+        "tokens": pa.array([[i] * (i % 3) for i in range(len(changes))], pa.list_(pa.int32())),
+    })
+    if with_bucket:
+        t = t.append_column("_bucket", pa.array(bucket_of(keys, 4)))
+    return t
+
+
+@settings(max_examples=80, deadline=None)
+@given(_CHANGES, st.booleans())
+def test_lww_kernel_matches_filter_reference(changes, with_bucket):
+    from raycdc.apply import (_in_input_order, _live, drop_tombstones, last_writer_per_key,
+                              lww_order, lww_winners)
+
+    t = _changes_table(changes, with_bucket)
+    want = _filter_lww_reference(t)
+    got = last_writer_per_key(t)
+    # same rows — `row` pins the tie winner of duplicate (key, lsn) replays
+    assert got.sort_by("doc_id").equals(want.sort_by("doc_id"))
+    # order: (_bucket, key) when the input carries _bucket, else key
+    order = [("_bucket", "ascending")] if with_bucket else []
+    assert got.equals(got.sort_by(order + [("doc_id", "ascending")]))
+    # the run writer's form: the caller sorts once and hands the order over
+    assert last_writer_per_key(t, order=lww_order(t)).equals(got)
+    # tombstones dropped from the winners before the one take
+    live = last_writer_per_key(t, tombstone_col="op")
+    assert live.sort_by("doc_id").equals(drop_tombstones(want).sort_by("doc_id"))
+    # the unordered folds materialize the same winners in input order
+    win = lww_winners(t)
+    assert _in_input_order(t, win).equals(want)
+    assert _in_input_order(t, _live(t, win, "op")).equals(drop_tombstones(want))
+
+
+def test_lww_kernel_replay_tie_keeps_last_input_row():
+    from raycdc.apply import last_writer_per_key
+
+    t = pa.table({
+        "doc_id": ["a", "b", "a", "a", "b"],
+        "lsn": pa.array([2, 1, 2, 1, 1], pa.int64()),
+        "row": [0, 1, 2, 3, 4],
+    })
+    # a: rows 0 and 2 tie at lsn 2; b: rows 1 and 4 tie at lsn 1
+    assert last_writer_per_key(t)["row"].to_pylist() == [2, 4]
+    assert _filter_lww_reference(t)["row"].to_pylist() == [2, 4]
