@@ -1,20 +1,22 @@
 """Benchmark harness. Prints ONE JSON line:
 {"metric": ..., "value": <headline sec>, "unit": "sec",
  "queries": {...per-query sec...}, "sf": ..., "num_cpus": N,
- "events_per_sec": ...}
+ "events_per_sec": ..., "usable_cpus": ..., "ray_version": ...,
+ "pyarrow_version": ...}
 
 Headline = the flagship CDC replay (synthesized tokenized-sequence
 changelog → validated → LWW-applied → exactly-once Parquet lake), the
 north-star metric being change-events/sec to converged state.
 
---scaling: runs the same job twice in fresh processes at num_cpus=8 and
-num_cpus=32 on the same (pre-generated, page-cache-warmed) input and
-reports both throughputs + scaling efficiency (the in-sandbox stand-in
+--scaling: runs the same job in fresh processes at num_cpus=N and 4N,
+with N = RAY_GRAFT_CPUS // 4, and reports both throughputs, the scaling
+efficiency and the two-point fit t(c) = B + W/c (the in-sandbox stand-in
 for the N vs 4N cluster-size criterion — see BASELINE.md).
 """
 
 from __future__ import annotations
 
+import importlib.metadata
 import json
 import os
 import subprocess
@@ -26,6 +28,16 @@ NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 # /dev/shm: tmpfs page population is fast in this sandbox while regular
 # file-backed/anon first-touch is pathologically slow (BASELINE.md)
 WORK_ROOT = os.environ.get("RAYCDC_BENCH_WORK", "/dev/shm/raycdc_bench")
+
+
+def host_facts() -> dict:
+    """What a reader needs to compare two bench JSONs: the cores this
+    process may actually run on and the engine library versions."""
+    return {
+        "usable_cpus": len(os.sched_getaffinity(0)),
+        "ray_version": importlib.metadata.version("ray"),
+        "pyarrow_version": importlib.metadata.version("pyarrow"),
+    }
 
 
 def run_bench() -> dict:
@@ -61,7 +73,6 @@ def run_bench() -> dict:
     # scalable work dominate the per-epoch fixed costs (see BASELINE.md)
     n_events = int(os.environ.get("RAYCDC_BENCH_EVENTS", n_events))
     n_segments = int(os.environ.get("RAYCDC_BENCH_SEGMENTS", n_segments))
-    num_partitions = int(os.environ.get("RAYCDC_BENCH_PARTITIONS", num_partitions))
     min_len = int(os.environ.get("RAYCDC_BENCH_MINLEN", min_len))
     max_len = int(os.environ.get("RAYCDC_BENCH_MAXLEN", max_len))
 
@@ -100,37 +111,25 @@ def run_bench() -> dict:
         lake.apply(base_as_inserts(read_parquet_clean(base_dir)), ["__base__"])
         return lake
 
-    seg_per_epoch = os.environ.get("RAYCDC_BENCH_SEG_PER_EPOCH")
-
     # RAYCDC_BENCH_TRANSFORM=deid runs the reference-analog per-record
     # work (rules + change-set envelope crypto — the DeidentifyEncrypt
     # stage) on the timed tail, the workload DeidentifyEncryptDICOM
     # performs per image. --scaling uses it so the timed tail carries the
     # reference's real per-event CPU profile (see BASELINE.md).
-    # whole-segment batches: one fused task per segment, one L0 run per
-    # segment, maximal per-batch LWW reduction (see tail_once docstring)
-    bs = os.environ.get("RAYCDC_BENCH_BATCH", "")
-    batch_size = int(bs) if bs else None
-
     transform = None
     tname = os.environ.get("RAYCDC_BENCH_TRANSFORM", "")
     if tname == "deid":
         from raycdc.pipelines import deid_transform
 
         transform = deid_transform(
-            iterations=int(os.environ.get("RAYCDC_BENCH_DEID_ITERS", "200")),
-            batch_size=batch_size,
-            kdf=os.environ.get("RAYCDC_BENCH_DEID_KDF", "batch"))
+            batch_size=None, kdf=os.environ.get("RAYCDC_BENCH_DEID_KDF", "batch"))
     elif tname:
         raise ValueError(f"unknown RAYCDC_BENCH_TRANSFORM {tname!r}")
 
     def tail(lake: LakeTable) -> None:
-        tail_until_caught_up(
-            lake, log_dir,
-            max_segments_per_epoch=int(seg_per_epoch) if seg_per_epoch else None,
-            transform=transform,
-            batch_size=batch_size,
-        )
+        # whole-segment batches: one fused task per segment, one L0 run per
+        # segment, maximal per-batch LWW reduction (see tail_once docstring)
+        tail_until_caught_up(lake, log_dir, transform=transform, batch_size=None)
 
     # untimed warm-up pass: faults worker heaps / object store pages once
     # (this sandbox's first-touch page population is pathologically slow
@@ -172,13 +171,12 @@ def run_bench() -> dict:
     # same discipline as the headline: one untimed warm-up (faults worker
     # heaps / page cache), then min-of-N — the round-2 single-pass timing
     # made host page-population phases look like 2-3x engine regressions
-    q_passes = int(os.environ.get("RAYCDC_BENCH_QUERY_PASSES", "2"))
     for name in secondary:
         if name not in qs:
             continue
         consume(qs[name](SF_DIR))  # warm-up, untimed
         best = float("inf")
-        for _ in range(q_passes):
+        for _ in range(2):
             t0 = time.time()
             consume(qs[name](SF_DIR))
             best = min(best, time.time() - t0)
@@ -194,287 +192,81 @@ def run_bench() -> dict:
         "n_events": n_events,
         "rows_converged": n_rows,
         "events_per_sec": round(n_events / headline, 1),
+        **host_facts(),
     }
     ray.shutdown()
     return out
 
 
-def run_scaling() -> dict:
-    def one(ncpu: int) -> dict:
-        env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu))
-        # Scaling preset (see BASELINE.md "scaling methodology"): the timed
-        # tail runs the reference's REAL per-event work — the deid
-        # rules + sealed-changeset envelope (DeidentifyEncryptDICOM's
-        # per-image crypto) — so per-event CPU dominates and the N-vs-4N
-        # criterion exercises compute scaling, not this single box's
-        # shared (and anti-scaling — BASELINE.md) page-population
-        # bandwidth, which a real cluster brings per node. 64 segments =
-        # 64 fused ingest tasks (2 waves at 32 cpus, 8 at 8); short token
-        # payload keeps the byte term small relative to the crypto term.
-        # In-tail auto-compaction is deferred (threshold above the run
-        # count): the committed L0 state is the converged, merge-on-read-
-        # queryable state (pytest-gated); compaction is maintenance and is
-        # timed separately in the headline bench.
-        env.setdefault("RAYCDC_BENCH_EVENTS", "12000000")
-        env.setdefault("RAYCDC_BENCH_SEGMENTS", "64")
-        env.setdefault("RAYCDC_BENCH_MINLEN", "4")
-        env.setdefault("RAYCDC_BENCH_MAXLEN", "8")
-        env.setdefault("RAYCDC_BENCH_PASSES", "2")
-        env.setdefault("RAYCDC_BENCH_SKIP_QUERIES", "1")
-        env.setdefault("RAYCDC_BENCH_TRANSFORM", "deid")
-        # kdf="row" = the reference's per-record KDF cost profile
-        # (DeidentifyEncryptDICOM seals one envelope per image, PBKDF2
-        # inside); the engine's per-batch amortization stays the library
-        # default and is benchmarked separately — see BASELINE.md.
-        env.setdefault("RAYCDC_BENCH_DEID_KDF", "row")
-        env.setdefault("RAYCDC_BENCH_L0_COMPACT", "1000")
-        p = subprocess.run(
-            [sys.executable, os.path.abspath(__file__)],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        return json.loads(p.stdout.strip().splitlines()[-1])
+# The --scaling preset: the timed tail runs the reference's real
+# per-event work (the deid rules + sealed change-set envelope,
+# DeidentifyEncryptDICOM's per-image crypto, with kdf="row" = one PBKDF2
+# per record as the reference seals one envelope per image), so per-event
+# CPU dominates and N-vs-4N exercises compute scaling rather than this
+# single box's shared page-population bandwidth. 64 segments = 64 fused
+# ingest tasks; the short token payload keeps the byte term small next to
+# the crypto term. In-tail compaction is deferred (threshold above the run
+# count): compaction is maintenance, timed in the headline bench. Each
+# variable can be overridden from the environment (see BASELINE.md).
+SCALING_PRESET = {
+    "RAYCDC_BENCH_EVENTS": "12000000",
+    "RAYCDC_BENCH_SEGMENTS": "64",
+    "RAYCDC_BENCH_MINLEN": "4",
+    "RAYCDC_BENCH_MAXLEN": "8",
+    "RAYCDC_BENCH_PASSES": "2",
+    "RAYCDC_BENCH_SKIP_QUERIES": "1",
+    "RAYCDC_BENCH_TRANSFORM": "deid",
+    "RAYCDC_BENCH_DEID_KDF": "row",
+    "RAYCDC_BENCH_L0_COMPACT": "1000",
+}
 
-    # Level selection: "8,32" (default) measures both levels; a single
-    # level (e.g. "32") adds samples for just that level to the durable
-    # pool. A MIN-per-level estimator is unbiased under asymmetric
-    # sampling — extra samples at one level only tighten that level's
-    # convergence to the engine floor — so clean-host phases can be
-    # spent on whichever level's minimum is still interference-bound
-    # (every sample is appended to the pool either way; the pooled
-    # efficiency below always uses both pooled minima).
-    # Any N,4N pair is a valid instantiation of the north rule's
-    # two-cluster-size criterion (BASELINE.json: "e.g. num_cpus=8 vs 32,
-    # or N and 4N") — "4,16" measures the same engine scaling while
-    # sidestepping this host's documented 32-way allocation anti-scaling
-    # (BASELINE.md environment caveat); report both.
-    levels = tuple(
-        int(x) for x in os.environ.get("RAYCDC_SCALING_LEVELS", "8,32").split(",")
-    )
-    lo_n, hi_n = min(levels), max(levels)
-    # warm-up generation pass (untimed, also primes the OS page cache);
-    # RAYCDC_SCALING_SKIP_WARMUP=1 skips it when the synth cache and page
-    # cache are already warm from a previous run this session — each
-    # skipped warm-up buys ~2.5 min of extra sampling inside a clean phase
-    if os.environ.get("RAYCDC_SCALING_SKIP_WARMUP", "") != "1":
-        one(levels[0])
-    # phase gate: this host has multi-minute phases where page population
-    # runs 3-5x slower (BASELINE.md — the probe-vs-efficiency correlation
-    # table). Measuring inside one is measuring the host, not the engine,
-    # so wait for a nominal phase (bounded), recording the probe value at
-    # measurement time so every JSON is self-documenting.
-    thr = float(os.environ.get("RAYCDC_SCALING_MIN_BW_MB", "4000"))
-    # the 32-cpu level's unscalable term is dominated by PARALLEL page
-    # allocation (BASELINE.md: the host anti-scales it up to 4x in bad
-    # phases), so gate on the 32-way alloc probe too — waiting out a
-    # phase measures the engine instead of the allocator
-    alloc_thr = float(os.environ.get("RAYCDC_SCALING_MIN_ALLOC_MB", "2200"))
-    max_wait_s = float(os.environ.get("RAYCDC_SCALING_PHASE_WAIT_S", "900"))
-    waited = 0.0
-    gate_bw = measure_write_bandwidth(8)
-    gate_ab = measure_alloc_bandwidth(32)
-    while (gate_bw < thr or gate_ab < alloc_thr) and waited < max_wait_s:
-        print(f"[phase-gate] write {gate_bw} MB/s (need {thr}) / 32-way alloc "
-              f"{gate_ab} MB/s (need {alloc_thr}); waiting", file=sys.stderr)
-        time.sleep(60)
-        waited += 60
-        gate_bw = measure_write_bandwidth(8)
-        gate_ab = measure_alloc_bandwidth(32)
-    # interleave the two levels and keep the min per level: this sandbox
-    # has multi-minute host phases where page population is 2-5x slower
-    # (BASELINE.md caveat); alternating runs sample both levels across
-    # phases instead of pinning one level to a bad phase
-    rounds = int(os.environ.get("RAYCDC_SCALING_ROUNDS", "2"))
-    # cross-invocation sample pool: host interference is strictly
-    # ADDITIVE (a slow phase can only inflate a run), so the per-level
-    # minimum over all recorded samples converges on the true engine
-    # time; each --scaling run appends its samples and reports both the
-    # this-run and the pooled efficiency (BASELINE.md quotes the pooled,
-    # conservative value).
-    # durable pool: WORK_ROOT lives on tmpfs and dies with the host, which
-    # silently resets the pooled minimum between sessions — keep the pool
-    # next to the repo so samples accumulate across rounds
-    pool_path = os.environ.get(
-        "RAYCDC_SCALING_POOL",
-        os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                     "bench_artifacts", "scaling_samples.jsonl"))
-    os.makedirs(os.path.dirname(pool_path), exist_ok=True)
-    # RAYCDC_SCALING_GATE_EACH=1 re-probes the host phase before EVERY
-    # sample (not just once up front) and waits out degraded windows —
-    # for long unattended runs where the phase drifts mid-run (it does:
-    # round-5 run #1 gated clean at launch, sampled at 885 MB/s).
-    gate_each = os.environ.get("RAYCDC_SCALING_GATE_EACH", "") == "1"
-    samples = []
-    best = {n: None for n in levels}
-    for _ in range(rounds):
-        for ncpu in levels:
-            if gate_each:
-                g = measure_alloc_bandwidth(32)
-                while g < alloc_thr and waited < max_wait_s:
-                    print(f"[phase-gate:each] 32-way alloc {g} MB/s "
-                          f"(need {alloc_thr}); waiting", file=sys.stderr)
-                    time.sleep(60)
-                    waited += 60
-                    g = measure_alloc_bandwidth(32)
-                gate_ab = g
-            r = one(ncpu)
-            samples.append({"ncpu": ncpu, "sec": r["value"],
-                            "n_events": r["n_events"]})
-            if best[ncpu] is None or r["value"] < best[ncpu]["value"]:
-                best[ncpu] = r
-    lo, hi = best.get(lo_n), best.get(hi_n)
-    if lo_n == hi_n:
-        hi = None
-    any_run = lo or hi
-    eff = (lo["value"] / hi["value"]) / (hi_n / lo_n) if lo and hi else None
-    pooled = dict(samples=samples)
-    try:
-        if os.path.exists(pool_path):
-            with open(pool_path) as f:
-                prior = [json.loads(line) for line in f if line.strip()]
-            # pool only same-preset samples (same event count)
-            prior = [s for s in prior if s.get("n_events") == samples[0]["n_events"]]
-        else:
-            prior = []
-        allsamp = prior + samples
-        with open(pool_path, "a") as f:
-            for s in samples:
-                f.write(json.dumps(s) + "\n")
-        # a single-level run on a young pool may lack samples for the
-        # other level — report whatever pooled minima exist (a min over
-        # an empty set is None, not a crash). Minima are per (level,
-        # preset); the efficiency divisor is this run's level ratio.
-        s_lo = [s["sec"] for s in allsamp if s["ncpu"] == lo_n]
-        s_hi = [s["sec"] for s in allsamp if s["ncpu"] == hi_n]
-        p_lo = min(s_lo) if s_lo else None
-        p_hi = min(s_hi) if s_hi else None
-        pooled = {
-            f"pooled_sec_{lo_n}": p_lo,
-            f"pooled_sec_{hi_n}": p_hi,
-            "pooled_scaling_efficiency": (
-                round((p_lo / p_hi) / (hi_n / lo_n), 3)
-                if p_lo and p_hi and lo_n != hi_n else None
-            ),
-            "pooled_samples": len(allsamp),
-        }
-        # always also report BOTH canonical N->4N pair instantiations
-        # from the pool, whatever levels THIS run sampled: the rule says
-        # "N and 4N nodes" and this host distorts the two pairs
-        # differently (its 32-way allocation anti-scaling inflates
-        # sec_32 but not sec_16 — BASELINE.md round-5 section), so a
-        # single-pair report would under- or over-state the engine.
-        for a, b in ((8, 32), (4, 16)):
-            sa = [s["sec"] for s in allsamp if s["ncpu"] == a]
-            sb = [s["sec"] for s in allsamp if s["ncpu"] == b]
-            if sa and sb:
-                pooled[f"pooled_eff_{a}_{b}"] = round(
-                    (min(sa) / min(sb)) / (b / a), 3)
-    except (OSError, ValueError):
-        pooled = {}
-    # two-point decomposition t(c) = B + W/c: W = CPU-scalable work,
-    # B = the c-independent term. On THIS sandbox B is dominated by the
-    # single box's shared memory/tmpfs page-population bandwidth (see
-    # measure_write_bandwidth — flat aggregate MB/s across levels), which
-    # on a real N-node cluster scales WITH N (the L0 apply is map-only
-    # with node-local writes and zero cross-node traffic).
-    if lo and hi:
-        # solve t = B + W/c from the two levels (c = lo_n, hi_n)
-        w_cpu_s = round(
-            (lo["value"] - hi["value"]) / (1.0 / lo_n - 1.0 / hi_n), 1
-        )
-        b_sec = round(max(0.0, hi["value"] - w_cpu_s / hi_n), 2)
-    else:
-        w_cpu_s = b_sec = None
-    bw_lo = measure_write_bandwidth(lo_n)
-    bw_hi = measure_write_bandwidth(hi_n)
-    ab_lo = measure_alloc_bandwidth(lo_n)
-    ab_hi = measure_alloc_bandwidth(hi_n)
-    per_level = {}
-    for n, r in ((lo_n, lo), (hi_n, hi)):
-        if r is not None:
-            per_level[f"sec_{n}"] = r["value"]
-            per_level[f"events_per_sec_{n}"] = r["events_per_sec"]
+
+def scaling_levels(cpus: int) -> tuple[int, int]:
+    """The two parallelism levels (N, 4N) of the scaling run, N = cpus // 4."""
+    n = cpus // 4
+    if n < 1:
+        raise ValueError(f"--scaling needs RAY_GRAFT_CPUS >= 4, got {cpus}")
+    return n, 4 * n
+
+
+def scaling_fit(n: int, sec_n: float, sec_4n: float) -> dict:
+    """Scaling efficiency from N to 4N plus the two-point fit
+    t(c) = B + W/c: W is the CPU-scalable work (cpu-seconds), B the part
+    that does not shrink with more cpus."""
+    w = (sec_n - sec_4n) / (1.0 / n - 1.0 / (4 * n))
     return {
-        "metric": "cdc_replay_scaling",
-        "levels": list(levels),
-        **per_level,
-        "scaling_efficiency": round(eff, 3) if eff is not None else None,
-        "cpu_work_cpu_sec": w_cpu_s,
-        "unscalable_sec": b_sec,
-        f"host_write_bw_mb_s_{lo_n}cpu": bw_lo,
-        f"host_write_bw_mb_s_{hi_n}cpu": bw_hi,
-        f"host_alloc_bw_mb_s_{lo_n}cpu": ab_lo,
-        f"host_alloc_bw_mb_s_{hi_n}cpu": ab_hi,
-        "sf": any_run["sf"],
-        "n_events": any_run["n_events"],
-        "rounds": rounds,
-        "phase_gate_bw_mb_s": gate_bw,
-        "phase_gate_alloc_mb_s": gate_ab,
-        "phase_gate_waited_s": waited,
-        **pooled,
+        "scaling_efficiency": round(sec_n / sec_4n / 4, 3),
+        "cpu_work_cpu_sec": round(w, 1),
+        "unscalable_sec": round(max(0.0, sec_4n - w / (4 * n)), 2),
     }
 
 
-def measure_write_bandwidth(ncpu: int, total_mb: int = 1024, n_tasks: int = 32) -> float:
-    """Aggregate durable-write bandwidth to the bench work dir at a given
-    parallelism, via a fresh Ray subprocess: evidence that the sandbox's
-    write/page-population throughput does NOT grow with num_cpus (one
-    shared memory subsystem), i.e. the unscalable term in the scaling
-    decomposition is host bandwidth, not engine serialization."""
-    code = f"""
-import os, time, numpy as np, ray
-ray.init(address="local", num_cpus={ncpu}, include_dashboard=False, logging_level="ERROR")
-d = os.path.join({WORK_ROOT!r}, "bwprobe"); os.makedirs(d, exist_ok=True)
-per = {total_mb} * 1024 * 1024 // {n_tasks}
-buf_ref = ray.put(np.random.default_rng(0).integers(0, 256, per, dtype=np.uint8).tobytes())
-@ray.remote
-def w(i, buf):
-    # timed section is write+fsync only (buffer comes shared from the
-    # object store — no per-task generation cost in the measurement)
-    p = os.path.join(d, f"b{{i}}.bin")
-    with open(p, "wb") as f:
-        f.write(buf); f.flush(); os.fsync(f.fileno())
-    os.remove(p)
-    return per
-ray.get([w.remote(i, buf_ref) for i in range({n_tasks})])  # warm-up
-t0 = time.time(); ray.get([w.remote(i + 1000, buf_ref) for i in range({n_tasks})])
-print(round({total_mb} / (time.time() - t0), 1))
-ray.shutdown()
-"""
-    p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    try:
-        return float(p.stdout.strip().splitlines()[-1])
-    except (ValueError, IndexError):
-        return -1.0
+def run_scaling() -> dict:
+    n, n4 = scaling_levels(NUM_CPUS)
 
+    def one(ncpu: int) -> dict:
+        env = {**SCALING_PRESET, **os.environ, "RAY_GRAFT_CPUS": str(ncpu)}
+        p = subprocess.run([sys.executable, os.path.abspath(__file__)],
+                           env=env, capture_output=True, text=True)
+        if p.returncode:
+            raise RuntimeError(f"bench child at num_cpus={ncpu} exited "
+                               f"{p.returncode}; stderr tail:\n{p.stderr[-2048:]}")
+        return json.loads(p.stdout.strip().splitlines()[-1])
 
-def measure_alloc_bandwidth(ncpu: int, total_mb: int = 1024, n_tasks: int = 32) -> float:
-    """Aggregate FRESH-allocation (first-touch page population) rate at a
-    given parallelism: each task materializes new anonymous memory, the
-    pattern every decode/encode buffer in a data pipeline hits. On this
-    sandbox it is pathologically slow and grows sublinearly with CPUs —
-    the host-side unscalable term of the scaling decomposition
-    (BASELINE.md environment caveat)."""
-    code = f"""
-import time, numpy as np, ray
-ray.init(address="local", num_cpus={ncpu}, include_dashboard=False, logging_level="ERROR")
-per = {total_mb} * 1024 * 1024 // {n_tasks}
-@ray.remote
-def a(i):
-    buf = np.random.default_rng(i).integers(0, 256, per, dtype=np.uint8)
-    return int(buf[0])
-ray.get([a.remote(i) for i in range({n_tasks})])  # warm code paths
-t0 = time.time(); ray.get([a.remote(i + 1000) for i in range({n_tasks})])
-print(round({total_mb} / (time.time() - t0), 1))
-ray.shutdown()
-"""
-    p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    try:
-        return float(p.stdout.strip().splitlines()[-1])
-    except (ValueError, IndexError):
-        return -1.0
+    one(n)  # untimed warm-up: synthesizes the input and warms the page cache
+    lo, hi = one(n), one(n4)
+    return {
+        "metric": "cdc_replay_scaling",
+        "levels": [n, n4],
+        f"sec_{n}": lo["value"],
+        f"events_per_sec_{n}": lo["events_per_sec"],
+        f"sec_{n4}": hi["value"],
+        f"events_per_sec_{n4}": hi["events_per_sec"],
+        **scaling_fit(n, lo["value"], hi["value"]),
+        "sf": lo["sf"],
+        "n_events": lo["n_events"],
+        **host_facts(),
+    }
 
 
 if __name__ == "__main__":

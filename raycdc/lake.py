@@ -154,7 +154,7 @@ class ConcurrentWriterError(RuntimeError):
 
 
 class _WriterLock:
-    """O_EXCL lease lock held across an apply/compact.
+    """O_EXCL lease lock held across an apply, compact or vacuum.
 
     Lock content is ``pid host lease_deadline`` so staleness has two
     independent detectors:
@@ -657,7 +657,14 @@ class LakeTable:
         ``keep_epochs`` that are not referenced by the current manifest
         OR by any retained time-travel snapshot. Snapshots older than the
         newest ``keep_epochs`` are reclaimed first — ``keep_epochs`` is
-        the single retention dial for both state and history."""
+        the single retention dial for both state and history.
+
+        Holds the writer lock: the newest ``state/`` dir may hold files an
+        in-flight apply or compaction wrote but has not committed yet."""
+        with _WriterLock(self.path, lease_s=self.lock_lease_s):
+            return self._vacuum_locked(keep_epochs)
+
+    def _vacuum_locked(self, keep_epochs: int) -> list[str]:
         # prune manifest snapshots beyond the retention window (the
         # current manifest is always authoritative regardless)
         snaps = self.epochs()

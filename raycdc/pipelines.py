@@ -141,14 +141,16 @@ def deid_transform(password: str | None = "bench", iterations: int = 200,
     """The reference-analog per-record work stage for the changelog tail:
     pseudonymize identities (M4/T4/T5) and seal the restoring change-set
     envelope (C2/C4) — the DeidentifyEncryptDICOM workload
-    (``DeidentifyEncryptDICOM.java:90-96`` per-image crypto; iterations
-    default mirrors the reference's 100, not the hardened library
-    default, because this is the throughput-path configuration).
+    (``DeidentifyEncryptDICOM.java:90-96`` per-image crypto). The
+    ``iterations`` default of 200 is the order of the reference's 100,
+    not the hardened library default (``DEFAULT_ITERATIONS``), because
+    this is the throughput-path configuration.
 
-    Used by ``bench.py --scaling``: the timed tail then carries the
-    reference's real per-event CPU profile (rules + envelope crypto)
-    rather than raw byte movement, which is what the N-vs-4N scaling
-    criterion is meant to exercise (see BASELINE.md)."""
+    Used by ``bench.py --scaling`` with ``kdf="row"`` (one PBKDF2 per
+    record, as the reference seals one envelope per image): the timed
+    tail then carries the reference's real per-event CPU profile (rules
+    + envelope crypto) rather than raw byte movement, which is what the
+    N-vs-4N scaling criterion is meant to exercise (see BASELINE.md)."""
     from raycdc.diffmerge import DeidentifyEncrypt
     from raycdc.identity import name_based_uid, pseudo_id
     from raycdc.rules import Rule, RuleSet

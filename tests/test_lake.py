@@ -529,6 +529,29 @@ def test_vacuum_removes_unreferenced_epochs(lake, tmp_path):
     assert collect(lake.read()).num_rows > 0
 
 
+def test_vacuum_waits_for_the_writer_lock(lake):
+    """An in-flight apply or compaction has written files under the next
+    epoch's state dir that no manifest references yet; vacuum must not
+    run under a live writer's lock and delete them."""
+    from raycdc.lake import WRITER_LOCK, ConcurrentWriterError
+
+    lake.apply(rd.from_arrow(_one_event("a", 1)), ["s1"])
+    lake.apply(rd.from_arrow(_one_event("b", 2)), ["s2"])
+    snaps = lake.epochs()
+    assert snaps
+    epoch = int(lake.manifest()["epoch"])
+    inflight = os.path.join(lake.path, "state", f"e{epoch + 1:06d}", "l0-inflight.parquet")
+    os.makedirs(os.path.dirname(inflight))
+    pq.write_table(_one_event("c", 3), inflight)
+    with open(os.path.join(lake.path, WRITER_LOCK), "w") as f:
+        f.write(f"{os.getpid()} 0")  # a live pid (ours)
+    with pytest.raises(ConcurrentWriterError, match="locked by live writer"):
+        lake.vacuum(keep_epochs=0)
+    assert os.path.exists(inflight)
+    assert lake.epochs() == snaps
+    assert all(os.path.exists(lake._snapshot_path(e)) for e in snaps)
+
+
 def test_tail_forever_picks_up_segments_mid_run(tmp_path):
     """The continuous watch loop (ListenDICOM push analog): segments
     appended WHILE the tailer runs become incremental epochs without a
