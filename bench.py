@@ -144,9 +144,11 @@ def run_bench() -> dict:
         t0 = time.time()
         tail(lake)
         headline = min(headline, time.time() - t0)
-    # exact converged count (merge-on-read scan; untimed — L0 epochs
-    # defer live-row accounting to read/compaction by design)
+    # exact converged count: one merge-on-read scan, timed on its own
+    # (L0 epochs defer the fold to read/compaction by design)
+    t0 = time.time()
     n_rows = lake.read().count()
+    read_sec = time.time() - t0
     timings["cdc_replay_tokens"] = round(headline, 3)
 
     # ---- secondary pipelines over the driver-provided sf tables
@@ -191,6 +193,7 @@ def run_bench() -> dict:
         "num_cpus": NUM_CPUS,
         "n_events": n_events,
         "rows_converged": n_rows,
+        "read_sec": round(read_sec, 3),
         "events_per_sec": round(n_events / headline, 1),
         **host_facts(),
     }

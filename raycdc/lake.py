@@ -23,7 +23,7 @@ Reference capabilities re-expressed (SURVEY.md §2.1 S2/S5, §2.7 W4/W5):
 only that epoch's (LWW-reduced) events — bytes written are proportional
 to events applied, NOT to state size — and needs **no shuffle at all**:
 each ingest task writes one bucket-SORTED L0 run file with ~P row
-groups; partition reads prune to their own row groups via parquet
+groups; range reads prune to their own row groups via parquet
 statistics (``filters=``). The apply epoch is a map-only pass — on a
 multi-node cluster every write is node-local and zero bytes cross the
 network, so ingest scales linearly with nodes; merge cost moves to
@@ -31,9 +31,9 @@ read/compaction (LSM level-0 / Hudi merge-on-read shape).
 Auto-compaction folds pending runs into per-partition base files once
 there are more than ``l0_compact_files`` of them.
 
-``read()`` is merge-on-read: each partition's base + pruned runs are
-folded (per-key last-writer-wins) inside one parallel Ray task per
-partition.
+``read()`` is merge-on-read and compaction writes the same merge back:
+one Ray task per contiguous bucket range (:func:`_ranges`) reads each of
+its bases and pending runs once and folds them (per-key LWW) in one pass.
 
 State model: state files hold the converged rows PLUS their winning
 ``lsn`` and ``op`` — including **delete tombstones**. Tombstones are
@@ -50,9 +50,9 @@ epochs. Stale locks are broken only on same-host crash evidence or
 lease expiry (the shared-filesystem case), via an atomic rename so two
 waiters can never double-break (see ``_WriterLock``).
 
-Scale: ``num_partitions`` bounds per-task read and compaction state
-(O(total rows / P)); output is partitioned parquet so a failed run
-resumes by skipping committed epochs.
+Scale: a read or compaction task folds one range of at most about
+``RANGE_ROWS`` rows (or one partition); output is partitioned parquet so
+a failed run resumes by skipping committed epochs.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+import ray
 import ray.data
 
 from raycdc.apply import drop_tombstones, last_writer_per_key, lww_order
@@ -76,6 +77,9 @@ from raycdc.util import bucket_of
 MANIFEST = "_manifest.json"
 WRITER_LOCK = "_writer.lock"
 META_COLS = ("lsn", "op")
+# rows one merge-on-read / compaction task folds at most (beyond one
+# range per cluster CPU): bounds a fold task's memory
+RANGE_ROWS = 1 << 18
 
 
 def _fsync_dir(path: str) -> None:
@@ -147,6 +151,51 @@ def _bases(m: dict) -> dict[int, str | None]:
             )
         bases[int(k)] = ent.get("base")
     return bases
+
+
+def _run_meets(ent: dict, lo: int, hi: int) -> bool:
+    """False iff the L0 run entry's bucket metadata proves it holds no row
+    of partitions ``[lo, hi)``; entries without metadata always meet."""
+    if ent.get("buckets") is not None:
+        return any(lo <= b < hi for b in ent["buckets"])
+    return ent.get("bmin") is None or (ent["bmin"] < hi and ent["bmax"] >= lo)
+
+
+def _pids(m: dict) -> list[int]:
+    """The partitions that have state: a base file, or a run whose bucket
+    metadata admits them."""
+    pids = {pid for pid, base in _bases(m).items() if base}
+    for e in m.get("l0", []):
+        if e.get("buckets") is not None:
+            pids.update(e["buckets"])
+        elif e.get("bmin") is not None:
+            pids.update(range(e["bmin"], e["bmax"] + 1))
+        else:
+            pids.update(range(m["num_partitions"]))
+    return sorted(pids)
+
+
+def _range(m: dict, lo: int, hi: int) -> dict:
+    """The fold unit ``[lo, hi)``: its base files as a JSON list of
+    ``[pid, file]`` and the runs that meet it as a JSON list of files.
+    JSON strings, so a Dataset of ranges keeps one flat schema."""
+    bases = [[pid, f] for pid, f in sorted(_bases(m).items()) if f and lo <= pid < hi]
+    runs = [e["file"] for e in m.get("l0", []) if _run_meets(e, lo, hi)]
+    return {"lo": lo, "hi": hi, "bases": json.dumps(bases), "runs": json.dumps(runs)}
+
+
+def _ranges(m: dict) -> list[dict]:
+    """``_pids(m)`` cut into contiguous ranges: about one per cluster CPU,
+    more when the manifest holds over ``RANGE_ROWS`` rows per CPU."""
+    pids = _pids(m)
+    if not pids:
+        return []
+    rows = sum(e.get("rows") or 0 for e in [*m["partitions"].values(), *m.get("l0", [])])
+    cpus = int(ray.cluster_resources().get("CPU", 1)) if ray.is_initialized() else os.cpu_count()
+    n = min(len(pids), max(cpus, -(-rows // RANGE_ROWS)))
+    chunks = np.array_split(np.asarray(pids), n)
+    his = [int(c[0]) for c in chunks[1:]] + [pids[-1] + 1]
+    return [_range(m, int(c[0]), hi) for c, hi in zip(chunks, his)]
 
 
 class ConcurrentWriterError(RuntimeError):
@@ -272,13 +321,13 @@ class LakeTable:
     ):
         """Ingest is **shuffle-free** (LSM level-0 / merge-on-read style):
         each ingest task writes one bucket-SORTED run file with
-        ~``num_partitions`` row groups, so a partition read prunes to its
-        own row groups via parquet statistics. There is no all-to-all in
-        the apply path — the epoch is map-only and scales linearly with
-        cores/nodes. Reads fold base + every pending L0 run (pruned);
+        ~``num_partitions`` row groups, so a bucket-range read prunes to
+        its own row groups via parquet statistics. There is no all-to-all
+        in the apply path — the epoch is map-only and scales linearly with
+        cores/nodes. Reads fold bases + every pending L0 run (pruned);
         when pending runs exceed ``l0_compact_files`` the apply
-        auto-compacts (Ray-parallel, one task per partition,
-        storage-pruned reads — still no network shuffle).
+        auto-compacts (Ray-parallel, one task per contiguous bucket
+        range, storage-pruned reads — still no network shuffle).
 
         ``commit_mode`` accepts only ``"l0"``, the one commit mode.
         """
@@ -368,108 +417,57 @@ class LakeTable:
         return m
 
     # ------------------------------------------------------------ read
-    def _fold_partition_fn(self, schema_str: str | None, include_tombstones: bool):
+    def _fold_fn(self, schema_str: str | None, include_tombstones: bool,
+                 keep_bucket: bool = False):
+        """Merge-on-read of one ``_range`` row: its bases (pid as
+        ``_bucket``) plus each run read once, pruned to the range's row
+        groups, in one LWW fold into (``_bucket``, key) order."""
         key, lsn_col, op_col = self.key, self.lsn_col, self.op_col
         lake_path = self.path
-        conform = conform_to(schema_from_str(schema_str)) if schema_str else None
+        conform = schema_str and conform_to(
+            schema_from_str(schema_str).append(pa.field("_bucket", pa.int32())))
+        tomb_col = None if include_tombstones else op_col
+        drop = [] if keep_bucket else ["_bucket"]
+        drop += [] if include_tombstones else list(META_COLS)
 
         def fold(batch: pa.Table) -> pa.Table:
-            outs = []
-            for row in batch.to_pylist():
-                pid = int(row["pid"])
-                base = row["base"]
-                parts = [pq.read_table(os.path.join(lake_path, base))] if base else []
-                for f in json.loads(row["l0"]):
-                    # bucket-sorted run file: parquet row-group statistics
-                    # prune the read to this partition's row groups
-                    t0 = pq.read_table(
-                        os.path.join(lake_path, f), filters=[("_bucket", "=", pid)]
-                    )
-                    parts.append(t0.drop_columns(["_bucket"]))
-                if conform is not None:
-                    parts = [conform(p) for p in parts]
-                parts = [p for p in parts if p.num_rows] or parts[:1]
-                t = (
-                    parts[0]
-                    if len(parts) == 1
-                    else pa.concat_tables(parts, promote_options="permissive")
-                )
-                tomb_col = None if include_tombstones else op_col
-                if len(parts) > 1:  # base files and runs are already one-row-per-key
-                    t = last_writer_per_key(t, key=key, lsn_col=lsn_col, tombstone_col=tomb_col)
-                elif tomb_col:
-                    t = drop_tombstones(t, tomb_col)
-                if not include_tombstones:
-                    t = t.drop_columns([c for c in META_COLS if c in t.column_names])
-                outs.append(t)
-            return pa.concat_tables(outs, promote_options="permissive")
+            lo, hi = batch["lo"][0].as_py(), batch["hi"][0].as_py()
+            runs = json.loads(batch["runs"][0].as_py())
+            parts = []
+            for pid, f in json.loads(batch["bases"][0].as_py()):
+                t = pq.read_table(os.path.join(lake_path, f))
+                pid_col = pa.array(np.full(t.num_rows, pid, np.int32))
+                parts.append(t.append_column("_bucket", pid_col))
+            for f in runs:  # bucket-sorted: row-group statistics prune the read
+                parts.append(pq.read_table(os.path.join(lake_path, f),
+                                           filters=[("_bucket", ">=", lo), ("_bucket", "<", hi)]))
+            if conform:
+                parts = [conform(p) for p in parts]
+            parts = [p for p in parts if p.num_rows] or parts[:1]
+            t = pa.concat_tables(parts, promote_options="permissive")
+            if runs:  # bases alone are one row per key and bucket-ordered
+                t = last_writer_per_key(t, key=key, lsn_col=lsn_col, tombstone_col=tomb_col)
+            elif tomb_col:
+                t = drop_tombstones(t, tomb_col)
+            return t.drop_columns([c for c in drop if c in t.column_names])
 
         return fold
-
-    @staticmethod
-    def _run_may_contain(ent: dict, pid: int) -> bool:
-        """Manifest-level run pruning: False iff the L0 run entry's bucket
-        metadata proves partition ``pid`` has no rows in it. Entries
-        without metadata (older manifests) are conservatively included."""
-        bmin, bmax = ent.get("bmin"), ent.get("bmax")
-        if bmin is None or bmax is None:
-            return True
-        if pid < bmin or pid > bmax:
-            return False
-        buckets = ent.get("buckets")
-        return buckets is None or pid in buckets
-
-    def _descriptors(self, m: dict) -> list[dict]:
-        """One ``{pid, base, l0}`` row per partition with state: its base
-        file ("" if none) and the JSON list of L0 runs that may hold it."""
-        l0_ents = m.get("l0", [])
-        bases = _bases(m)
-        descs = []
-        # candidate pids: every partition some run may touch + every
-        # partition with a base — sparse L0 metadata keeps the task
-        # count proportional to touched partitions, not num_partitions
-        pids = set(bases)
-        for e in l0_ents:
-            if e.get("buckets") is not None:
-                pids.update(int(b) for b in e["buckets"])
-            elif e.get("bmin") is not None:
-                pids.update(range(int(e["bmin"]), int(e["bmax"]) + 1))
-            else:
-                pids.update(range(m["num_partitions"]))
-        for pid in sorted(pids):
-            base = bases.get(pid) or ""
-            l0_files = [e["file"] for e in l0_ents if self._run_may_contain(e, pid)]
-            if base or l0_files:
-                descs.append({"pid": pid, "base": base, "l0": json.dumps(l0_files)})
-        return descs
 
     def read(
         self, include_tombstones: bool = False, epoch: int | None = None
     ) -> ray.data.Dataset:
         """The converged table as a streaming Dataset — merge-on-read:
-        one Ray task per partition folds base + L0 runs. ``epoch`` time-
-        travels to any retained snapshot (state files are immutable and
-        content-named, so an old manifest replays its exact table; see
-        :meth:`epochs` / :meth:`vacuum`)."""
+        one Ray task per contiguous bucket range folds its bases + L0
+        runs. ``epoch`` time-travels to any retained snapshot (state files
+        are immutable and content-named, so an old manifest replays its
+        exact table; see :meth:`epochs` / :meth:`vacuum`)."""
         m = self.manifest(epoch)
-        descs = self._descriptors(m)
-        if not descs:
+        ranges = _ranges(m)
+        if not ranges:
             return ray.data.from_arrow(pa.table({}))
-        ds = ray.data.from_items(descs, override_num_blocks=len(descs))
-        return ds.map_batches(
-            self._fold_partition_fn(m.get("schema"), include_tombstones),
-            batch_format="pyarrow",
-        )
-
-    def read_partition(
-        self, pid: int, include_tombstones: bool = False, epoch: int | None = None
-    ) -> pa.Table:
-        m = self.manifest(epoch)
-        descs = {d["pid"]: d for d in self._descriptors(m)}
-        if pid not in descs:
-            return None
-        fold = self._fold_partition_fn(m.get("schema"), include_tombstones)
-        return fold(pa.Table.from_pylist([descs[pid]])).sort_by(self.key)
+        return ray.data.from_items(ranges, override_num_blocks=len(ranges)).map_batches(
+            self._fold_fn(m.get("schema"), include_tombstones),
+            batch_format="pyarrow", batch_size=1)
 
     def live_rows(self) -> int:
         """Exact live-row count. Free when every partition is compacted
@@ -523,7 +521,7 @@ class LakeTable:
     def _apply_locked(self, m: dict, new_names: list[str], events_ds) -> dict:
         """Shuffle-free epoch commit: one map-only pass stamps each input
         block's buckets, folds it per key into (bucket, key) order, and
-        writes ONE run file per block with ~P row groups (so partition
+        writes ONE run file per block with ~P row groups (so bucket-range
         reads prune via parquet statistics). File names are content-derived → a retried
         task rewrites the identical file (exactly-once preserved; the
         manifest swap stays the only commit point)."""
@@ -575,7 +573,7 @@ class LakeTable:
             wm = int(lsns.max()) if len(lsns) else -1
             sch = schema_to_str(t.drop_columns(["_bucket"]).schema)
             # run-pruning metadata: which partitions this run can contain —
-            # a partition read skips runs outside its bucket (the manifest-
+            # a range read skips runs outside its buckets (the manifest-
             # level complement of the in-file row-group statistics)
             ub = np.unique(np.asarray(t.column("_bucket").combine_chunks()))
             bjson = json.dumps([int(b) for b in ub]) if len(ub) <= 64 else ""
@@ -701,8 +699,9 @@ class LakeTable:
 
     def compact(self, drop_tombs: bool = False,
                 zorder: list[str] | None = None) -> int:
-        """Full compaction (Ray-parallel): every partition's base +
-        pending L0 runs fold into a fresh base file; optionally
+        """Full compaction (Ray-parallel, one task per contiguous bucket
+        range): each range's bases + pending L0 runs fold in one pass and
+        split back into one fresh base file per partition; optionally
         drop tombstones (safe once upstream segments can no longer be
         replayed). ``zorder`` clusters each fresh base on a Morton key
         over the named numeric columns (per-partition min-max quantize)
@@ -718,62 +717,55 @@ class LakeTable:
         epoch = m["epoch"] + 1
         epoch_rel = f"state/e{epoch:06d}"
         os.makedirs(os.path.join(self.path, epoch_rel), exist_ok=True)
-        descs = self._descriptors(m)
-        if not descs:
+        ranges = _ranges(m)
+        if not ranges:
             return 0
-        key, lsn_col, op_col = self.key, self.lsn_col, self.op_col
+        lsn_col, op_col = self.lsn_col, self.op_col
         lake_path = self.path
-        fold = self._fold_partition_fn(m.get("schema"), include_tombstones=True)
+        fold = self._fold_fn(m.get("schema"), include_tombstones=True, keep_bucket=True)
+        # one stats row per partition written; a range may write none
+        stats_schema = pa.schema([("pid", pa.int64()), ("file", pa.string()), *(
+            (c, pa.int64()) for c in ("rows", "live_rows", "watermark", "dropped"))])
 
-        def compact_one(batch: pa.Table) -> pa.Table:
+        def compact_range(batch: pa.Table) -> pa.Table:
+            # key order comes from the fold; a range without pending runs
+            # keeps its bases' order
+            folded = fold(batch)
+            b = np.asarray(folded.column("_bucket").combine_chunks())
+            folded = folded.drop_columns(["_bucket"])
+            pids = np.unique(b)
+            cuts = np.append(np.searchsorted(b, pids), len(b))
             rows = []
-            for i in range(batch.num_rows):
-                one = batch.slice(i, 1)
-                # key order comes from the fold; a partition without
-                # pending runs keeps its base's order
-                t = fold(one)
-                if zorder and t.num_rows:
+            for pid, start, end in zip(pids.tolist(), cuts[:-1], cuts[1:]):
+                t = folded.slice(start, end - start)
+                if zorder:  # Morton order over per-partition min-max quantized columns
                     from raycdc.ops import zorder_key
 
-                    qcols = dict(zip(t.column_names, t.columns))
+                    q = {}
                     for zi, zc in enumerate(zorder):
                         x = np.asarray(t.column(zc).cast(pa.float64()))
                         mn, mx = float(np.nanmin(x)), float(np.nanmax(x))
-                        span = (mx - mn) or 1.0
-                        q = np.clip((x - mn) / span * 65535, 0, 65535)
-                        qcols[f"_zq{zi}"] = pa.array(
-                            np.nan_to_num(q).astype(np.int64))
-                    t2 = zorder_key(pa.table(qcols),
-                                    [f"_zq{zi}" for zi in range(len(zorder))])
-                    order = pc.sort_indices(t2, sort_keys=[("_z", "ascending")])
-                    t = t.take(order)
+                        x = np.clip((x - mn) / ((mx - mn) or 1.0) * 65535, 0, 65535)
+                        q[f"_zq{zi}"] = np.nan_to_num(x).astype(np.int64)
+                    z = zorder_key(pa.table(q), list(q))
+                    t = t.take(pc.sort_indices(z, sort_keys=[("_z", "ascending")]))
                 live_t = drop_tombstones(t, op_col)
-                dropped = t.num_rows - live_t.num_rows
-                if drop_tombs:
-                    t = live_t
-                pid = int(one["pid"][0].as_py())
+                dropped = t.num_rows - live_t.num_rows if drop_tombs else 0
+                t = live_t if drop_tombs else t
                 rel = f"{epoch_rel}/part-{pid:05d}.parquet"
                 # z-ordered bases need bounded row groups for the stats
                 # to prune anything (default = one giant group)
                 rgs = max(2048, t.num_rows // 16) if zorder else None
-                _atomic_write_parquet(os.path.join(lake_path, rel), t,
-                                      row_group_size=rgs)
+                _atomic_write_parquet(os.path.join(lake_path, rel), t, row_group_size=rgs)
                 wm = pc.max(t[lsn_col]).as_py() if t.num_rows and lsn_col in t.column_names else None
-                rows.append(
-                    {
-                        "pid": pid,
-                        "file": rel,
-                        "rows": t.num_rows,
-                        "live_rows": live_t.num_rows,
-                        "watermark": -1 if wm is None else int(wm),
-                        "dropped": dropped if drop_tombs else 0,
-                    }
-                )
-            return pa.Table.from_pylist(rows)
+                rows.append({"pid": pid, "file": rel, "rows": t.num_rows,
+                             "live_rows": live_t.num_rows, "dropped": dropped,
+                             "watermark": -1 if wm is None else int(wm)})
+            return pa.Table.from_pylist(rows, schema=stats_schema)
 
         stats = (
-            ray.data.from_items(descs, override_num_blocks=len(descs))
-            .map_batches(compact_one, batch_format="pyarrow")
+            ray.data.from_items(ranges, override_num_blocks=len(ranges))
+            .map_batches(compact_range, batch_format="pyarrow", batch_size=1)
             .take_all()
         )
         cur = self.manifest()
@@ -820,12 +812,12 @@ def lineage(lake: "LakeTable", pid: int | None = None) -> list[dict]:
         segs = set(m.get("segments_applied", []))
         new_segs = sorted(segs - prev_segs)
         run_wm = {r["file"]: r.get("watermark") for r in m.get("l0", [])}
-        for d in lake._descriptors(m):
-            ipid = d["pid"]
+        for ipid in _pids(m):
             if pid is not None and ipid != pid:
                 continue
-            runs = json.loads(d["l0"])
-            files = set(runs) | ({d["base"]} if d["base"] else set())
+            r = _range(m, ipid, ipid + 1)
+            runs = json.loads(r["runs"])
+            files = set(runs) | {f for _, f in json.loads(r["bases"])}
             added = sorted(files - prev_files.get(ipid, set()))
             ent = m["partitions"].get(str(ipid), {})
             if e == 0 or added or new_segs:

@@ -20,7 +20,7 @@ and re-refreshing at the same epoch is a no-op.
 
 Scale shape: the key-set filter is a broadcast ``np.isin`` inside
 ``map_batches`` and both scans are merge-on-read Datasets (one task per
-partition, parquet row-group pruning in L0 mode); contributions reduce
+contiguous bucket range, parquet row-group pruning); contributions reduce
 through the combiner groupby, so only group-cardinality rows reach the
 driver — the view itself is group-cardinality by definition. Reference
 analog: nifi-dicom's running attribute counters
@@ -41,16 +41,12 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from raycdc.lake import LakeTable, _atomic_write_json, _atomic_write_parquet
+from raycdc.lake import LakeTable, _atomic_write_json, _atomic_write_parquet, _bases
 
 
-def _manifest_files(lake: LakeTable, m: dict) -> set:
-    files: set = set()
-    for d in lake._descriptors(m):
-        if d["base"]:
-            files.add(d["base"])
-        files.update(json.loads(d["l0"]))
-    return files
+def _manifest_files(m: dict) -> set:
+    """Every state file of a manifest: its base files plus its L0 runs."""
+    return {b for b in _bases(m).values() if b} | {e["file"] for e in m.get("l0", [])}
 
 
 class MaterializedAggregate:
@@ -163,8 +159,8 @@ class MaterializedAggregate:
             self._write(mv, cur)
             return self.read()
         for e in range(have + 1, cur + 1):
-            new_files = _manifest_files(self.lake, self.lake.manifest(e)) - \
-                _manifest_files(self.lake, self.lake.manifest(e - 1))
+            new_files = _manifest_files(self.lake.manifest(e)) - \
+                _manifest_files(self.lake.manifest(e - 1))
             key_col = self.lake.key
             chunks = []
             for f in sorted(new_files):

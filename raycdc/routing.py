@@ -130,16 +130,18 @@ def make_validator(dead_letter_dir: str | None = None):
             import hashlib
 
             import polars as pl
-            import pyarrow.parquet as pq
+
+            from raycdc.lake import _atomic_write_parquet
 
             os.makedirs(dead_letter_dir, exist_ok=True)  # remote worker may not have it
             dead = stamped.filter(pc.invert(ok_mask))
             # content-derived name over every column (dead rows may lack a
             # key or lsn, so those alone could collide): a retried task
-            # rewrites the identical file
+            # rewrites the identical file; durable (tmp+fsync+rename) before
+            # the epoch that dead-lettered these rows can commit
             rows_h = pl.from_arrow(dead).hash_rows(seed=0).to_numpy()
             digest = hashlib.md5(rows_h.tobytes()).hexdigest()[:16]
-            pq.write_table(dead, os.path.join(dead_letter_dir, f"dead-{digest}.parquet"))
+            _atomic_write_parquet(os.path.join(dead_letter_dir, f"dead-{digest}.parquet"), dead)
         return stamped.filter(ok_mask).drop_columns([ROUTE_COL])
 
     return validate_divert

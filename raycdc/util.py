@@ -135,16 +135,6 @@ def det_hash_hex(value: str, *parts: str, n: int | None = None) -> str:
     return d[:n] if n else d
 
 
-def md5_hex_column(values) -> pa.Array:
-    """Vectorized-ish md5 hex over a string column (C-speed via hashlib,
-    one tight Python loop — only used in small side-table derivations)."""
-    if isinstance(values, (pa.Array, pa.ChunkedArray)):
-        it = values.to_pylist()
-    else:
-        it = list(values)
-    return pa.array([hashlib.md5(v.encode()).hexdigest() if v is not None else None for v in it])
-
-
 def combine_chunks(table: pa.Table) -> pa.Table:
     """Flatten chunked columns so numpy views are contiguous."""
     return table.combine_chunks() if table.num_rows else table

@@ -431,20 +431,112 @@ def test_l0_run_pruning_metadata(tmp_path):
         assert ent["bmin"] <= ent["bmax"] and ent["buckets"] is not None
     lo_buckets = set(bucket_of(pa.array(lo), P).tolist())
     hi_buckets = set(bucket_of(pa.array(hi), P).tolist())
-    descs = {d["pid"]: d for d in lk._descriptors(m)}
     import json as _json
+
+    runs = {pid: _json.loads(lake_mod._range(m, pid, pid + 1)["runs"])
+            for pid in lake_mod._pids(m)}
 
     lo_file = next(e["file"] for e in m["l0"] if set(e["buckets"]) == lo_buckets)
     hi_file = next(e["file"] for e in m["l0"] if set(e["buckets"]) == hi_buckets)
     for pid in lo_buckets:
-        files = _json.loads(descs[pid]["l0"])
+        files = runs[pid]
         assert lo_file in files and hi_file not in files
     for pid in hi_buckets:
-        files = _json.loads(descs[pid]["l0"])
+        files = runs[pid]
         assert hi_file in files and lo_file not in files
-    # untouched partitions get no descriptor at all
-    assert set(descs) == lo_buckets | hi_buckets
+    # untouched partitions have no state at all
+    assert set(runs) == lo_buckets | hi_buckets
     assert collect(lk.read()).num_rows == len(lo) + len(hi)
+
+
+def _range_fold_lake(tmp_path):
+    """A 128-partition lake whose pending state mixes every merge-on-read
+    case: bases carrying tombstones, a run spanning more than 64 buckets
+    (manifest ``buckets: null``, only ``bmin``/``bmax``), a run confined
+    to buckets < 8, and partitions >= 100 that hold a base only. Returns
+    the lake and the oracle fold of everything applied."""
+    from raycdc.util import bucket_of
+
+    P = 128
+    lk = LakeTable(str(tmp_path / "lake"), num_partitions=P, l0_compact_files=100)
+    lk.init()
+    cfg = EventGenConfig(n_events=3000, n_base=400, seed=29, min_len=4, max_len=12)
+    base = base_table(400, seed=29, min_len=4, max_len=12)
+    ev = events_table(cfg)
+    ev = ev.filter(pa.array(~is_malformed_mask(ev)))
+    first, rest = ev.slice(0, 1500), ev.slice(1500)
+    seeded_lake(lk, base)
+    lk.apply(rd.from_arrow(first), ["s1"])
+    lk.compact()  # bases for every touched partition, tombstones kept
+    b = bucket_of(rest.column("doc_id"), P)
+    narrow = rest.filter(pa.array(b < 8))
+    wide = rest.filter(pa.array((b >= 8) & (b < 100)))
+    lk.apply(rd.from_arrow(narrow), ["s2"])
+    lk.apply(rd.from_arrow(wide), ["s3"])
+    runs = lk.manifest()["l0"]
+    assert [e["buckets"] is None for e in runs] == [False, True]
+    assert runs[1]["bmax"] < 100
+    return lk, fold_events(base, pa.concat_tables([first, narrow, wide]))
+
+
+@pytest.mark.parametrize("range_rows", [1, lake_mod.RANGE_ROWS])
+def test_ranges_cut_pids_and_prune_runs(tmp_path, monkeypatch, range_rows):
+    """``_ranges`` cuts the partitions with state into contiguous,
+    disjoint ranges, as many as min(pids, max(CPUs, ceil(rows /
+    RANGE_ROWS))); a run is in a range iff its bucket metadata meets it,
+    and no run with rows in a range is left out of it."""
+    import json
+    import math
+
+    import ray
+
+    monkeypatch.setattr(lake_mod, "RANGE_ROWS", range_rows)
+    lk, _ = _range_fold_lake(tmp_path)
+    m = lk.manifest()
+    pids = lake_mod._pids(m)
+    ranges = lake_mod._ranges(m)
+    rows = sum(e["rows"] for e in m["partitions"].values()) + sum(e["rows"] for e in m["l0"])
+    cpus = int(ray.cluster_resources()["CPU"])
+    assert len(ranges) == min(len(pids), max(cpus, math.ceil(rows / range_rows)))
+    assert ranges[0]["lo"] == pids[0] and ranges[-1]["hi"] == pids[-1] + 1
+    for r, nxt in zip(ranges, ranges[1:]):
+        assert r["hi"] == nxt["lo"]
+    covered = [[p for p in pids if r["lo"] <= p < r["hi"]] for r in ranges]
+    assert all(covered) and sum(covered, []) == pids
+    run_buckets = {
+        e["file"]: set(pq.read_table(os.path.join(lk.path, e["file"]), columns=["_bucket"])
+                       ["_bucket"].to_pylist())
+        for e in m["l0"]
+    }
+    for r in ranges:
+        lo, hi = r["lo"], r["hi"]
+        got = set(json.loads(r["runs"]))
+        for e in m["l0"]:
+            meets = (any(lo <= x < hi for x in e["buckets"]) if e["buckets"] is not None
+                     else e["bmin"] < hi and e["bmax"] >= lo)
+            assert (e["file"] in got) == meets
+            if any(lo <= x < hi for x in run_buckets[e["file"]]):
+                assert e["file"] in got
+        assert {p for p, _ in json.loads(r["bases"])} == {
+            int(k) for k in m["partitions"] if lo <= int(k) < hi}
+    if range_rows == 1:  # one partition per range: some ranges are base-only
+        assert any(not json.loads(r["runs"]) for r in ranges)
+
+
+@pytest.mark.parametrize("range_rows", [1, lake_mod.RANGE_ROWS])
+def test_range_fold_read_and_compact_match_oracle(tmp_path, monkeypatch, range_rows):
+    """Merge-on-read and compaction fold bucket ranges — one partition
+    each, or the default cut — to the oracle's table, before and after
+    compaction, and after a tombstone-dropping compaction."""
+    monkeypatch.setattr(lake_mod, "RANGE_ROWS", range_rows)
+    lk, want = _range_fold_lake(tmp_path)
+    assert_eq(collect(lk.read()), want)
+    lk.compact()
+    assert lk.manifest()["l0"] == []
+    assert_eq(collect(lk.read()), want)
+    assert lk.compact(drop_tombs=True) > 0
+    assert_eq(collect(lk.read()), want)
+    assert lk.live_rows() == want.num_rows
 
 
 def test_l0_duplicate_block_content_counted_once(tmp_path):

@@ -154,3 +154,27 @@ def test_dead_letter_file_named_from_content(tmp_path):
     assert ok.num_rows == 200 - n_bad
     assert len(os.listdir(dl)) == 1
     assert pq.read_table(dl).num_rows == n_bad
+
+
+def test_dead_letter_write_is_atomic(tmp_path, monkeypatch):
+    """A write that dies after creating its output file leaves no torn
+    ``dead-*.parquet`` under the final name: dead letters go through
+    tmp+fsync+rename like every other lake file."""
+    import glob
+
+    import pyarrow.parquet as pq
+    import pytest
+
+    from raycdc.routing import make_validator
+
+    def torn_write(table, where, **kw):
+        with open(where, "wb") as f:
+            f.write(b"PAR1")  # a partial file, then the crash
+        raise OSError("disk full")
+
+    monkeypatch.setattr(pq, "write_table", torn_write)
+    cfg = EventGenConfig(n_events=200, n_base=20, seed=5, pct_malformed=0.2, min_len=4, max_len=8)
+    dl = str(tmp_path / "dead")
+    with pytest.raises(OSError, match="disk full"):
+        make_validator(dl)(events_table(cfg))
+    assert glob.glob(str(tmp_path / "dead" / "dead-*.parquet")) == []
