@@ -25,7 +25,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from raycdc.ops import _run_boundaries, partial_groupby_agg
+from raycdc.ops import _by_key, _distinct, _run_boundaries, _sorted_runs, partial_groupby_agg
 
 _MERSENNE = (1 << 61) - 1
 
@@ -93,21 +93,15 @@ def exact_dedup_rows(ds: ray.data.Dataset, text_col: str = "text", id_col: str =
     one map_groups call per distinct content) with a vectorized
     sort + run-boundary dedup inside each bucket. ``content_hash``: see
     :func:`_content_key`."""
-    from raycdc.util import bucket_of
 
     def h(t: pa.Table) -> pa.Table:
         t = t.append_column("_h", _content_key(t, text_col, content_hash))
-        t = _first_per_hash(t, id_col)  # local combiner: ≤1 row/hash/batch
-        return t.append_column("_bucket", pa.array(bucket_of(t.column("_h"), num_buckets)))
+        return _first_per_hash(t, id_col)  # local combiner: ≤1 row/hash/batch
 
     def first(bucket: pa.Table) -> pa.Table:
-        return _first_per_hash(bucket, id_col).drop_columns(["_h", "_bucket"])
+        return _first_per_hash(bucket, id_col).drop_columns(["_h"])
 
-    return (
-        ds.map_batches(h, batch_format="pyarrow", batch_size=batch_size)
-        .groupby("_bucket")
-        .map_groups(first, batch_format="pyarrow")
-    )
+    return _by_key(ds, "_h", first, num_buckets, batch_size, prep=h)
 
 
 def _first_per_hash(t: pa.Table, id_col: str) -> pa.Table:
@@ -195,36 +189,11 @@ def _dedup_pair_rows(cand: ray.data.Dataset, num_buckets: int = 64) -> ray.data.
     """Deduplicate (id_a, id_b) rows found via multiple bands with ONE
     bounded-fan-out shuffle: bucket by pair hash (never one map_groups
     group per pair), vectorized sort + run-boundary dedup per bucket."""
-    from raycdc.util import splitmix64, str_hash_u64
-
-    def stamp(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t.append_column("_bucket", pa.array([], pa.int32()))
-        ha = str_hash_u64(t["id_a"])
-        hb = str_hash_u64(t["id_b"])
-        b = (splitmix64(ha ^ splitmix64(hb)) % np.uint64(num_buckets)).astype(np.int32)
-        return t.append_column("_bucket", pa.array(b))
 
     def uniq(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
-        if g.num_rows <= 1:
-            return g
-        idx = pc.sort_indices(g, sort_keys=[("id_a", "ascending"), ("id_b", "ascending")])
-        g = g.take(idx)
-        n = g.num_rows
-        a = g.column("id_a").combine_chunks()
-        b = g.column("id_b").combine_chunks()
-        neq = pc.or_(
-            pc.not_equal(a.slice(1), a.slice(0, n - 1)),
-            pc.not_equal(b.slice(1), b.slice(0, n - 1)),
-        )
-        mask = np.ones(n, dtype=bool)
-        mask[1:] = np.asarray(neq.fill_null(True))
-        return g.filter(pa.array(mask))
+        return _distinct(g, ["id_a", "id_b"])
 
-    return cand.map_batches(stamp, batch_format="pyarrow").groupby("_bucket").map_groups(
-        uniq, batch_format="pyarrow"
-    )
+    return _by_key(cand, ["id_a", "id_b"], uniq, num_buckets, None)
 
 
 def candidate_pairs_from_bands(
@@ -731,15 +700,7 @@ def exact_jaccard_pairs(
     exceeds the cap; corpora past that regime should use
     :func:`minhash_near_dup` (sketch) instead.
     """
-    from raycdc.util import splitmix64, str_hash_u64
-
     grams = explode_ngrams(ds, text_col=text_col, id_col=id_col, n=n)
-
-    def stamp(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t.append_column("_bucket", pa.array([], pa.int32()))
-        b = (str_hash_u64(t["gram"]) % np.uint64(num_buckets)).astype(np.int32)
-        return t.append_column("_bucket", pa.array(b))
 
     def pairs(g: pa.Table) -> pa.Table:
         id_type = g.schema.field(id_col).type
@@ -747,16 +708,11 @@ def exact_jaccard_pairs(
             "id_a": pa.array([], id_type), "id_b": pa.array([], id_type),
             "na": pa.array([], pa.int64()), "nb": pa.array([], pa.int64()),
         })
-        g = g.drop_columns(["_bucket"])
         if g.num_rows < 2:
             return empty
-        idx = pc.sort_indices(g, sort_keys=[("gram", "ascending"), (id_col, "ascending")])
-        g = g.take(idx)
-        gr = g.column("gram").combine_chunks()
+        g, new_gram = _sorted_runs(g, [("gram", "ascending"), (id_col, "ascending")], "gram")
         m = g.num_rows
-        neq = np.ones(m, dtype=bool)
-        neq[1:] = np.asarray(pc.not_equal(gr.slice(1), gr.slice(0, m - 1)).fill_null(True))
-        starts = np.flatnonzero(neq)
+        starts = np.flatnonzero(new_gram)
         ends = np.append(starts[1:], m)
         lens = ends - starts
         ids_np = g.column(id_col).to_pandas().to_numpy()
@@ -785,18 +741,9 @@ def exact_jaccard_pairs(
             "nb": pa.array(nn[bi].astype(np.int64)),
         })
 
-    co = grams.map_batches(stamp, batch_format="pyarrow").groupby("_bucket").map_groups(
-        pairs, batch_format="pyarrow"
-    )
-
-    def stamp_pair(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t.append_column("_bucket", pa.array([], pa.int32()))
-        h = splitmix64(str_hash_u64(t["id_a"]) ^ splitmix64(str_hash_u64(t["id_b"])))
-        return t.append_column("_bucket", pa.array((h % np.uint64(num_buckets)).astype(np.int32)))
+    co = _by_key(grams, "gram", pairs, num_buckets, None)
 
     def score(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
         id_type = g.schema.field("id_a").type
         empty = pa.table({
             "id_a": pa.array([], id_type), "id_b": pa.array([], id_type),
@@ -822,9 +769,7 @@ def exact_jaccard_pairs(
             "jacc": pa.array(jacc[keep].to_numpy(np.float64)),
         })
 
-    return co.map_batches(stamp_pair, batch_format="pyarrow").groupby("_bucket").map_groups(
-        score, batch_format="pyarrow"
-    )
+    return _by_key(co, ["id_a", "id_b"], score, num_buckets, None)
 
 
 def _utf8_matrix(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
@@ -958,9 +903,8 @@ def edit_distance_pairs(
     (:func:`levenshtein_pairs_np`). ``max_block`` (when set) SKIPS
     whole degenerate blocks — mirrored in SQL as ``HAVING count(*) <=
     max_block`` so the oracle stays exact. NULL texts drop up-front."""
-    from raycdc.util import bucket_of
 
-    def stamp(t: pa.Table) -> pa.Table:
+    def prep(t: pa.Table) -> pa.Table:
         t = t.select([id_col, text_col]).filter(pc.is_valid(t.column(text_col)))
         blk = pc.binary_join_element_wise(
             pc.utf8_slice_codeunits(t.column(text_col), 0, block_chars),
@@ -971,14 +915,10 @@ def edit_distance_pairs(
             ),
             "|",
         )
-        t = t.append_column("_blk", blk)
-        return t.append_column("_bucket", pa.array(bucket_of(blk, num_buckets)))
+        return t.append_column("_blk", blk)
 
     def fold(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
-        g = g.take(
-            pc.sort_indices(g, sort_keys=[("_blk", "ascending"), (id_col, "ascending")])
-        ).combine_chunks()
+        g, new_blk = _sorted_runs(g, [("_blk", "ascending"), (id_col, "ascending")], "_blk")
         n = g.num_rows
         empty = pa.table({
             "id_a": pa.array([], g.schema.field(id_col).type),
@@ -987,7 +927,6 @@ def edit_distance_pairs(
         })
         if n < 2:
             return empty
-        new_blk = _run_boundaries(g.column("_blk"), n)
         run = np.cumsum(new_blk) - 1
         starts = np.flatnonzero(new_blk)
         lens_r = np.r_[starts[1:], n] - starts
@@ -1026,8 +965,4 @@ def edit_distance_pairs(
             "dist": pa.array(dist, pa.int64()),
         })
 
-    return (
-        ds.map_batches(stamp, batch_format="pyarrow", batch_size=batch_size)
-        .groupby("_bucket")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    return _by_key(ds, "_blk", fold, num_buckets, batch_size, prep=prep)

@@ -14,9 +14,16 @@ These encode the shuffle-minimizing patterns the engine standardizes on
   CSV ConcurrentHashMap, J1/J3).
 * :func:`grouped_min_broadcast` — the grouped-min-then-map pattern
   (date-shift machinery analog, A3/M10).
+* :func:`_by_key` — the one shuffle shape of every bucketed operator
+  (per-key windows, exact quantiles, joins, set operations, DISTINCT):
+  stamp ``_bucket = bucket_of(key)`` per batch, ONE
+  ``groupby("_bucket")``, fold each bucket (usually a
+  :func:`_sorted_runs` sort plus run-boundary kernel).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pandas as pd
@@ -27,6 +34,8 @@ import ray
 import ray.data
 from ray.data.aggregate import Max, Min, Sum
 
+from raycdc.util import bucket_of, splitmix64, str_hash_u64
+
 # partial kernel → (pyarrow group_by agg, final ray aggregate, merge fn name)
 _COMBINERS = {
     "min": ("min", Min),
@@ -34,6 +43,79 @@ _COMBINERS = {
     "sum": ("sum", Sum),
     "count": ("count", Sum),  # counts combine by summing
 }
+
+
+def _run_boundaries(col: pa.ChunkedArray | pa.Array, n: int) -> np.ndarray:
+    """Boolean new-group mask over a SORTED key column; consecutive NULLs
+    are ONE group (SQL GROUP BY / PARTITION BY null convention)."""
+    new = np.ones(n, dtype=bool)
+    if n > 1:
+        a, b = col.slice(1), col.slice(0, n - 1)
+        both_null = pc.and_(pc.is_null(a), pc.is_null(b))
+        new[1:] = np.asarray(pc.if_else(both_null, False, pc.not_equal(a, b).fill_null(True)))
+    return new
+
+
+def _sorted_runs(g: pa.Table, order: list, key: str) -> tuple[pa.Table, np.ndarray]:
+    """Sort a bucket by ``order`` (led by ``key``) and return it with its
+    new-key mask (:func:`_run_boundaries`)."""
+    g = g.take(pc.sort_indices(g, sort_keys=order)).combine_chunks()
+    return g, _run_boundaries(g.column(key), g.num_rows)
+
+
+def _distinct(t: pa.Table, cols: list[str]) -> pa.Table:
+    """The first row of each distinct ``cols`` value (NULLs equal), by
+    one sort and run boundaries. pyarrow 16's multi-key ``group_by`` is
+    not used: it returns duplicate groups when string and fixed-width
+    keys mix with NULLs."""
+    t, new = _sorted_runs(t, [(c, "ascending") for c in cols], cols[0])
+    for c in cols[1:]:
+        new |= _run_boundaries(t.column(c), t.num_rows)
+    return t.filter(pa.array(new))
+
+
+def _by_key(
+    ds: ray.data.Dataset,
+    key: str | list[str],
+    fold,
+    num_buckets: int,
+    batch_size: int | None,
+    prep=None,
+) -> ray.data.Dataset:
+    """The one keyed shuffle of every bucketed operator: each batch (after
+    the optional per-batch ``prep`` that prunes or filters) is stamped
+    with ``_bucket = bucket_of(key, num_buckets)``, ONE
+    ``groupby("_bucket")`` co-locates all rows of a key (``num_buckets``
+    groups, never one group per key), and ``fold`` runs once per bucket
+    with ``_bucket`` already dropped. A list ``key`` is a composite key.
+    Joins pass ``ds`` and ``prep`` as parallel lists, one entry per side:
+    each side is prepped and stamped in its own map stage, and the
+    stamped sides are unioned into the one groupby. Partitioning
+    assumption: one bucket's rows fit a worker."""
+    keys = [key] if isinstance(key, str) else list(key)
+
+    def stamper(prep):
+        def stamp(t: pa.Table) -> pa.Table:
+            if prep is not None:
+                t = prep(t)
+            b = bucket_of([t.column(k) for k in keys], num_buckets)
+            return t.append_column("_bucket", pa.array(b))
+
+        return stamp
+
+    def per_bucket(g: pa.Table) -> pa.Table:
+        return fold(g.drop_columns(["_bucket"]))
+
+    sides = zip(ds, prep) if isinstance(ds, list) else [(ds, prep)]
+    stamped = [
+        d.map_batches(stamper(p), batch_format="pyarrow", batch_size=batch_size)
+        for d, p in sides
+    ]
+    return (
+        functools.reduce(ray.data.Dataset.union, stamped)
+        .groupby("_bucket")
+        .map_groups(per_bucket, batch_format="pyarrow")
+    )
 
 
 def partial_groupby_agg(
@@ -168,36 +250,15 @@ def top_k(
             final, batch_format="pyarrow", batch_size=None
         )
 
-    from raycdc.util import bucket_of
-
-    def stamp(t: pa.Table) -> pa.Table:
-        return t.append_column("_bucket", pa.array(bucket_of(t.column(per), num_buckets)))
-
     def head_per_group(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
-        idx = pc.sort_indices(g, sort_keys=[(per, "ascending"), *order])
-        g = g.take(idx)
-        grp = g.column(per).combine_chunks()
+        g, new_grp = _sorted_runs(g, [(per, "ascending"), *order], per)
         n = g.num_rows
-        new_grp = np.ones(n, dtype=bool)
-        if n > 1:
-            a, b = grp.slice(1), grp.slice(0, n - 1)
-            # consecutive NULL keys are ONE group (SQL PARTITION BY puts all
-            # NULLs in a single partition); null-vs-value is a boundary
-            both_null = pc.and_(pc.is_null(a), pc.is_null(b))
-            new_grp[1:] = np.asarray(
-                pc.if_else(both_null, False, pc.not_equal(a, b).fill_null(True))
-            )
         # rank within group = index - start-of-run (vectorized cumcount)
         starts = np.maximum.accumulate(np.where(new_grp, np.arange(n), 0))
         rank = np.arange(n) - starts
         return g.filter(pa.array(rank < k))
 
-    return (
-        ds.map_batches(stamp, batch_format="pyarrow", batch_size=batch_size)
-        .groupby("_bucket")
-        .map_groups(head_per_group, batch_format="pyarrow")
-    )
+    return _by_key(ds, per, head_per_group, num_buckets, batch_size)
 
 
 def deterministic_sample(
@@ -229,8 +290,6 @@ def deterministic_sample(
     def pick(t: pa.Table) -> pa.Table:
         col = t.column(key).cast(pa.string())
         if hash_kernel == "sip":
-            from raycdc.util import str_hash_u64
-
             h = str_hash_u64(col)
             keep_np = (h % np.uint64(16)) < np.uint64(keep_sixteenths)
             valid = np.asarray(pc.is_valid(col.combine_chunks()))
@@ -287,8 +346,6 @@ def hash_join(
         raise ValueError(
             "how must be one of 'inner', 'left', 'right', 'full', 'semi', 'anti'"
         )
-    from raycdc.util import splitmix64, str_hash_u64
-
     keys = [key] if isinstance(key, str) else list(key)
     if not keys:
         raise ValueError("key must be non-empty")
@@ -314,12 +371,6 @@ def hash_join(
         + [("_side", pa.int8())]
     )
 
-    def bucket_multi(out: pa.Table) -> np.ndarray:
-        h = str_hash_u64(out.column(keys[0]).cast(pa.string()))
-        for i, b in enumerate(keys[1:], 1):
-            h = splitmix64(h ^ str_hash_u64(out.column(b).cast(pa.string()), seed=i))
-        return (h % np.uint64(num_buckets)).astype(np.int32)
-
     def conform(side: int, colmap: dict):
         def fn(t: pa.Table) -> pa.Table:
             cols = []
@@ -332,17 +383,12 @@ def hash_join(
                         cols.append(t.column(src).cast(f.type))
                     else:
                         cols.append(pa.nulls(t.num_rows, type=f.type))
-            out = pa.Table.from_arrays(cols, schema=unified)
-            return out.append_column("_bucket", pa.array(bucket_multi(out)))
+            return pa.Table.from_arrays(cols, schema=unified)
 
         return fn
 
     lmap = {n: n for n in lcols}
     rmap = {rename.get(n, n): n for n in rsch.names}
-    tagged = left.map_batches(conform(0, lmap), batch_format="pyarrow", batch_size=batch_size).union(
-        right.map_batches(conform(1, rmap), batch_format="pyarrow", batch_size=batch_size)
-    )
-
     left_only = [n for n in lcols if n not in keys]
     want = pa.schema([(f.name, f.type) for f in unified if f.name != "_side"])
 
@@ -438,7 +484,10 @@ def hash_join(
             out = pa.concat_tables([out, *backfilled])
         return out
 
-    return tagged.groupby("_bucket").map_groups(join_bucket, batch_format="pyarrow")
+    return _by_key(
+        [left, right], keys, join_bucket, num_buckets, batch_size,
+        prep=[conform(0, lmap), conform(1, rmap)],
+    )
 
 
 def grouped_shift_from_min(
@@ -456,13 +505,8 @@ def grouped_shift_from_min(
     then a vectorized pandas ``groupby(...).transform('min')`` inside
     each bucket. Use this when the key domain exceeds
     :func:`grouped_min_broadcast`'s driver bound."""
-    from raycdc.util import bucket_of
-
-    def stamp(t: pa.Table) -> pa.Table:
-        return t.append_column("_bucket", pa.array(bucket_of(t.column(key), num_buckets)))
-
     def per_bucket(g: pa.Table) -> pa.Table:
-        df = g.drop_columns(["_bucket"]).to_pandas()
+        df = g.to_pandas()
         df[out_col] = df[col] - df.groupby(key)[col].transform("min")
         if keep_cols:
             df = df[keep_cols]
@@ -471,11 +515,7 @@ def grouped_shift_from_min(
         # defeating Ray's block-schema dedup downstream
         return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
 
-    return (
-        ds.map_batches(stamp, batch_format="pyarrow", batch_size=batch_size)
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return _by_key(ds, key, per_bucket, num_buckets, batch_size)
 
 
 def flatten_struct(
@@ -590,8 +630,6 @@ def asof_join(
         raise ValueError("how must be 'inner' or 'left'")
     if direction not in ("backward", "forward"):
         raise ValueError("direction must be 'backward' or 'forward'")
-    from raycdc.util import splitmix64, str_hash_u64
-
     bys_l = [by_left] if isinstance(by_left, str) else list(by_left)
     bys_r = [by_right] if isinstance(by_right, str) else list(by_right)
     if not bys_l or len(bys_l) != len(bys_r):
@@ -615,12 +653,6 @@ def asof_join(
     )
     r_of_l = dict(zip(bys_l, bys_r))  # shared key col -> right-side source
 
-    def bucket_multi(out: pa.Table) -> np.ndarray:
-        h = str_hash_u64(out.column(bys_l[0]).cast(pa.string()))
-        for i, b in enumerate(bys_l[1:], 1):
-            h = splitmix64(h ^ str_hash_u64(out.column(b).cast(pa.string()), seed=i))
-        return (h % np.uint64(num_buckets)).astype(np.int32)
-
     def conform(side: int, colmap: dict):
         def fn(t: pa.Table) -> pa.Table:
             cols = []
@@ -635,19 +667,12 @@ def asof_join(
                         cols.append(t.column(src).cast(f.type))
                     else:
                         cols.append(pa.nulls(t.num_rows, type=f.type))
-            out = pa.Table.from_arrays(cols, schema=unified)
-            return out.append_column("_bucket", pa.array(bucket_multi(out)))
+            return pa.Table.from_arrays(cols, schema=unified)
 
         return fn
 
     lmap = {n: n for n in lcols}
     rmap = {rename.get(n, n): n for n in rkeep}
-    tagged = left.map_batches(
-        conform(0, lmap), batch_format="pyarrow", batch_size=batch_size
-    ).union(
-        right.map_batches(conform(1, rmap), batch_format="pyarrow", batch_size=batch_size)
-    )
-
     left_only = [n for n in lcols if n not in bys_l]
     want = pa.schema([(f.name, f.type) for f in unified if f.name != "_side"])
 
@@ -713,7 +738,10 @@ def asof_join(
             out = out.filter(pc.is_valid(out.column(on_right_out)))
         return out
 
-    return tagged.groupby("_bucket").map_groups(join_bucket, batch_format="pyarrow")
+    return _by_key(
+        [left, right], bys_l, join_bucket, num_buckets, batch_size,
+        prep=[conform(0, lmap), conform(1, rmap)],
+    )
 
 
 def tumbling_window_agg(
@@ -783,8 +811,6 @@ def stratified_sample(
             .astype(np.uint64)
         )
         if hash_kernel == "sip":
-            from raycdc.util import str_hash_u64
-
             h = str_hash_u64(col)
             keep_np = (h % np.uint64(16)) < rate
         elif hash_kernel == "md5":
@@ -837,18 +863,6 @@ def range_join(
     return joined.map_batches(in_range, batch_format="pyarrow", batch_size=batch_size)
 
 
-def _run_boundaries(col: pa.ChunkedArray | pa.Array, n: int) -> np.ndarray:
-    """Boolean new-group mask over a SORTED key column; consecutive NULLs
-    are ONE group (SQL GROUP BY / PARTITION BY null convention, same rule
-    as grouped :func:`top_k`)."""
-    new = np.ones(n, dtype=bool)
-    if n > 1:
-        a, b = col.slice(1), col.slice(0, n - 1)
-        both_null = pc.and_(pc.is_null(a), pc.is_null(b))
-        new[1:] = np.asarray(pc.if_else(both_null, False, pc.not_equal(a, b).fill_null(True)))
-    return new
-
-
 def sessionize(
     ds: ray.data.Dataset,
     key: str,
@@ -883,25 +897,20 @@ def sessionize(
     gap_us = np.int64(round(gap_s * 1_000_000))
     if gap_us < 0:
         raise ValueError("gap_s must be non-negative")
-    from raycdc.util import bucket_of
-
     sel = list(dict.fromkeys([key, ts_col] + ([order_col] if order_col else [])))
     order = [(key, "ascending"), (ts_col, "ascending")] + (
         [(order_col, "ascending")] if order_col else []
     )
 
-    def stamp(t: pa.Table) -> pa.Table:
+    def prep(t: pa.Table) -> pa.Table:
         t = t.select(sel)
-        t = t.filter(pc.and_(pc.is_valid(t.column(key)), pc.is_valid(t.column(ts_col))))
-        return t.append_column("_bucket", pa.array(bucket_of(t.column(key), num_buckets)))
+        return t.filter(pc.and_(pc.is_valid(t.column(key)), pc.is_valid(t.column(ts_col))))
 
     def fold(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
-        g = g.take(pc.sort_indices(g, sort_keys=order)).combine_chunks()
+        g, new_key = _sorted_runs(g, order, key)
         n = g.num_rows
         us = np.asarray(g.column(ts_col).cast(pa.int64()))
         kcol = g.column(key)
-        new_key = _run_boundaries(kcol, n)
         new_sess = new_key.copy()
         if n > 1:
             new_sess[1:] |= (us[1:] - us[:-1]) > gap_us
@@ -922,11 +931,7 @@ def sessionize(
             }
         )
 
-    return (
-        ds.map_batches(stamp, batch_format="pyarrow", batch_size=batch_size)
-        .groupby("_bucket")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    return _by_key(ds, key, fold, num_buckets, batch_size, prep=prep)
 
 
 def hopping_window_agg(
@@ -1014,21 +1019,14 @@ def grouped_quantile(
     for name, q in qs.items():
         if not 0.0 <= float(q) <= 1.0:
             raise ValueError(f"quantile {name}={q} outside [0, 1]")
-    from raycdc.util import bucket_of
 
-    def stamp(t: pa.Table) -> pa.Table:
-        t = t.select([key, col])
-        t = t.filter(pc.is_valid(t.column(col)))
-        return t.append_column("_bucket", pa.array(bucket_of(t.column(key), num_buckets)))
+    def prep(t: pa.Table) -> pa.Table:
+        return t.select([key, col]).filter(pc.is_valid(t.column(col)))
 
     def fold(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
-        g = g.take(
-            pc.sort_indices(g, sort_keys=[(key, "ascending"), (col, "ascending")])
-        ).combine_chunks()
+        g, new_key = _sorted_runs(g, [(key, "ascending"), (col, "ascending")], key)
         n = g.num_rows
         kcol, vals = g.column(key), g.column(col)
-        new_key = _run_boundaries(kcol, n)
         starts = np.flatnonzero(new_key)
         cnt = np.r_[starts[1:], n] - starts
         cols = {key: kcol.take(pa.array(starts))}
@@ -1037,11 +1035,7 @@ def grouped_quantile(
             cols[name] = vals.take(pa.array(starts + off))
         return pa.table(cols)
 
-    return (
-        ds.map_batches(stamp, batch_format="pyarrow", batch_size=batch_size)
-        .groupby("_bucket")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    return _by_key(ds, key, fold, num_buckets, batch_size, prep=prep)
 
 
 def grouped_nunique(
@@ -1054,7 +1048,7 @@ def grouped_nunique(
 ) -> ray.data.Dataset:
     """EXACT ``COUNT(DISTINCT col) GROUP BY key`` without shuffling rows:
 
-    1. per-batch local pair dedup (``pyarrow group_by`` — one row per
+    1. per-batch local pair dedup (:func:`_distinct` — one row per
        (key, col) pair per batch leaves the batch);
     2. ONE bounded shuffle of the pairs, bucketed on hash(key, col) so a
        hot KEY spreads over all buckets (the distinct pairs of one key
@@ -1066,29 +1060,16 @@ def grouped_nunique(
     keys form one group. Exact at any scale the distinct-PAIR set
     shuffles; for approximate-at-any-cardinality use a sketch instead.
     """
-    from raycdc.util import bucket_of, splitmix64, str_hash_u64
-
     def local(t: pa.Table) -> pa.Table:
-        t = t.select([key, col])
-        t = t.filter(pc.is_valid(t.column(col)))
-        u = t.group_by([key, col]).aggregate([])
-        h = splitmix64(
-            str_hash_u64(u.column(key).cast(pa.string()))
-            ^ str_hash_u64(u.column(col).cast(pa.string()), seed=1)
-        )
-        b = (h % np.uint64(num_buckets)).astype(np.int32)
-        return u.append_column("_bucket", pa.array(b))
+        t = t.select([key, col]).filter(pc.is_valid(t.column(col)))
+        return _distinct(t, [key, col])
 
     def fold(g: pa.Table) -> pa.Table:
-        u = g.drop_columns(["_bucket"]).group_by([key, col]).aggregate([])
+        u = _distinct(g, [key, col])
         c = u.group_by([key]).aggregate([(col, "count", pc.CountOptions(mode="all"))])
         return c.rename_columns(["_partial" if n == f"{col}_count" else n for n in c.column_names])
 
-    partials = (
-        ds.map_batches(local, batch_format="pyarrow", batch_size=batch_size)
-        .groupby("_bucket")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    partials = _by_key(ds, [key, col], fold, num_buckets, batch_size, prep=local)
     return partials.groupby(key).aggregate(Sum("_partial", alias_name=out_col))
 
 
@@ -1144,8 +1125,6 @@ def _hll_sketch_batch(t: pa.Table, key: str, col: str, p: int) -> pa.Table:
     ``2**p``-byte register block (fixed-size binary) — the mergeable
     partial both the count-distinct and the set-overlap estimators
     share."""
-    from raycdc.util import str_hash_u64
-
     m = 1 << p
     t = t.select([key, col])
     t = t.filter(pc.is_valid(t.column(col)))
@@ -1321,9 +1300,7 @@ def grouped_quantile_hist(
                                batch_size=batch_size)
 
     def fold(g: pa.Table) -> pa.Table:
-        g = g.take(
-            pc.sort_indices(g, sort_keys=[(key, "ascending"), (col, "ascending")])
-        ).combine_chunks()
+        g, new_key = _sorted_runs(g, [(key, "ascending"), (col, "ascending")], key)
         n = g.num_rows
         kcol, vals = g.column(key), g.column(col)
         if n == 0:
@@ -1331,7 +1308,6 @@ def grouped_quantile_hist(
                 {key: kcol, **{name: vals for name in qs}}
             )
         cnt = np.asarray(g.column("_cnt")).astype(np.int64)
-        new_key = _run_boundaries(kcol, n)
         starts = np.flatnonzero(new_key)
         # per-key cumulative histogram (global cumsum re-based per key)
         csum = np.cumsum(cnt)
@@ -1383,23 +1359,18 @@ def grouped_concat(
     keys form one group. Pass a total ``order_cols`` (e.g. ts + LSN) for
     replay-stable output. Contract: one key's concatenated payload fits
     a worker — entity-sized sequences, not corpus-sized."""
-    from raycdc.util import bucket_of
-
     sel = list(dict.fromkeys([key, val_col, *order_cols]))
     order = [(key, "ascending")] + [(c, "ascending") for c in order_cols]
 
-    def stamp(t: pa.Table) -> pa.Table:
+    def prep(t: pa.Table) -> pa.Table:
         t = t.select(sel)
-        t = t.filter(pc.is_valid(t.column(val_col)))
-        return t.append_column("_bucket", pa.array(bucket_of(t.column(key), num_buckets)))
+        return t.filter(pc.is_valid(t.column(val_col)))
 
     def fold(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
-        g = g.take(pc.sort_indices(g, sort_keys=order)).combine_chunks()
+        g, new_key = _sorted_runs(g, order, key)
         n = g.num_rows
         kcol = g.column(key)
         vals = g.column(val_col).cast(pa.string()).combine_chunks()
-        new_key = _run_boundaries(kcol, n)
         starts = np.flatnonzero(new_key)
         offsets = pa.array(np.r_[starts, n].astype(np.int32))
         lists = pa.ListArray.from_arrays(offsets, vals)
@@ -1407,11 +1378,7 @@ def grouped_concat(
             {key: kcol.take(pa.array(starts)), out_col: pc.binary_join(lists, sep)}
         )
 
-    return (
-        ds.map_batches(stamp, batch_format="pyarrow", batch_size=batch_size)
-        .groupby("_bucket")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    return _by_key(ds, key, fold, num_buckets, batch_size, prep=prep)
 
 
 def grouped_ntile(
@@ -1435,18 +1402,11 @@ def grouped_ntile(
     group (SQL PARTITION BY convention)."""
     if n_tiles < 1:
         raise ValueError("n_tiles must be >= 1")
-    from raycdc.util import bucket_of
-
     order = [(key, "ascending")] + [(c, "ascending") for c in order_cols]
 
-    def stamp(t: pa.Table) -> pa.Table:
-        return t.append_column("_bucket", pa.array(bucket_of(t.column(key), num_buckets)))
-
     def fold(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
-        g = g.take(pc.sort_indices(g, sort_keys=order)).combine_chunks()
+        g, new_key = _sorted_runs(g, order, key)
         n = g.num_rows
-        new_key = _run_boundaries(g.column(key), n)
         starts_at = np.maximum.accumulate(np.where(new_key, np.arange(n), 0))
         rank = np.arange(n) - starts_at  # 0-based within key
         sizes = np.flatnonzero(new_key)
@@ -1462,11 +1422,7 @@ def grouped_ntile(
         ) + 1
         return g.append_column(out_col, pa.array(tile.astype(np.int64)))
 
-    return (
-        ds.map_batches(stamp, batch_format="pyarrow", batch_size=batch_size)
-        .groupby("_bucket")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    return _by_key(ds, key, fold, num_buckets, batch_size)
 
 
 def grouped_lag(
@@ -1491,28 +1447,17 @@ def grouped_lag(
     replay-stable output; NULL keys form one group."""
     if periods < 1:
         raise ValueError("periods must be >= 1")
-    from raycdc.util import bucket_of
-
     order = [(key, "ascending")] + [(c, "ascending") for c in order_cols]
 
-    def stamp(t: pa.Table) -> pa.Table:
-        return t.append_column("_bucket", pa.array(bucket_of(t.column(key), num_buckets)))
-
     def fold(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
-        g = g.take(pc.sort_indices(g, sort_keys=order)).combine_chunks()
+        g, new_key = _sorted_runs(g, order, key)
         n = g.num_rows
-        new_key = _run_boundaries(g.column(key), n)
         key_start = np.maximum.accumulate(np.where(new_key, np.arange(n), 0))
         pos = np.arange(n)
         lagged = pa.array(pos - periods, mask=(pos - key_start) < periods)
         return g.append_column(out_col, g.column(val_col).take(lagged))
 
-    return (
-        ds.map_batches(stamp, batch_format="pyarrow", batch_size=batch_size)
-        .groupby("_bucket")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    return _by_key(ds, key, fold, num_buckets, batch_size)
 
 
 def grouped_cumsum(
@@ -1536,19 +1481,12 @@ def grouped_cumsum(
     Shape: ONE bounded hash-bucket shuffle on ``key``, vectorized
     in-bucket kernel — global cumsum re-based at each key start (the
     same two-mask trick as :func:`grouped_quantile_hist`)."""
-    from raycdc.util import bucket_of
-
     order = [(key, "ascending")] + [(c, "ascending") for c in order_cols]
 
-    def stamp(t: pa.Table) -> pa.Table:
-        return t.append_column("_bucket", pa.array(bucket_of(t.column(key), num_buckets)))
-
     def fold(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
-        g = g.take(pc.sort_indices(g, sort_keys=order)).combine_chunks()
+        g, new_key = _sorted_runs(g, order, key)
         n = g.num_rows
         vals = np.asarray(g.column(val_col).cast(pa.int64()).fill_null(0))
-        new_key = _run_boundaries(g.column(key), n)
         csum = np.cumsum(vals)
         # re-base at each key start: run[i] = csum[i] - csum[start-1], so
         # the key-start row's own value stays in
@@ -1557,11 +1495,7 @@ def grouped_cumsum(
         ]
         return g.append_column(out_col, pa.array((csum - base).astype(np.int64)))
 
-    return (
-        ds.map_batches(stamp, batch_format="pyarrow", batch_size=batch_size)
-        .groupby("_bucket")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    return _by_key(ds, key, fold, num_buckets, batch_size)
 
 
 def grouped_rolling_sum(
@@ -1585,19 +1519,12 @@ def grouped_rolling_sum(
     — two O(n) numpy passes, no per-row Python."""
     if window < 1:
         raise ValueError("window must be >= 1")
-    from raycdc.util import bucket_of
-
     order = [(key, "ascending")] + [(c, "ascending") for c in order_cols]
 
-    def stamp(t: pa.Table) -> pa.Table:
-        return t.append_column("_bucket", pa.array(bucket_of(t.column(key), num_buckets)))
-
     def fold(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
-        g = g.take(pc.sort_indices(g, sort_keys=order)).combine_chunks()
+        g, new_key = _sorted_runs(g, order, key)
         n = g.num_rows
         vals = np.asarray(g.column(val_col).cast(pa.int64()).fill_null(0))
-        new_key = _run_boundaries(g.column(key), n)
         csum0 = np.concatenate([[0], np.cumsum(vals)])
         key_start = np.maximum.accumulate(np.where(new_key, np.arange(n), 0))
         lo = np.maximum(key_start, np.arange(n) - (window - 1))
@@ -1605,11 +1532,7 @@ def grouped_rolling_sum(
             out_col, pa.array((csum0[1:] - csum0[lo]).astype(np.int64))
         )
 
-    return (
-        ds.map_batches(stamp, batch_format="pyarrow", batch_size=batch_size)
-        .groupby("_bucket")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    return _by_key(ds, key, fold, num_buckets, batch_size)
 
 
 def rollup_agg(
@@ -1814,8 +1737,6 @@ def grouped_rank(
     is a vectorized sort + run-boundary masks + cumulative maxima — no
     per-row Python. NULL keys form one group; consecutive NULL tie
     values tie (SQL PARTITION BY / ORDER BY null conventions)."""
-    from raycdc.util import bucket_of
-
     tie_cols = list(order_cols) if tie_cols is None else list(tie_cols)
     if not set(tie_cols) <= set(order_cols):
         raise ValueError("tie_cols must be a subset of order_cols")
@@ -1826,14 +1747,9 @@ def grouped_rank(
         (c, "descending" if d else "ascending") for c, d in zip(order_cols, desc)
     ]
 
-    def stamp(t: pa.Table) -> pa.Table:
-        return t.append_column("_bucket", pa.array(bucket_of(t.column(key), num_buckets)))
-
     def fold(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
-        g = g.take(pc.sort_indices(g, sort_keys=order)).combine_chunks()
+        g, new_key = _sorted_runs(g, order, key)
         n = g.num_rows
-        new_key = _run_boundaries(g.column(key), n)
         pos = np.arange(n)
         key_start = np.maximum.accumulate(np.where(new_key, pos, 0))
         if rn_col is not None:
@@ -1884,11 +1800,7 @@ def grouped_rank(
                     g = g.append_column(cd_col, pa.array(cdv, pa.float64()))
         return g
 
-    return (
-        ds.map_batches(stamp, batch_format="pyarrow", batch_size=batch_size)
-        .groupby("_bucket")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    return _by_key(ds, key, fold, num_buckets, batch_size)
 
 
 def unpivot(
@@ -2118,18 +2030,11 @@ def grouped_lead(
     sort + masked index take."""
     if periods < 1:
         raise ValueError("periods must be >= 1")
-    from raycdc.util import bucket_of
-
     order = [(key, "ascending")] + [(c, "ascending") for c in order_cols]
 
-    def stamp(t: pa.Table) -> pa.Table:
-        return t.append_column("_bucket", pa.array(bucket_of(t.column(key), num_buckets)))
-
     def fold(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
-        g = g.take(pc.sort_indices(g, sort_keys=order)).combine_chunks()
+        g, new_key = _sorted_runs(g, order, key)
         n = g.num_rows
-        new_key = _run_boundaries(g.column(key), n)
         pos = np.arange(n)
         # key_end[i] = last index of i's key run: next run's start - 1
         starts = np.flatnonzero(new_key)
@@ -2138,11 +2043,7 @@ def grouped_lead(
         led = pa.array(pos + periods, mask=(key_end - pos) < periods)
         return g.append_column(out_col, g.column(val_col).take(led))
 
-    return (
-        ds.map_batches(stamp, batch_format="pyarrow", batch_size=batch_size)
-        .groupby("_bucket")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    return _by_key(ds, key, fold, num_buckets, batch_size)
 
 
 def grouped_first_last(
@@ -2161,18 +2062,11 @@ def grouped_first_last(
     key's first and/or last value in the given order. One bounded
     hash-bucket shuffle; in-bucket the values are gathered with two
     Arrow takes at the key-run boundary indices."""
-    from raycdc.util import bucket_of
-
     order = [(key, "ascending")] + [(c, "ascending") for c in order_cols]
 
-    def stamp(t: pa.Table) -> pa.Table:
-        return t.append_column("_bucket", pa.array(bucket_of(t.column(key), num_buckets)))
-
     def fold(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
-        g = g.take(pc.sort_indices(g, sort_keys=order)).combine_chunks()
+        g, new_key = _sorted_runs(g, order, key)
         n = g.num_rows
-        new_key = _run_boundaries(g.column(key), n)
         pos = np.arange(n)
         key_start = np.maximum.accumulate(np.where(new_key, pos, 0))
         if first_col is not None:
@@ -2184,11 +2078,7 @@ def grouped_first_last(
             g = g.append_column(last_col, g.column(val_col).take(pa.array(key_end)))
         return g
 
-    return (
-        ds.map_batches(stamp, batch_format="pyarrow", batch_size=batch_size)
-        .groupby("_bucket")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    return _by_key(ds, key, fold, num_buckets, batch_size)
 
 
 def grouped_quantile_cont(
@@ -2215,22 +2105,15 @@ def grouped_quantile_cont(
     for name, q in qs.items():
         if not 0.0 <= float(q) <= 1.0:
             raise ValueError(f"quantile {name}={q} outside [0, 1]")
-    from raycdc.util import bucket_of
 
-    def stamp(t: pa.Table) -> pa.Table:
-        t = t.select([key, col])
-        t = t.filter(pc.is_valid(t.column(col)))
-        return t.append_column("_bucket", pa.array(bucket_of(t.column(key), num_buckets)))
+    def prep(t: pa.Table) -> pa.Table:
+        return t.select([key, col]).filter(pc.is_valid(t.column(col)))
 
     def fold(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
-        g = g.take(
-            pc.sort_indices(g, sort_keys=[(key, "ascending"), (col, "ascending")])
-        ).combine_chunks()
+        g, new_key = _sorted_runs(g, [(key, "ascending"), (col, "ascending")], key)
         n = g.num_rows
         kcol = g.column(key)
         vals = np.asarray(g.column(col).cast(pa.float64()))
-        new_key = _run_boundaries(kcol, n)
         starts = np.flatnonzero(new_key)
         cnt = np.r_[starts[1:], n] - starts
         cols = {key: kcol.take(pa.array(starts))}
@@ -2243,11 +2126,7 @@ def grouped_quantile_cont(
             cols[name] = pa.array(lo * (np.float64(1.0) - d) + hi * d, pa.float64())
         return pa.table(cols)
 
-    return (
-        ds.map_batches(stamp, batch_format="pyarrow", batch_size=batch_size)
-        .groupby("_bucket")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    return _by_key(ds, key, fold, num_buckets, batch_size, prep=prep)
 
 
 def set_op(
@@ -2272,15 +2151,7 @@ def set_op(
     operations do (DISTINCT grouping, not join equality)."""
     if how not in ("intersect", "except", "union"):
         raise ValueError("how must be 'intersect', 'except' or 'union'")
-    from raycdc.util import splitmix64, str_hash_u64
-
     cols = list(left.schema().names) if cols is None else list(cols)
-
-    def bucket_multi(t: pa.Table) -> np.ndarray:
-        h = str_hash_u64(t.column(cols[0]).cast(pa.string()))
-        for i, b in enumerate(cols[1:], 1):
-            h = splitmix64(h ^ str_hash_u64(t.column(b).cast(pa.string()), seed=i))
-        return (h % np.uint64(num_buckets)).astype(np.int32)
 
     def conform(side: int):
         def fn(t: pa.Table) -> pa.Table:
@@ -2289,19 +2160,15 @@ def set_op(
             t = t.group_by(cols).aggregate([]) if t.num_rows else t
             return t.append_column(
                 "_side", pa.array(np.full(t.num_rows, side, dtype=np.int8))
-            ).append_column("_bucket", pa.array(bucket_multi(t)))
+            )
 
         return fn
-
-    tagged = left.map_batches(conform(0), batch_format="pyarrow", batch_size=batch_size).union(
-        right.map_batches(conform(1), batch_format="pyarrow", batch_size=batch_size)
-    )
 
     def fold(g: pa.Table) -> pa.Table:
         import pandas as pd
 
         side = np.asarray(g["_side"])
-        g = g.drop_columns(["_side", "_bucket"])
+        g = g.drop_columns(["_side"])
         df = g.to_pandas()
         in_l = pd.Series(side == 0).groupby([df[c] for c in cols], dropna=False).transform("any")
         in_r = pd.Series(side == 1).groupby([df[c] for c in cols], dropna=False).transform("any")
@@ -2314,7 +2181,9 @@ def set_op(
             keep = first
         return g.filter(pa.array(keep.to_numpy()))
 
-    return tagged.groupby("_bucket").map_groups(fold, batch_format="pyarrow")
+    return _by_key(
+        [left, right], cols, fold, num_buckets, batch_size, prep=[conform(0), conform(1)]
+    )
 
 
 def weighted_sample(
@@ -2344,8 +2213,6 @@ def weighted_sample(
         wv = np.asarray(pc.coalesce(w, pa.scalar(0, pa.int64())))
         wv = np.clip(wv, 0, 16)
         if hash_kernel == "sip":
-            from raycdc.util import str_hash_u64
-
             h = (str_hash_u64(col) % np.uint64(16)).astype(np.int64)
         elif hash_kernel == "md5":
             import hashlib
@@ -2386,8 +2253,6 @@ def grouped_mode(
     vectorized (count desc, value asc) sort + run-boundary gather.
     All-null keys' rows are dropped (SQL aggregate convention); NULL
     keys form one group."""
-    from raycdc.util import bucket_of
-
     pruned = ds.map_batches(
         lambda t: t.select([key, col]).filter(pc.is_valid(t.column(col))),
         batch_format="pyarrow",
@@ -2395,30 +2260,18 @@ def grouped_mode(
     )
     pairs = partial_groupby_agg(pruned, [key, col], {"_n": (col, "count")})
 
-    def stamp(t: pa.Table) -> pa.Table:
-        return t.append_column("_bucket", pa.array(bucket_of(t.column(key), num_buckets)))
-
     def fold(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
-        g = g.take(
-            pc.sort_indices(
-                g,
-                sort_keys=[(key, "ascending"), ("_n", "descending"), (col, "ascending")],
-            )
-        ).combine_chunks()
-        n = g.num_rows
-        starts = np.flatnonzero(_run_boundaries(g.column(key), n))
+        g, new_key = _sorted_runs(
+            g, [(key, "ascending"), ("_n", "descending"), (col, "ascending")], key
+        )
+        starts = np.flatnonzero(new_key)
         cols = {key: g.column(key).take(pa.array(starts)),
                 out_col: g.column(col).take(pa.array(starts))}
         if n_col is not None:
             cols[n_col] = g.column("_n").take(pa.array(starts))
         return pa.table(cols)
 
-    return (
-        pairs.map_batches(stamp, batch_format="pyarrow", batch_size=batch_size)
-        .groupby("_bucket")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    return _by_key(pairs, key, fold, num_buckets, batch_size)
 
 
 def grouped_rolling_agg(
@@ -2448,20 +2301,13 @@ def grouped_rolling_agg(
     for out, (c, kern) in specs.items():
         if kern not in ("sum", "count", "mean", "min", "max"):
             raise ValueError(f"unsupported rolling kernel {kern!r}")
-    from raycdc.util import bucket_of
-
     order = [(key, "ascending")] + [(c, "ascending") for c in order_cols]
-
-    def stamp(t: pa.Table) -> pa.Table:
-        return t.append_column("_bucket", pa.array(bucket_of(t.column(key), num_buckets)))
 
     def fold(g: pa.Table) -> pa.Table:
         import pandas as pd
 
-        g = g.drop_columns(["_bucket"])
-        g = g.take(pc.sort_indices(g, sort_keys=order)).combine_chunks()
+        g, new_key = _sorted_runs(g, order, key)
         n = g.num_rows
-        new_key = _run_boundaries(g.column(key), n)
         pos = np.arange(n)
         key_start = np.maximum.accumulate(np.where(new_key, pos, 0))
         lo = np.maximum(key_start, pos - (window - 1))
@@ -2510,11 +2356,7 @@ def grouped_rolling_agg(
                 )
         return g
 
-    return (
-        ds.map_batches(stamp, batch_format="pyarrow", batch_size=batch_size)
-        .groupby("_bucket")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    return _by_key(ds, key, fold, num_buckets, batch_size)
 
 
 def bloom_build(
@@ -2534,8 +2376,6 @@ def bloom_build(
     ``num_hashes``, usually far less); a combiner groupby dedupes
     indices cluster-wide, and the driver packs the ≤``num_bits``
     distinct indices into the bitmap. No raw keys ever leave a batch."""
-    from raycdc.util import splitmix64, str_hash_u64
-
     nb = np.uint64(num_bits)
 
     def indices(t: pa.Table) -> pa.Table:
@@ -2575,8 +2415,6 @@ def bloom_semi_filter(
     exact semantics; null keys are dropped (they match nothing).
     ``bitmap`` may be the numpy array or an ObjectRef of it."""
     import ray as _ray
-
-    from raycdc.util import splitmix64, str_hash_u64
 
     ref = bitmap if isinstance(bitmap, _ray.ObjectRef) else _ray.put(bitmap)
 
@@ -2661,8 +2499,6 @@ def grouped_array_agg(
     run boundaries — no per-row Python. NULL values are skipped
     (array_agg FILTER convention); all-null keys are dropped; NULL keys
     form one group. Contract: one key's sequence fits a worker."""
-    from raycdc.util import bucket_of
-
     sel = list(dict.fromkeys([key, val_col, *order_cols]))
     order = [(key, "ascending")] + [(c, "ascending") for c in order_cols]
 
@@ -2672,16 +2508,15 @@ def grouped_array_agg(
         df = pa.table({"k": t.column(key), "v": t.column(val_col)}).to_pandas()
         return t.filter(pa.array(~df.duplicated(["k", "v"]).to_numpy()))
 
-    def stamp(t: pa.Table) -> pa.Table:
+    def prep(t: pa.Table) -> pa.Table:
         t = t.select(sel)
         t = t.filter(pc.is_valid(t.column(val_col)))
         if distinct:
             t = t.take(pc.sort_indices(t, sort_keys=order)).combine_chunks()
             t = _first_per_pair(t)
-        return t.append_column("_bucket", pa.array(bucket_of(t.column(key), num_buckets)))
+        return t
 
     def fold(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
         g = g.take(pc.sort_indices(g, sort_keys=order)).combine_chunks()
         if distinct:
             g = _first_per_pair(g).combine_chunks()
@@ -2698,11 +2533,7 @@ def grouped_array_agg(
             }
         )
 
-    return (
-        ds.map_batches(stamp, batch_format="pyarrow", batch_size=batch_size)
-        .groupby("_bucket")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    return _by_key(ds, key, fold, num_buckets, batch_size, prep=prep)
 
 
 def grouped_range_rolling(
@@ -2735,17 +2566,13 @@ def grouped_range_rolling(
     for out, (c, kern) in specs.items():
         if kern not in ("sum", "count", "mean"):
             raise ValueError(f"unsupported range-rolling kernel {kern!r}")
-    from raycdc.util import bucket_of
-
     order = [(key, "ascending"), (ts_col, "ascending")]
 
-    def stamp(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.is_valid(t.column(ts_col)))
-        return t.append_column("_bucket", pa.array(bucket_of(t.column(key), num_buckets)))
+    def prep(t: pa.Table) -> pa.Table:
+        return t.filter(pc.is_valid(t.column(ts_col)))
 
     def fold(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
-        g = g.take(pc.sort_indices(g, sort_keys=order)).combine_chunks()
+        g, new_key = _sorted_runs(g, order, key)
         n = g.num_rows
         if n == 0:
             cols = {c: g.column(c) for c in g.column_names}
@@ -2753,7 +2580,6 @@ def grouped_range_rolling(
                 cols[out] = pa.array([], pa.int64())
             return pa.table(cols)
         ts = np.asarray(g.column(ts_col).cast(pa.int64()))
-        new_key = _run_boundaries(g.column(key), n)
         run_id = (np.cumsum(new_key) - 1).astype(np.int64)
         span = int(ts.max()) - int(ts.min()) + range_delta + 2
         if (run_id[-1] + 1) * span > 2**62:
@@ -2791,11 +2617,7 @@ def grouped_range_rolling(
                 g = g.append_column(out, pa.array(m, pa.float64(), mask=c == 0))
         return g
 
-    return (
-        ds.map_batches(stamp, batch_format="pyarrow", batch_size=batch_size)
-        .groupby("_bucket")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    return _by_key(ds, key, fold, num_buckets, batch_size, prep=prep)
 
 
 def histogram_agg(
@@ -2950,18 +2772,9 @@ def grouped_zscore(
     ``np.repeat`` — no driver dict, works at any key cardinality).
     NULL keys form one group; NULL values don't contribute to the
     moments."""
-    from raycdc.util import bucket_of
-
-    def stamp(t: pa.Table) -> pa.Table:
-        return t.append_column("_bucket", pa.array(bucket_of(t.column(key), num_buckets)))
-
     def fold(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
-        g = g.take(
-            pc.sort_indices(g, sort_keys=[(key, "ascending")])
-        ).combine_chunks()
+        g, new_key = _sorted_runs(g, [(key, "ascending")], key)
         n = g.num_rows
-        new_key = _run_boundaries(g.column(key), n)
         starts = np.flatnonzero(new_key)
         lens = np.r_[starts[1:], n] - starts
         a = g.column(col).cast(pa.float64())
@@ -2981,11 +2794,7 @@ def grouped_zscore(
         bad = ~(np.asarray(pc.is_valid(a))) | (nn == 0) | ~(var > 0)
         return g.append_column(out_col, pa.array(z, pa.float64(), mask=bad))
 
-    return (
-        ds.map_batches(stamp, batch_format="pyarrow", batch_size=batch_size)
-        .groupby("_bucket")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    return _by_key(ds, key, fold, num_buckets, batch_size)
 
 
 def funnel_steps(
@@ -3014,22 +2823,18 @@ def funnel_steps(
     group; NULL ts/type rows are ignored."""
     if not steps:
         raise ValueError("steps must be non-empty")
-    from raycdc.util import bucket_of
 
-    def stamp(t: pa.Table) -> pa.Table:
+    def prep(t: pa.Table) -> pa.Table:
         t = t.select([key, ts_col, type_col])
-        t = t.filter(pc.and_(pc.is_valid(t.column(ts_col)), pc.is_valid(t.column(type_col))))
-        return t.append_column("_bucket", pa.array(bucket_of(t.column(key), num_buckets)))
+        return t.filter(pc.and_(pc.is_valid(t.column(ts_col)), pc.is_valid(t.column(type_col))))
 
     def fold(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
-        g = g.take(pc.sort_indices(g, sort_keys=[(key, "ascending")])).combine_chunks()
+        g, new_key = _sorted_runs(g, [(key, "ascending")], key)
         n = g.num_rows
         if n == 0:
             return pa.table({key: g.column(key), out_col: pa.array([], pa.int64())})
         ts = np.asarray(g.column(ts_col).cast(pa.int64()), dtype=np.float64)
         et = g.column(type_col)
-        new_key = _run_boundaries(g.column(key), n)
         starts = np.flatnonzero(new_key)
         lens = np.r_[starts[1:], n] - starts
         reached = np.zeros(len(starts), dtype=np.int64)
@@ -3058,11 +2863,7 @@ def funnel_steps(
              out_col: pa.array(reached)}
         )
 
-    return (
-        ds.map_batches(stamp, batch_format="pyarrow", batch_size=batch_size)
-        .groupby("_bucket")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    return _by_key(ds, key, fold, num_buckets, batch_size, prep=prep)
 
 
 def grouped_normalize(
@@ -3088,16 +2889,10 @@ def grouped_normalize(
     if method not in ("minmax", "share"):
         raise ValueError("method must be 'minmax' or 'share'")
     out_col = out_col or method
-    from raycdc.util import bucket_of
-
-    def stamp(t: pa.Table) -> pa.Table:
-        return t.append_column("_bucket", pa.array(bucket_of(t.column(key), num_buckets)))
 
     def fold(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
-        g = g.take(pc.sort_indices(g, sort_keys=[(key, "ascending")])).combine_chunks()
+        g, new_key = _sorted_runs(g, [(key, "ascending")], key)
         n = g.num_rows
-        new_key = _run_boundaries(g.column(key), n)
         starts = np.flatnonzero(new_key)
         ends = np.r_[starts[1:], n]
         lens = ends - starts
@@ -3119,11 +2914,7 @@ def grouped_normalize(
                 bad = ~valid_b | ~np.isfinite(gmin) | (gmax == gmin)
         return g.append_column(out_col, pa.array(v, pa.float64(), mask=bad))
 
-    return (
-        ds.map_batches(stamp, batch_format="pyarrow", batch_size=batch_size)
-        .groupby("_bucket")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    return _by_key(ds, key, fold, num_buckets, batch_size)
 
 
 def cross_join(
@@ -3183,11 +2974,8 @@ def grouped_mad(
     the first, one ``np.lexsort`` of (run, |dev|) for the second; per
     group, interpolated rank gathers only. NULL values are dropped
     up-front (oracle: ``WHERE x IS NOT NULL``); NULL keys one group."""
-    from raycdc.util import bucket_of
-
-    def stamp(t: pa.Table) -> pa.Table:
-        t = t.select([key, col]).filter(pc.is_valid(t.column(col)))
-        return t.append_column("_bucket", pa.array(bucket_of(t.column(key), num_buckets)))
+    def prep(t: pa.Table) -> pa.Table:
+        return t.select([key, col]).filter(pc.is_valid(t.column(col)))
 
     def _interp_median(xs: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
         # DuckDB quantile_cont arithmetic at q=0.5: RN=(n-1)*0.5,
@@ -3200,10 +2988,7 @@ def grouped_mad(
         return xs[ilo] * (1.0 - d) + xs[ihi] * d
 
     def fold(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
-        g = g.take(
-            pc.sort_indices(g, sort_keys=[(key, "ascending"), (col, "ascending")])
-        ).combine_chunks()
+        g, new_key = _sorted_runs(g, [(key, "ascending"), (col, "ascending")], key)
         n = g.num_rows
         if n == 0:
             out = {key: g.column(key), mad_col: pa.array([], pa.float64())}
@@ -3211,7 +2996,6 @@ def grouped_mad(
                 out = {key: g.column(key), med_col: pa.array([], pa.float64()),
                        mad_col: pa.array([], pa.float64())}
             return pa.table(out)
-        new_key = _run_boundaries(g.column(key), n)
         starts = np.flatnonzero(new_key)
         lens = np.r_[starts[1:], n] - starts
         xs = np.asarray(g.column(col).cast(pa.float64()))
@@ -3226,11 +3010,7 @@ def grouped_mad(
         out[mad_col] = pa.array(mad, pa.float64())
         return pa.table(out)
 
-    return (
-        ds.map_batches(stamp, batch_format="pyarrow", batch_size=batch_size)
-        .groupby("_bucket")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    return _by_key(ds, key, fold, num_buckets, batch_size, prep=prep)
 
 
 def grouped_entropy(
@@ -3305,15 +3085,11 @@ def grouped_arg_extreme(
     vdir = "descending" if mode == "max" else "ascending"
 
     def reduce_one(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.is_valid(t.column(val_col)))
-        n = t.num_rows
-        if n == 0:
-            return t
-        t = t.take(pc.sort_indices(t, sort_keys=[
-            (key, "ascending"), (val_col, vdir), (arg_col, "ascending")
-        ])).combine_chunks()
-        starts = np.flatnonzero(_run_boundaries(t.column(key), t.num_rows))
-        return t.take(pa.array(starts))
+        t, new_key = _sorted_runs(
+            t.filter(pc.is_valid(t.column(val_col))),
+            [(key, "ascending"), (val_col, vdir), (arg_col, "ascending")], key,
+        )
+        return t.take(pa.array(np.flatnonzero(new_key)))
 
     def partial(t: pa.Table) -> pa.Table:
         return reduce_one(t.select([key, val_col, arg_col]))
@@ -3361,16 +3137,11 @@ def grouped_quantile_sketch(
     for name, q in qs.items():
         if not 0.0 <= float(q) <= 1.0:
             raise ValueError(f"quantile {name}={q} outside [0, 1]")
-    from raycdc.util import str_hash_u64
 
     def bottom_k(t: pa.Table) -> pa.Table:
         # per-key bottom-k by hash: sort (key, h), keep run-local pos < k
-        t = t.take(pc.sort_indices(t, sort_keys=[(key, "ascending"), ("_h", "ascending")]))
-        t = t.combine_chunks()
+        t, new_key = _sorted_runs(t, [(key, "ascending"), ("_h", "ascending")], key)
         n = t.num_rows
-        if n == 0:
-            return t
-        new_key = _run_boundaries(t.column(key), n)
         starts = np.flatnonzero(new_key)
         run = np.cumsum(new_key) - 1
         pos = np.arange(n) - starts[run]
@@ -3430,19 +3201,15 @@ def merge_intervals(
     run-id·RANGE (runs are visited in order, so the offset keeps each
     run's prefix independent), islands are a cumsum of boundary flags,
     and window extents are gathered at island run edges."""
-    from raycdc.util import bucket_of
-
-    def stamp(t: pa.Table) -> pa.Table:
+    def prep(t: pa.Table) -> pa.Table:
         t = t.select([key, start_col, end_col])
-        t = t.filter(pc.and_(pc.is_valid(t.column(start_col)),
-                             pc.is_valid(t.column(end_col))))
-        return t.append_column("_bucket", pa.array(bucket_of(t.column(key), num_buckets)))
+        return t.filter(pc.and_(pc.is_valid(t.column(start_col)),
+                                pc.is_valid(t.column(end_col))))
 
     def fold(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
-        g = g.take(pc.sort_indices(g, sort_keys=[
-            (key, "ascending"), (start_col, "ascending"), (end_col, "ascending")
-        ])).combine_chunks()
+        g, new_key = _sorted_runs(
+            g, [(key, "ascending"), (start_col, "ascending"), (end_col, "ascending")], key
+        )
         n = g.num_rows
         cols = {key: g.column(key).slice(0, 0),
                 out_start: pa.array([], pa.int64()),
@@ -3451,7 +3218,6 @@ def merge_intervals(
             cols[count_col] = pa.array([], pa.int64())
         if n == 0:
             return pa.table(cols)
-        new_key = _run_boundaries(g.column(key), n)
         run = np.cumsum(new_key) - 1
         s = np.asarray(g.column(start_col).cast(pa.int64()))
         e = np.asarray(g.column(end_col).cast(pa.int64()))
@@ -3476,11 +3242,7 @@ def merge_intervals(
             out[count_col] = pa.array(lens, pa.int64())
         return pa.table(out)
 
-    return (
-        ds.map_batches(stamp, batch_format="pyarrow", batch_size=batch_size)
-        .groupby("_bucket")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    return _by_key(ds, key, fold, num_buckets, batch_size, prep=prep)
 
 
 def grouped_locf(
@@ -3500,20 +3262,13 @@ def grouped_locf(
     is one vectorized pass — the index of each row's latest valid row is
     a ``np.maximum.accumulate`` over (position where valid, run-start at
     key changes), then a single Arrow take."""
-    from raycdc.util import bucket_of
-
     order = [(key, "ascending")] + [(c, "ascending") for c in order_cols]
 
-    def stamp(t: pa.Table) -> pa.Table:
-        return t.append_column("_bucket", pa.array(bucket_of(t.column(key), num_buckets)))
-
     def fold(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
-        g = g.take(pc.sort_indices(g, sort_keys=order)).combine_chunks()
+        g, new_key = _sorted_runs(g, order, key)
         n = g.num_rows
         if n == 0:
             return g.append_column(out_col, g.column(val_col))
-        new_key = _run_boundaries(g.column(key), n)
         starts = np.flatnonzero(new_key)
         run = np.cumsum(new_key) - 1
         pos = np.arange(n)
@@ -3534,11 +3289,7 @@ def grouped_locf(
         )
         return g.append_column(out_col, filled)
 
-    return (
-        ds.map_batches(stamp, batch_format="pyarrow", batch_size=batch_size)
-        .groupby("_bucket")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    return _by_key(ds, key, fold, num_buckets, batch_size)
 
 
 def shared_scan_agg(
@@ -3619,8 +3370,6 @@ def corr_join_sketch(
     Accuracy is O(1/sqrt(k)) — pytest-gated, not SQL-oracled. Assumes
     ``key`` is unique per side (dimension-style inputs); duplicate keys
     are sampled all-or-none, which keeps the estimator unbiased."""
-    from raycdc.util import str_hash_u64
-
     def side_sample(ds: ray.data.Dataset, val: str) -> dict:
         def partial(t: pa.Table) -> pa.Table:
             t = t.select([key, val]).filter(pc.is_valid(t.column(val)))
@@ -3802,27 +3551,14 @@ def distinct_rows(
     batch_size: int = 65536,
 ) -> ray.data.Dataset:
     """Exact DISTINCT over ``cols`` with the combiner shape: per-batch
-    local dedup (pyarrow group_by), ONE bounded hash-bucket shuffle
-    (never a group per distinct value), in-bucket vectorized dedup."""
-    from raycdc.util import bucket_of
+    local dedup, ONE bounded hash-bucket shuffle (never a group per
+    distinct value), in-bucket dedup; both dedups are :func:`_distinct`
+    (NULLs compare equal)."""
 
-    def local(t: pa.Table) -> pa.Table:
-        t = t.select(cols).group_by(cols).aggregate([])
-        h = bucket_of(t.column(cols[0]), 1 << 30).astype(np.uint64)
-        for c in cols[1:]:
-            h = h * np.uint64(1099511628211) + bucket_of(
-                t.column(c), 1 << 30).astype(np.uint64)
-        return t.append_column(
-            "_bucket", pa.array((h % np.uint64(num_buckets)).astype(np.int64)))
+    def dedup(t: pa.Table) -> pa.Table:
+        return _distinct(t.select(cols), cols)
 
-    def fold(g: pa.Table) -> pa.Table:
-        return g.drop_columns(["_bucket"]).group_by(cols).aggregate([])
-
-    return (
-        ds.map_batches(local, batch_format="pyarrow", batch_size=batch_size)
-        .groupby("_bucket")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    return _by_key(ds, cols, dedup, num_buckets, batch_size, prep=dedup)
 
 
 def zorder_key(

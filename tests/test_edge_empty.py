@@ -121,3 +121,18 @@ def test_shared_scan_and_bm25_on_empty_and_single():
     empty_docs = rd.from_arrow(pa.table({"doc_id": pa.array([], pa.string()),
                                          "text": pa.array([], pa.string())}))
     assert _n(bm25_topk(empty_docs, ["hash"], k=5)) == 0
+
+
+def test_composite_bucket_and_pair_shuffles_on_empty_input():
+    from raycdc.extras.dedup import exact_jaccard_pairs
+    from raycdc.ops import distinct_rows
+    from raycdc.util import bucket_of
+
+    b = bucket_of([EMPTY.column("k"), EMPTY.column("v")], 8)
+    assert b.dtype == "int32" and len(b) == 0
+    e = rd.from_arrow(EMPTY)
+    assert _n(distinct_rows(e, ["k", "v"])) == 0
+    assert _n(hash_join(e, e, ["k", "v"])) == 0
+    docs = rd.from_arrow(pa.table({"doc_id": pa.array([], pa.string()),
+                                   "text": pa.array([], pa.string())}))
+    assert _n(exact_jaccard_pairs(docs, threshold=0.2)) == 0

@@ -449,6 +449,33 @@ def test_l0_run_pruning_metadata(tmp_path):
     assert collect(lk.read()).num_rows == len(lo) + len(hi)
 
 
+def test_bucket_of_values_are_pinned():
+    """``bucket_of`` IS the lake's bucket layout: these literal buckets
+    must never change. The two-column key pins the composite combine
+    (``splitmix64(h ^ str_hash_u64(col_i, seed=i))``) that hash_join,
+    asof_join and set_op bucket by."""
+    from raycdc.util import bucket_of
+
+    strs = pa.array(["doc-0001", "", "Zürich", "日本語テキスト", "naïve café", None])
+    ints = pa.array([0, 1, -7, 2**40, None], pa.int64())
+    a = pa.array(["u1", "u2", "u1", None, "ü"])
+    b = pa.array([1, 1, 2, 3, None], pa.int64())
+    pinned = {
+        64: ([9, 23, 17, 54, 7, 21], [59, 31, 8, 22, 21], [34, 20, 17, 46, 50]),
+        1_000_003: (
+            [54934, 879302, 778604, 437074, 127123, 321365],
+            [363928, 270822, 941052, 492424, 321365],
+            [971469, 508421, 273216, 44026, 784782],
+        ),
+    }
+    for nb, (want_s, want_i, want_ab) in pinned.items():
+        for keys, want in ((strs, want_s), (ints, want_i), ([a, b], want_ab)):
+            got = bucket_of(keys, nb)
+            assert got.dtype == "int32"
+            assert got.tolist() == want, (nb, keys)
+        assert bucket_of([strs], nb).tolist() == want_s
+
+
 def _range_fold_lake(tmp_path):
     """A 128-partition lake whose pending state mixes every merge-on-read
     case: bases carrying tombstones, a run spanning more than 64 buckets

@@ -984,6 +984,53 @@ def test_set_op_matches_sql_set_operations():
             assert ((got[c].to_numpy() == want[c].to_numpy()) | nn).all(), (how, c)
 
 
+def test_distinct_rows_matches_sql_distinct():
+    """Nulls in a mixed string/int key: pyarrow 16's multi-key group_by
+    returns duplicate groups on such data, so DuckDB is the reference."""
+    from raycdc.ops import distinct_rows
+
+    rng = np.random.default_rng(1202)
+    n = 300
+    base = pa.table(
+        {
+            "a": pa.array(np.where(rng.random(n) < 0.1, None, rng.integers(0, 12, n)),
+                          type=pa.int64()),
+            "b": pa.array(rng.choice(["x", "y", "ü", None], n)),
+            "c": pa.array(np.where(rng.random(n) < 0.1, None, rng.integers(0, 3, n)),
+                          type=pa.int64()),
+        }
+    )
+    # every row three times, shuffled, so duplicates land in different blocks
+    t = pa.concat_tables([base] * 3).take(pa.array(rng.permutation(3 * n)))
+    cols = ["a", "b", "c"]
+    got = pa.concat_tables(
+        distinct_rows(rd.from_arrow(t).repartition(3), cols, num_buckets=4)
+        .iter_batches(batch_size=None, batch_format="pyarrow")
+    )
+    want = _duck(t, "SELECT DISTINCT a, b, c FROM events")
+    order = [(c, "ascending") for c in cols]
+
+    def canon(x):
+        return x.select(cols).take(pc.sort_indices(x, sort_keys=order, null_placement="at_end"))
+
+    assert got.num_rows == want.num_rows < n
+    assert canon(got).equals(canon(want))
+
+
+def test_grouped_nunique_null_string_key():
+    t = pa.table(
+        {
+            "k": pa.array(np.random.default_rng(1203).choice(["a", "ü", None], 3000)),
+            "v": pa.array(np.arange(3000) % 40, pa.int64()),
+        }
+    )
+    out = grouped_nunique(rd.from_arrow(t).repartition(3), "k", "v", num_buckets=4)
+    df = out.to_pandas()
+    got = dict(zip(df["k"], df["n_unique"]))
+    want = _duck(t, "SELECT k, count(DISTINCT v) AS n FROM events GROUP BY k")
+    assert got == dict(zip(want["k"].to_pylist(), want["n"].to_pylist()))
+
+
 def test_weighted_sample_kernels_and_rates():
     from raycdc.ops import weighted_sample
 
