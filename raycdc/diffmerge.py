@@ -28,7 +28,9 @@ import hashlib
 import hmac
 import json
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 try:  # sandbox ships cryptography; stay import-safe anyway
     from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -63,6 +65,7 @@ def seal(
     salt: bytes = DEFAULT_SALT,
     _key: bytes | None = None,
     _aes=None,
+    _mac=None,
 ) -> bytes:
     """Deterministic authenticated envelope: AES-256-GCM, SIV-style.
 
@@ -71,14 +74,17 @@ def seal(
     epochs) but an attacker without the password can neither confirm a
     guessed payload offline nor link equal payloads across keys (an
     unkeyed payload hash would leak both). Batch callers pass a
-    pre-derived ``_key`` (KDF once per batch, not per row) and a hoisted
+    pre-derived ``_key`` (KDF once per batch, not per row), a hoisted
     ``_aes`` cipher object (constructing ``AESGCM`` per row costs more
-    than the encryption of a small payload); ``hmac.digest`` is the
-    one-shot C path."""
+    than the encryption of a small payload) and a hoisted ``_mac`` =
+    ``hmac.new(key, digestmod=hashlib.sha256)``, copied per payload so
+    the keyed HMAC state is set up once per batch."""
     if not HAVE_CRYPTO:  # pragma: no cover
         raise NotImplementedError("cryptography library unavailable")
     key = _key if _key is not None else _derive_key(password, iterations, salt)
-    nonce = hmac.digest(key, payload, "sha256")[:12]
+    mac = _mac.copy() if _mac is not None else hmac.new(key, digestmod=hashlib.sha256)
+    mac.update(payload)
+    nonce = mac.digest()[:12]
     aes = _aes if _aes is not None else AESGCM(key)
     return nonce + aes.encrypt(nonce, payload, None)
 
@@ -141,15 +147,11 @@ def _changed_mask(o_col: pa.ChunkedArray, n_col: pa.ChunkedArray, n_rows: int):
     replaces only touched columns), so untouched columns — including
     heavy token lists, whose compare would otherwise take the per-row
     Python fallback — cost a buffer-address check, not a scan."""
-    import numpy as np
-
     if _same_buffers(o_col, n_col):
         return np.zeros(n_rows, dtype=bool)
     o = o_col.combine_chunks() if isinstance(o_col, pa.ChunkedArray) else o_col
     n = n_col.combine_chunks() if isinstance(n_col, pa.ChunkedArray) else n_col
     try:
-        import pyarrow.compute as pc
-
         eq = pc.fill_null(pc.equal(o, n), False)
         both_null = pc.and_(pc.is_null(o), pc.is_null(n))
         same = pc.or_(eq, both_null)
@@ -157,6 +159,36 @@ def _changed_mask(o_col: pa.ChunkedArray, n_col: pa.ChunkedArray, n_rows: int):
     except (pa.ArrowNotImplementedError, pa.ArrowInvalid):
         ol, nl = o.to_pylist(), n.to_pylist()
         return np.fromiter((a != b for a, b in zip(ol, nl)), dtype=bool, count=n_rows)
+
+
+# exactly the characters json.dumps(ensure_ascii=True) escapes: quote,
+# backslash, control characters, DEL and everything non-ASCII
+_JSON_ESCAPED = r'[^ -~]|["\\]'
+
+
+def _dumps(v) -> str:
+    """The envelope's canonical JSON: sorted keys, compact separators,
+    ASCII-only (``ensure_ascii``)."""
+    return json.dumps(v, sort_keys=True, separators=(",", ":"))
+
+
+def _cell_json(arr: pa.Array) -> pa.Array:
+    """``_dumps`` of every cell, as a string array without nulls.
+    Integers, bools and strings that need no escaping are formatted by
+    Arrow kernels; escape-needing strings and every other type (floats,
+    lists, structs) go through ``_dumps`` cell by cell, so a value JSON
+    cannot encode still raises ``TypeError``."""
+    t = arr.type
+    if pa.types.is_integer(t) or pa.types.is_boolean(t):
+        return pc.fill_null(arr.cast(pa.string()), "null")
+    if not pa.types.is_string(t):
+        return pa.array([_dumps(v) for v in arr.to_pylist()], pa.string())
+    out = pc.fill_null(pc.binary_join_element_wise('"', arr, '"', ""), "null")
+    esc = pc.fill_null(pc.match_substring_regex(arr, _JSON_ESCAPED), False)
+    if not pc.any(esc).as_py():
+        return out
+    fixed = pa.array([_dumps(v) for v in arr.filter(esc).to_pylist()], pa.string())
+    return pc.replace_with_mask(out, esc, fixed)
 
 
 def compute_changeset(
@@ -177,9 +209,13 @@ def compute_changeset(
     are two versions of the same batch, exactly like the reference's
     two parses of one record (``DeidentifyEncryptDICOM.java:214-231``).
 
-    Diff *detection* is column-wise vectorized (``pc.equal`` masks);
-    Python touches only the (row, column) cells that actually changed.
-    The per-row JSON+seal is inherent to the envelope format.
+    The envelope is built column by column: diff detection is
+    vectorized (``pc.equal`` masks), and each changed column adds a
+    ``,"<col>":<cell JSON>`` fragment to its changed rows, joined in
+    sorted column order — byte for byte the ``json.dumps(patch,
+    sort_keys=True, separators=(",", ":"))`` of the per-row patch
+    ``{"expect": {key: ...}, "restore": {...}}``. Only the seal
+    (HMAC-SHA256 nonce + AES-GCM) runs per row.
 
     ``kdf`` sets the key-derivation COST MODEL (output bytes identical):
 
@@ -199,41 +235,41 @@ def compute_changeset(
     if kdf not in ("batch", "row"):
         raise ValueError("kdf must be 'batch' or 'row'")
     n_rows = original.num_rows
-    derived = _derive_key(password, iterations, salt) if password else None  # KDF once/batch
-    # column-wise change masks: removed columns are all-changed; shared
-    # columns diff vectorized; values fetched per-column only when needed
-    import numpy as np
-
-    restores: list[dict] = [{} for _ in range(n_rows)]
-    for c in original.column_names:
+    # removed columns are all-changed; shared columns diff vectorized
+    frags = []
+    for c in sorted(original.column_names):
         if c not in transformed.column_names:
             mask = np.ones(n_rows, dtype=bool)
         else:
             mask = _changed_mask(original[c], transformed[c], n_rows)
             if not mask.any():
                 continue
-        # mask-first fetch: materialize ONLY the changed cells to Python
-        # (Arrow filter, then one pass over the changed positions) — a
-        # sparse diff on a wide batch never touches unchanged payload
-        pos = np.flatnonzero(mask)
-        vals = original[c].filter(pa.array(mask)).to_pylist()
-        for i, v in zip(pos, vals):
-            restores[i][c] = v
-    keys_new = transformed[key].to_pylist() if key in transformed.column_names else [None] * n_rows
-    aes = AESGCM(derived) if (derived is not None and HAVE_CRYPTO) else None
-    per_row_kdf = kdf == "row" and password is not None
+        # mask-first: JSON for the changed cells only, then spread back to
+        # row positions ("" where this column is unchanged)
+        cells = _cell_json(original[c].filter(pa.array(mask)).combine_chunks())
+        frag = pc.binary_join_element_wise("," + _dumps(c) + ":", cells, "")
+        if not mask.all():
+            frag = pc.fill_null(frag.take(pa.array(np.cumsum(mask) - 1, mask=~mask)), "")
+        frags.append(frag)
+    if key in transformed.column_names:
+        expect = _cell_json(transformed[key].combine_chunks())
+    else:
+        expect = pa.repeat(pa.scalar("null"), n_rows)
+    # drop the first fragment's leading comma
+    body = pc.utf8_slice_codeunits(pc.binary_join_element_wise(*frags, ""), 1) if frags else ""
+    raw = pc.binary_join_element_wise(
+        '{"expect":{' + _dumps(key) + ":", expect, '},"restore":{', body, "}}", ""
+    ).cast(pa.binary())
+    if not password:
+        return transformed.append_column(CHANGESET_COL, raw)
+    derived = _derive_key(password, iterations, salt)  # KDF once per batch
+    aes = AESGCM(derived) if HAVE_CRYPTO else None
+    mac = hmac.new(derived, digestmod=hashlib.sha256)
     blobs = []
-    for i in range(n_rows):
-        patch = {"expect": {key: keys_new[i]}, "restore": restores[i]}
-        # compact separators: the envelope rides on every row of a
-        # 10^10-row stream — whitespace is ~15 % of the payload
-        raw = json.dumps(patch, sort_keys=True, separators=(",", ":")).encode()
-        if per_row_kdf:  # reference cost model: one KDF per record
+    for payload in raw.to_pylist():
+        if kdf == "row":  # reference cost model: one KDF per record
             derived = _derive_key(password, iterations, salt)
-        blobs.append(
-            seal(raw, password, iterations, salt, _key=derived, _aes=aes)
-            if password else raw
-        )
+        blobs.append(seal(payload, password, iterations, salt, _key=derived, _aes=aes, _mac=mac))
     return transformed.append_column(CHANGESET_COL, pa.array(blobs, type=pa.binary()))
 
 
@@ -311,7 +347,6 @@ def apply_changeset(
             idx, vals = col_cells.setdefault(c, ([], []))
             idx.append(i)
             vals.append(v)
-    import numpy as np
 
     out = keep
     for c, (idx, vals) in col_cells.items():
@@ -326,8 +361,6 @@ def apply_changeset(
                 repl = pa.array(vals)
                 typ = repl.type
             try:
-                import pyarrow.compute as pc
-
                 new_col = pc.replace_with_mask(
                     out.column(pos).combine_chunks().cast(typ), pa.array(mask), repl
                 )

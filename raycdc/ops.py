@@ -3041,13 +3041,15 @@ def grouped_entropy(
         )
 
     def finalize(g: pa.Table) -> pa.Table:
-        # merge per-batch partial counts for the same value first
-        m = g.group_by([key, col]).aggregate([("_cnt", "sum")])
-        c = np.asarray(m.column("_cnt_sum"), dtype=np.float64)
+        # merge per-batch partial counts for the same value first; the
+        # key is constant here, and a (key, col) group_by would split
+        # NULL-string-key groups (pyarrow 16.1 multi-key defect)
+        c = np.asarray(g.group_by(col).aggregate([("_cnt", "sum")]).column("_cnt_sum"),
+                       dtype=np.float64)
         n = c.sum()
         p = c / n
         h = float(-(p * np.log2(p)).sum()) if n > 0 else 0.0
-        return pa.table({key: m.column(key).slice(0, 1),
+        return pa.table({key: g.column(key).slice(0, 1),
                          out_col: pa.array([round(h, ndigits)], pa.float64())})
 
     return (

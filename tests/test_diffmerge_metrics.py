@@ -6,6 +6,8 @@ Reference analogs: round-trip inverse property
 (`LogCacheStatistics.java:49-61`).
 """
 
+import hashlib
+
 import pyarrow as pa
 import ray.data as rd
 
@@ -104,6 +106,101 @@ def test_conflict_policy_reject_vs_accept_new():
     assert acc.select(["tokens"]).cast(pa.schema([("tokens", pa.list_(pa.int32()))]))[
         "tokens"
     ].to_pylist() == base["tokens"].to_pylist()
+
+
+def _adversarial_pair():
+    """One batch and its transform: escape-needing, control, DEL,
+    non-ASCII and NULL strings, a 2**40 int, NaN / 1e20 / -0.0 floats,
+    lists, bools, a key changed to NULL, and a last row the transform
+    leaves as it was."""
+    src = ["web", 'q"uote', "back\\slash", "ctl\x01", "del\x7f", "café",
+           "数据", "tab\there", None, "plain"]
+    orig = pa.table({
+        "doc_id": [f"doc-{i}" for i in range(10)],
+        "source": src,
+        "n_tok": pa.array([2**40, -7, None, 0, 1, 2, 3, 4, 5, 6], pa.int64()),
+        "score": pa.array([float("nan"), 1e20, None, 1.5, -0.0, 2.0, 3.25, 4.0, 5.0, 6.0]),
+        "tokens": pa.array([[1, 2], [3], [], None, [4], [5], [6], [7], [8], [9]],
+                           pa.list_(pa.int32())),
+        "flag": pa.array([True, False, None, True, False, True, False, True, False, True]),
+        "extra": ["x0", None, "ü", "\n", "e4", "e5", "e6", "e7", "e8", "e9"],
+    })
+    keep = orig.num_rows - 1
+
+    def alt(col, new):
+        old = orig[col].to_pylist()
+        return pa.array(new[:keep] + old[keep:], orig[col].type)
+
+    trans = pa.table({
+        "doc_id": alt("doc_id", ["anon-0", "anon-1", "ä-2", 'anon-"3', "anon-4",
+                                 "anon-5", "anon-6", "anon-7", None]),
+        "source": alt("source", ["redacted"] * keep),
+        "n_tok": alt("n_tok", [1, -6, 5, 1, 2, 3, 4, 5, 6]),
+        "score": alt("score", [0.5] * keep),
+        "tokens": alt("tokens", [[2], [], [7], [1], [], [], [], [], []]),
+        "flag": alt("flag", [False, True, True, False, True, False, True, False, True]),
+        "extra": orig["extra"],
+    })
+    return orig, trans
+
+
+def _adversarial_blobs(password, kdf):
+    """Three calls: a removed column, every column kept (the last row
+    unchanged), and a ``key`` the transformed table lacks."""
+    orig, trans = _adversarial_pair()
+    removed = trans.drop_columns(["extra"])
+    out = []
+    for t, key in ((removed, "doc_id"), (trans, "doc_id"), (removed, "nope")):
+        out += compute_changeset(orig, t, key=key, password=password,
+                                 iterations=10, kdf=kdf)[CHANGESET_COL].to_pylist()
+    return out
+
+
+def _reference_blobs():
+    """The per-row reference: one patch dict per row, one ``json.dumps``."""
+    import json
+
+    orig, trans = _adversarial_pair()
+    o = orig.to_pylist()
+    out = []
+    for t, key in ((trans.drop_columns(["extra"]), "doc_id"), (trans, "doc_id"),
+                   (trans.drop_columns(["extra"]), "nope")):
+        for ro, rt in zip(o, t.to_pylist()):
+            restore = {c: v for c, v in ro.items() if c not in rt or v != rt[c]}
+            patch = {"expect": {key: rt.get(key)}, "restore": restore}
+            out.append(json.dumps(patch, sort_keys=True, separators=(",", ":")).encode())
+    return out
+
+
+def _sha256_of(blobs):
+    h = hashlib.sha256()
+    for b in blobs:
+        h.update(len(b).to_bytes(4, "big") + b)
+    return h.hexdigest()
+
+
+def test_changeset_bytes_are_pinned():
+    """Replay reconverges only if a record seals to the same bytes on
+    every run and engine version: these values were computed before the
+    columnar envelope build and must never move."""
+    plain = _adversarial_blobs(None, "batch")
+    assert plain[0] == (
+        b'{"expect":{"doc_id":"anon-0"},"restore":{"doc_id":"doc-0","extra":"x0",'
+        b'"flag":true,"n_tok":1099511627776,"score":NaN,"source":"web","tokens":[1,2]}}'
+    )
+    assert plain[2] == (
+        b'{"expect":{"doc_id":"\\u00e4-2"},"restore":{"doc_id":"doc-2","extra":"\\u00fc",'
+        b'"flag":null,"n_tok":null,"score":null,"source":"back\\\\slash","tokens":[]}}'
+    )
+    assert plain[19] == b'{"expect":{"doc_id":"doc-9"},"restore":{}}'
+    assert plain[29] == b'{"expect":{"nope":null},"restore":{"extra":"e9"}}'
+    assert _sha256_of(plain) == "cf5cbe31ea1b7ae2a99affd9a976be83a3614e06d54fee1ccbdcbde43a54721a"
+    assert plain == _reference_blobs()
+    sealed = _adversarial_blobs("pw", "batch")
+    assert _sha256_of(sealed) == "3c7f69350eea5d352647847cee41174360d1bbd6e0b8ee94716f592db0253e57"
+    # kdf only changes the cost model, never a byte
+    assert _adversarial_blobs("pw", "row") == sealed
+    assert [unseal(b, "pw", iterations=10) for b in sealed] == plain
 
 
 def test_metrics_actor_counts_rows():

@@ -136,3 +136,32 @@ def test_composite_bucket_and_pair_shuffles_on_empty_input():
     docs = rd.from_arrow(pa.table({"doc_id": pa.array([], pa.string()),
                                    "text": pa.array([], pa.string())}))
     assert _n(exact_jaccard_pairs(docs, threshold=0.2)) == 0
+
+
+def test_changeset_on_empty_and_unchanged_batches():
+    """A 0-row batch keeps the transformed schema plus a binary
+    ``_changeset``; a batch the transform left as it was seals an empty
+    restore per row. Bytes as computed before the columnar build."""
+    import hashlib
+
+    from raycdc.diffmerge import CHANGESET_COL, compute_changeset
+
+    t = pa.table({"doc_id": ["a", None, 'c"'], "n": pa.array([1, None, 3], pa.int64()),
+                  "tokens": pa.array([[1], None, []], pa.list_(pa.int32()))})
+    for pw in (None, "pw"):
+        z = compute_changeset(t.slice(0, 0), t.drop_columns(["n"]).slice(0, 0),
+                              password=pw, iterations=10)
+        assert z.num_rows == 0
+        assert z.schema == pa.schema([("doc_id", pa.string()),
+                                      ("tokens", pa.list_(pa.int32())),
+                                      (CHANGESET_COL, pa.binary())])
+    same = compute_changeset(t, t)
+    assert same.schema == t.schema.append(pa.field(CHANGESET_COL, pa.binary()))
+    assert same[CHANGESET_COL].to_pylist() == [
+        b'{"expect":{"doc_id":"a"},"restore":{}}',
+        b'{"expect":{"doc_id":null},"restore":{}}',
+        b'{"expect":{"doc_id":"c\\""},"restore":{}}',
+    ]
+    sealed = compute_changeset(t, t, password="pw", iterations=10)[CHANGESET_COL]
+    assert hashlib.sha256(b"".join(sealed.to_pylist())).hexdigest() == (
+        "b75ec1ce8af1de92dd977666ee35b5bf1f49d488e9b9205f4bb1a13a5fc5ab35")

@@ -70,6 +70,35 @@ def test_pseudo_id_deterministic_golden():
     assert name_based_uid(pa.array(["x"]))[0].as_py() != name_based_uid(pa.array(["y"]))[0].as_py()
 
 
+def test_identity_functions_golden_values():
+    """Literal outputs, so that the engine and the perfbench oracle
+    (which pseudonymizes with these same functions) cannot drift
+    together: repeats, NULLs, non-ASCII, chunked, all-NULL and empty
+    inputs, each with its output type."""
+    import hashlib
+    import uuid
+
+    vals = ["doc-00000001", "doc-00000001", None, "café", "数据", "x"]
+    want_pid = ["anon-d82da37a38936cd5", "anon-d82da37a38936cd5", None,
+                "anon-07117fe4a1ebd544", "anon-0d83078816aa273f", "anon-9dd4e461268c8034"]
+    want_uid = ["e60fd665-a2e2-5668-ae32-6a4bd501c64f", "e60fd665-a2e2-5668-ae32-6a4bd501c64f",
+                None, "5e2e2331-a683-5e18-b56d-666e31574b41",
+                "f788f0ab-b768-5cda-8ea1-7b81c80979d9", "05b16a01-46c6-56dd-bd6e-c6dfb4a1427a"]
+    assert want_pid == [None if v is None else "anon-" + hashlib.md5(v.encode()).hexdigest()[:16]
+                        for v in vals]
+    assert want_uid == [None if v is None else str(uuid.uuid5(uuid.NAMESPACE_DNS, v))
+                        for v in vals]
+    chunked = pa.chunked_array([vals[:2], vals[2:4], vals[4:]], pa.string())
+    for inp in (pa.array(vals), chunked, vals):
+        pid, uid = pseudo_id(inp), name_based_uid(inp)
+        assert pid.type == pa.string() and pid.to_pylist() == want_pid
+        assert uid.type == pa.string() and uid.to_pylist() == want_uid
+    for inp in (pa.array([None, None], pa.string()), pa.array([], pa.string()), pa.nulls(2)):
+        pid, uid = pseudo_id(inp), name_based_uid(inp)
+        assert pid.type == pa.string() and pid.to_pylist() == [None] * len(inp)
+        assert uid.type == pa.null() and uid.to_pylist() == [None] * len(inp)
+
+
 def test_identity_substitute_matched_and_generated():
     base = base_table(10, seed=7, min_len=4, max_len=8)
     ids = base["doc_id"].to_pylist()

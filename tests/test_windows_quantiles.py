@@ -1678,6 +1678,27 @@ def test_grouped_entropy_matches_duckdb_round6():
     assert (out["entropy"].to_numpy() == want["entropy"].to_numpy()).all()
 
 
+def test_grouped_entropy_null_string_key_matches_duckdb():
+    """pyarrow 16.1's multi-key ``group_by`` splits a (NULL string,
+    int) group into many, so a finalize that regroups by (key, col)
+    sums entropy over split counts. A NULL key with 30 distinct ints
+    exposes it."""
+    rng = np.random.default_rng(11)
+    n = 3000
+    keys = rng.choice(np.array(["a", "b", None], dtype=object), n, p=[0.2, 0.2, 0.6])
+    vals = rng.integers(0, 30, n)
+    t = pa.table({"k": pa.array(keys.tolist(), pa.string()),
+                  "x": pa.array(vals, pa.int64())})
+    from raycdc.ops import grouped_entropy
+
+    out = {r["k"]: r["entropy"] for r in
+           grouped_entropy(rd.from_arrow(t).repartition(3), "k", "x").take_all()}
+    want = {r["k"]: r["entropy"] for r in _duck(
+        t, "SELECT k, ROUND(entropy(x), 6) AS entropy FROM events GROUP BY k"
+    ).to_pylist()}
+    assert out == want
+
+
 def test_grouped_arg_extreme_matches_window_form():
     t = _events(n=2000, seed=3001, with_nulls=True)
     from raycdc.ops import grouped_arg_extreme
