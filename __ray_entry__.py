@@ -198,7 +198,7 @@ def q_pseudo_identity(sf_dir: str):
 def q_cdc_replay_events(sf_dir: str):
     """The flagship CDC path under the driver's DuckDB oracle: the
     driver's events table is cut into changelog segments, tailed through
-    the real ingest stack — tailer → ValidateAndDivert → LakeTable.apply
+    the real ingest stack — tailer → make_validator → LakeTable.apply
     (exactly-once epoch commits, shuffle-free L0 run files, manifest
     swap) — and the converged lake state is read back (merge-on-read LWW
     fold over the pending runs).
@@ -2851,35 +2851,19 @@ def q_audience_overlap(sf_dir: str):
     combiner pair count, and per-type distinct counts via the pair-dedup
     combiner; the final Jaccard joins two TYPE-cardinality tables (a
     driver dict is fine at that size)."""
-    from raycdc.ops import grouped_nunique, partial_groupby_agg
-    from raycdc.util import bucket_of
+    from raycdc.ops import (_by_key, _distinct, _run_boundaries, grouped_nunique,
+                            partial_groupby_agg)
 
-    ev = _ev(sf_dir).map_batches(
-        lambda t: t.select(["user_id", "event_type"])
-        .filter(pc.is_valid(t["event_type"]))
-        .group_by(["user_id", "event_type"]).aggregate([]),
-        batch_format="pyarrow",
-    )
-
-    def stamp(t: pa.Table) -> pa.Table:
-        return t.append_column("_bucket", pa.array(bucket_of(t["user_id"], 64)))
+    def dedup(t: pa.Table) -> pa.Table:
+        return (t.select(["user_id", "event_type"])
+                .filter(pc.is_valid(t["event_type"]))
+                .group_by(["user_id", "event_type"]).aggregate([]))
 
     def pairs(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
-        g = g.take(pc.sort_indices(g, sort_keys=[
-            ("user_id", "ascending"), ("event_type", "ascending")
-        ])).combine_chunks()
+        # global distinct within the bucket (batches may repeat pairs),
+        # sorted by (user_id, event_type)
+        g = _distinct(g, ["user_id", "event_type"])
         n = g.num_rows
-        if n == 0:
-            return pa.table({"ta": pa.array([], pa.string()),
-                             "tb": pa.array([], pa.string())})
-        # global distinct within the bucket (batches may repeat pairs)
-        g = g.group_by(["user_id", "event_type"]).aggregate([])
-        g = g.take(pc.sort_indices(g, sort_keys=[
-            ("user_id", "ascending"), ("event_type", "ascending")
-        ])).combine_chunks()
-        n = g.num_rows
-        from raycdc.ops import _run_boundaries
         new_u = _run_boundaries(g.column("user_id"), n)
         starts = np.flatnonzero(new_u)
         run = np.cumsum(new_u) - 1
@@ -2892,8 +2876,7 @@ def q_audience_overlap(sf_dir: str):
                          "tb": types.take(pa.array(ib))})
 
     pair_counts = partial_groupby_agg(
-        ev.map_batches(stamp, batch_format="pyarrow")
-        .groupby("_bucket").map_groups(pairs, batch_format="pyarrow"),
+        _by_key(_ev(sf_dir), "user_id", pairs, 64, None, prep=dedup),
         ["ta", "tb"], {"inter": ("ta", "count")},
     )
     sizes = {

@@ -17,10 +17,12 @@ Scale design (10^10 events): a two-level fold. Level 1 is an embarrassingly
 parallel per-batch reduce (``map_batches``, zero-copy Arrow) that collapses
 each batch to at most one row per key — so the shuffle that follows moves
 O(distinct keys × touched batches) rows, not O(events). Level 2 is a
-hash-bucket ``groupby`` whose per-bucket fold is the same vectorized
-kernel. Hot keys cost at most one surviving row per batch at level 1, so
-skew in the *event stream* never concentrates on one reducer; an optional
-salt spreads residual level-2 skew further (SURVEY.md §7.4).
+hash-bucket shuffle whose per-bucket fold is the same vectorized kernel;
+both ride the operator library's one keyed shuffle,
+:func:`raycdc.ops._by_key` (level 1 is its per-batch ``prep``). A hot key
+costs at most one surviving row per input batch at level 1, so skew in
+the *event stream* never concentrates on one reducer and needs no salt
+(SURVEY.md §7.4).
 
 One kernel, :func:`lww_winners`, computes the winners of every LWW fold
 in the engine from one sort of the key columns only (:func:`lww_order`)
@@ -39,9 +41,8 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from raycdc.util import bucket_of, counter_rng_u64
-
-META_COLS = ("_bucket",)
+from raycdc.metrics import Metrics
+from raycdc.ops import _by_key
 
 TOMBSTONE_OPS = ("delete",)
 
@@ -72,8 +73,7 @@ def lww_winners(t: pa.Table, key: str = "doc_id", lsn_col: str = "lsn",
     ``DeidentificationController.java:110-117``) but deterministic. Null
     keys never compare equal, so each null-key row is its own winner.
     ``_bucket`` only orders the output, so it must be a function of the
-    key within ``t`` (a salted sub-bucket column is folded one bucket
-    group at a time)."""
+    key within ``t``."""
     n = t.num_rows
     if n <= 1:
         return np.arange(n, dtype=np.int64)
@@ -149,121 +149,6 @@ def lww_apply_table(
     return last_writer_per_key(allt, key=key, lsn_col=lsn_col, tombstone_col=op_col)
 
 
-class _MetricsMixin:
-    """Optional fire-and-forget counter publishing (LogCacheStatistics
-    parity, ``DeidentificationController.java:102,171-174`` — the
-    reference logs Guava cache hit/miss/size; here 'hit' ≡ a row
-    superseded by a newer LSN for its key, 'size' ≡ surviving keys).
-    Off (``metrics_name=None``) ⇒ zero hot-path cost."""
-
-    metrics_name: str | None = None
-    _metrics_handle = None
-
-    def _incr_many(self, items: dict) -> None:
-        if not self.metrics_name:
-            return
-        if self._metrics_handle is None:
-            import ray
-
-            try:
-                self._metrics_handle = ray.get_actor(self.metrics_name)
-            except ValueError:  # actor gone (e.g. driver exited) — disable
-                self.metrics_name = None
-                return
-        self._metrics_handle.incr_many.remote(items)
-
-
-class _PartialLww(_MetricsMixin):
-    """Level-1 per-batch reduce (stateless; cheap enough for tasks)."""
-
-    def __init__(self, key: str, lsn_col: str, metrics_name: str | None = None):
-        self.key, self.lsn_col = key, lsn_col
-        self.metrics_name = metrics_name
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out = _in_input_order(batch, lww_winners(batch, self.key, self.lsn_col))
-        if self.metrics_name:
-            self._incr_many(
-                {
-                    "apply.partial_rows_in": batch.num_rows,
-                    "apply.partial_rows_out": out.num_rows,
-                }
-            )
-        return out
-
-
-def _with_bucket(batch: pa.Table, key: str, num_buckets: int, salt_col: str | None = None,
-                 salt_buckets: int = 1) -> pa.Table:
-    salt = None
-    if salt_col is not None and salt_buckets > 1:
-        # spread a key over `salt_buckets` sub-buckets by a deterministic
-        # function of another column (e.g. lsn) — requires a second fold.
-        salt = counter_rng_u64(0x5A17, np.asarray(batch[salt_col].cast(pa.int64()))) % np.uint64(salt_buckets)
-    b = bucket_of(batch.column(key), num_buckets, salt=salt)
-    return batch.append_column("_bucket", pa.array(b))
-
-
-class _FinalFold(_MetricsMixin):
-    """Level-2 per-bucket fold. With ``metrics_name`` set, publishes the
-    cache-statistics analogs per bucket: rows entering the fold,
-    surviving keys, superseded rows ('hits' — the key was already
-    present with a newer LSN), and tombstones dropped."""
-
-    def __init__(
-        self,
-        key: str,
-        lsn_col: str,
-        op_col: str,
-        drop_meta: bool,
-        drop_tomb: bool = True,
-        meta_drop: tuple | None = None,
-        metrics_name: str | None = None,
-    ):
-        self.key, self.lsn_col, self.op_col = key, lsn_col, op_col
-        self.drop_meta, self.drop_tomb, self.meta_drop = drop_meta, drop_tomb, meta_drop
-        self.metrics_name = metrics_name
-
-    def __call__(self, group: pa.Table) -> pa.Table:
-        rows_in = group.num_rows
-        win = lww_winners(group, self.key, self.lsn_col)
-        winners = len(win)
-        if self.drop_tomb:
-            win = _live(group, win, self.op_col)
-        out = _in_input_order(group, win)
-        if self.metrics_name:
-            self._incr_many(
-                {
-                    "apply.fold_rows_in": rows_in,
-                    "apply.keys_out": out.num_rows,
-                    "apply.rows_superseded": rows_in - winners,
-                    "apply.tombstones_dropped": winners - out.num_rows,
-                    "apply.buckets_folded": 1,
-                }
-            )
-        if self.drop_meta:
-            to_drop = self.meta_drop if self.meta_drop is not None else (self.lsn_col, self.op_col)
-            drop = [c for c in (*META_COLS, *to_drop) if c in out.column_names]
-            out = out.drop_columns(drop)
-        return out
-
-
-def _final_fold(
-    key: str,
-    lsn_col: str,
-    op_col: str,
-    drop_meta: bool,
-    drop_tomb: bool = True,
-    meta_drop: tuple | None = None,
-    metrics_name: str | None = None,
-):
-    ff = _FinalFold(key, lsn_col, op_col, drop_meta, drop_tomb, meta_drop, metrics_name)
-
-    def fold(group: pa.Table) -> pa.Table:  # map_groups needs a plain fn
-        return ff(group)
-
-    return fold
-
-
 def base_as_inserts(
     base_ds: ray.data.Dataset,
     lsn_col: str = "lsn",
@@ -293,56 +178,51 @@ def lww_apply(
     op_col: str = "op",
     num_buckets: int = 64,
     batch_size: int = 65536,
-    drop_meta: bool = True,
-    salt_buckets: int = 1,
     meta_drop: tuple | None = None,
     metrics_name: str | None = None,
 ) -> ray.data.Dataset:
     """Distributed LWW apply: events (+ optional base) → converged table.
 
-    Pipeline: per-batch partial reduce → hash-bucket shuffle → per-bucket
-    vectorized fold. With ``salt_buckets > 1`` the first fold runs on
-    (bucket ⊕ salt(lsn)) and a second tiny fold merges the salted
-    sub-results (hot-key path).
+    One :func:`raycdc.ops._by_key` shuffle: its per-batch ``prep`` is the
+    level-1 reduce, its per-bucket fold drops tombstone winners and the
+    ``meta_drop`` columns (default: ``lsn_col`` and ``op_col``).
 
-    ``metrics_name``: when set, the stages publish fire-and-forget
-    LWW-index counters (partial_rows_in/out, fold_rows_in, keys_out,
-    rows_superseded, tombstones_dropped) to that named metrics actor —
-    the LogCacheStatistics analog. The actor is created here if absent."""
-    if metrics_name:
-        from raycdc.metrics import Metrics
+    ``metrics_name``: when set, both levels publish LWW-index counters
+    (``apply.partial_rows_in``/``_out``, ``fold_rows_in``, ``keys_out``,
+    ``rows_superseded``, ``tombstones_dropped``, ``buckets_folded``) to
+    that named metrics actor, created here if absent — the
+    LogCacheStatistics analog (``DeidentificationController.java:102,
+    171-174``: 'hit' ≡ a row superseded by a newer LSN for its key,
+    'size' ≡ surviving keys)."""
+    # get-or-create the named actor before tasks run; tasks hold its handle
+    actor = Metrics(metrics_name).actor if metrics_name else None
 
-        Metrics(metrics_name)  # ensure the named actor exists before tasks run
+    def publish(items: dict) -> None:  # fire-and-forget; off ⇒ no cost
+        if actor is not None:
+            actor.incr_many.remote(items)
+
     ds = events_ds
     if base_ds is not None:
         order = events_ds.schema().names
         ds = base_as_inserts(base_ds, lsn_col, op_col, column_order=order).union(ds)
+    drop = meta_drop if meta_drop is not None else (lsn_col, op_col)
 
-    ds = ds.map_batches(
-        _PartialLww(key, lsn_col, metrics_name=metrics_name),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
-    salt_col = lsn_col if salt_buckets > 1 else None
-    ds = ds.map_batches(
-        lambda t: _with_bucket(t, key, num_buckets, salt_col=salt_col, salt_buckets=salt_buckets),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
-    if salt_buckets > 1:
-        # fold per salted sub-bucket, keeping meta cols AND tombstones —
-        # a delete may be the global last writer for a key whose older
-        # rows landed in other sub-buckets; only the merge fold may drop it
-        ds = ds.groupby("_bucket").map_groups(
-            _final_fold(key, lsn_col, op_col, drop_meta=False, drop_tomb=False),
-            batch_format="pyarrow",
-        )
-        ds = ds.drop_columns(["_bucket"])
-        ds = ds.map_batches(
-            lambda t: _with_bucket(t, key, num_buckets), batch_format="pyarrow"
-        )
-    return ds.groupby("_bucket").map_groups(
-        _final_fold(key, lsn_col, op_col, drop_meta, meta_drop=meta_drop,
-                    metrics_name=metrics_name),
-        batch_format="pyarrow",
-    )
+    def partial(batch: pa.Table) -> pa.Table:
+        out = _in_input_order(batch, lww_winners(batch, key, lsn_col))
+        publish({"apply.partial_rows_in": batch.num_rows,
+                 "apply.partial_rows_out": out.num_rows})
+        return out
+
+    def fold(group: pa.Table) -> pa.Table:
+        win = lww_winners(group, key, lsn_col)
+        out = _in_input_order(group, _live(group, win, op_col))
+        publish({
+            "apply.fold_rows_in": group.num_rows,
+            "apply.keys_out": out.num_rows,
+            "apply.rows_superseded": group.num_rows - len(win),
+            "apply.tombstones_dropped": len(win) - out.num_rows,
+            "apply.buckets_folded": 1,
+        })
+        return out.drop_columns([c for c in drop if c in out.column_names])
+
+    return _by_key(ds, key, fold, num_buckets, batch_size, prep=partial)

@@ -317,7 +317,6 @@ class LakeTable:
         commit_mode: str = "l0",
         l0_compact_files: int = 24,
         lock_lease_s: float = 600.0,
-        metrics_name: str | None = None,
     ):
         """Ingest is **shuffle-free** (LSM level-0 / merge-on-read style):
         each ingest task writes one bucket-SORTED run file with
@@ -339,10 +338,6 @@ class LakeTable:
         self.op_col = op_col
         self.l0_compact_files = l0_compact_files
         self.lock_lease_s = lock_lease_s
-        # optional LogCacheStatistics-analog counters: epoch stats are
-        # published driver-side from the already-collected per-partition
-        # stats rows, so the hot path pays nothing (metrics.py)
-        self.metrics_name = metrics_name
         self._requested_partitions = num_partitions
 
     # ------------------------------------------------------------ manifest
@@ -509,15 +504,6 @@ class LakeTable:
         with _WriterLock(self.path, lease_s=self.lock_lease_s):
             return self._apply_locked(m, new_names, events_ds)
 
-    def _publish_epoch_metrics(self, items: dict) -> None:
-        """Driver-side counter publish (LogCacheStatistics analog) from
-        stats already in hand — adds no work to the apply tasks."""
-        if not self.metrics_name:
-            return
-        from raycdc.metrics import Metrics
-
-        Metrics(self.metrics_name).actor.incr_many.remote(items)
-
     def _apply_locked(self, m: dict, new_names: list[str], events_ds) -> dict:
         """Shuffle-free epoch commit: one map-only pass stamps each input
         block's buckets, folds it per key into (bucket, key) order, and
@@ -634,13 +620,6 @@ class LakeTable:
             }
         ]
         self._commit_manifest(m2)
-        self._publish_epoch_metrics(
-            {
-                "lake.epochs_committed": 1,
-                "lake.events_after_reduce": events_out,
-                "lake.l0_runs_written": len(stats_rows),
-            }
-        )
         result = m2["history"][-1]
         if len(m2["l0"]) > self.l0_compact_files:
             # bound merge-on-read fan-in: fold pending runs into bases

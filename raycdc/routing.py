@@ -83,38 +83,26 @@ def route_counts(ds: ray.data.Dataset) -> dict[str, int]:
 def split_valid(ds: ray.data.Dataset, batch_size: int = 65536):
     """Convenience: (ok_dataset, dead_letter_dataset) from a raw stream.
     NOTE: consuming both datasets executes the upstream twice; for the
-    hot ingest path use :class:`ValidateAndDivert` (single pass)."""
+    hot ingest path use :func:`make_validator` (single pass)."""
     stamped = validate(ds, batch_size=batch_size)
     return take_route(stamped, ROUTE_OK), take_route(stamped, ROUTE_DEAD_LETTER)
 
 
-class ValidateAndDivert:
-    """Single-pass validation: dead-lettered rows are diverted to parquet
-    side-files as they stream by; only valid rows continue down the
-    pipeline. One pass over the input — the hot-path variant of
-    :func:`split_valid`.
+def make_validator(dead_letter_dir: str | None = None):
+    """Single-pass validation as a plain batch fn for ``map_batches``:
+    dead-lettered rows are diverted to parquet side-files as they stream
+    by; only valid rows continue down the pipeline. One pass over the
+    input — the hot-path variant of :func:`split_valid`.
 
     Dead-letter files are named from their rows' content, as L0 runs
     are, so a retried task rewrites the identical file instead of adding
     a duplicate — the reference's failure-relationship loop-back
     (``PutDICOM.java:83-86``) without double-counted failures.
 
-    Stateless by design: prefer :func:`make_validator` (a plain function
-    for ``map_batches``) on the hot path — task stages FUSE with
-    adjacent task stages and use every core, while a callable class
-    forces an actor pool (bounded concurrency + per-actor warmup and no
-    fusion with the neighboring reduce stage).
-    """
-
-    def __init__(self, dead_letter_dir: str | None = None):
-        self.fn = make_validator(dead_letter_dir)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return self.fn(batch)
-
-
-def make_validator(dead_letter_dir: str | None = None):
-    """A stateless validate+divert batch fn (see :class:`ValidateAndDivert`)."""
+    Stateless by design: task stages FUSE with adjacent task stages and
+    use every core, while a callable class would force an actor pool
+    (bounded concurrency + per-actor warmup and no fusion with the
+    neighboring reduce stage)."""
     if dead_letter_dir:
         os.makedirs(dead_letter_dir, exist_ok=True)
 

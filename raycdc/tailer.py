@@ -66,59 +66,33 @@ def pending_segments(lake: LakeTable, log_dir: str) -> list[str]:
     return [s for s in list_segments(log_dir) if s not in done]
 
 
-def read_segments(
-    log_dir: str, names: list[str], provenance: bool = False, fused: bool = True
-) -> ray.data.Dataset:
-    """Segment reader. With ``provenance=True`` a ``_segment`` column
-    traces every row to its source file (provenance-receive analog) —
-    off by default on the hot path.
-
-    ``fused=True`` (default) reads each file INSIDE the map stage
-    (``from_items(paths) → map_batches(read)``): Ray 2.49 does not fuse
-    ``ReadParquet`` with downstream ``map_batches``, so the library read
-    pays a full object-store round trip for every ingested byte before
-    the first transform — on a 100-TB tail that is an extra
-    corpus-sized pass through plasma. The fused path makes
+def read_segments(log_dir: str, names: list[str]) -> ray.data.Dataset:
+    """Segment reader: each file is read INSIDE the map stage
+    (``from_items(paths) → map_batches(read)``). Ray 2.49 does not fuse
+    ``ReadParquet`` with downstream ``map_batches``, so a ``read_parquet``
+    read pays a full object-store round trip for every ingested byte
+    before the first transform — on a 100-TB tail that is an extra
+    corpus-sized pass through plasma. Reading in the map stage makes
     read → validate → transform → L0 ``write_run`` ONE task per
     segment with zero payload bytes in the object store (the map-only
     ingest ideal; run-file stats are the only task output). Parallelism
     = pending segment count, and each task materializes one segment, so
-    the archiver's segment size bounds task memory (document-ed
-    contract; split oversized segments upstream). ``fused=False`` keeps
-    the ``read_parquet`` path for row-group-level parallelism over few
-    huge files."""
+    the archiver's segment size bounds task memory (documented
+    contract; split oversized segments upstream)."""
+    import pyarrow.parquet as pq
+
+    def read_files(t: pa.Table):
+        for p in t.column("path").to_pylist():
+            yield pq.read_table(p)
+
     paths = [os.path.join(log_dir, n) for n in names]
-    if fused:
-        import pyarrow.parquet as pq
-
-        def read_files(t: pa.Table):
-            for p in t.column("path").to_pylist():
-                tab = pq.read_table(p)
-                if provenance:
-                    seg = pa.array([os.path.basename(p)] * tab.num_rows)
-                    tab = tab.append_column("_segment", seg)
-                yield tab
-
-        ds = ray.data.from_items(
-            [{"path": p} for p in paths], override_num_blocks=len(paths)
-        )
-        # batch_size=1: one TASK per segment — without it the operator
-        # bundles the (byte-tiny) path blocks into a handful of tasks and
-        # parallelism collapses to the bundle count, not the segment count
-        return ds.map_batches(read_files, batch_format="pyarrow", batch_size=1)
-    from raycdc.util import read_parquet_clean
-
-    ds = read_parquet_clean(paths, include_paths=provenance)
-    if not provenance:
-        return ds
-
-    import pyarrow.compute as pc
-
-    def stamp(t: pa.Table) -> pa.Table:
-        seg = pc.replace_substring_regex(t.column("path"), pattern=r"^.*/", replacement="")
-        return t.drop_columns(["path"]).append_column("_segment", seg)
-
-    return ds.map_batches(stamp, batch_format="pyarrow")
+    ds = ray.data.from_items(
+        [{"path": p} for p in paths], override_num_blocks=len(paths)
+    )
+    # batch_size=1: one TASK per segment — without it the operator
+    # bundles the (byte-tiny) path blocks into a handful of tasks and
+    # parallelism collapses to the bundle count, not the segment count
+    return ds.map_batches(read_files, batch_format="pyarrow", batch_size=1)
 
 
 def tail_once(
@@ -131,7 +105,7 @@ def tail_once(
 ) -> dict | None:
     """Apply ONE epoch of pending segments (or None if fully caught up).
 
-    Flow: discover → read (with provenance) → single-pass validate with
+    Flow: discover → read → single-pass validate with
     dead-letter diversion → [optional transform, e.g. a RuleSet stage] →
     lake.apply (exactly-once). Dead letters land under
     ``dead_letter_dir/epoch=N`` with full payload for repair

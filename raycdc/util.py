@@ -111,24 +111,18 @@ def str_hash_u64(values, seed: int = 0) -> np.ndarray:
     return splitmix64(h ^ np.uint64(seed))
 
 
-def bucket_of(keys, num_buckets: int, salt: np.ndarray | None = None) -> np.ndarray:
+def bucket_of(keys, num_buckets: int) -> np.ndarray:
     """Hash-bucket assignment for a key column, or for a composite key
     given as a ``list`` of columns (int32 result).
 
     A one-column key is the lake's bucket layout. A composite key folds
     its columns as ``h = splitmix64(h ^ str_hash_u64(col_i, seed=i))``,
     so a one-element list buckets exactly like the bare column.
-
-    ``salt`` (optional uint64 ndarray, same length) spreads hot keys over
-    sub-buckets; callers that salt must run a second fold to merge the
-    salted sub-results (SURVEY.md §7.4 hot-key skew).
     """
     cols = keys if isinstance(keys, list) else [keys]
     h = str_hash_u64(cols[0])
     for i, col in enumerate(cols[1:], 1):
         h = splitmix64(h ^ str_hash_u64(col, seed=i))
-    if salt is not None:
-        h = splitmix64(h ^ salt.astype(np.uint64))
     return (h % np.uint64(num_buckets)).astype(np.int32)
 
 

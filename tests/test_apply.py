@@ -11,6 +11,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from raycdc.apply import last_writer_per_key, lww_apply, lww_apply_table
+from raycdc.metrics import Metrics
 from raycdc.synth import (
     BASE_SCHEMA,
     EventGenConfig,
@@ -102,7 +103,7 @@ def test_apply_idempotent_replay():
     assert_tables_equal(collect(ds), golden)
 
 
-def test_apply_hot_key_skew_with_salt():
+def test_apply_hot_key_skew():
     base, ev = make_stream(n_events=4000, seed=31, hot_key_share=0.6, hot_key_count=2)
     golden = fold_events(base, ev)
     ds = lww_apply(
@@ -110,9 +111,33 @@ def test_apply_hot_key_skew_with_salt():
         rd.from_arrow(base),
         num_buckets=8,
         batch_size=256,
-        salt_buckets=4,
     )
     assert_tables_equal(collect(ds), golden)
+
+
+def test_lww_apply_single_hot_key_bounded():
+    """Every event on ONE key: the per-batch reduce sends that key into
+    the shuffle at most once per input batch, so its one bucket folds at
+    most as many rows as there were batches — why hot keys need no salt."""
+    n_batches, batch_size = 8, 256
+    cfg = EventGenConfig(
+        n_events=n_batches * batch_size, n_base=1, seed=51, pct_insert=0.0,
+        pct_update=0.8, pct_delete=0.2, pct_malformed=0.0, hot_key_share=1.0,
+        hot_key_count=1, min_len=4, max_len=16,
+    )
+    ev = with_replays_and_disorder(events_table(cfg), cfg)
+    assert pc.count_distinct(ev["doc_id"]).as_py() == 1
+    golden = fold_events(base_table(0, seed=51), ev)
+    blocks = [ev.slice(i * batch_size, batch_size) for i in range(n_batches)]
+
+    m = Metrics("test_hot_key_metrics")
+    m.reset()
+    ds = lww_apply(rd.from_arrow(blocks), None, num_buckets=8, batch_size=batch_size,
+                   metrics_name="test_hot_key_metrics")
+    assert_tables_equal(collect(ds), golden)
+    s = m.stats_stable()
+    assert s["apply.partial_rows_in"] == ev.num_rows
+    assert s["apply.fold_rows_in"] <= n_batches
 
 
 def test_apply_delete_only_stream():

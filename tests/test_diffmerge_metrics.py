@@ -276,19 +276,16 @@ def test_lww_apply_publishes_index_counters():
 
 
 def test_lake_apply_publishes_epoch_counters(tmp_path):
-    """Driver-side lake epoch counters: published from stats already in
-    hand at commit, so the apply tasks pay nothing."""
+    """The lake's epoch counters live in the manifest history, one entry
+    per committed epoch, written from stats already in hand at commit."""
     from raycdc.apply import base_as_inserts
     from raycdc.lake import LakeTable
 
-    m = Metrics("test_lake_metrics")
-    m.reset()
-    lake = LakeTable(str(tmp_path / "lake"), num_partitions=4,
-                     metrics_name="test_lake_metrics")
+    lake = LakeTable(str(tmp_path / "lake"), num_partitions=4)
     lake.init()
     base = base_table(50, seed=3, min_len=4, max_len=8)
     lake.apply(base_as_inserts(rd.from_arrow(base)), ["__base__"])
-    s = m.stats_stable()
-    assert s["lake.epochs_committed"] == 1
-    assert s["lake.events_after_reduce"] == 50
-    assert s["lake.l0_runs_written"] == 1  # one input block → one run
+    history = lake.manifest()["history"]
+    assert len(history) == 1  # one epoch committed
+    assert history[0]["events_after_reduce"] == 50
+    assert history[0]["l0_runs"] == 1  # one input block → one run
