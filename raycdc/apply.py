@@ -74,10 +74,10 @@ def lww_winners(t: pa.Table, key: str = "doc_id", lsn_col: str = "lsn",
     keys never compare equal, so each null-key row is its own winner.
     ``_bucket`` only orders the output, so it must be a function of the
     key within ``t``."""
-    n = t.num_rows
-    if n <= 1:
-        return np.arange(n, dtype=np.int64)
     idx = lww_order(t, key, lsn_col) if order is None else order
+    n = len(idx)
+    if n <= 1:
+        return np.asarray(idx, dtype=np.int64)
     keys_sorted = t.column(key).take(idx)
     # last row of each run of equal keys (in sorted order)
     last_of_run = np.ones(n, dtype=bool)
@@ -107,7 +107,8 @@ def last_writer_per_key(t: pa.Table, key: str = "doc_id", lsn_col: str = "lsn",
     L0 run comes out bucket-sorted with no second sort or take. With
     ``tombstone_col`` set, winners that are tombstones are dropped
     before the take (the merge-on-read path). ``order`` is a
-    :func:`lww_order` of ``t`` the caller already holds."""
+    :func:`lww_order` of ``t`` the caller already holds; rows it leaves
+    out are neither folded nor copied."""
     return t.take(_live(t, lww_winners(t, key, lsn_col, order), tombstone_col))
 
 

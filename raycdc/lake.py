@@ -71,6 +71,7 @@ import ray
 import ray.data
 
 from raycdc.apply import drop_tombstones, last_writer_per_key, lww_order
+from raycdc.routing import ROUTE_COL, ROUTE_OK
 from raycdc.schema_evo import conform_to, schema_from_str, schema_to_str, unify
 from raycdc.util import bucket_of
 
@@ -484,7 +485,9 @@ class LakeTable:
         stream accordingly; by contract the tailer passes only
         uncommitted segments.
 
-        Events must be pre-validated (see routing.split_valid); the
+        Events must be pre-validated, or stamped by
+        ``routing.make_validator``: a ``_route`` column is a selection
+        vector, and only its ``ok`` rows are folded and written. The
         stream must carry (key, lsn, op, payload...) columns.
 
         Bytes written per epoch ∝ events applied (L0 runs); an epoch that
@@ -536,14 +539,23 @@ class LakeTable:
                     "buckets": pa.array([], pa.string()),
                 }
             )
-            if t.num_rows == 0:
+            rows = np.arange(t.num_rows)
+            if ROUTE_COL in t.column_names:
+                # the validator's stamp is a selection vector: only the ok
+                # rows are hashed, sorted and gathered, and _route is not kept
+                rows = np.flatnonzero(pc.equal(t.column(ROUTE_COL), ROUTE_OK))
+                t = t.drop_columns([ROUTE_COL])
+            if not len(rows):
                 return empty
-            # one sort, of the key columns only: the run's (bucket, key)
-            # row-group layout, which the fold reuses to pick its winners —
-            # so the payload is copied once, already in layout order
-            t = t.append_column("_bucket", pa.array(bucket_of(t.column(key), P)))
-            t = last_writer_per_key(t, key=key, lsn_col=lsn_col,
-                                    order=lww_order(t, key, lsn_col))
+            b = np.zeros(t.num_rows, dtype=np.int32)
+            b[rows] = bucket_of(t.column(key).take(rows), P)
+            t = t.append_column("_bucket", pa.array(b))
+            # one sort, of the selected rows' key columns only: the run's
+            # (bucket, key) row-group layout, which the fold reuses to pick
+            # its winners — so the payload is copied once, in layout order
+            keys = t.select(["_bucket", key, lsn_col]).take(rows)
+            order = pa.array(rows).take(lww_order(keys, key, lsn_col))
+            t = last_writer_per_key(t, key=key, lsn_col=lsn_col, order=order)
             lsns = np.asarray(t.column(lsn_col).combine_chunks().cast(pa.int64()))
             # content-derived name: (lsn stream ⊕ key hashes) — a retried
             # task rewrites the identical file; distinct blocks (even with

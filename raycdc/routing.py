@@ -90,8 +90,12 @@ def split_valid(ds: ray.data.Dataset, batch_size: int = 65536):
 
 def make_validator(dead_letter_dir: str | None = None):
     """Single-pass validation as a plain batch fn for ``map_batches``:
-    dead-lettered rows are diverted to parquet side-files as they stream
-    by; only valid rows continue down the pipeline. One pass over the
+    every row is stamped with its ``_route`` and dead-lettered rows are
+    written to parquet side-files as they stream by. The batch comes back
+    whole and stamped, not filtered: ``LakeTable.apply`` folds only the
+    ``ok`` rows (``_route`` is its selection vector), so the payload is
+    copied once, by the run writer's take. A consumer that needs only
+    valid rows takes them with :func:`take_route`. One pass over the
     input — the hot-path variant of :func:`split_valid`.
 
     Dead-letter files are named from their rows' content, as L0 runs
@@ -111,10 +115,8 @@ def make_validator(dead_letter_dir: str | None = None):
 
         tune_allocators()
         stamped = stamp_route(batch)
-        routes = stamped[ROUTE_COL]
-        ok_mask = pc.equal(routes, ROUTE_OK)
-        n_bad = batch.num_rows - pc.sum(ok_mask.cast(pa.int64())).as_py()
-        if n_bad and dead_letter_dir:
+        dead_mask = pc.equal(stamped[ROUTE_COL], ROUTE_DEAD_LETTER)
+        if dead_letter_dir and pc.any(dead_mask).as_py():
             import hashlib
 
             import polars as pl
@@ -122,7 +124,7 @@ def make_validator(dead_letter_dir: str | None = None):
             from raycdc.lake import _atomic_write_parquet
 
             os.makedirs(dead_letter_dir, exist_ok=True)  # remote worker may not have it
-            dead = stamped.filter(pc.invert(ok_mask))
+            dead = stamped.filter(dead_mask)
             # content-derived name over every column (dead rows may lack a
             # key or lsn, so those alone could collide): a retried task
             # rewrites the identical file; durable (tmp+fsync+rename) before
@@ -130,6 +132,6 @@ def make_validator(dead_letter_dir: str | None = None):
             rows_h = pl.from_arrow(dead).hash_rows(seed=0).to_numpy()
             digest = hashlib.md5(rows_h.tobytes()).hexdigest()[:16]
             _atomic_write_parquet(os.path.join(dead_letter_dir, f"dead-{digest}.parquet"), dead)
-        return stamped.filter(ok_mask).drop_columns([ROUTE_COL])
+        return stamped
 
     return validate_divert

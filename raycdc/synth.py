@@ -266,10 +266,8 @@ def is_malformed_mask(events: pa.Table) -> np.ndarray:
 
     if "tokens" not in events.column_names or "n_tok" not in events.column_names:
         return np.zeros(events.num_rows, dtype=bool)
-    tokens = events["tokens"]
-    if isinstance(tokens, pa.ChunkedArray):
-        tokens = tokens.combine_chunks()
-    lens = pc.fill_null(pc.list_value_length(tokens).cast(pa.int64()), -1)
+    # lengths of the column as given: combine_chunks would copy the payload
+    lens = pc.fill_null(pc.list_value_length(events["tokens"]).cast(pa.int64()), -1)
     n_tok = pc.fill_null(events["n_tok"].cast(pa.int64()), -1)
     not_del = pc.invert(pc.fill_null(pc.equal(events["op"], "delete"), False))
     bad = pc.and_(

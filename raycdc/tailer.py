@@ -22,7 +22,7 @@ import pyarrow as pa
 import ray.data
 
 from raycdc.lake import LakeTable
-from raycdc.routing import make_validator
+from raycdc.routing import ROUTE_OK, make_validator, take_route
 
 
 def list_segments(log_dir: str, suffix: str = ".parquet") -> list[str]:
@@ -108,9 +108,11 @@ def tail_once(
     Flow: discover → read → single-pass validate with
     dead-letter diversion → [optional transform, e.g. a RuleSet stage] →
     lake.apply (exactly-once). Dead letters land under
-    ``dead_letter_dir/epoch=N`` with full payload for repair
-    (failure-loopback analog, ``PutDICOM.java:83-86``); one pass over the
-    input total.
+    ``dead_letter_dir/epoch=N`` with full, untransformed payload for
+    repair (failure-loopback analog, ``PutDICOM.java:83-86``); one pass
+    over the input total. Without a transform the stamped rows go to
+    ``lake.apply`` whole and its run writer drops the dead ones in its
+    one payload take; a transform sees only the ``ok`` rows.
 
     ``batch_size=None`` keeps each segment ONE batch end-to-end through
     the fused read → validate → transform → L0 write chain: maximal
@@ -130,14 +132,14 @@ def tail_once(
     # stateless task stage: fuses with the downstream per-batch reduce
     # and uses every core (an actor pool here capped parallelism at its
     # pool size and paid per-actor warmup)
-    ok = ds.map_batches(
+    ds = ds.map_batches(
         make_validator(dl),
         batch_format="pyarrow",
         batch_size=batch_size,
     )
     if transform is not None:
-        ok = transform(ok)
-    return lake.apply(ok, todo)
+        ds = transform(take_route(ds, ROUTE_OK))
+    return lake.apply(ds, todo)
 
 
 def tail_until_caught_up(

@@ -21,6 +21,11 @@ Outcome (this bench DROVE the shipped choice of every kernel):
   sort and one payload take in (bucket, key) order, 0.16 s, vs the
   filter fold plus bucket sort plus second take, 0.27 s; identical
   tables and run names. SHIPS (lww_order + last_writer_per_key).
+  From the RAW segments (4-core host, pyarrow 16.1, best of 3, four
+  runs): stamp + a selection vector of the ok rows + one composed take,
+  0.26-0.38 s, vs stamp + filter + the same fold, 0.47-0.63 s (1.7-1.8x);
+  identical tables and run names. SHIPS (make_validator's stamped batch
+  into LakeTable write_run).
 - UNORDERED fold (lww_apply, 65k-row multi-chunk batches): a mask
   filter of the shared winners matches the replaced filter fold
   (0.17-0.22 s); an ordered take or a sorted-index take is 1.4-1.8x
@@ -122,17 +127,23 @@ def bench_jaccard(n_pairs: int = 20000, grams: int = 40) -> dict:
             "shipped_speedup_over_rejected": round(t_vec / t_loop, 1)}
 
 
-def _tail_segments(n_segments: int = 8, per: int = 25_000, seed: int = 7) -> list[pa.Table]:
-    """Validated change segments of the benchmark's ``tail_bulk`` shape."""
-    from raycdc.synth import (EventGenConfig, events_table, is_malformed_mask,
-                              with_replays_and_disorder)
+def _raw_segments(n_segments: int = 8, per: int = 25_000, seed: int = 7) -> list[pa.Table]:
+    """Change segments of the benchmark's ``tail_bulk`` shape, malformed
+    events included (as the tailer reads them)."""
+    from raycdc.synth import EventGenConfig, events_table, with_replays_and_disorder
 
     cfg = EventGenConfig(n_events=per * n_segments, n_base=50_000, seed=seed,
                          dup_replay_rate=0.02, pct_malformed=0.01, hot_key_share=0.1,
                          min_len=48, max_len=192)
-    segs = [with_replays_and_disorder(events_table(cfg, 1 + k * per, 1 + (k + 1) * per), cfg)
+    return [with_replays_and_disorder(events_table(cfg, 1 + k * per, 1 + (k + 1) * per), cfg)
             for k in range(n_segments)]
-    return [s.filter(pa.array(~is_malformed_mask(s))) for s in segs]
+
+
+def _tail_segments(**kw) -> list[pa.Table]:
+    """The :func:`_raw_segments` with their malformed events removed."""
+    from raycdc.synth import is_malformed_mask
+
+    return [s.filter(pa.array(~is_malformed_mask(s))) for s in _raw_segments(**kw)]
 
 
 def _filter_fold(t: pa.Table, key: str = "doc_id", lsn_col: str = "lsn") -> pa.Table:
@@ -158,31 +169,40 @@ def _run_name(t: pa.Table) -> str:
 
 
 def bench_lww_write_run(partitions: int = 32) -> dict:
-    """The L0 run writer's fold + bucket order + run name over the eight
-    ``tail_bulk`` segments: the replaced path (filter fold, then a
-    bucket sort and a second payload take) vs the shipped one
-    (``lww_order`` over the bucket-stamped block's key columns, handed
-    to ``last_writer_per_key``: one key-column sort, one payload take)."""
+    """One ingest task's validate + fold + bucket order + run name over
+    the eight raw ``tail_bulk`` segments: the replaced path (stamp,
+    filter the ok rows, then ``lww_order`` + ``last_writer_per_key`` on
+    the filtered block: two payload copies) vs the shipped one (stamp,
+    keep the ok rows as a selection vector that only the key columns are
+    hashed and sorted by, one composed payload take)."""
     from raycdc.apply import last_writer_per_key, lww_order
+    from raycdc.routing import ROUTE_COL, ROUTE_OK, stamp_route
     from raycdc.util import bucket_of
 
-    segs = _tail_segments()
+    segs = _raw_segments()
 
     def old():
         out = []
-        for t in segs:
-            t = _filter_fold(t)
+        for s in segs:
+            t = stamp_route(s)
+            t = t.filter(pc.equal(t[ROUTE_COL], ROUTE_OK)).drop_columns([ROUTE_COL])
             t = t.append_column("_bucket", pa.array(bucket_of(t.column("doc_id"), partitions)))
-            t = t.take(pc.sort_indices(t, sort_keys=[("_bucket", "ascending"),
-                                                     ("doc_id", "ascending")]))
+            t = last_writer_per_key(t, order=lww_order(t))
             out.append((t, _run_name(t)))
         return out
 
     def new():  # SHIPPED (LakeTable write_run)
         out = []
-        for t in segs:
-            t = t.append_column("_bucket", pa.array(bucket_of(t.column("doc_id"), partitions)))
-            t = last_writer_per_key(t, order=lww_order(t))
+        for s in segs:
+            t = stamp_route(s)
+            rows = np.flatnonzero(pc.equal(t[ROUTE_COL], ROUTE_OK))
+            t = t.drop_columns([ROUTE_COL])
+            b = np.zeros(t.num_rows, dtype=np.int32)
+            b[rows] = bucket_of(t.column("doc_id").take(rows), partitions)
+            t = t.append_column("_bucket", pa.array(b))
+            keys = t.select(["_bucket", "doc_id", "lsn"]).take(rows)
+            order = pa.array(rows).take(lww_order(keys))
+            t = last_writer_per_key(t, order=order)
             out.append((t, _run_name(t)))
         return out
 
@@ -193,7 +213,7 @@ def bench_lww_write_run(partitions: int = 32) -> dict:
     return {"kernel": "lww_write_run", "segments": len(segs),
             "rows_in": sum(s.num_rows for s in segs),
             "rows_out": sum(t.num_rows for t, _ in o_new),
-            "replaced_fold_sort_take_sec": round(t_old, 4),
+            "replaced_filter_then_take_sec": round(t_old, 4),
             "shipped_one_take_sec": round(t_new, 4),
             "speedup": round(t_old / t_new, 2)}
 

@@ -9,6 +9,7 @@ requeue (`PutDICOM.java:83-86`), replay/resume equivalence (north rule).
 import os
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 import ray.data as rd
@@ -605,6 +606,57 @@ def test_l0_run_name_is_pinned_across_retries(tmp_path, monkeypatch):
     name = "l0-e96f6127ff9e873f.parquet"
     assert [e["file"] for e in lk.manifest()["l0"]] == [f"state/e000001/{name}"]
     assert os.listdir(os.path.join(lk.path, "state", "e000001")) == [name]
+
+
+def test_l0_run_of_stamped_events_is_byte_identical(tmp_path):
+    """The run writer folds a ``make_validator``-stamped block through its
+    ``_route`` selection: the same events, unfiltered and with extra dead
+    rows, write the pinned run of the pre-filtered apply byte for byte."""
+    from raycdc.routing import make_validator
+
+    cfg = EventGenConfig(n_events=400, n_base=60, seed=11, min_len=4, max_len=12,
+                         dup_replay_rate=0.05)
+    raw = with_replays_and_disorder(events_table(cfg), cfg)
+    bogus = raw.slice(0, 7).set_column(1, "op", pa.array(["upsert"] * 7))
+    keyless = raw.slice(40, 5).set_column(2, "doc_id", pa.nulls(5, pa.string()))
+    mixed = pa.concat_tables([bogus, raw.slice(0, 200), keyless, raw.slice(200)])
+    n_bad = int(is_malformed_mask(raw).sum()) + 12
+    runs = {}
+    for label, ev in (("filtered", raw.filter(pa.array(~is_malformed_mask(raw)))),
+                      ("stamped", make_validator(str(tmp_path / "dead"))(mixed))):
+        lk = LakeTable(str(tmp_path / label), num_partitions=8)
+        lk.init()
+        lk.apply(rd.from_arrow(ev), ["s0"])
+        [run] = [e["file"] for e in lk.manifest()["l0"]]
+        with open(os.path.join(lk.path, run), "rb") as f:
+            runs[label] = (run, f.read())
+    assert runs["stamped"][0] == "state/e000001/l0-e96f6127ff9e873f.parquet"
+    assert runs["stamped"] == runs["filtered"]
+    assert pq.read_table(str(tmp_path / "dead")).num_rows == n_bad
+
+
+def test_all_dead_segment_writes_no_run(lake, tmp_path):
+    """An epoch whose only segment is all malformed commits with zero L0
+    runs, dead-letters every row, and a later segment still converges."""
+    base, log_dir, good = make_log(tmp_path, seed=29, n_segments=1)
+    upserts = pc.not_equal(good["op"], "delete").to_numpy(zero_copy_only=False)
+    ok = good.filter(pa.array(~is_malformed_mask(good) & upserts))
+    bad = ok.set_column(ok.column_names.index("n_tok"), "n_tok",
+                        pc.add(ok["n_tok"], 1).cast(pa.int32()))  # every length is wrong
+    seg = os.path.join(log_dir, "seg-00000.parquet")
+    os.rename(seg, os.path.join(log_dir, "seg-00001.parquet"))
+    pq.write_table(bad, seg)
+    assert is_malformed_mask(bad).all()
+    seeded_lake(lake, base)
+    dead = str(tmp_path / "dead")
+    r = tail_once(lake, log_dir, max_segments_per_epoch=1, dead_letter_dir=dead, batch_size=None)
+    m = lake.manifest()
+    assert r["l0_runs"] == 0 and m["segments_applied"][-1] == "seg-00000.parquet"
+    # the base's run is the only one
+    assert [e["file"].startswith("state/e000001/") for e in m["l0"]] == [True]
+    assert pq.read_table(dead).num_rows == bad.num_rows
+    tail_until_caught_up(lake, log_dir, dead_letter_dir=dead, batch_size=None)
+    assert_eq(collect(lake.read()), fold_events(base, pa.concat_tables([bad, good])))
 
 
 def test_run_and_base_files_are_zstd_without_dictionary(tmp_path):

@@ -179,10 +179,28 @@ def test_dead_letter_file_named_from_content(tmp_path):
     dl = str(tmp_path / "dead")
     validator = make_validator(dl)
     for _ in range(2):  # the original attempt and its retry
-        ok = validator(ev)
-    assert ok.num_rows == 200 - n_bad
+        stamped = validator(ev)
+    # every row comes back, stamped: the lake's run writer drops the dead ones
+    assert stamped.num_rows == 200
+    routes = stamped[ROUTE_COL].to_pylist()
+    assert routes.count(ROUTE_OK) == 200 - n_bad
+    assert routes.count(ROUTE_DEAD_LETTER) == n_bad
+    assert [r == ROUTE_DEAD_LETTER for r in routes] == is_malformed_mask(ev).tolist()
     assert len(os.listdir(dl)) == 1
     assert pq.read_table(dl).num_rows == n_bad
+
+
+def test_malformed_mask_on_chunked_tokens():
+    """``is_malformed_mask`` reads list lengths off a multi-chunk
+    ``tokens`` column as given and equals the per-chunk masks, concatenated."""
+    cfg = EventGenConfig(n_events=300, n_base=20, seed=9, pct_malformed=0.2, min_len=4, max_len=8)
+    parts = [events_table(cfg, lo, lo + 100) for lo in (1, 101, 201)]
+    chunked = pa.concat_tables(parts)
+    assert chunked["tokens"].num_chunks == 3
+    want = np.concatenate([is_malformed_mask(p) for p in parts])
+    assert 0 < want.sum() < 300
+    assert is_malformed_mask(chunked).tolist() == want.tolist()
+    assert is_malformed_mask(chunked.combine_chunks()).tolist() == want.tolist()
 
 
 def test_dead_letter_write_is_atomic(tmp_path, monkeypatch):
