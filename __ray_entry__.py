@@ -906,34 +906,26 @@ def q_flatten_struct(sf_dir: str):
 
 def q_identity_substitute(sf_dir: str):
     """Identity side-table substitution with generate-if-unmatched
-    (T3/T4/J1): matched users take the nation side table's name,
-    unmatched get a deterministic pseudo-identity."""
-    import pandas as pd
-
+    (T3/T4/J1) through ``identity.substitute_identities``: matched users
+    take the nation side table's name, unmatched get the deterministic
+    pseudo-identity. The stage probes string keys, so the user id goes
+    in as a string ``_key`` and comes back as ``new_id``."""
+    from raycdc.identity import substitute_identities
     from raycdc.ops import partial_groupby_agg
 
     nt = pq.read_table(os.path.join(sf_dir, "nation.parquet"), columns=["n_nationkey", "n_name"])
-    mapping = dict(zip(nt["n_nationkey"].to_pylist(), nt["n_name"].to_pylist()))
-    ref = ray.put(mapping)
+    imap = {str(k): (v, None) for k, v in zip(nt["n_nationkey"].to_pylist(), nt["n_name"].to_pylist())}
 
     users = partial_groupby_agg(_ev(sf_dir), "user_id", {"n_events": ("event_id", "count")})
-
-    class Sub:
-        def __init__(self):
-            self.m = pd.Series(ray.get(ref))
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            uid = t["user_id"].to_pandas()
-            mapped = uid.map(self.m)
-            fallback = [
-                "anon-" + hashlib.md5(str(u).encode()).hexdigest()[:16] for u in uid.tolist()
-            ]
-            new_id = mapped.fillna(pd.Series(fallback, index=mapped.index))
-            return pa.table(
-                {"user_id": t["user_id"], "new_id": pa.array(new_id.tolist(), type=pa.string())}
-            )
-
-    return users.map_batches(Sub, batch_format="pyarrow", concurrency=(1, 2))
+    keyed = users.map_batches(
+        lambda t: pa.table({"user_id": t["user_id"], "_key": t["user_id"].cast(pa.string())}),
+        batch_format="pyarrow",
+    )
+    out = substitute_identities(keyed, imap, key="_key", concurrency=(1, 2))
+    return out.map_batches(
+        lambda t: pa.table({"user_id": t["user_id"], "new_id": t["_key"]}),
+        batch_format="pyarrow",
+    )
 
 
 def q_roundtrip_diffmerge(sf_dir: str):
@@ -978,9 +970,7 @@ def q_embedding_cosine_pairs(sf_dir: str):
     from raycdc.extras.dedup import embedding_near_dup
 
     ds = _rp(os.path.join(sf_dir, "embeddings.parquet"))
-    out = embedding_near_dup(ds, threshold=0.40, n_planes=0)
-    return out.map_batches(lambda t: t.drop_columns(["_bucket"]) if "_bucket" in t.column_names else t,
-                           batch_format="pyarrow")
+    return embedding_near_dup(ds, threshold=0.40, n_planes=0)
 
 
 def q_embedding_near_dup_lsh(sf_dir: str):
@@ -1407,7 +1397,7 @@ def q_events_running_total(sf_dir: str):
     """Per-key running total (watermark / cumulative exposure): each
     event carries its user's cents-sum so far, in (ts, event_id) order.
     Integer cents keep both engines exact under any summation order."""
-    from raycdc.ops import grouped_cumsum
+    from raycdc.ops import grouped_rolling_agg
 
     cents = _ev(sf_dir).map_batches(
         lambda t: t.select(["event_id", "user_id", "ts"]).append_column(
@@ -1415,9 +1405,9 @@ def q_events_running_total(sf_dir: str):
         ),
         batch_format="pyarrow",
     )
-    out = grouped_cumsum(
-        cents, "user_id", order_cols=["ts", "event_id"], val_col="cents",
-        out_col="running_cents",
+    out = grouped_rolling_agg(
+        cents, "user_id", order_cols=["ts", "event_id"],
+        specs={"running_cents": ("cents", "sum")}, window=None,
     )
     return out.map_batches(
         lambda t: t.select(["event_id", "user_id", "running_cents"]),
@@ -1451,15 +1441,15 @@ def q_events_next_value(sf_dir: str):
     in replay order — the look-ahead / boundary-feature family, all
     copied (never computed) doubles so the SQL window oracle matches
     bit-for-bit. Two bounded bucket shuffles (lead, then edges)."""
-    from raycdc.ops import grouped_first_last, grouped_lead
+    from raycdc.ops import grouped_first_last, grouped_lag
 
-    out = grouped_lead(
+    out = grouped_lag(
         _ev(sf_dir).map_batches(
             lambda t: t.select(["event_id", "user_id", "ts", "value"]),
             batch_format="pyarrow",
         ),
         "user_id", order_cols=["ts", "event_id"], val_col="value",
-        out_col="next_value",
+        periods=-1, out_col="next_value",
     )
     out = grouped_first_last(
         out, "user_id", order_cols=["ts", "event_id"], val_col="value",
@@ -2217,7 +2207,7 @@ def q_events_rolling_sum(sf_dir: str):
     """Per-key sliding-window exposure: each event carries its user's
     cents-sum over that user's last 4 events in (ts, event_id) order —
     the ROWS-frame complement of the unbounded running total."""
-    from raycdc.ops import grouped_rolling_sum
+    from raycdc.ops import grouped_rolling_agg
 
     cents = _ev(sf_dir).map_batches(
         lambda t: t.select(["event_id", "user_id", "ts"]).append_column(
@@ -2225,9 +2215,9 @@ def q_events_rolling_sum(sf_dir: str):
         ),
         batch_format="pyarrow",
     )
-    out = grouped_rolling_sum(
-        cents, "user_id", order_cols=["ts", "event_id"], val_col="cents",
-        window=4, out_col="rolling_cents",
+    out = grouped_rolling_agg(
+        cents, "user_id", order_cols=["ts", "event_id"],
+        specs={"rolling_cents": ("cents", "sum")}, window=4,
     )
     return out.map_batches(
         lambda t: t.select(["event_id", "user_id", "rolling_cents"]),
@@ -2583,7 +2573,7 @@ def q_user_state_scd2(sf_dir: str):
     valid_to = next change ts, open interval = current row. Two bucket
     shuffles on the SAME key (user) — on a cluster the second reuses
     the first's partitioning."""
-    from raycdc.ops import grouped_lag, grouped_lead
+    from raycdc.ops import grouped_lag
 
     ev = _ev(sf_dir).map_batches(
         lambda t: t.select(["event_id", "user_id", "ts", "event_type"]),
@@ -2601,9 +2591,9 @@ def q_user_state_scd2(sf_dir: str):
         return t.filter(distinct).drop_columns(["_prev"])
 
     cp = lagged.map_batches(changed, batch_format="pyarrow")
-    led = grouped_lead(
+    led = grouped_lag(
         cp, "user_id", order_cols=["ts", "event_id"], val_col="ts",
-        out_col="valid_to",
+        periods=-1, out_col="valid_to",
     )
     return led.map_batches(
         lambda t: pa.table(
@@ -2655,7 +2645,7 @@ def q_user_time_weighted_value(sf_dir: str):
     intervals. One lead shuffle + a combiner sum — whole-dollar values ×
     whole-second gaps keep every product sum < 2**53 (float64-exact →
     bit-equal to the SQL expression)."""
-    from raycdc.ops import grouped_lead, moment_agg
+    from raycdc.ops import grouped_lag, moment_agg
 
     ev = _ev(sf_dir).map_batches(
         lambda t: pa.table(
@@ -2671,8 +2661,8 @@ def q_user_time_weighted_value(sf_dir: str):
         ),
         batch_format="pyarrow",
     )
-    led = grouped_lead(ev, "user_id", order_cols=["ts", "event_id"],
-                       val_col="ts", out_col="_next")
+    led = grouped_lag(ev, "user_id", order_cols=["ts", "event_id"],
+                      val_col="ts", periods=-1, out_col="_next")
 
     def interval(t: pa.Table) -> pa.Table:
         t = t.filter(pc.is_valid(t["_next"]))
@@ -2690,13 +2680,13 @@ def q_user_max_gap(sf_dir: str):
     """Per-user maximum silence: the longest gap (whole seconds) between
     consecutive events — the churn-detection / liveness aggregate. Lead
     shuffle + combiner max."""
-    from raycdc.ops import grouped_lead, partial_groupby_agg
+    from raycdc.ops import grouped_lag, partial_groupby_agg
 
     ev = _ev(sf_dir).map_batches(
         lambda t: t.select(["event_id", "user_id", "ts"]), batch_format="pyarrow"
     )
-    led = grouped_lead(ev, "user_id", order_cols=["ts", "event_id"],
-                       val_col="ts", out_col="_next")
+    led = grouped_lag(ev, "user_id", order_cols=["ts", "event_id"],
+                      val_col="ts", periods=-1, out_col="_next")
 
     def gap(t: pa.Table) -> pa.Table:
         t = t.filter(pc.is_valid(t["_next"]))
@@ -2851,8 +2841,8 @@ def q_audience_overlap(sf_dir: str):
     combiner pair count, and per-type distinct counts via the pair-dedup
     combiner; the final Jaccard joins two TYPE-cardinality tables (a
     driver dict is fine at that size)."""
-    from raycdc.ops import (_by_key, _distinct, _run_boundaries, grouped_nunique,
-                            partial_groupby_agg)
+    from raycdc.ops import (_by_key, _distinct, _frame, _run_boundaries, _run_pairs,
+                            grouped_nunique, partial_groupby_agg)
 
     def dedup(t: pa.Table) -> pa.Table:
         return (t.select(["user_id", "event_type"])
@@ -2863,14 +2853,7 @@ def q_audience_overlap(sf_dir: str):
         # global distinct within the bucket (batches may repeat pairs),
         # sorted by (user_id, event_type)
         g = _distinct(g, ["user_id", "event_type"])
-        n = g.num_rows
-        new_u = _run_boundaries(g.column("user_id"), n)
-        starts = np.flatnonzero(new_u)
-        run = np.cumsum(new_u) - 1
-        pos = np.arange(n) - starts[run]
-        ib = np.repeat(np.arange(n), pos)
-        off = np.concatenate(([0], np.cumsum(pos)))
-        ia = (np.arange(off[-1]) - off[ib]) + starts[run][ib]
+        ia, ib = _run_pairs(_frame(_run_boundaries(g.column("user_id"), g.num_rows)))
         types = g.column("event_type")
         return pa.table({"ta": types.take(pa.array(ia)),
                          "tb": types.take(pa.array(ib))})
@@ -3762,10 +3745,11 @@ def q_events_gini(sf_dir: str):
 
 def q_user_autocorr(sf_dir: str):
     """Per-user LAG-1 AUTOCORRELATION of event values in time order —
-    the time-series stationarity diagnostic, composed from grouped_lead
-    (one bucket shuffle) into the corr moment kernel (combiner); exact
-    integer cents keep it bit-equal to the mirrored SQL."""
-    from raycdc.ops import grouped_lead, moment_agg
+    the time-series stationarity diagnostic, composed from a LEAD
+    (``grouped_lag(periods=-1)``, one bucket shuffle) into the corr
+    moment kernel (combiner); exact integer cents keep it bit-equal to
+    the mirrored SQL."""
+    from raycdc.ops import grouped_lag, moment_agg
 
     ev = _ev(sf_dir).map_batches(
         lambda t: pa.table(
@@ -3778,8 +3762,8 @@ def q_user_autocorr(sf_dir: str):
         ),
         batch_format="pyarrow",
     )
-    led = grouped_lead(ev, "user_id", order_cols=["ts", "event_id"],
-                       val_col="cents", out_col="next_c")
+    led = grouped_lag(ev, "user_id", order_cols=["ts", "event_id"],
+                      val_col="cents", periods=-1, out_col="next_c")
     pairs = led.map_batches(
         lambda t: t.filter(pc.is_valid(t["next_c"])).select(
             ["user_id", "cents", "next_c"]),

@@ -15,7 +15,7 @@ manifest swap for exactly-once lake commits.
 """
 
 from raycdc import util  # noqa: F401
-from raycdc.apply import base_as_inserts, lww_apply, lww_apply_table  # noqa: F401
+from raycdc.apply import base_as_inserts, lww_apply  # noqa: F401
 from raycdc.lake import LakeTable  # noqa: F401
 from raycdc.rules import RuleSet  # noqa: F401
 from raycdc.synth import base_table, events_table, fold_events  # noqa: F401

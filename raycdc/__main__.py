@@ -24,7 +24,6 @@ import argparse
 import json
 import os
 import sys
-import time
 
 
 def _ray_up(num_cpus: int | None):
@@ -112,7 +111,6 @@ def main(argv=None) -> int:
                     help="sum aggregate (repeatable)")
     mp.add_argument("--count", action="append", default=[], metavar="OUT",
                     help="row-count aggregate (repeatable)")
-    mp.add_argument("--num-cpus", type=int, default=None)
 
     args = p.parse_args(argv)
 
@@ -157,7 +155,7 @@ def main(argv=None) -> int:
 
     if args.cmd == "tail":
         _ray_up(args.num_cpus)
-        from raycdc.tailer import tail_until_caught_up
+        from raycdc.tailer import tail_forever, tail_until_caught_up
 
         transform = None
         if args.rules:
@@ -169,21 +167,21 @@ def main(argv=None) -> int:
                 print("invalid rules: " + "; ".join(problems), file=sys.stderr)
                 return 2
             transform = lambda ds: ds.map_batches(rs, batch_format="pyarrow")
-        while True:
-            res = tail_until_caught_up(
-                lk,
-                args.log_dir,
-                max_segments_per_epoch=args.segments_per_epoch,
-                transform=transform,
-                dead_letter_dir=args.dead_letter,
-            )
-            for r in res:
-                print(json.dumps(r))
-            if args.watch is None:
-                if not res:
-                    print(json.dumps({"caught_up": True}))
-                return 0
-            time.sleep(args.watch)
+        kw = dict(
+            max_segments_per_epoch=args.segments_per_epoch,
+            transform=transform,
+            dead_letter_dir=args.dead_letter,
+        )
+        if args.watch is not None:
+            for r in tail_forever(lk, args.log_dir, poll_s=args.watch, **kw):
+                print(json.dumps(r), flush=True)
+            return 0
+        res = tail_until_caught_up(lk, args.log_dir, **kw)
+        for r in res:
+            print(json.dumps(r))
+        if not res:
+            print(json.dumps({"caught_up": True}))
+        return 0
 
     if args.cmd == "status":
         m = lk.manifest()

@@ -128,28 +128,6 @@ def drop_tombstones(t: pa.Table, op_col: str = "op") -> pa.Table:
     return t.filter(pa.array(~_is_tomb(t.column(op_col))))
 
 
-def lww_apply_table(
-    events: pa.Table,
-    base: pa.Table | None = None,
-    key: str = "doc_id",
-    lsn_col: str = "lsn",
-    op_col: str = "op",
-) -> pa.Table:
-    """Local (single-table) LWW apply — the per-bucket / unit-test kernel.
-    Base rows participate as lsn = -inf inserts."""
-    parts = []
-    if base is not None and base.num_rows:
-        b = base
-        if lsn_col not in b.column_names:
-            b = b.append_column(lsn_col, pa.array(np.full(b.num_rows, -1, dtype=np.int64)))
-        if op_col not in b.column_names:
-            b = b.append_column(op_col, pa.array(["insert"] * b.num_rows))
-        parts.append(b.select(events.column_names) if set(events.column_names) <= set(b.column_names) else b)
-    parts.append(events)
-    allt = pa.concat_tables(parts, promote_options="permissive")
-    return last_writer_per_key(allt, key=key, lsn_col=lsn_col, tombstone_col=op_col)
-
-
 def base_as_inserts(
     base_ds: ray.data.Dataset,
     lsn_col: str = "lsn",

@@ -25,7 +25,8 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from raycdc.ops import _by_key, _distinct, _run_boundaries, _sorted_runs, partial_groupby_agg
+from raycdc.extras.texthash import hamming64
+from raycdc.ops import _by_key, _distinct, _frame, _run_pairs, _sorted_runs, partial_groupby_agg
 
 _MERSENNE = (1 << 61) - 1
 
@@ -340,31 +341,6 @@ def verify_jaccard_pairs_ds(
     return j.map_batches(score, batch_format="pyarrow")
 
 
-def verify_jaccard_pairs(
-    ds: ray.data.Dataset,
-    pair_table: pa.Table,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    k: int = 5,
-    threshold: float = 0.0,
-) -> pa.Table:
-    """Driver-side convenience wrapper over :func:`verify_jaccard_pairs_ds`
-    for an EXPLICIT (small) pair table — e.g. a handful of suspect pairs.
-    Big pair streams must use the dataset-native variant directly."""
-    if pair_table.num_rows == 0:
-        return pair_table.append_column("jaccard", pa.array([], pa.float64()))
-    out = verify_jaccard_pairs_ds(
-        ds, ray.data.from_arrow(pair_table), text_col=text_col, id_col=id_col,
-        k=k, threshold=threshold,
-    )
-    batches = list(out.iter_batches(batch_size=None, batch_format="pyarrow"))
-    id_type = pair_table.schema.field("id_a").type
-    if not batches:
-        return pa.table({"id_a": pa.array([], id_type), "id_b": pa.array([], id_type),
-                         "jaccard": pa.array([], pa.float64())})
-    return pa.concat_tables(batches, promote_options="permissive")
-
-
 def minhash_near_dup(
     ds: ray.data.Dataset,
     text_col: str = "text",
@@ -442,12 +418,6 @@ def simhash_signatures(ds: ray.data.Dataset, text_col: str = "text", id_col: str
     )
 
 
-def hamming64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    from raycdc.extras.texthash import hamming64 as _h
-
-    return _h(a, b)
-
-
 def simhash_near_dup(ds: ray.data.Dataset, text_col: str = "text", id_col: str = "doc_id",
                      max_hamming: int = 3, max_bucket: int = 4096,
                      metrics_name: str | None = None) -> ray.data.Dataset:
@@ -520,8 +490,10 @@ def embedding_near_dup(
     verification. Pairs missed by bucketing are the LSH recall tradeoff;
     ``n_tables > 1`` runs multiple independent hash tables (multi-probe:
     a pair collides if ANY table agrees — recall 1-(1-p)^T at T× the
-    bucket shuffle, still never all-pairs). ``n_planes=0`` degenerates
-    to one bucket = exact O(n²)."""
+    bucket shuffle, still never all-pairs). Each pair is emitted once,
+    by the first table where it collides (every row carries its bucket
+    in all tables), so no second shuffle dedups the tables' outputs.
+    ``n_planes=0`` degenerates to one bucket = exact O(n²)."""
     if n_planes > 30:
         raise ValueError("n_planes must be <= 30 (bucket is an int32 bitmask)")
 
@@ -529,7 +501,8 @@ def embedding_near_dup(
         """Actor stage: hyperplane matrices are drawn ONCE per actor in
         __init__ (seeded — identical planes on every actor), not per
         batch (the setup-in-__call__ anti-pattern). Emits one row per
-        (vector, table)."""
+        (vector, table), each carrying the vector's bucket in every
+        table as ``_buckets``."""
 
         def __init__(self):
             self.planes = None  # lazily sized from the first batch's dim
@@ -548,15 +521,20 @@ def embedding_near_dup(
                     )
                     for ti in range(n_tables)
                 ]
-            outs = []
-            for ti, planes in enumerate(self.planes):
-                sig = (mat @ planes > 0).astype(np.int64)
-                bucket = (sig @ (1 << np.arange(n_planes, dtype=np.int64))).astype(np.int32)
-                outs.append(
-                    t.append_column("_table", pa.array(np.full(len(emb), ti, np.int32)))
-                    .append_column("_bucket", pa.array(bucket))
-                )
-            return pa.concat_tables(outs)
+            weights = 1 << np.arange(n_planes, dtype=np.int64)
+            buckets = np.stack(
+                [((mat @ planes > 0).astype(np.int64) @ weights).astype(np.int32)
+                 for planes in self.planes],
+                axis=1,
+            )
+            t = t.append_column(
+                "_buckets", pa.FixedSizeListArray.from_arrays(pa.array(buckets.ravel()), n_tables)
+            )
+            return pa.concat_tables([
+                t.append_column("_table", pa.array(np.full(len(emb), ti, np.int32)))
+                .append_column("_bucket", pa.array(buckets[:, ti]))
+                for ti in range(n_tables)
+            ])
 
     def pairs(g: pa.Table) -> pa.Table:
         id_type = g.schema.field(id_col).type
@@ -575,6 +553,12 @@ def embedding_near_dup(
         sims = mat @ mat.T
         ia, ib = np.triu_indices(len(ids), k=1)
         keep = sims[ia, ib] >= threshold
+        if n_planes and n_tables > 1:
+            # emit a pair only from the first table where it collides
+            bk = np.asarray(g["_buckets"].combine_chunks().flatten()).reshape(-1, n_tables)
+            bk = bk[order][: len(ids)]
+            first = np.argmax(bk[ia] == bk[ib], axis=1)
+            keep &= first == g["_table"][0].as_py()
         return pa.table(
             {
                 "id_a": pa.array(ids[ia[keep]].tolist(), id_type),
@@ -583,30 +567,11 @@ def embedding_near_dup(
             }
         )
 
-    cand = (
+    return (
         ds.map_batches(Bucketize, batch_format="pyarrow", concurrency=(1, 2))
         .groupby(["_table", "_bucket"])
         .map_groups(pairs, batch_format="pyarrow")
     )
-    if n_tables <= 1:
-        return cand  # distinct buckets can't emit duplicate pairs
-    return _dedup_pair_rows(cand)
-
-
-# ------------------------------------------------------------ ngram jaccard
-def ngram_jaccard_pairs(
-    ds: ray.data.Dataset,
-    pairs: list[tuple],
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    k: int = 3,
-) -> pa.Table:
-    """Exact n-gram Jaccard for an explicit candidate-pair list —
-    delegates to :func:`verify_jaccard_pairs` (distributed scoring,
-    driver-collected result; candidate lists small by construction)."""
-    pt = pa.table({"id_a": pa.array([a for a, _ in pairs]),
-                   "id_b": pa.array([b for _, b in pairs])})
-    return verify_jaccard_pairs(ds, pt, text_col=text_col, id_col=id_col, k=k, threshold=0.0)
 
 
 # ---------------------------------------------------------- n-gram jaccard
@@ -710,11 +675,8 @@ def exact_jaccard_pairs(
         })
         if g.num_rows < 2:
             return empty
-        g, new_gram = _sorted_runs(g, [("gram", "ascending"), (id_col, "ascending")], "gram")
-        m = g.num_rows
-        starts = np.flatnonzero(new_gram)
-        ends = np.append(starts[1:], m)
-        lens = ends - starts
+        g, fr = _sorted_runs(g, [("gram", "ascending"), (id_col, "ascending")], "gram")
+        starts, lens = fr.starts, fr.lens
         ids_np = g.column(id_col).to_pandas().to_numpy()
         nn = np.asarray(g.column("n_grams").combine_chunks())
         ia, ib = [], []
@@ -918,36 +880,18 @@ def edit_distance_pairs(
         return t.append_column("_blk", blk)
 
     def fold(g: pa.Table) -> pa.Table:
-        g, new_blk = _sorted_runs(g, [("_blk", "ascending"), (id_col, "ascending")], "_blk")
-        n = g.num_rows
+        g, fr = _sorted_runs(g, [("_blk", "ascending"), (id_col, "ascending")], "_blk")
         empty = pa.table({
             "id_a": pa.array([], g.schema.field(id_col).type),
             "id_b": pa.array([], g.schema.field(id_col).type),
             "dist": pa.array([], pa.int64()),
         })
-        if n < 2:
-            return empty
-        run = np.cumsum(new_blk) - 1
-        starts = np.flatnonzero(new_blk)
-        lens_r = np.r_[starts[1:], n] - starts
         if max_block is not None:
-            keep_run = lens_r <= max_block
-            keep = keep_run[run]
+            # whole blocks go, so the kept rows' boundary mask is their frame
+            keep = fr.lens[fr.run] <= max_block
             g = g.filter(pa.array(keep)).combine_chunks()
-            n = g.num_rows
-            if n < 2:
-                return empty
-            new_blk = _run_boundaries(g.column("_blk"), n)
-            run = np.cumsum(new_blk) - 1
-            starts = np.flatnonzero(new_blk)
-            lens_r = np.r_[starts[1:], n] - starts
-        # all i<j pairs per run, vectorized: for each row its run-local
-        # position p and run start s -> pair (k, j) for every k in [s, s+p)
-        pos = np.arange(n) - starts[run]
-        reps = pos  # row j pairs with the `pos` rows before it in its run
-        ib = np.repeat(np.arange(n), reps)
-        off = np.concatenate(([0], np.cumsum(reps)))
-        ia = (np.arange(off[-1]) - off[ib]) + starts[run][ib]
+            fr = _frame(fr.new[keep])
+        ia, ib = _run_pairs(fr)  # all i<j pairs per block
         if len(ia) == 0:
             return empty
         mat, lens_c = _utf8_matrix(g.column(text_col))

@@ -620,77 +620,6 @@ class DecodeImage:
         return out.append_column("features", pa.array(feats, type=pa.list_(pa.float32())))
 
 
-class ResizeImage:
-    """Resize stage. ``real=True`` decodes via the registry, resamples
-    (nearest-neighbor, pure numpy), and re-encodes PPM — unregistered
-    codecs raise at the plug point. The stub path updates meta
-    dimensions only (struct-column rewrite plumbing)."""
-
-    def __init__(self, width: int = 224, height: int = 224, real: bool = False,
-                 decoders: dict | None = None):
-        self.width, self.height, self.real = width, height, real
-        self.decoders = dict(DECODERS) if decoders is None else dict(decoders)
-
-    def _real_resize(self, payload: bytes, codec: str) -> bytes:
-        dec = self.decoders.get(codec)
-        enc = {"ppm": encode_ppm, "bmp": encode_bmp}.get(codec)
-        if dec is None or enc is None:
-            raise _no_decoder(codec)
-        pix = dec(bytes(payload))
-        h, w = pix.shape[:2]
-        yi = (np.arange(self.height) * h // self.height).clip(0, h - 1)
-        xi = (np.arange(self.width) * w // self.width).clip(0, w - 1)
-        return enc(pix[yi][:, xi])
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        if self.real:
-            codecs = [m["codec"] for m in batch["meta"].to_pylist()]
-            out = [
-                self._real_resize(p, c)
-                for p, c in zip(batch["payload"].to_pylist(), codecs)
-            ]
-            batch = batch.set_column(
-                batch.column_names.index("payload"), "payload",
-                pa.array(out, type=pa.binary()),
-            )
-
-        meta = batch["meta"].combine_chunks()
-        names = [f.name for f in meta.type]
-        fields = {n: meta.field(n) for n in names}
-        n = batch.num_rows
-        fields["width"] = pa.array(np.full(n, self.width, dtype=np.int32))
-        fields["height"] = pa.array(np.full(n, self.height, dtype=np.int32))
-        rebuilt = pa.StructArray.from_arrays(
-            [fields[n_] for n_ in names],
-            names=names,
-            mask=pc.is_null(meta) if meta.null_count else None,
-        )
-        return batch.set_column(batch.column_names.index("meta"), "meta", rebuilt)
-
-
-class SampleFrames:
-    """Stub frame sampler for video rows: emits one row per sampled frame
-    index (flat-map shape), payload dropped."""
-
-    def __init__(self, every_n: int = 8, real: bool = False):
-        self.every_n, self.real = every_n, real
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if self.real:
-            raise NotImplementedError("real frame sampling needs ffmpeg")
-        ids, frames = [], []
-        metas = batch["meta"].to_pylist()
-        for mid, m in zip(batch["media_id"].to_pylist(), metas):
-            for f in range(0, int(m["n_frames"]), self.every_n):
-                ids.append(mid)
-                frames.append(f)
-        return pa.table(
-            {"media_id": pa.array(ids), "frame_idx": pa.array(frames, type=pa.int32())}
-        )
-
-
 def decode_features(ds: ray.data.Dataset, concurrency: int | tuple[int, int] = (1, 4),
                     batch_size: int = 128, real: bool = False) -> ray.data.Dataset:
     """The canonical multimodal pipeline shape: small batches through an

@@ -18,6 +18,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from raycdc.ops import _sorted_runs
+
 
 def _to_matrix(col) -> np.ndarray:
     col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
@@ -106,17 +108,11 @@ def knn_brute(
     # sample/shuffle overhead on data this small (measured: 4.6 s on 640
     # rows at sf0.1)
     def grouped_head(g: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(
-            g,
-            sort_keys=[("query_id", "ascending"), ("sim", "descending"), (id_col, "ascending")],
+        g, fr = _sorted_runs(
+            g, [("query_id", "ascending"), ("sim", "descending"), (id_col, "ascending")],
+            "query_id",
         )
-        g = g.take(idx)
-        qid = np.asarray(g["query_id"].combine_chunks())
-        n = len(qid)
-        new = np.ones(n, dtype=bool)
-        new[1:] = qid[1:] != qid[:-1]
-        starts = np.maximum.accumulate(np.where(new, np.arange(n), 0))
-        g = g.filter(pa.array(np.arange(n) - starts < k))
+        g = g.filter(pa.array(np.arange(g.num_rows) - fr.first < k))
         return g.set_column(g.column_names.index("sim"), "sim", pc.round(g["sim"], 6))
 
     return scored.repartition(1).map_batches(

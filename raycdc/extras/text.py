@@ -149,20 +149,6 @@ def fingerprint_batch(batch: pa.Table, text_col: str = "text",
     return batch.append_column("rolling_fp", pa.array(rolls.view(np.int64), type=pa.int64()))
 
 
-def analyze(ds: ray.data.Dataset, text_col: str = "text", concurrency: int | tuple[int, int] = (1, 4),
-            batch_size: int = 4096) -> ray.data.Dataset:
-    """Full text-analysis pipeline: langid + quality + token counts +
-    fingerprints, as chained actor-pool stages."""
-    ds = ds.map_batches(LangId, fn_constructor_kwargs={"text_col": text_col},
-                        batch_format="pyarrow", batch_size=batch_size, concurrency=concurrency)
-    ds = ds.map_batches(QualityScore, fn_constructor_kwargs={"text_col": text_col},
-                        batch_format="pyarrow", batch_size=batch_size, concurrency=concurrency)
-    ds = ds.map_batches(lambda t: token_count_batch(t, text_col), batch_format="pyarrow",
-                        batch_size=batch_size)
-    return ds.map_batches(lambda t: fingerprint_batch(t, text_col), batch_format="pyarrow",
-                          batch_size=batch_size)
-
-
 def top_words(
     ds: ray.data.Dataset,
     text_col: str = "text",

@@ -7,7 +7,7 @@ events (``ListenDICOM.java:160-164``, ``PutDICOM.java:245-246``).
 
 Engine model: one lightweight named actor per run accumulates counters
 from any stage (stages call ``incr.remote`` fire-and-forget, so the hot
-path never blocks); the driver dumps them as a JSON artifact. Pipeline-
+path never blocks); the driver reads them with ``stats()``. Pipeline-
 level lineage (which segments fed which epoch, per-partition rows and
 watermarks) lives in the lake manifest's ``history`` — see lake.py.
 Per-stage wall/cpu/memory breakdowns come free from ``ds.stats()``.
@@ -15,7 +15,6 @@ Per-stage wall/cpu/memory breakdowns come free from ``ds.stats()``.
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 
 import ray
@@ -73,14 +72,6 @@ class Metrics:
 
     def reset(self) -> None:
         ray.get(self.actor.reset.remote())
-
-    def dump_json(self, path: str) -> dict:
-        """The LogCacheStatistics analog: serialize current counters."""
-        s = self.stats()
-        with open(path, "w") as f:
-            json.dump(s, f, indent=1, sort_keys=True)
-        return s
-
 
 class CountingStage:
     """A pass-through ``map_batches`` stage that counts rows into the

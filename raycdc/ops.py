@@ -18,12 +18,20 @@ These encode the shuffle-minimizing patterns the engine standardizes on
   (per-key windows, exact quantiles, joins, set operations, DISTINCT):
   stamp ``_bucket = bucket_of(key)`` per batch, ONE
   ``groupby("_bucket")``, fold each bucket (usually a
-  :func:`_sorted_runs` sort plus run-boundary kernel).
+  :func:`_sorted_runs` sort plus run-frame kernel).
+* :func:`_frame` — the one run frame of a sorted bucket, built from any
+  boundary mask (key runs, sessions, rank ties): run starts and lengths,
+  and per row its run id and its run's first and last row. Every
+  per-key fold reads these from the frame, and every window sum is
+  :func:`_frame_sum`, one cumsum difference over ``[lo, hi)``. One sort
+  and one frame serve every window kernel of a bucket (the shared-sort
+  idea of LMFAO, VLDB 2020, inside one bucket).
 """
 
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -56,11 +64,51 @@ def _run_boundaries(col: pa.ChunkedArray | pa.Array, n: int) -> np.ndarray:
     return new
 
 
-def _sorted_runs(g: pa.Table, order: list, key: str) -> tuple[pa.Table, np.ndarray]:
-    """Sort a bucket by ``order`` (led by ``key``) and return it with its
-    new-key mask (:func:`_run_boundaries`)."""
+class _Frame(NamedTuple):
+    """The run frame of sorted rows. ``new`` is the boundary mask;
+    ``starts`` and ``lens`` hold one entry per run; ``run``, ``first``
+    and ``last`` one per row: its run id and its run's first and last
+    row index."""
+
+    new: np.ndarray
+    starts: np.ndarray
+    lens: np.ndarray
+    run: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+
+
+def _frame(new: np.ndarray) -> _Frame:
+    """The run frame of a boundary mask over sorted rows (``new[0]`` set
+    whenever there are rows). An empty mask gives an empty frame."""
+    starts = np.flatnonzero(new)
+    lens = np.diff(np.append(starts, len(new)))
+    run = np.cumsum(new) - 1
+    return _Frame(new, starts, lens, run, starts[run], (starts + lens - 1)[run])
+
+
+def _frame_sum(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``x[lo:hi].sum()`` for every ``(lo, hi)`` pair by one cumsum
+    difference: per-run totals are ``(starts, starts + lens)``, a ROWS
+    window ``(max(first, i - w + 1), i + 1)``."""
+    c0 = np.concatenate([[0], np.cumsum(x)])
+    return c0[hi] - c0[lo]
+
+
+def _run_pairs(fr: _Frame) -> tuple[np.ndarray, np.ndarray]:
+    """Every ``(a, b)`` row pair with ``a < b`` inside one run, grouped
+    by ``b``: row ``b`` pairs with the rows before it in its run."""
+    before = np.arange(len(fr.run)) - fr.first
+    ib = np.repeat(np.arange(len(before)), before)
+    ia = np.arange(len(ib)) - (np.cumsum(before) - before)[ib] + fr.first[ib]
+    return ia, ib
+
+
+def _sorted_runs(g: pa.Table, order: list, key: str) -> tuple[pa.Table, _Frame]:
+    """Sort a bucket by ``order`` (led by ``key``) and return it with the
+    frame of its key runs (:func:`_run_boundaries`)."""
     g = g.take(pc.sort_indices(g, sort_keys=order)).combine_chunks()
-    return g, _run_boundaries(g.column(key), g.num_rows)
+    return g, _frame(_run_boundaries(g.column(key), g.num_rows))
 
 
 def _distinct(t: pa.Table, cols: list[str]) -> pa.Table:
@@ -68,9 +116,10 @@ def _distinct(t: pa.Table, cols: list[str]) -> pa.Table:
     one sort and run boundaries. pyarrow 16's multi-key ``group_by`` is
     not used: it returns duplicate groups when string and fixed-width
     keys mix with NULLs."""
-    t, new = _sorted_runs(t, [(c, "ascending") for c in cols], cols[0])
+    t, fr = _sorted_runs(t, [(c, "ascending") for c in cols], cols[0])
+    new = fr.new
     for c in cols[1:]:
-        new |= _run_boundaries(t.column(c), t.num_rows)
+        new = new | _run_boundaries(t.column(c), t.num_rows)
     return t.filter(pa.array(new))
 
 
@@ -251,12 +300,9 @@ def top_k(
         )
 
     def head_per_group(g: pa.Table) -> pa.Table:
-        g, new_grp = _sorted_runs(g, [(per, "ascending"), *order], per)
-        n = g.num_rows
+        g, fr = _sorted_runs(g, [(per, "ascending"), *order], per)
         # rank within group = index - start-of-run (vectorized cumcount)
-        starts = np.maximum.accumulate(np.where(new_grp, np.arange(n), 0))
-        rank = np.arange(n) - starts
-        return g.filter(pa.array(rank < k))
+        return g.filter(pa.array(np.arange(g.num_rows) - fr.first < k))
 
     return _by_key(ds, per, head_per_group, num_buckets, batch_size)
 
@@ -907,27 +953,21 @@ def sessionize(
         return t.filter(pc.and_(pc.is_valid(t.column(key)), pc.is_valid(t.column(ts_col))))
 
     def fold(g: pa.Table) -> pa.Table:
-        g, new_key = _sorted_runs(g, order, key)
-        n = g.num_rows
+        g, fr = _sorted_runs(g, order, key)
         us = np.asarray(g.column(ts_col).cast(pa.int64()))
-        kcol = g.column(key)
-        new_sess = new_key.copy()
-        if n > 1:
-            new_sess[1:] |= (us[1:] - us[:-1]) > gap_us
-        starts = np.flatnonzero(new_sess)
-        ends = np.r_[starts[1:], n] - 1
-        # session_no within key = sessions-so-far minus sessions before the
-        # key's first row (vectorized cumcount over two boundary masks)
-        csum = np.cumsum(new_sess)
-        key_start = np.maximum.accumulate(np.where(new_key, np.arange(n), 0))
-        sess_no = (csum - csum[key_start] + 1).astype(np.int64)
+        gap = np.zeros(g.num_rows, dtype=bool)
+        gap[1:] = (us[1:] - us[:-1]) > gap_us
+        ss = _frame(fr.new | gap)
+        # session_no within key = session id minus the session id of the
+        # key's first row
+        sess_no = (ss.run - ss.run[fr.first] + 1)[ss.starts]
         return pa.table(
             {
-                key: kcol.take(pa.array(starts)),
-                "session_no": pa.array(sess_no[starts]),
-                "session_start": pa.array(us[starts]).cast(pa.timestamp("us")),
-                "session_end": pa.array(us[ends]).cast(pa.timestamp("us")),
-                "n_events": pa.array((np.r_[starts[1:], n] - starts).astype(np.int64)),
+                key: g.column(key).take(pa.array(ss.starts)),
+                "session_no": pa.array(sess_no.astype(np.int64)),
+                "session_start": pa.array(us[ss.starts]).cast(pa.timestamp("us")),
+                "session_end": pa.array(us[ss.starts + ss.lens - 1]).cast(pa.timestamp("us")),
+                "n_events": pa.array(ss.lens.astype(np.int64)),
             }
         )
 
@@ -1024,15 +1064,11 @@ def grouped_quantile(
         return t.select([key, col]).filter(pc.is_valid(t.column(col)))
 
     def fold(g: pa.Table) -> pa.Table:
-        g, new_key = _sorted_runs(g, [(key, "ascending"), (col, "ascending")], key)
-        n = g.num_rows
-        kcol, vals = g.column(key), g.column(col)
-        starts = np.flatnonzero(new_key)
-        cnt = np.r_[starts[1:], n] - starts
-        cols = {key: kcol.take(pa.array(starts))}
+        g, fr = _sorted_runs(g, [(key, "ascending"), (col, "ascending")], key)
+        cols = {key: g.column(key).take(pa.array(fr.starts))}
         for name, q in qs.items():
-            off = np.maximum(0, np.ceil(float(q) * cnt).astype(np.int64) - 1)
-            cols[name] = vals.take(pa.array(starts + off))
+            off = np.maximum(0, np.ceil(float(q) * fr.lens).astype(np.int64) - 1)
+            cols[name] = g.column(col).take(pa.array(fr.starts + off))
         return pa.table(cols)
 
     return _by_key(ds, key, fold, num_buckets, batch_size, prep=prep)
@@ -1300,32 +1336,20 @@ def grouped_quantile_hist(
                                batch_size=batch_size)
 
     def fold(g: pa.Table) -> pa.Table:
-        g, new_key = _sorted_runs(g, [(key, "ascending"), (col, "ascending")], key)
-        n = g.num_rows
-        kcol, vals = g.column(key), g.column(col)
-        if n == 0:
-            return pa.table(
-                {key: kcol, **{name: vals for name in qs}}
-            )
+        g, fr = _sorted_runs(g, [(key, "ascending"), (col, "ascending")], key)
         cnt = np.asarray(g.column("_cnt")).astype(np.int64)
-        starts = np.flatnonzero(new_key)
-        # per-key cumulative histogram (global cumsum re-based per key)
-        csum = np.cumsum(cnt)
-        base = np.concatenate([[0], csum])[
-            np.maximum.accumulate(np.where(new_key, np.arange(n), 0))
-        ]
-        cum = csum - base  # within-key running total, ends at key's n
-        totals = cum[np.r_[starts[1:], n] - 1]
+        # per-key cumulative histogram: the key's running count
+        cum = _frame_sum(cnt, fr.first, np.arange(g.num_rows) + 1)
+        totals = cum[fr.starts + fr.lens - 1]
         # monotonic position encoding: one searchsorted finds, per key,
         # the first histogram row whose cumulative count exceeds target
-        big = np.int64(totals.max() + 1) if n else np.int64(1)
-        key_idx = np.cumsum(new_key) - 1
-        enc = key_idx * big + np.minimum(cum, big - 1)
-        cols = {key: kcol.take(pa.array(starts))}
+        big = np.int64(totals.max(initial=0) + 1)
+        enc = fr.run * big + np.minimum(cum, big - 1)
+        cols = {key: g.column(key).take(pa.array(fr.starts))}
         for name, q in qs.items():
             target = np.maximum(0, np.ceil(float(q) * totals).astype(np.int64) - 1)
-            pos = np.searchsorted(enc, np.arange(len(starts)) * big + target, side="right")
-            cols[name] = vals.take(pa.array(pos))
+            pos = np.searchsorted(enc, np.arange(len(fr.starts)) * big + target, side="right")
+            cols[name] = g.column(col).take(pa.array(pos))
         return pa.table(cols)
 
     # the histogram is small by contract (keys × distinct values) — fold
@@ -1367,15 +1391,12 @@ def grouped_concat(
         return t.filter(pc.is_valid(t.column(val_col)))
 
     def fold(g: pa.Table) -> pa.Table:
-        g, new_key = _sorted_runs(g, order, key)
-        n = g.num_rows
-        kcol = g.column(key)
+        g, fr = _sorted_runs(g, order, key)
         vals = g.column(val_col).cast(pa.string()).combine_chunks()
-        starts = np.flatnonzero(new_key)
-        offsets = pa.array(np.r_[starts, n].astype(np.int32))
+        offsets = pa.array(np.append(fr.starts, g.num_rows).astype(np.int32))
         lists = pa.ListArray.from_arrays(offsets, vals)
         return pa.table(
-            {key: kcol.take(pa.array(starts)), out_col: pc.binary_join(lists, sep)}
+            {key: g.column(key).take(pa.array(fr.starts)), out_col: pc.binary_join(lists, sep)}
         )
 
     return _by_key(ds, key, fold, num_buckets, batch_size, prep=prep)
@@ -1405,13 +1426,9 @@ def grouped_ntile(
     order = [(key, "ascending")] + [(c, "ascending") for c in order_cols]
 
     def fold(g: pa.Table) -> pa.Table:
-        g, new_key = _sorted_runs(g, order, key)
-        n = g.num_rows
-        starts_at = np.maximum.accumulate(np.where(new_key, np.arange(n), 0))
-        rank = np.arange(n) - starts_at  # 0-based within key
-        sizes = np.flatnonzero(new_key)
-        cnt = (np.r_[sizes[1:], n] - sizes)  # per-key row count
-        nrow = cnt[np.cumsum(new_key) - 1]  # broadcast count to rows
+        g, fr = _sorted_runs(g, order, key)
+        rank = np.arange(g.num_rows) - fr.first  # 0-based within key
+        nrow = fr.lens[fr.run]  # the key's row count on every row
         size = nrow // n_tiles
         rem = nrow % n_tiles
         cut = rem * (size + 1)
@@ -1435,104 +1452,86 @@ def grouped_lag(
     num_buckets: int = 64,
     batch_size: int = 65536,
 ) -> ray.data.Dataset:
-    """Per-key LAG (SQL ``lag(val, p) OVER (PARTITION BY key ORDER BY
-    ...)``): every row gains the value ``periods`` rows earlier within
+    """Per-key LAG / LEAD (SQL ``lag(val, p) OVER (PARTITION BY key ORDER
+    BY ...)``): every row gains the value ``periods`` rows earlier within
     its key, NULL when fewer rows precede it — the previous-state /
-    delta-feature op.
+    delta-feature op. A negative ``periods`` is LEAD: ``lead(val, p)`` is
+    ``periods=-p``, the value ``p`` rows later, NULL past the key's end.
 
     Shape: ONE bounded hash-bucket shuffle on ``key``, vectorized
-    in-bucket kernel (sort, run boundaries, masked index take — the
-    lagged column is gathered with one Arrow ``take``, nulls where the
-    lag crosses a key boundary). Pass a TOTAL ``order_cols`` for
+    in-bucket kernel (sort, run frame, masked index take — the shifted
+    column is gathered with one Arrow ``take``, NULL where the shifted
+    row falls outside the row's key run). Pass a TOTAL ``order_cols`` for
     replay-stable output; NULL keys form one group."""
-    if periods < 1:
-        raise ValueError("periods must be >= 1")
+    if periods == 0:
+        raise ValueError("periods must be non-zero")
     order = [(key, "ascending")] + [(c, "ascending") for c in order_cols]
 
     def fold(g: pa.Table) -> pa.Table:
-        g, new_key = _sorted_runs(g, order, key)
-        n = g.num_rows
-        key_start = np.maximum.accumulate(np.where(new_key, np.arange(n), 0))
-        pos = np.arange(n)
-        lagged = pa.array(pos - periods, mask=(pos - key_start) < periods)
-        return g.append_column(out_col, g.column(val_col).take(lagged))
+        g, fr = _sorted_runs(g, order, key)
+        src = np.arange(g.num_rows) - periods
+        shifted = pa.array(src, mask=(src < fr.first) | (src > fr.last))
+        return g.append_column(out_col, g.column(val_col).take(shifted))
 
     return _by_key(ds, key, fold, num_buckets, batch_size)
 
 
-def grouped_cumsum(
+def _grouping_sets(
     ds: ray.data.Dataset,
-    key: str,
-    order_cols: list[str],
-    val_col: str,
-    out_col: str = "running",
-    num_buckets: int = 64,
-    batch_size: int = 65536,
+    keys: list[str],
+    levels: list[tuple[list[str], int]],
+    specs: dict[str, tuple[str, str]],
+    lvl_col: str,
+    batch_size: int,
 ) -> ray.data.Dataset:
-    """Per-key running total (SQL ``sum(val) OVER (PARTITION BY key
-    ORDER BY ... ROWS UNBOUNDED PRECEDING)``) — the watermark /
-    cumulative-exposure feature. Integer inputs stay exact under any
-    engine (no float reassociation); NULL values add zero but the row
-    still appears (SQL window-sum convention over an all-null prefix
-    yields NULL — here a leading NULL run yields 0-valued sums once a
-    value arrives, so pass a non-null ``val_col`` or pre-fill to match a
-    SQL oracle exactly; the shipped query uses a non-null column).
+    """The one multi-level aggregate: raw rows are folded ONCE at the
+    finest level (all ``keys``); that key-cardinality-sized result is
+    materialized and every ``(kept keys, lvl)`` level re-folds from it
+    (count re-folds as sum — min|max|sum|count are all associative).
+    Rolled-up key columns are NULL of the key's type; ``lvl_col`` holds
+    the level's ``lvl``."""
+    sch = ds.schema()  # one-block peek: rolled-up NULL columns keep key types
+    ktypes = dict(zip(sch.names, sch.types))
+    # Materialize the finest fold: it is key-cardinality-sized (small by
+    # contract), and without this each union branch would re-execute the
+    # whole lineage from the raw-row read.
+    finest = partial_groupby_agg(ds, keys, specs, batch_size=batch_size).materialize()
+    respec = {
+        out: (out, "sum" if kern in ("count", "sum") else kern)
+        for out, (_, kern) in specs.items()
+    }
 
-    Shape: ONE bounded hash-bucket shuffle on ``key``, vectorized
-    in-bucket kernel — global cumsum re-based at each key start (the
-    same two-mask trick as :func:`grouped_quantile_hist`)."""
-    order = [(key, "ascending")] + [(c, "ascending") for c in order_cols]
+    def conform(kept: list[str], lvl: int):
+        def fn(t: pa.Table) -> pa.Table:
+            cols = {
+                k: t.column(k) if k in kept else pa.nulls(t.num_rows, type=ktypes[k])
+                for k in keys
+            }
+            cols.update({out: t.column(out) for out in specs})
+            cols[lvl_col] = pa.array(np.full(t.num_rows, lvl, dtype=np.int32))
+            return pa.table(cols)
 
-    def fold(g: pa.Table) -> pa.Table:
-        g, new_key = _sorted_runs(g, order, key)
-        n = g.num_rows
-        vals = np.asarray(g.column(val_col).cast(pa.int64()).fill_null(0))
-        csum = np.cumsum(vals)
-        # re-base at each key start: run[i] = csum[i] - csum[start-1], so
-        # the key-start row's own value stays in
-        base = np.concatenate([[0], csum])[
-            np.maximum.accumulate(np.where(new_key, np.arange(n), 0))
-        ]
-        return g.append_column(out_col, pa.array((csum - base).astype(np.int64)))
+        return fn
 
-    return _by_key(ds, key, fold, num_buckets, batch_size)
-
-
-def grouped_rolling_sum(
-    ds: ray.data.Dataset,
-    key: str,
-    order_cols: list[str],
-    val_col: str,
-    window: int,
-    out_col: str = "rolling",
-    num_buckets: int = 64,
-    batch_size: int = 65536,
-) -> ray.data.Dataset:
-    """Per-key ROWS-frame rolling sum (SQL ``sum(val) OVER (PARTITION BY
-    key ORDER BY ... ROWS BETWEEN window-1 PRECEDING AND CURRENT ROW)``)
-    — the sliding-exposure / recent-activity feature next to
-    :func:`grouped_cumsum`'s unbounded frame. Integer inputs stay exact
-    under any engine (no float reassociation).
-
-    Shape: ONE bounded hash-bucket shuffle on ``key``; in-bucket kernel
-    is a global cumsum differenced at ``max(key_start, i - window + 1)``
-    — two O(n) numpy passes, no per-row Python."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    order = [(key, "ascending")] + [(c, "ascending") for c in order_cols]
-
-    def fold(g: pa.Table) -> pa.Table:
-        g, new_key = _sorted_runs(g, order, key)
-        n = g.num_rows
-        vals = np.asarray(g.column(val_col).cast(pa.int64()).fill_null(0))
-        csum0 = np.concatenate([[0], np.cumsum(vals)])
-        key_start = np.maximum.accumulate(np.where(new_key, np.arange(n), 0))
-        lo = np.maximum(key_start, np.arange(n) - (window - 1))
-        return g.append_column(
-            out_col, pa.array((csum0[1:] - csum0[lo]).astype(np.int64))
-        )
-
-    return _by_key(ds, key, fold, num_buckets, batch_size)
+    parts = []
+    for kept, lvl in levels:
+        if len(kept) == len(keys):
+            cur = finest
+        elif kept:
+            cur = partial_groupby_agg(finest, kept, respec, batch_size=batch_size)
+        else:
+            # grand total: constant synthetic key, dropped after the fold
+            cur = partial_groupby_agg(
+                finest.map_batches(
+                    lambda t: t.append_column(
+                        "_all", pa.array(np.zeros(t.num_rows, np.int8))
+                    ),
+                    batch_format="pyarrow",
+                ),
+                ["_all"], respec, batch_size=batch_size,
+            ).map_batches(lambda t: t.drop_columns(["_all"]), batch_format="pyarrow")
+        parts.append(cur.map_batches(conform(kept, lvl), batch_format="pyarrow"))
+    return functools.reduce(ray.data.Dataset.union, parts)
 
 
 def rollup_agg(
@@ -1548,68 +1547,17 @@ def rollup_agg(
     bitmask for prefix sets). ``specs`` as in
     :func:`partial_groupby_agg` (min|max|sum|count).
 
-    Scale shape: the INPUT is aggregated once, at the finest level
-    (combiner groupby — the only pass that sees raw rows); every
-    coarser level re-aggregates the previous level's already-tiny
-    result (count re-folds as sum — all four kernels are associative),
-    so n levels cost one full pass + n-1 key-cardinality-sized folds.
-    Contract for SQL-oracle parity: key columns must be non-null (a
-    NULL key value would be indistinguishable from a rolled-up level —
-    the same ambiguity SQL resolves with GROUPING())."""
+    Scale shape (:func:`_grouping_sets`): the INPUT is aggregated once,
+    at the finest level; every coarser level re-aggregates that
+    key-cardinality-sized result. Contract for SQL-oracle parity: key
+    columns must be non-null (a NULL key value would be
+    indistinguishable from a rolled-up level — the same ambiguity SQL
+    resolves with GROUPING())."""
     if not keys:
         raise ValueError("keys must be non-empty")
-    sch = ds.schema()  # one-block peek: rolled-up NULL columns keep key types
-    ktypes = dict(zip(sch.names, sch.types))
-    # Materialize the finest fold: it is key-cardinality-sized (small by
-    # contract), and without this each union branch would re-execute the
-    # whole lineage from the raw-row read — n+1 full passes instead of 1.
-    finest = partial_groupby_agg(ds, keys, specs, batch_size=batch_size).materialize()
-    respec = {
-        out: (out, "sum" if kern in ("count", "sum") else kern)
-        for out, (_, kern) in specs.items()
-    }
-
-    def conform(lvl: int):
-        kept = keys[: len(keys) - lvl]
-
-        def fn(t: pa.Table) -> pa.Table:
-            cols, names = [], []
-            for k in keys:
-                names.append(k)
-                cols.append(
-                    t.column(k) if k in kept
-                    else pa.nulls(t.num_rows, type=ktypes[k])
-                )
-            for out in specs:
-                names.append(out)
-                cols.append(t.column(out))
-            names.append(lvl_col)
-            cols.append(pa.array(np.full(t.num_rows, lvl, dtype=np.int32)))
-            return pa.table(dict(zip(names, cols)))
-
-        return fn
-
-    levels = [finest.map_batches(conform(0), batch_format="pyarrow")]
-    prev = finest
-    for lvl in range(1, len(keys) + 1):
-        kept = keys[: len(keys) - lvl]
-        if kept:
-            cur = partial_groupby_agg(prev, kept, respec, batch_size=batch_size)
-        else:
-            # grand total: constant synthetic key, dropped after the fold
-            cur = partial_groupby_agg(
-                prev.map_batches(
-                    lambda t: t.append_column("_all", pa.array(np.zeros(t.num_rows, np.int8))),
-                    batch_format="pyarrow",
-                ),
-                ["_all"], respec, batch_size=batch_size,
-            ).map_batches(lambda t: t.drop_columns(["_all"]), batch_format="pyarrow")
-        levels.append(cur.map_batches(conform(lvl), batch_format="pyarrow"))
-        prev = cur
-    out = levels[0]
-    for l in levels[1:]:
-        out = out.union(l)
-    return out
+    n = len(keys)
+    levels = [(keys[: n - lvl], lvl) for lvl in range(n + 1)]
+    return _grouping_sets(ds, keys, levels, specs, lvl_col, batch_size)
 
 
 def grouping_sets_agg(
@@ -1625,65 +1573,21 @@ def grouping_sets_agg(
     SQL ``GROUPING(k1, .., kn)`` bitmask (keys[0] is the most
     significant bit; bit set ⇔ that key is rolled up in the set).
 
-    Scale shape (same as :func:`rollup_agg`): raw rows are folded ONCE
-    at the finest level (all ``keys``); that key-cardinality-sized
-    result is materialized and every requested set re-folds from it
-    (count re-folds as sum — min|max|sum|count are all associative).
-    Key columns must be non-null (SQL's GROUPING() ambiguity)."""
+    Scale shape (same as :func:`rollup_agg`, :func:`_grouping_sets`):
+    one raw-row fold, every set re-folds from it. Key columns must be
+    non-null (SQL's GROUPING() ambiguity)."""
     if not keys or not sets:
         raise ValueError("keys and sets must be non-empty")
     for s in sets:
         if not set(s) <= set(keys):
             raise ValueError(f"grouping set {s} not a subset of keys {keys}")
-    sch = ds.schema()
-    ktypes = dict(zip(sch.names, sch.types))
-    finest = partial_groupby_agg(ds, keys, specs, batch_size=batch_size).materialize()
-    respec = {
-        out: (out, "sum" if kern in ("count", "sum") else kern)
-        for out, (_, kern) in specs.items()
-    }
     n = len(keys)
-
-    def conform(kept: list[str], lvl: int):
-        def fn(t: pa.Table) -> pa.Table:
-            cols, names = [], []
-            for k in keys:
-                names.append(k)
-                cols.append(
-                    t.column(k) if k in kept else pa.nulls(t.num_rows, type=ktypes[k])
-                )
-            for out in specs:
-                names.append(out)
-                cols.append(t.column(out))
-            names.append(lvl_col)
-            cols.append(pa.array(np.full(t.num_rows, lvl, dtype=np.int32)))
-            return pa.table(dict(zip(names, cols)))
-
-        return fn
-
-    parts = []
+    levels = []
     for s in sets:
         kept = [k for k in keys if k in s]  # canonical key order
         lvl = sum(1 << (n - 1 - i) for i, k in enumerate(keys) if k not in kept)
-        if len(kept) == n:
-            cur = finest
-        elif kept:
-            cur = partial_groupby_agg(finest, kept, respec, batch_size=batch_size)
-        else:
-            cur = partial_groupby_agg(
-                finest.map_batches(
-                    lambda t: t.append_column(
-                        "_all", pa.array(np.zeros(t.num_rows, np.int8))
-                    ),
-                    batch_format="pyarrow",
-                ),
-                ["_all"], respec, batch_size=batch_size,
-            ).map_batches(lambda t: t.drop_columns(["_all"]), batch_format="pyarrow")
-        parts.append(cur.map_batches(conform(kept, lvl), batch_format="pyarrow"))
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.union(p)
-    return out
+        levels.append((kept, lvl))
+    return _grouping_sets(ds, keys, levels, specs, lvl_col, batch_size)
 
 
 def cube_agg(
@@ -1748,56 +1652,37 @@ def grouped_rank(
     ]
 
     def fold(g: pa.Table) -> pa.Table:
-        g, new_key = _sorted_runs(g, order, key)
+        g, fr = _sorted_runs(g, order, key)
         n = g.num_rows
-        pos = np.arange(n)
-        key_start = np.maximum.accumulate(np.where(new_key, pos, 0))
         if rn_col is not None:
-            g = g.append_column(rn_col, pa.array(pos - key_start + 1, pa.int64()))
+            g = g.append_column(rn_col, pa.array(np.arange(n) - fr.first + 1, pa.int64()))
         need_tie = (
             rank_col is not None or dense_col is not None
             or pr_col is not None or cd_col is not None
         )
         if need_tie:
-            tie_change = new_key.copy()
+            # tie runs never cross a key run: the tie mask includes fr.new
+            tie_new = fr.new
             for c in tie_cols:
-                tie_change |= _run_boundaries(g.column(c), n)
-            tie_start = np.maximum.accumulate(np.where(tie_change, pos, 0))
-            rnk = tie_start - key_start + 1
+                tie_new = tie_new | _run_boundaries(g.column(c), n)
+            tie = _frame(tie_new)
+            rnk = tie.first - fr.first + 1
             if rank_col is not None:
                 g = g.append_column(rank_col, pa.array(rnk, pa.int64()))
             if dense_col is not None:
-                dr = np.cumsum(tie_change)
                 g = g.append_column(
-                    dense_col, pa.array(dr - dr[key_start] + 1, pa.int64())
+                    dense_col, pa.array(tie.run - tie.run[fr.first] + 1, pa.int64())
                 )
-            if pr_col is not None or cd_col is not None:
-                starts = np.flatnonzero(new_key)
-                ends = np.r_[starts[1:], n] - 1 if n else np.array([], dtype=np.int64)
-                key_end = (
-                    ends[np.cumsum(new_key) - 1] if n else np.array([], dtype=np.int64)
-                )
-                n_key = (key_end - key_start + 1).astype(np.float64)
-                if pr_col is not None:
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        prv = (rnk - 1).astype(np.float64) / (n_key - 1)
-                    prv[n_key == 1] = 0.0
-                    g = g.append_column(pr_col, pa.array(prv, pa.float64()))
-                if cd_col is not None:
-                    # rows at-or-before this row's tie run = last index of the
-                    # tie run - key_start + 1; tie-run end mirrors key_end
-                    tstarts = np.flatnonzero(tie_change)
-                    tends = (
-                        np.r_[tstarts[1:], n] - 1 if n else np.array([], dtype=np.int64)
-                    )
-                    tie_end = (
-                        tends[np.cumsum(tie_change) - 1]
-                        if n
-                        else np.array([], dtype=np.int64)
-                    )
-                    tie_end = np.minimum(tie_end, key_end)
-                    cdv = (tie_end - key_start + 1).astype(np.float64) / n_key
-                    g = g.append_column(cd_col, pa.array(cdv, pa.float64()))
+            n_key = fr.lens[fr.run].astype(np.float64)
+            if pr_col is not None:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    prv = (rnk - 1).astype(np.float64) / (n_key - 1)
+                prv[n_key == 1] = 0.0
+                g = g.append_column(pr_col, pa.array(prv, pa.float64()))
+            if cd_col is not None:
+                # rows at-or-before this row's tie run
+                cdv = (tie.last - fr.first + 1).astype(np.float64) / n_key
+                g = g.append_column(cd_col, pa.array(cdv, pa.float64()))
         return g
 
     return _by_key(ds, key, fold, num_buckets, batch_size)
@@ -2013,39 +1898,6 @@ def moment_agg(
     return folded.map_batches(finalize, batch_format="pyarrow")
 
 
-def grouped_lead(
-    ds: ray.data.Dataset,
-    key: str,
-    order_cols: list[str],
-    val_col: str,
-    periods: int = 1,
-    out_col: str = "next",
-    num_buckets: int = 64,
-    batch_size: int = 65536,
-) -> ray.data.Dataset:
-    """Per-key LEAD (SQL ``lead(val, p) OVER (PARTITION BY key ORDER BY
-    ...)``): mirror of :func:`grouped_lag` — the value ``periods`` rows
-    LATER within the key, NULL when the lead crosses the key's end.
-    Same shape: one bounded hash-bucket shuffle, vectorized in-bucket
-    sort + masked index take."""
-    if periods < 1:
-        raise ValueError("periods must be >= 1")
-    order = [(key, "ascending")] + [(c, "ascending") for c in order_cols]
-
-    def fold(g: pa.Table) -> pa.Table:
-        g, new_key = _sorted_runs(g, order, key)
-        n = g.num_rows
-        pos = np.arange(n)
-        # key_end[i] = last index of i's key run: next run's start - 1
-        starts = np.flatnonzero(new_key)
-        ends = np.r_[starts[1:], n] - 1 if n else np.array([], dtype=np.int64)
-        key_end = ends[np.cumsum(new_key) - 1] if n else np.array([], dtype=np.int64)
-        led = pa.array(pos + periods, mask=(key_end - pos) < periods)
-        return g.append_column(out_col, g.column(val_col).take(led))
-
-    return _by_key(ds, key, fold, num_buckets, batch_size)
-
-
 def grouped_first_last(
     ds: ray.data.Dataset,
     key: str,
@@ -2065,17 +1917,12 @@ def grouped_first_last(
     order = [(key, "ascending")] + [(c, "ascending") for c in order_cols]
 
     def fold(g: pa.Table) -> pa.Table:
-        g, new_key = _sorted_runs(g, order, key)
-        n = g.num_rows
-        pos = np.arange(n)
-        key_start = np.maximum.accumulate(np.where(new_key, pos, 0))
+        g, fr = _sorted_runs(g, order, key)
+        vals = g.column(val_col)
         if first_col is not None:
-            g = g.append_column(first_col, g.column(val_col).take(pa.array(key_start)))
+            g = g.append_column(first_col, vals.take(pa.array(fr.first)))
         if last_col is not None:
-            starts = np.flatnonzero(new_key)
-            ends = np.r_[starts[1:], n] - 1 if n else np.array([], dtype=np.int64)
-            key_end = ends[np.cumsum(new_key) - 1] if n else np.array([], dtype=np.int64)
-            g = g.append_column(last_col, g.column(val_col).take(pa.array(key_end)))
+            g = g.append_column(last_col, vals.take(pa.array(fr.last)))
         return g
 
     return _by_key(ds, key, fold, num_buckets, batch_size)
@@ -2110,18 +1957,14 @@ def grouped_quantile_cont(
         return t.select([key, col]).filter(pc.is_valid(t.column(col)))
 
     def fold(g: pa.Table) -> pa.Table:
-        g, new_key = _sorted_runs(g, [(key, "ascending"), (col, "ascending")], key)
-        n = g.num_rows
-        kcol = g.column(key)
+        g, fr = _sorted_runs(g, [(key, "ascending"), (col, "ascending")], key)
         vals = np.asarray(g.column(col).cast(pa.float64()))
-        starts = np.flatnonzero(new_key)
-        cnt = np.r_[starts[1:], n] - starts
-        cols = {key: kcol.take(pa.array(starts))}
+        cols = {key: g.column(key).take(pa.array(fr.starts))}
         for name, q in qs.items():
-            rn = (cnt - 1).astype(np.float64) * np.float64(q)
+            rn = (fr.lens - 1).astype(np.float64) * np.float64(q)
             frn = np.floor(rn)
-            lo = vals[starts + frn.astype(np.int64)]
-            hi = vals[starts + np.ceil(rn).astype(np.int64)]
+            lo = vals[fr.starts + frn.astype(np.int64)]
+            hi = vals[fr.starts + np.ceil(rn).astype(np.int64)]
             d = rn - frn
             cols[name] = pa.array(lo * (np.float64(1.0) - d) + hi * d, pa.float64())
         return pa.table(cols)
@@ -2261,17 +2104,43 @@ def grouped_mode(
     pairs = partial_groupby_agg(pruned, [key, col], {"_n": (col, "count")})
 
     def fold(g: pa.Table) -> pa.Table:
-        g, new_key = _sorted_runs(
+        g, fr = _sorted_runs(
             g, [(key, "ascending"), ("_n", "descending"), (col, "ascending")], key
         )
-        starts = np.flatnonzero(new_key)
-        cols = {key: g.column(key).take(pa.array(starts)),
-                out_col: g.column(col).take(pa.array(starts))}
+        heads = g.take(pa.array(fr.starts))
+        cols = {key: heads.column(key), out_col: heads.column(col)}
         if n_col is not None:
-            cols[n_col] = g.column("_n").take(pa.array(starts))
+            cols[n_col] = heads.column("_n")
         return pa.table(cols)
 
     return _by_key(pairs, key, fold, num_buckets, batch_size)
+
+
+def _frame_agg(g: pa.Table, lo: np.ndarray, hi: np.ndarray):
+    """``agg(col, kernel)`` over every row's frame ``[lo, hi)`` for the
+    cumsum-difference kernels: ``sum`` (int64, NULLs add zero), ``count``
+    (non-null values) and ``mean`` (``CAST(sum AS DOUBLE) / count`` in
+    that order, NULL over a frame with no value). Each column is cast
+    and summed once."""
+    sums: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+    def agg(col: str, kern: str) -> pa.Array:
+        if col not in sums:
+            a = g.column(col).cast(pa.int64())
+            sums[col] = (
+                _frame_sum(np.asarray(a.fill_null(0)), lo, hi),
+                _frame_sum(np.asarray(pc.is_valid(a), dtype=np.int64), lo, hi),
+            )
+        s, c = sums[col]
+        if kern == "sum":
+            return pa.array(s.astype(np.int64))
+        if kern == "count":
+            return pa.array(c.astype(np.int64))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m = s.astype(np.float64) / c
+        return pa.array(m, pa.float64(), mask=c == 0)
+
+    return agg
 
 
 def grouped_rolling_agg(
@@ -2279,24 +2148,24 @@ def grouped_rolling_agg(
     key: str,
     order_cols: list[str],
     specs: dict[str, tuple[str, str]],
-    window: int,
+    window: int | None,
     num_buckets: int = 64,
     batch_size: int = 65536,
 ) -> ray.data.Dataset:
     """Per-key ROWS-frame rolling aggregates (SQL ``agg(val) OVER
     (PARTITION BY key ORDER BY ... ROWS BETWEEN window-1 PRECEDING AND
-    CURRENT ROW)``). ``specs``: out -> (val_col, kernel), kernel ∈
-    ``sum | count | mean | min | max`` — the whole family in ONE bucket
-    shuffle and one in-bucket sort.
+    CURRENT ROW)``); ``window=None`` is ``ROWS UNBOUNDED PRECEDING``, the
+    running aggregate (running total, running min/max). ``specs``: out ->
+    (val_col, kernel), kernel ∈ ``sum | count | mean | min | max`` — the
+    whole family in ONE bucket shuffle and one in-bucket sort.
 
-    Kernels: sum/count are the exact O(n) cumsum-difference (int64,
-    NULLs add zero / count non-null); mean is ``CAST(sum AS DOUBLE) /
-    count`` in that exact order (bit-identical to the same SQL
-    expression; NULL when the window holds no non-null values — write
-    the oracle as the explicit division, windowed ``avg()`` may
-    reassociate); min/max run pandas' C rolling kernels per key run
-    (values round-trip through float64 — exact for |v| < 2**53)."""
-    if window < 1:
+    Kernels: sum/count/mean are :func:`_frame_agg` over the frame
+    ``[max(first, i - window + 1), i + 1)`` (integer sums stay exact —
+    no float reassociation; write the mean oracle as the explicit
+    division, windowed ``avg()`` may reassociate); min/max run pandas' C
+    rolling kernels per key run (values round-trip through float64 —
+    exact for |v| < 2**53)."""
+    if window is not None and window < 1:
         raise ValueError("window must be >= 1")
     for out, (c, kern) in specs.items():
         if kern not in ("sum", "count", "mean", "min", "max"):
@@ -2306,54 +2175,24 @@ def grouped_rolling_agg(
     def fold(g: pa.Table) -> pa.Table:
         import pandas as pd
 
-        g, new_key = _sorted_runs(g, order, key)
+        g, fr = _sorted_runs(g, order, key)
         n = g.num_rows
+        w = window or max(n, 1)  # a bucket-long window never leaves its run
         pos = np.arange(n)
-        key_start = np.maximum.accumulate(np.where(new_key, pos, 0))
-        lo = np.maximum(key_start, pos - (window - 1))
-        run_id = np.cumsum(new_key)
-
-        def wsum(arr: np.ndarray) -> np.ndarray:
-            c0 = np.concatenate([[0], np.cumsum(arr)])
-            return c0[1:] - c0[lo]
-
-        cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-
-        def sums_counts(col: str):
-            if col not in cache:
-                a = g.column(col).cast(pa.int64())
-                s = wsum(np.asarray(a.fill_null(0)))
-                c = wsum(np.asarray(pc.is_valid(a), dtype=np.int64))
-                cache[col] = (s, c)
-            return cache[col]
-
+        agg = _frame_agg(g, np.maximum(fr.first, pos - (w - 1)), pos + 1)
         for out, (col, kern) in specs.items():
             if kern in ("sum", "count", "mean"):
-                s, c = sums_counts(col)
-                if kern == "sum":
-                    g = g.append_column(out, pa.array(s.astype(np.int64)))
-                elif kern == "count":
-                    g = g.append_column(out, pa.array(c.astype(np.int64)))
-                else:
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        m = s.astype(np.float64) / c
-                    g = g.append_column(out, pa.array(m, pa.float64(), mask=c == 0))
-            else:
-                v = pd.Series(
-                    np.asarray(g.column(col).cast(pa.float64()), dtype=np.float64)
-                )
-                r = getattr(
-                    v.groupby(run_id).rolling(window, min_periods=1), kern
-                )().to_numpy()
-                bad = np.isnan(r)
-                g = g.append_column(
-                    out,
-                    pa.array(
-                        np.where(bad, 0, r).astype(np.int64), pa.int64(), mask=bad
-                    )
-                    if pa.types.is_integer(g.schema.field(col).type)
-                    else pa.array(r, pa.float64(), mask=bad),
-                )
+                g = g.append_column(out, agg(col, kern))
+                continue
+            v = pd.Series(np.asarray(g.column(col).cast(pa.float64()), dtype=np.float64))
+            r = getattr(v.groupby(fr.run).rolling(w, min_periods=1), kern)().to_numpy()
+            bad = np.isnan(r)
+            g = g.append_column(
+                out,
+                pa.array(np.where(bad, 0, r).astype(np.int64), pa.int64(), mask=bad)
+                if pa.types.is_integer(g.schema.field(col).type)
+                else pa.array(r, pa.float64(), mask=bad),
+            )
         return g
 
     return _by_key(ds, key, fold, num_buckets, batch_size)
@@ -2520,16 +2359,12 @@ def grouped_array_agg(
         g = g.take(pc.sort_indices(g, sort_keys=order)).combine_chunks()
         if distinct:
             g = _first_per_pair(g).combine_chunks()
-        n = g.num_rows
-        kcol = g.column(key)
-        vals = g.column(val_col).combine_chunks()
-        new_key = _run_boundaries(kcol, n)
-        starts = np.flatnonzero(new_key)
-        offsets = pa.array(np.r_[starts, n].astype(np.int32))
+        fr = _frame(_run_boundaries(g.column(key), g.num_rows))
+        offsets = pa.array(np.append(fr.starts, g.num_rows).astype(np.int32))
         return pa.table(
             {
-                key: kcol.take(pa.array(starts)),
-                out_col: pa.ListArray.from_arrays(offsets, vals),
+                key: g.column(key).take(pa.array(fr.starts)),
+                out_col: pa.ListArray.from_arrays(offsets, g.column(val_col).combine_chunks()),
             }
         )
 
@@ -2572,49 +2407,20 @@ def grouped_range_rolling(
         return t.filter(pc.is_valid(t.column(ts_col)))
 
     def fold(g: pa.Table) -> pa.Table:
-        g, new_key = _sorted_runs(g, order, key)
-        n = g.num_rows
-        if n == 0:
-            cols = {c: g.column(c) for c in g.column_names}
-            for out in specs:
-                cols[out] = pa.array([], pa.int64())
-            return pa.table(cols)
+        g, fr = _sorted_runs(g, order, key)
         ts = np.asarray(g.column(ts_col).cast(pa.int64()))
-        run_id = (np.cumsum(new_key) - 1).astype(np.int64)
-        span = int(ts.max()) - int(ts.min()) + range_delta + 2
-        if (run_id[-1] + 1) * span > 2**62:
+        t0, t1 = (int(ts.min()), int(ts.max())) if len(ts) else (0, 0)
+        span = t1 - t0 + range_delta + 2
+        if len(fr.starts) * span > 2**62:
             raise ValueError("key runs × ts span overflow the lifted axis; "
                              "raise num_buckets or narrow the ts domain")
-        lifted = ts - int(ts.min()) + run_id * span
+        lifted = ts - t0 + fr.run * span
         lo = np.searchsorted(lifted, lifted - range_delta, side="left")
         # ties at ts_i: SQL RANGE frames END at the last peer, too
         hi = np.searchsorted(lifted, lifted, side="right")
-
-        def wsum(arr: np.ndarray) -> np.ndarray:
-            c0 = np.concatenate([[0], np.cumsum(arr)])
-            return c0[hi] - c0[lo]
-
-        cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-
-        def sums_counts(col: str):
-            if col not in cache:
-                a = g.column(col).cast(pa.int64())
-                cache[col] = (
-                    wsum(np.asarray(a.fill_null(0))),
-                    wsum(np.asarray(pc.is_valid(a), dtype=np.int64)),
-                )
-            return cache[col]
-
+        agg = _frame_agg(g, lo, hi)
         for out, (col, kern) in specs.items():
-            s, c = sums_counts(col)
-            if kern == "sum":
-                g = g.append_column(out, pa.array(s.astype(np.int64)))
-            elif kern == "count":
-                g = g.append_column(out, pa.array(c.astype(np.int64)))
-            else:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    m = s.astype(np.float64) / c
-                g = g.append_column(out, pa.array(m, pa.float64(), mask=c == 0))
+            g = g.append_column(out, agg(col, kern))
         return g
 
     return _by_key(ds, key, fold, num_buckets, batch_size, prep=prep)
@@ -2768,26 +2574,19 @@ def grouped_zscore(
 
     NULL when the group's variance is 0 or x is NULL. Shape: ONE
     bounded hash-bucket shuffle on ``key``, then an in-bucket
-    vectorized groupby-transform (run-boundary sums broadcast back with
-    ``np.repeat`` — no driver dict, works at any key cardinality).
+    vectorized groupby-transform (each row's key-run sums by
+    :func:`_frame_sum` — no driver dict, works at any key cardinality).
     NULL keys form one group; NULL values don't contribute to the
     moments."""
     def fold(g: pa.Table) -> pa.Table:
-        g, new_key = _sorted_runs(g, [(key, "ascending")], key)
-        n = g.num_rows
-        starts = np.flatnonzero(new_key)
-        lens = np.r_[starts[1:], n] - starts
+        g, fr = _sorted_runs(g, [(key, "ascending")], key)
         a = g.column(col).cast(pa.float64())
         x = np.asarray(a.fill_null(0.0))
         valid = np.asarray(pc.is_valid(a), dtype=np.float64)
         xv = x * valid
-        c0 = np.concatenate([[0.0], np.cumsum(xv)])
-        q0 = np.concatenate([[0.0], np.cumsum(xv * xv)])
-        v0 = np.concatenate([[0.0], np.cumsum(valid)])
-        ends = np.r_[starts[1:], n]
-        s = np.repeat(c0[ends] - c0[starts], lens)
-        q = np.repeat(q0[ends] - q0[starts], lens)
-        nn = np.repeat(v0[ends] - v0[starts], lens)
+        s = _frame_sum(xv, fr.first, fr.last + 1)
+        q = _frame_sum(xv * xv, fr.first, fr.last + 1)
+        nn = _frame_sum(valid, fr.first, fr.last + 1)
         with np.errstate(divide="ignore", invalid="ignore"):
             var = (q - s * (s / nn)) / nn
             z = (x - s / nn) / np.sqrt(var)
@@ -2829,26 +2628,19 @@ def funnel_steps(
         return t.filter(pc.and_(pc.is_valid(t.column(ts_col)), pc.is_valid(t.column(type_col))))
 
     def fold(g: pa.Table) -> pa.Table:
-        g, new_key = _sorted_runs(g, [(key, "ascending")], key)
-        n = g.num_rows
-        if n == 0:
-            return pa.table({key: g.column(key), out_col: pa.array([], pa.int64())})
+        g, fr = _sorted_runs(g, [(key, "ascending")], key)
         ts = np.asarray(g.column(ts_col).cast(pa.int64()), dtype=np.float64)
         et = g.column(type_col)
-        starts = np.flatnonzero(new_key)
-        lens = np.r_[starts[1:], n] - starts
+        starts = fr.starts
         reached = np.zeros(len(starts), dtype=np.int64)
         prev_t = np.full(len(starts), -np.inf)
         t1 = None
         alive = np.ones(len(starts), dtype=bool)
         for si, step in enumerate(steps):
             m = np.asarray(pc.equal(et, step).fill_null(False))
-            prev_rows = np.repeat(prev_t, lens)
-            cand = np.where(m & (ts > prev_rows), ts, np.inf)
+            cand = np.where(m & (ts > prev_t[fr.run]), ts, np.inf)
             if window is not None and t1 is not None:
-                cand = np.where(
-                    np.repeat(t1, lens) + window >= ts, cand, np.inf
-                )
+                cand = np.where(t1[fr.run] + window >= ts, cand, np.inf)
             step_min = np.minimum.reduceat(cand, starts)
             hit = alive & np.isfinite(step_min)
             reached[hit] = si + 1
@@ -2891,25 +2683,20 @@ def grouped_normalize(
     out_col = out_col or method
 
     def fold(g: pa.Table) -> pa.Table:
-        g, new_key = _sorted_runs(g, [(key, "ascending")], key)
-        n = g.num_rows
-        starts = np.flatnonzero(new_key)
-        ends = np.r_[starts[1:], n]
-        lens = ends - starts
+        g, fr = _sorted_runs(g, [(key, "ascending")], key)
         a = g.column(col).cast(pa.float64())
         valid_b = np.asarray(pc.is_valid(a))
         x = np.asarray(a.fill_null(0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
             if method == "share":
-                c0 = np.concatenate([[0.0], np.cumsum(x * valid_b)])
-                s = np.repeat(c0[ends] - c0[starts], lens)
+                s = _frame_sum(x * valid_b, fr.first, fr.last + 1)
                 v = x / s
                 bad = ~valid_b | (s == 0)
             else:
                 xmin = np.where(valid_b, x, np.inf)
                 xmax = np.where(valid_b, x, -np.inf)
-                gmin = np.repeat(np.minimum.reduceat(xmin, starts), lens)
-                gmax = np.repeat(np.maximum.reduceat(xmax, starts), lens)
+                gmin = np.minimum.reduceat(xmin, fr.starts)[fr.run]
+                gmax = np.maximum.reduceat(xmax, fr.starts)[fr.run]
                 v = (x - gmin) / (gmax - gmin)
                 bad = ~valid_b | ~np.isfinite(gmin) | (gmax == gmin)
         return g.append_column(out_col, pa.array(v, pa.float64(), mask=bad))
@@ -2988,23 +2775,13 @@ def grouped_mad(
         return xs[ilo] * (1.0 - d) + xs[ihi] * d
 
     def fold(g: pa.Table) -> pa.Table:
-        g, new_key = _sorted_runs(g, [(key, "ascending"), (col, "ascending")], key)
-        n = g.num_rows
-        if n == 0:
-            out = {key: g.column(key), mad_col: pa.array([], pa.float64())}
-            if med_col is not None:
-                out = {key: g.column(key), med_col: pa.array([], pa.float64()),
-                       mad_col: pa.array([], pa.float64())}
-            return pa.table(out)
-        starts = np.flatnonzero(new_key)
-        lens = np.r_[starts[1:], n] - starts
+        g, fr = _sorted_runs(g, [(key, "ascending"), (col, "ascending")], key)
         xs = np.asarray(g.column(col).cast(pa.float64()))
-        med = _interp_median(xs, starts, lens)
-        run = np.cumsum(new_key) - 1
-        dev = np.abs(xs - np.repeat(med, lens))
-        order = np.lexsort((dev, run))
-        mad = _interp_median(dev[order], starts, lens)
-        out = {key: g.column(key).take(pa.array(starts))}
+        med = _interp_median(xs, fr.starts, fr.lens)
+        dev = np.abs(xs - med[fr.run])
+        order = np.lexsort((dev, fr.run))
+        mad = _interp_median(dev[order], fr.starts, fr.lens)
+        out = {key: g.column(key).take(pa.array(fr.starts))}
         if med_col is not None:
             out[med_col] = pa.array(med, pa.float64())
         out[mad_col] = pa.array(mad, pa.float64())
@@ -3087,11 +2864,11 @@ def grouped_arg_extreme(
     vdir = "descending" if mode == "max" else "ascending"
 
     def reduce_one(t: pa.Table) -> pa.Table:
-        t, new_key = _sorted_runs(
+        t, fr = _sorted_runs(
             t.filter(pc.is_valid(t.column(val_col))),
             [(key, "ascending"), (val_col, vdir), (arg_col, "ascending")], key,
         )
-        return t.take(pa.array(np.flatnonzero(new_key)))
+        return t.take(pa.array(fr.starts))
 
     def partial(t: pa.Table) -> pa.Table:
         return reduce_one(t.select([key, val_col, arg_col]))
@@ -3142,12 +2919,8 @@ def grouped_quantile_sketch(
 
     def bottom_k(t: pa.Table) -> pa.Table:
         # per-key bottom-k by hash: sort (key, h), keep run-local pos < k
-        t, new_key = _sorted_runs(t, [(key, "ascending"), ("_h", "ascending")], key)
-        n = t.num_rows
-        starts = np.flatnonzero(new_key)
-        run = np.cumsum(new_key) - 1
-        pos = np.arange(n) - starts[run]
-        return t.filter(pa.array(pos < k))
+        t, fr = _sorted_runs(t, [(key, "ascending"), ("_h", "ascending")], key)
+        return t.filter(pa.array(np.arange(t.num_rows) - fr.first < k))
 
     def partial(t: pa.Table) -> pa.Table:
         t = t.select([key, col, id_col]).filter(pc.is_valid(t.column(col)))
@@ -3209,39 +2982,29 @@ def merge_intervals(
                                 pc.is_valid(t.column(end_col))))
 
     def fold(g: pa.Table) -> pa.Table:
-        g, new_key = _sorted_runs(
+        g, fr = _sorted_runs(
             g, [(key, "ascending"), (start_col, "ascending"), (end_col, "ascending")], key
         )
-        n = g.num_rows
-        cols = {key: g.column(key).slice(0, 0),
-                out_start: pa.array([], pa.int64()),
-                out_end: pa.array([], pa.int64())}
-        if count_col is not None:
-            cols[count_col] = pa.array([], pa.int64())
-        if n == 0:
-            return pa.table(cols)
-        run = np.cumsum(new_key) - 1
         s = np.asarray(g.column(start_col).cast(pa.int64()))
         e = np.asarray(g.column(end_col).cast(pa.int64()))
         # segment running-max of e: offset each run into its own value
         # range, accumulate globally, de-offset
-        lo, hi = min(int(e.min()), int(s.min())), max(int(e.max()), int(s.max()))
+        lo, hi = (
+            (min(int(e.min()), int(s.min())), max(int(e.max()), int(s.max())))
+            if len(s) else (0, 0)
+        )
         span = (hi - lo) + 1
-        cm = np.maximum.accumulate(e - lo + run * span) - run * span + lo
+        cm = np.maximum.accumulate(e - lo + fr.run * span) - fr.run * span + lo
         prev_cm = np.empty_like(cm)
         prev_cm[1:] = cm[:-1]
-        new_island = new_key.astype(bool) | (s > prev_cm)
-        isl = np.cumsum(new_island) - 1
-        starts = np.flatnonzero(new_island)
-        lens = np.r_[starts[1:], n] - starts
-        ends = starts + lens - 1
+        isl = _frame(fr.new | (s > prev_cm))
         out = {
-            key: g.column(key).take(pa.array(starts)),
-            out_start: pa.array(s[starts], pa.int64()),
-            out_end: pa.array(cm[ends], pa.int64()),
+            key: g.column(key).take(pa.array(isl.starts)),
+            out_start: pa.array(s[isl.starts], pa.int64()),
+            out_end: pa.array(cm[isl.starts + isl.lens - 1], pa.int64()),
         }
         if count_col is not None:
-            out[count_col] = pa.array(lens, pa.int64())
+            out[count_col] = pa.array(isl.lens, pa.int64())
         return pa.table(out)
 
     return _by_key(ds, key, fold, num_buckets, batch_size, prep=prep)
@@ -3262,34 +3025,19 @@ def grouped_locf(
     ROWS UNBOUNDED PRECEDING)``); a key's leading NULLs stay NULL. The
     time-series gap-fill. One bounded bucket shuffle; in-bucket the fill
     is one vectorized pass — the index of each row's latest valid row is
-    a ``np.maximum.accumulate`` over (position where valid, run-start at
-    key changes), then a single Arrow take."""
+    a running maximum of the valid positions, masked where it lies
+    before the row's key run, then a single Arrow take."""
     order = [(key, "ascending")] + [(c, "ascending") for c in order_cols]
 
     def fold(g: pa.Table) -> pa.Table:
-        g, new_key = _sorted_runs(g, order, key)
-        n = g.num_rows
-        if n == 0:
-            return g.append_column(out_col, g.column(val_col))
-        starts = np.flatnonzero(new_key)
-        run = np.cumsum(new_key) - 1
-        pos = np.arange(n)
+        g, fr = _sorted_runs(g, order, key)
         valid = np.asarray(pc.is_valid(g.column(val_col)))
-        # carry the latest valid position forward, but never across a key
-        # boundary: seed each run at its start with (start - 1) sentinel
-        # lifted per run so cummax can't leak the previous key's carry
-        seed = np.where(valid, pos, -1)
-        # lift by run: within-run cummax of seed, independent per run
-        lifted = seed + run * np.int64(n + 1)
-        carry = np.maximum.accumulate(
-            np.where(valid, lifted, np.minimum(lifted, run * np.int64(n + 1) - 1))
-        ) - run * np.int64(n + 1)
-        src = pa.array(np.where(carry >= 0, np.maximum(carry, 0), -1),
-                       pa.int64())
-        filled = g.column(val_col).take(
-            pc.if_else(pc.greater_equal(src, 0), src, pa.nulls(n, pa.int64()))
-        )
-        return g.append_column(out_col, filled)
+        # the latest valid row at or before each row; one before the row's
+        # key run means the key has no value yet
+        seen = np.where(valid, np.arange(g.num_rows), -1)
+        latest = np.maximum.accumulate(seen)
+        src = pa.array(latest, mask=latest < fr.first)
+        return g.append_column(out_col, g.column(val_col).take(src))
 
     return _by_key(ds, key, fold, num_buckets, batch_size)
 

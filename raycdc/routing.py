@@ -9,8 +9,8 @@ parse attempt whose failure diverts the record
 (``DeidentifyDICOMTest.java:178-195``: 2 success + 1 reject).
 
 Engine model: a vectorized validation stage stamps a ``_route`` column;
-downstream consumers either filter one route (streaming-friendly, no
-materialization) or ask for the route-count matrix (small aggregate).
+downstream consumers filter one route (streaming-friendly, no
+materialization).
 The dead-letter dataset IS a first-class output, mirroring the
 failure-relationship loop-back being "usually looped back" for retry
 (``PutDICOM.java:83-86``) — dead-lettered events keep full payload so
@@ -57,10 +57,6 @@ def stamp_route(batch: pa.Table) -> pa.Table:
     return batch.append_column(ROUTE_COL, route)
 
 
-def validate(ds: ray.data.Dataset, batch_size: int = 65536) -> ray.data.Dataset:
-    return ds.map_batches(stamp_route, batch_format="pyarrow", batch_size=batch_size)
-
-
 def take_route(ds: ray.data.Dataset, route: str, drop_route_col: bool = True) -> ray.data.Dataset:
     """One route as a streaming Dataset (predicate split; each call
     re-executes upstream — cache upstream with ``materialize()`` only if
@@ -73,21 +69,6 @@ def take_route(ds: ray.data.Dataset, route: str, drop_route_col: bool = True) ->
     return ds.map_batches(pick, batch_format="pyarrow")
 
 
-def route_counts(ds: ray.data.Dataset) -> dict[str, int]:
-    """The routing matrix (small aggregate; reference analog: per-
-    relationship assertion counts in the tests)."""
-    out = ds.groupby(ROUTE_COL).count()
-    return {r[ROUTE_COL]: r["count()"] for r in out.take_all()}
-
-
-def split_valid(ds: ray.data.Dataset, batch_size: int = 65536):
-    """Convenience: (ok_dataset, dead_letter_dataset) from a raw stream.
-    NOTE: consuming both datasets executes the upstream twice; for the
-    hot ingest path use :func:`make_validator` (single pass)."""
-    stamped = validate(ds, batch_size=batch_size)
-    return take_route(stamped, ROUTE_OK), take_route(stamped, ROUTE_DEAD_LETTER)
-
-
 def make_validator(dead_letter_dir: str | None = None):
     """Single-pass validation as a plain batch fn for ``map_batches``:
     every row is stamped with its ``_route`` and dead-lettered rows are
@@ -96,7 +77,7 @@ def make_validator(dead_letter_dir: str | None = None):
     ``ok`` rows (``_route`` is its selection vector), so the payload is
     copied once, by the run writer's take. A consumer that needs only
     valid rows takes them with :func:`take_route`. One pass over the
-    input — the hot-path variant of :func:`split_valid`.
+    input.
 
     Dead-letter files are named from their rows' content, as L0 runs
     are, so a retried task rewrites the identical file instead of adding

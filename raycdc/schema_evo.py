@@ -49,15 +49,6 @@ def conform_to(schema: pa.Schema):
     return fn
 
 
-def evolve(current: pa.Schema, incoming: pa.Schema) -> pa.Schema:
-    """The schema the table has after seeing a batch of ``incoming``
-    shape: union of columns with widening. Raises on non-promotable
-    conflicts (e.g. string vs int) — those must be handled by a rename
-    or cast rule upstream, mirroring the reference's config-time tag
-    validation."""
-    return unify([current, incoming])
-
-
 # ------------------------------------------------- manifest (de)serialization
 def schema_to_str(schema: pa.Schema) -> str:
     return base64.b64encode(schema.serialize().to_pybytes()).decode()

@@ -3,7 +3,8 @@
 These replace the reference's two key-derivation strategies:
 
 * stateless deterministic remap (``UIDUtils.createNameBasedUID``,
-  reference ``DeidentifyEncryptDICOM.java:313-327``) → :func:`det_hash_hex`
+  reference ``DeidentifyEncryptDICOM.java:313-327``) →
+  :func:`raycdc.identity.name_based_uid`
 * hash-partition bucketing that replaces the global-lock ``uid_map``
   single-writer (reference ``DeidentificationController.java:108-117``)
   → :func:`bucket_of` (one bucket == one logical single-writer partition).
@@ -16,7 +17,6 @@ computed it — that property is what makes replay re-convergent
 
 from __future__ import annotations
 
-import hashlib
 import os
 
 import numpy as np
@@ -124,22 +124,6 @@ def bucket_of(keys, num_buckets: int) -> np.ndarray:
     for i, col in enumerate(cols[1:], 1):
         h = splitmix64(h ^ str_hash_u64(col, seed=i))
     return (h % np.uint64(num_buckets)).astype(np.int32)
-
-
-def det_hash_hex(value: str, *parts: str, n: int | None = None) -> str:
-    """Deterministic hex digest of one or more strings (md5, like the
-    reference's pseudo-identity: ``IdentityEntry.java:28-41``)."""
-    m = hashlib.md5()
-    m.update(value.encode())
-    for p in parts:
-        m.update(p.encode())
-    d = m.hexdigest()
-    return d[:n] if n else d
-
-
-def combine_chunks(table: pa.Table) -> pa.Table:
-    """Flatten chunked columns so numpy views are contiguous."""
-    return table.combine_chunks() if table.num_rows else table
 
 
 def strip_schema_metadata(table: pa.Table) -> pa.Table:

@@ -10,7 +10,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-from raycdc.apply import last_writer_per_key, lww_apply, lww_apply_table
+from raycdc.apply import last_writer_per_key, lww_apply
 from raycdc.metrics import Metrics
 from raycdc.synth import (
     BASE_SCHEMA,
@@ -64,14 +64,6 @@ def test_last_writer_per_key_local():
     )
     out = last_writer_per_key(t).sort_by("doc_id")
     assert out["v"].to_pylist() == [30, 50]
-
-
-def test_lww_apply_table_matches_fold():
-    base, ev = make_stream()
-    golden = fold_events(base, ev)
-    got = lww_apply_table(_valid_events(ev), base)
-    got = got.drop_columns([c for c in ("lsn", "op") if c in got.column_names])
-    assert_tables_equal(got, golden)
 
 
 def collect(ds) -> pa.Table:

@@ -213,19 +213,6 @@ def test_metrics_actor_counts_rows():
     assert stats.get("seen") == 100
 
 
-def test_metrics_dump_json(tmp_path):
-    m = Metrics("test_metrics2")
-    m.incr("applied", 7)
-    import time
-
-    time.sleep(0.2)  # fire-and-forget incr
-    p = str(tmp_path / "stats.json")
-    s = m.dump_json(p)
-    import json
-
-    assert json.load(open(p)) == s and s["applied"] == 7
-
-
 def test_apply_changeset_empty_batch_keeps_schema():
     # code-review regression: from_pylist([]) collapses the schema
     base = base_table(3, seed=6, min_len=4, max_len=8)

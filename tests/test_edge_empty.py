@@ -9,7 +9,7 @@ import ray.data as rd
 from raycdc.ops import (
     cube_agg,
     grouped_first_last,
-    grouped_lead,
+    grouped_lag,
     grouped_mode,
     grouped_quantile_cont,
     grouped_rank,
@@ -54,7 +54,7 @@ def test_aggregates_on_empty_input():
 def test_windows_on_empty_and_single():
     e, o = rd.from_arrow(EMPTY), rd.from_arrow(ONE)
     assert _n(grouped_rank(e, "k", ["o"])) == 0
-    assert _n(grouped_lead(e, "k", ["o"], "v")) == 0
+    assert _n(grouped_lag(e, "k", ["o"], "v", periods=-1)) == 0
     assert _n(grouped_first_last(e, "k", ["o"], "v")) == 0
     assert _n(grouped_rolling_agg(e, "k", ["o"], {"r": ("v", "mean")}, 3)) == 0
     r1 = grouped_rank(o, "k", ["o"], pr_col="pr", cd_col="cd").to_pandas()

@@ -17,7 +17,6 @@ import ray.data as rd
 import raycdc.lake as lake_mod
 from raycdc.apply import base_as_inserts
 from raycdc.lake import LakeTable
-from raycdc.routing import split_valid
 from raycdc.synth import (
     EventGenConfig,
     base_table,

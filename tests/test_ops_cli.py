@@ -133,6 +133,55 @@ def test_cli_errors(tmp_path, capsys):
     assert main(["tail", lake, str(tmp_path), "--rules", str(bad)]) == 2
 
 
+class _RayUpCalled(Exception):
+    pass
+
+
+def test_cli_mv_keeps_top_level_num_cpus(tmp_path, monkeypatch):
+    """``--num-cpus`` before the subcommand reaches ``_ray_up`` for ``mv``
+    (a subparser default of the same name would overwrite it)."""
+    import raycdc.__main__ as cli
+
+    seen = []
+
+    def fake_ray_up(num_cpus):
+        seen.append(num_cpus)
+        raise _RayUpCalled
+
+    monkeypatch.setattr(cli, "_ray_up", fake_ray_up)
+    lake = str(tmp_path / "lake")
+    assert cli.main(["init", lake]) == 0
+    with pytest.raises(_RayUpCalled):
+        cli.main(["--num-cpus", "4", "mv", lake, str(tmp_path / "mv"), "--group", "source",
+                  "--count", "n"])
+    assert seen == [4]
+
+
+def test_cli_tail_watch_prints_each_epoch(tmp_path, monkeypatch, capsys):
+    """``tail --watch N`` is the library watch loop: ``tail_forever`` with
+    ``poll_s=N``, one JSON line per committed epoch."""
+    import raycdc.__main__ as cli
+    import raycdc.tailer
+
+    calls = []
+
+    def fake_tail_forever(lake, log_dir, poll_s=1.0, **kw):
+        calls.append((log_dir, poll_s, kw))
+        yield {"epoch": 2}
+        yield {"epoch": 3}
+
+    monkeypatch.setattr(cli, "_ray_up", lambda num_cpus: None)
+    monkeypatch.setattr(raycdc.tailer, "tail_forever", fake_tail_forever)
+    lake = str(tmp_path / "lake")
+    assert cli.main(["init", lake]) == 0
+    capsys.readouterr()
+    assert cli.main(["tail", lake, "LOG", "--watch", "0.5", "--segments-per-epoch", "3"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [json.loads(x) for x in lines] == [{"epoch": 2}, {"epoch": 3}]
+    assert calls == [("LOG", 0.5, {"max_segments_per_epoch": 3, "transform": None,
+                                    "dead_letter_dir": None})]
+
+
 def test_flatten_struct():
     from raycdc.ops import flatten_struct
 

@@ -8,7 +8,7 @@ import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from raycdc.ops import _run_boundaries
+from raycdc.ops import _frame, _frame_sum, _run_boundaries
 
 
 @settings(max_examples=60, deadline=None)
@@ -29,21 +29,53 @@ def test_run_boundaries_matches_naive(keys):
     assert (got == want).all()
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
-    st.lists(st.integers(min_value=-10_000, max_value=10_000), min_size=1, max_size=50),
+    st.lists(
+        st.tuples(st.one_of(st.none(), st.integers(min_value=-3, max_value=3)),
+                  st.one_of(st.none(), st.integers(min_value=-10_000, max_value=10_000))),
+        min_size=0, max_size=60,
+    ),
     st.integers(min_value=1, max_value=8),
+    st.integers(min_value=-4, max_value=4),
 )
-def test_rolling_sum_kernel_matches_naive(vals, window):
-    # the cumsum-difference ROWS-frame kernel from grouped_rolling_sum,
-    # single key run
-    v = np.asarray(vals, dtype=np.int64)
-    n = len(v)
-    c0 = np.concatenate([[0], np.cumsum(v)])
-    lo = np.maximum(0, np.arange(n) - (window - 1))
-    got = c0[1:] - c0[lo]
-    want = [sum(vals[max(0, i - window + 1): i + 1]) for i in range(n)]
-    assert got.tolist() == want
+def test_rolling_sum_kernel_matches_naive(rows, window, shift):
+    """The shipped frame kernels (``_frame`` over ``_run_boundaries``, and
+    ``_frame_sum``) against a per-row recompute, on sorted multi-run
+    keys with a NULL key run and NULL values (NULLs add zero): run id,
+    first and last row, ROWS windows, the unbounded frame and signed
+    shifts, with the frame bounds ``grouped_rolling_agg`` and
+    ``grouped_lag`` use."""
+    rows = sorted(rows, key=lambda r: (r[0] is not None, r[0] or 0))  # nulls first
+    keys, vals = [k for k, _ in rows], [v for _, v in rows]
+    n = len(rows)
+    fr = _frame(_run_boundaries(pa.array(keys, type=pa.int64()), n))
+
+    run = np.cumsum([i == 0 or keys[i] != keys[i - 1] for i in range(n)]).astype(int) - 1
+    first = [min(j for j in range(n) if run[j] == run[i]) for i in range(n)]
+    last = [max(j for j in range(n) if run[j] == run[i]) for i in range(n)]
+    assert fr.run.tolist() == run.tolist()
+    assert fr.first.tolist() == first and fr.last.tolist() == last
+    assert fr.starts.tolist() == sorted(set(first))
+    assert fr.lens.tolist() == [last[s] - s + 1 for s in fr.starts]
+
+    def naive_sum(i, lo):
+        return sum(vals[j] or 0 for j in range(lo, i + 1) if run[j] == run[i])
+
+    x = np.asarray([v or 0 for v in vals], dtype=np.int64)
+    pos = np.arange(n)
+    rows_w = _frame_sum(x, np.maximum(fr.first, pos - (window - 1)), pos + 1)
+    assert rows_w.tolist() == [naive_sum(i, max(0, i - window + 1)) for i in range(n)]
+    # window=None: a bucket-long window is the unbounded frame
+    w = max(n, 1)
+    unbounded = _frame_sum(x, np.maximum(fr.first, pos - (w - 1)), pos + 1)
+    assert unbounded.tolist() == [naive_sum(i, 0) for i in range(n)]
+    totals = _frame_sum(x, fr.starts, fr.starts + fr.lens)
+    assert totals.tolist() == [naive_sum(last[s], s) for s in fr.starts]
+    # signed shift (lag > 0, lead < 0): NULL outside the row's run
+    src = pos - shift
+    inside = ~((src < fr.first) | (src > fr.last))
+    assert inside.tolist() == [0 <= i - shift < n and run[i - shift] == run[i] for i in range(n)]
 
 
 @settings(max_examples=25, deadline=None)

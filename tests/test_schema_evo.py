@@ -7,7 +7,7 @@ import ray.data as rd
 from raycdc.apply import base_as_inserts
 from raycdc.lake import LakeTable
 from raycdc.rules import RuleSet
-from raycdc.schema_evo import conform_to, evolve, schema_from_str, schema_to_str, unify
+from raycdc.schema_evo import conform_to, schema_from_str, schema_to_str, unify
 from raycdc.synth import base_table
 
 
@@ -112,5 +112,5 @@ def test_rename_via_rule_then_evolve():
     rs = RuleSet.from_config({"rules": [{"column": "source", "action": "rename", "value": "origin"}]})
     t = rs(base_table(5, seed=1, min_len=4, max_len=8))
     assert "origin" in t.column_names and "source" not in t.column_names
-    u = evolve(pa.schema([("origin", pa.string())]), t.schema)
+    u = unify([pa.schema([("origin", pa.string())]), t.schema])
     assert "origin" in u.names

@@ -563,13 +563,15 @@ def test_grouped_lag_matches_sql_lag():
 
 
 def test_grouped_cumsum_matches_sql_window_sum():
+    """The running total is ``grouped_rolling_agg`` over the unbounded
+    frame (``window=None``); min/max/count run over the same frame."""
     t = _events(n=3000, seed=97)
-    from raycdc.ops import grouped_cumsum
+    from raycdc.ops import grouped_rolling_agg
 
-    out = grouped_cumsum(
+    out = grouped_rolling_agg(
         rd.from_arrow(t).repartition(5), "user_id",
-        order_cols=["ts", "event_id"], val_col="cents", out_col="running",
-        num_buckets=8, batch_size=400,
+        order_cols=["ts", "event_id"], specs={"running": ("cents", "sum")},
+        window=None, num_buckets=8, batch_size=400,
     ).to_pandas()
     want = _duck(
         t,
@@ -584,15 +586,39 @@ def test_grouped_cumsum_matches_sql_window_sum():
     want = want.sort_values("event_id").reset_index(drop=True)
     assert (got["running"].to_numpy() == want["running"].to_numpy()).all()
 
+    # every other kernel over the unbounded frame, NULL keys and values
+    tn = _events(n=2000, seed=98, with_nulls=True)
+    out = grouped_rolling_agg(
+        rd.from_arrow(tn).repartition(4), "user_id", order_cols=["ts", "event_id"],
+        specs={"rmin": ("cents", "min"), "rmax": ("cents", "max"),
+               "rcnt": ("cents", "count")},
+        window=None, num_buckets=8, batch_size=300,
+    ).to_pandas()
+    want = _duck(
+        tn,
+        """
+        SELECT event_id, min(cents) OVER w AS rmin, max(cents) OVER w AS rmax,
+               CAST(count(cents) OVER w AS BIGINT) AS rcnt
+        FROM events
+        WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id ROWS UNBOUNDED PRECEDING)
+        """,
+    ).to_pandas()
+    got = out.sort_values("event_id").reset_index(drop=True)
+    want = want.sort_values("event_id").reset_index(drop=True)
+    for c in ("rmin", "rmax", "rcnt"):
+        nn = got[c].isna().to_numpy() & want[c].isna().to_numpy()
+        assert ((got[c].to_numpy() == want[c].to_numpy()) | nn).all(), c
+
 
 def test_grouped_rolling_sum_matches_sql_rows_frame():
+    """The ROWS-frame rolling sum is ``grouped_rolling_agg``'s sum kernel."""
     t = _events(n=3000, seed=131)
-    from raycdc.ops import grouped_rolling_sum
+    from raycdc.ops import grouped_rolling_agg
 
-    out = grouped_rolling_sum(
+    out = grouped_rolling_agg(
         rd.from_arrow(t).repartition(5), "user_id",
-        order_cols=["ts", "event_id"], val_col="cents", window=4,
-        out_col="rolling", num_buckets=8, batch_size=400,
+        order_cols=["ts", "event_id"], specs={"rolling": ("cents", "sum")}, window=4,
+        num_buckets=8, batch_size=400,
     ).to_pandas()
     want = _duck(
         t,
@@ -609,9 +635,9 @@ def test_grouped_rolling_sum_matches_sql_rows_frame():
     assert (got["rolling"].to_numpy() == want["rolling"].to_numpy()).all()
 
     # window=1 degenerates to the value itself
-    w1 = grouped_rolling_sum(
+    w1 = grouped_rolling_agg(
         rd.from_arrow(t), "user_id", order_cols=["ts", "event_id"],
-        val_col="cents", window=1, out_col="rolling", num_buckets=4,
+        specs={"rolling": ("cents", "sum")}, window=1, num_buckets=4,
     ).to_pandas().sort_values("event_id")
     assert (w1["rolling"].to_numpy() == w1["cents"].to_numpy()).all()
 
@@ -837,14 +863,19 @@ def test_moment_agg_matches_duckdb_stats():
 
 
 def test_grouped_lead_matches_sql_lead():
-    t = _events(n=2500, seed=811, with_nulls=True)
-    from raycdc.ops import grouped_lead
+    """LEAD is ``grouped_lag`` with a negative ``periods``."""
+    import pytest
 
+    t = _events(n=2500, seed=811, with_nulls=True)
+    from raycdc.ops import grouped_lag
+
+    with pytest.raises(ValueError, match="non-zero"):
+        grouped_lag(rd.from_arrow(t), "user_id", ["ts"], "cents", periods=0)
     for p in (1, 3):
-        out = grouped_lead(
+        out = grouped_lag(
             rd.from_arrow(t).repartition(4), "user_id",
-            order_cols=["ts", "event_id"], val_col="cents", periods=p,
-            num_buckets=8, batch_size=350,
+            order_cols=["ts", "event_id"], val_col="cents", periods=-p,
+            out_col="next", num_buckets=8, batch_size=350,
         ).to_pandas()
         want = _duck(
             t,
