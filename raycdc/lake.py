@@ -41,6 +41,14 @@ what make at-least-once replay safe: a re-delivered older insert loses
 the LWW fold against the tombstone instead of resurrecting a deleted
 row. ``read()`` filters tombstones out; ``compact_tombstones`` drops
 them permanently once upstream segments can no longer be replayed.
+Runs and bases hold the rows in a *stored form*
+(:func:`_encode_stored`): a ``list`` column of ints or floats with no
+null element is a ``binary`` view of the same buffers, whose field
+metadata names the logical type and the byte order. The run writer's
+payload take, the fold and compaction move those bytes, never list
+structure; ``read()`` returns the logical form, and the manifest
+``schema`` is the logical one. Files without that metadata (the list
+form) read as they are.
 
 Concurrency: a writer lease lock (O_EXCL file carrying pid+host+lease
 deadline) is held for the duration of ``apply``/compaction and the
@@ -59,6 +67,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 import uuid
 
@@ -101,17 +110,123 @@ def _atomic_write_json(path: str, obj: dict) -> None:
     _fsync_dir(path)
 
 
+# The stored form of runs and bases: a ``list`` column of ints or floats
+# whose child holds no null is written as ``binary``, each value the
+# row's packed elements. Its field metadata keeps the logical field and
+# the byte order of the packed elements.
+_LOGICAL_FIELD = b"raycdc.logical_field"
+_BYTE_ORDER = b"raycdc.byte_order"
+_MAX_BINARY = (1 << 31) - 1  # bytes a ``binary`` column's int32 offsets address
+
+
+def _element_width(f: pa.Field) -> int:
+    """Byte width of the elements of a ``list``/``large_list`` of ints or
+    floats; 0 for any other field."""
+    t = f.type
+    if not (pa.types.is_list(t) or pa.types.is_large_list(t)):
+        return 0
+    v = t.value_type
+    return v.bit_width // 8 if pa.types.is_integer(v) or pa.types.is_floating(v) else 0
+
+
+def _validity(a: pa.Array) -> pa.Buffer | None:
+    """``a``'s validity bitmap, starting at its first row."""
+    return pc.is_valid(a).buffers()[1] if a.null_count else None
+
+
+def _encode_stored(t: pa.Table) -> pa.Table:
+    """The stored form of ``t``: each ``list<fixed-width>`` column whose
+    child holds no null becomes a zero-copy ``binary`` view — offsets are
+    the list offsets × element width, data is the child's values buffer.
+    The column is ``large_binary`` when it would pass 2 GiB, so a take
+    over all its chunks cannot overflow. Every other column is untouched."""
+    for i, f in enumerate(t.schema):
+        w = _element_width(f)
+        col = t.column(i)
+        if not w or any(c.values.null_count for c in col.chunks):
+            continue
+        # empty chunks are dropped: Arrow lets them go without buffers
+        parts = [(c, np.asarray(c.offsets)) for c in col.chunks if len(c)]  # slice-aware
+        large = sum(int(o[-1] - o[0]) for _, o in parts) * w > _MAX_BINARY
+        btype, otype = (pa.large_binary(), np.int64) if large else (pa.binary(), np.int32)
+        chunks = []
+        for c, o in parts:
+            child = c.values
+            data = child.buffers()[1] or pa.py_buffer(b"")
+            data = data.slice((child.offset + int(o[0])) * w, int(o[-1] - o[0]) * w)
+            offsets = pa.py_buffer(((o - o[0]) * w).astype(otype))
+            chunks.append(pa.Array.from_buffers(btype, len(c), [_validity(c), offsets, data],
+                                                null_count=c.null_count))
+        meta = {_LOGICAL_FIELD: schema_to_str(pa.schema([f])), _BYTE_ORDER: sys.byteorder}
+        t = t.set_column(i, pa.field(f.name, btype, f.nullable, meta),
+                         pa.chunked_array(chunks, btype))
+    return t
+
+
+def _decode_stored(t: pa.Table) -> pa.Table:
+    """The logical form of a stored table, the exact inverse of
+    :func:`_encode_stored`: only the offsets are rewritten, the values
+    buffer is shared. Columns without its metadata (list-form files)
+    are returned as they are."""
+    for i, f in enumerate(t.schema):
+        meta = f.metadata or {}
+        if _LOGICAL_FIELD not in meta:
+            continue
+        if meta.get(_BYTE_ORDER) != sys.byteorder.encode():
+            raise ValueError(f"column {f.name!r} holds {meta.get(_BYTE_ORDER)!r}-endian "
+                             f"elements; this host is {sys.byteorder}-endian")
+        logical = schema_from_str(meta[_LOGICAL_FIELD].decode()).field(0)
+        w = _element_width(logical)
+        btype = np.int64 if pa.types.is_large_binary(f.type) else np.int32
+        otype = np.int64 if pa.types.is_large_list(logical.type) else np.int32
+        chunks = []
+        for c in t.column(i).chunks:
+            if not len(c):
+                continue
+            _, offsets, data = c.buffers()
+            o = np.frombuffer(offsets, btype)[c.offset:c.offset + len(c) + 1]
+            data = (data or pa.py_buffer(b"")).slice(int(o[0]), int(o[-1] - o[0]))
+            child = pa.Array.from_buffers(logical.type.value_type, len(data) // w, [None, data])
+            offsets = pa.py_buffer(((o - o[0]) // w).astype(otype))
+            chunks.append(pa.Array.from_buffers(logical.type, len(c), [_validity(c), offsets],
+                                                null_count=c.null_count, children=[child]))
+        t = t.set_column(i, logical, pa.chunked_array(chunks, logical.type))
+    return t
+
+
+def _leaf_paths(f: pa.Field, prefix: str = "") -> list[str]:
+    """The Parquet column paths of ``f``'s leaves, as pyarrow names them."""
+    p, t = prefix + f.name, f.type
+    if pa.types.is_struct(t):
+        return [q for j in range(t.num_fields) for q in _leaf_paths(t.field(j), p + ".")]
+    if pa.types.is_map(t):
+        return _leaf_paths(t.key_field, p + ".key_value.") + _leaf_paths(t.item_field, p + ".key_value.")
+    if pa.types.is_list(t) or pa.types.is_large_list(t) or pa.types.is_fixed_size_list(t):
+        return _leaf_paths(pa.field("element", t.value_type), p + ".list.")
+    return [p]
+
+
+def _write_options(table: pa.Table) -> dict:
+    """``pq.write_table`` options of every run, base, dead-letter and MV
+    state file: zstd, no dictionary pages — dictionary-encoding the token
+    payload (a large vocabulary) cost ~40% of encode time and made files
+    larger. A column in the stored form (:func:`_encode_stored`) gets no
+    statistics: byte-order min/max of packed elements prunes nothing.
+    Every other column keeps them, ``_bucket`` row-group pruning included."""
+    encoded = {f.name for f in table.schema if _LOGICAL_FIELD in (f.metadata or {})}
+    stats = [p for f in table.schema if f.name not in encoded
+             for p in _leaf_paths(f)] if encoded else True
+    return {"use_dictionary": False, "compression": "zstd", "write_statistics": stats}
+
+
 def _atomic_write_parquet(path: str, table: pa.Table,
                           row_group_size: int | None = None) -> None:
     """Durable tmp+fsync+rename: the manifest swap is only a valid commit
-    point if the epoch files it references are already on stable storage."""
+    point if the epoch files it references are already on stable storage.
+    Runs and bases come in their stored form, whose binary payload skips
+    Parquet's list encoding; dead letters and MV state in their logical one."""
     tmp = f"{path}.tmp.{uuid.uuid4().hex[:8]}"
-    # every run, base and MV state file: zstd, no dictionary pages —
-    # dictionary-encoding the token lists (a large vocabulary) cost ~40%
-    # of encode time and made files larger; min/max statistics are
-    # written either way, so ``_bucket`` row-group pruning is unaffected
-    pq.write_table(table, tmp, row_group_size=row_group_size,
-                   use_dictionary=False, compression="zstd")
+    pq.write_table(table, tmp, row_group_size=row_group_size, **_write_options(table))
     fd = os.open(tmp, os.O_RDONLY)
     try:
         os.fsync(fd)
@@ -417,7 +532,9 @@ class LakeTable:
                  keep_bucket: bool = False):
         """Merge-on-read of one ``_range`` row: its bases (pid as
         ``_bucket``) plus each run read once, pruned to the range's row
-        groups, in one LWW fold into (``_bucket``, key) order."""
+        groups, in one LWW fold into (``_bucket``, key) order. Each part
+        is read in its logical form and conformed to ``schema_str``; the
+        fold takes and returns the stored form (:func:`_encode_stored`)."""
         key, lsn_col, op_col = self.key, self.lsn_col, self.op_col
         lake_path = self.path
         conform = schema_str and conform_to(
@@ -437,10 +554,11 @@ class LakeTable:
             for f in runs:  # bucket-sorted: row-group statistics prune the read
                 parts.append(pq.read_table(os.path.join(lake_path, f),
                                            filters=[("_bucket", ">=", lo), ("_bucket", "<", hi)]))
+            parts = [_decode_stored(p) for p in parts]
             if conform:
                 parts = [conform(p) for p in parts]
             parts = [p for p in parts if p.num_rows] or parts[:1]
-            t = pa.concat_tables(parts, promote_options="permissive")
+            t = _encode_stored(pa.concat_tables(parts, promote_options="permissive"))
             if runs:  # bases alone are one row per key and bucket-ordered
                 t = last_writer_per_key(t, key=key, lsn_col=lsn_col, tombstone_col=tomb_col)
             elif tomb_col:
@@ -461,9 +579,9 @@ class LakeTable:
         ranges = _ranges(m)
         if not ranges:
             return ray.data.from_arrow(pa.table({}))
+        fold = self._fold_fn(m.get("schema"), include_tombstones)
         return ray.data.from_items(ranges, override_num_blocks=len(ranges)).map_batches(
-            self._fold_fn(m.get("schema"), include_tombstones),
-            batch_format="pyarrow", batch_size=1)
+            lambda batch: _decode_stored(fold(batch)), batch_format="pyarrow", batch_size=1)
 
     def live_rows(self) -> int:
         """Exact live-row count. Free when every partition is compacted
@@ -522,7 +640,6 @@ class LakeTable:
         P = m["num_partitions"]
         key, lsn_col = self.key, self.lsn_col
         lake_path = self.path
-        t0 = time.time()
 
         def write_run(t: pa.Table) -> pa.Table:
             from raycdc.util import tune_allocators
@@ -547,6 +664,10 @@ class LakeTable:
                 t = t.drop_columns([ROUTE_COL])
             if not len(rows):
                 return empty
+            sch = schema_to_str(t.schema)  # the manifest schema is the logical one
+            # the payload take below and the run's parquet encode move
+            # the stored form's bytes, not list structure
+            t = _encode_stored(t)
             b = np.zeros(t.num_rows, dtype=np.int32)
             b[rows] = bucket_of(t.column(key).take(rows), P)
             t = t.append_column("_bucket", pa.array(b))
@@ -569,7 +690,6 @@ class LakeTable:
             rg = max(2048, -(-t.num_rows // P))  # ≈ one row group per partition
             _atomic_write_parquet(os.path.join(lake_path, rel), t, row_group_size=rg)
             wm = int(lsns.max()) if len(lsns) else -1
-            sch = schema_to_str(t.drop_columns(["_bucket"]).schema)
             # run-pruning metadata: which partitions this run can contain —
             # a range read skips runs outside its buckets (the manifest-
             # level complement of the in-file row-group statistics)
@@ -592,8 +712,11 @@ class LakeTable:
         ).take_all()
         # two distinct blocks with identical content write the SAME
         # (content-named) file — keep one stats row per file so reads
-        # don't fold it twice and manifest counters don't double-count
-        stats_rows = list({r["file"]: r for r in stats_rows}.values())
+        # don't fold it twice and manifest counters don't double-count;
+        # (watermark, file) order, not task completion order, so the
+        # same input commits the same manifest and folds the same way
+        stats_rows = sorted({r["file"]: r for r in stats_rows}.values(),
+                            key=lambda r: (r["watermark"], r["file"]))
 
         schemas = [schema_from_str(r["schema"]) for r in stats_rows]
         if m.get("schema"):
@@ -628,7 +751,6 @@ class LakeTable:
                 "segments": list(new_names),
                 "l0_runs": len(stats_rows),
                 "events_after_reduce": events_out,
-                "wall_sec": round(time.time() - t0, 3),
             }
         ]
         self._commit_manifest(m2)
@@ -720,7 +842,8 @@ class LakeTable:
 
         def compact_range(batch: pa.Table) -> pa.Table:
             # key order comes from the fold; a range without pending runs
-            # keeps its bases' order
+            # keeps its bases' order. The fold's stored form is written
+            # as it is: compaction never rebuilds a list
             folded = fold(batch)
             b = np.asarray(folded.column("_bucket").combine_chunks())
             folded = folded.drop_columns(["_bucket"])

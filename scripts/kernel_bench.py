@@ -32,7 +32,9 @@ Outcome (this bench DROVE the shipped choice of every kernel):
   slower on chunked input. The mask SHIPS (apply._in_input_order).
 - run ENCODE (one 19.8k-row run): zstd without dictionary 31 ms /
   5.00 MB vs snappy + dictionary 53 ms / 6.18 MB, same read-back time.
-  SHIPS (lake._atomic_write_parquet)."""
+  SHIPS (lake._write_options). The token lists as one binary view of
+  the same buffers (lake._encode_stored) skip Parquet's list encoding
+  on top of that. SHIPS (every run and base)."""
 
 from __future__ import annotations
 
@@ -261,9 +263,12 @@ def bench_lww_unordered_fold(batch_rows: int = 65_536) -> dict:
 
 def bench_run_encode(partitions: int = 32) -> dict:
     """Parquet encode of one bucket-sorted L0 run: the pyarrow default
-    (snappy, dictionary on every column — the token-list leaf included)
-    vs the shipped writer options (zstd, no dictionary)."""
+    (snappy, dictionary on every column — the token-list leaf included),
+    the list form with zstd and no dictionary, and the shipped stored
+    form (the token lists as one binary view, written with
+    ``lake._write_options``), read back through ``lake._decode_stored``."""
     from raycdc.apply import last_writer_per_key
+    from raycdc.lake import _decode_stored, _encode_stored, _write_options
     from raycdc.util import bucket_of
 
     t = _tail_segments(n_segments=1)[0]
@@ -271,15 +276,22 @@ def bench_run_encode(partitions: int = 32) -> dict:
         t.append_column("_bucket", pa.array(bucket_of(t.column("doc_id"), partitions))))
     rg = max(2048, -(-t.num_rows // partitions))
     out = {"kernel": "run_encode", "rows": t.num_rows}
-    for label, kw in (("default_snappy_dict", {}),
-                      ("shipped_zstd_nodict", {"use_dictionary": False, "compression": "zstd"})):
+    rows = (("default_snappy_dict", False, {}),
+            ("list_zstd_nodict", False, {"use_dictionary": False, "compression": "zstd"}),
+            ("shipped_stored", True, None))
+    for label, stored, kw in rows:
         def write():
+            s = _encode_stored(t) if stored else t
             buf = io.BytesIO()
-            pq.write_table(t, buf, row_group_size=rg, **kw)
+            pq.write_table(s, buf, row_group_size=rg, **(kw if kw is not None else _write_options(s)))
             return buf.getvalue()
 
+        def read():
+            back = pq.read_table(io.BytesIO(data))
+            return _decode_stored(back) if stored else back
+
         t_write, data = timeit(write, reps=5)
-        t_read, back = timeit(lambda: pq.read_table(io.BytesIO(data)), reps=5)
+        t_read, back = timeit(read, reps=5)
         assert back.equals(t)
         out.update({f"{label}_write_sec": round(t_write, 4), f"{label}_bytes": len(data),
                     f"{label}_read_sec": round(t_read, 4)})

@@ -681,7 +681,108 @@ def test_run_and_base_files_are_zstd_without_dictionary(tmp_path):
                 assert not col.has_dictionary_page, (rel, col.path_in_schema)
                 if rel in runs and col.path_in_schema == "_bucket":
                     assert col.statistics.has_min_max, rel
+                # the token payload is stored as binary and carries no
+                # min/max statistics; every other column keeps them
+                stored = col.path_in_schema == "tokens"
+                assert (col.statistics is not None and col.statistics.has_min_max) != stored, \
+                    (rel, col.path_in_schema)
+        field = pq.read_schema(os.path.join(lk.path, rel)).field("tokens")
+        assert field.type == pa.binary(), rel
+        assert field.metadata[b"raycdc.byte_order"] == b"little", rel
+        assert b"raycdc.logical_field" in field.metadata, rel
     assert_eq(collect(lk.read()), fold_events(base, all_events))
+
+
+def test_same_input_writes_identical_lake_files(tmp_path):
+    """Two fresh lakes that apply the same input write byte-identical
+    ``_manifest.json``, manifest snapshots and state files — several runs
+    per epoch included — so ``bytes_written`` is a function of the input."""
+    base, log_dir, _ = make_log(tmp_path, seed=59, n_segments=4)
+    trees = []
+    for name in ("a", "b"):
+        lk = LakeTable(str(tmp_path / name), num_partitions=8)
+        lk.init()
+        seeded_lake(lk, base)
+        tail_until_caught_up(lk, log_dir, max_segments_per_epoch=3, batch_size=None)
+        assert len(lk.manifest()["l0"]) > 2
+        lk.compact()
+        tree = {}
+        for root, _, files in os.walk(lk.path):
+            for f in files:
+                with open(os.path.join(root, f), "rb") as fh:
+                    tree[os.path.relpath(os.path.join(root, f), lk.path)] = fh.read()
+        trees.append(tree)
+    assert "_manifest.json" in trees[0]
+    assert trees[0] == trees[1]
+
+
+def test_deid_transform_tail_converges(tmp_path):
+    """The transform tail (the ``tail_deid`` shape): keys and sources come
+    out mapped through ``pseudo_id`` / ``name_based_uid``, the
+    ``_changeset`` envelope stays ``binary`` as it is, and dead letters
+    keep the untransformed ``list<int32>`` payload."""
+    from raycdc.identity import name_based_uid, pseudo_id
+    from raycdc.pipelines import deid_transform
+
+    base, log_dir, all_events = make_log(tmp_path, seed=61, n_segments=3, pct_malformed=0.05)
+    transform = deid_transform(iterations=2, kdf="batch")
+    lk = LakeTable(str(tmp_path / "lake"), num_partitions=8)
+    lk.init()
+    lk.apply(transform(base_as_inserts(rd.from_arrow(base))), ["__base__"])
+    dead = str(tmp_path / "dead")
+    tail_until_caught_up(lk, log_dir, transform=transform, dead_letter_dir=dead, batch_size=None)
+    want = fold_events(base, all_events)
+    want = want.set_column(want.schema.get_field_index("doc_id"), "doc_id", pseudo_id(want["doc_id"]))
+    want = want.set_column(want.schema.get_field_index("source"), "source",
+                           name_based_uid(want["source"]))
+    got = collect(lk.read())
+    assert got.schema.field("_changeset").type == pa.binary()
+    assert got.schema.field("tokens").type == pa.list_(pa.int32())
+    assert_eq(got.select(want.column_names), want)
+    for e in lk.manifest()["l0"]:
+        field = pq.read_schema(os.path.join(lk.path, e["file"])).field("_changeset")
+        assert field.type == pa.binary() and not field.metadata
+    dl = pq.read_table(dead)
+    bad = all_events.filter(pa.array(is_malformed_mask(all_events)))
+    assert dl.num_rows == bad.num_rows > 0
+    assert dl.schema.field("tokens").type == pa.list_(pa.int32())
+    assert sorted(dl["doc_id"].to_pylist()) == sorted(bad["doc_id"].to_pylist())
+
+
+def test_list_form_lake_reads_tails_and_compacts(tmp_path):
+    """A lake whose runs and bases were written in the list form (plain
+    ``pq.write_table``, no stored-form metadata) reads as before; new
+    segments tail into it in the binary form, and the fold that mixes
+    both forms reads and compacts to the oracle."""
+    base, log_dir, all_events = make_log(tmp_path, seed=67, n_segments=4)
+    segs = sorted(os.listdir(log_dir))
+    lk = LakeTable(str(tmp_path / "lake"), num_partitions=8)
+    lk.init()
+    seeded_lake(lk, base)
+    tail_once(lk, log_dir, max_segments_per_epoch=1, batch_size=256)
+    lk.compact()
+    tail_once(lk, log_dir, max_segments_per_epoch=1, batch_size=256)
+    m = lk.manifest()
+    files = [ent["base"] for ent in m["partitions"].values()] + [e["file"] for e in m["l0"]]
+    assert len(files) > len(m["l0"]) == 1
+    for rel in files:  # rewrite every state file in the list form
+        path = os.path.join(lk.path, rel)
+        pq.write_table(lake_mod._decode_stored(pq.read_table(path)), path)
+        field = pq.read_schema(path).field("tokens")
+        assert field.type == pa.list_(pa.int32()) and not field.metadata
+    got = collect(lk.read())
+    assert got.schema.field("tokens").type == pa.list_(pa.int32())
+    early = pa.concat_tables([pq.read_table(os.path.join(log_dir, f)) for f in segs[:2]])
+    assert_eq(got, fold_events(base, early))
+    tail_until_caught_up(lk, log_dir, max_segments_per_epoch=1, batch_size=256)
+    for e in lk.manifest()["l0"][1:]:
+        assert pq.read_schema(os.path.join(lk.path, e["file"])).field("tokens").type == pa.binary()
+    want = fold_events(base, all_events)
+    assert_eq(collect(lk.read()), want)
+    lk.compact()
+    for ent in lk.manifest()["partitions"].values():
+        assert pq.read_schema(os.path.join(lk.path, ent["base"])).field("tokens").type == pa.binary()
+    assert_eq(collect(lk.read()), want)
 
 
 def test_vacuum_removes_unreferenced_epochs(lake, tmp_path):
