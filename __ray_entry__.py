@@ -3788,8 +3788,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
     whose implementation changed this round (must re-prove green), and
     (c) in round 5, the full never-driver-checked remainder — every entry
     that until now had only mirror-★ evidence gets a driver-green round.
-    Entries green in CORRECTNESS_r04 and rows-only entries sit after
-    position 50. A test (`test_entry_contract`) asserts the literal has
+    Since then (b) has taken window slots from entries green in
+    CORRECTNESS_r05. Entries green in CORRECTNESS_r04/r05 and rows-only
+    entries sit after position 50. A test (`test_entry_contract`) asserts the literal has
     no duplicate keys so window position stays explicit.
     """
     return {
@@ -3810,8 +3811,19 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "multimodal_stats": q_multimodal_stats,
         "audio_stats": q_audio_stats,
         "video_stats": q_video_stats,
-        # round-5 rotation: the never-driver-checked remainder (mirror-star
-        # evidence only until now) takes the rest of the window
+        # operators whose shuffle changed since r05 (one keyed shuffle for
+        # arg-extreme, entropy, the quantile arithmetic, embedding pairs)
+        # and the never-driver-checked TPC-H q5/q6/q12/q13:
+        "q5_local_supplier_volume": q5_local_supplier_volume,
+        "q6_revenue_delta": q6_revenue_delta,
+        "q12_priority_by_flag": q12_priority_by_flag,
+        "q13_customer_distribution": q13_customer_distribution,
+        "orders_argmax": q_orders_argmax,
+        "events_entropy": q_events_entropy,
+        "orders_mad": q_orders_mad,
+        "docs_winsorize": q_docs_winsorize,
+        "embedding_cosine_pairs": q_embedding_cosine_pairs,
+        # round-5 rotation (the never-driver-checked remainder of r05):
         "q14_promo_share": q14_promo_share,
         "trending_types": q_trending_types,
         "embedding_centroids": q_embedding_centroids,
@@ -3825,22 +3837,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "audience_overlap": q_audience_overlap,
         "docs_profile": q_docs_profile,
         "grouped_quantile_cont": q_grouped_quantile_cont,
-        "customers_except_users": q_customers_except_users,
-        "weighted_sample_docs": q_weighted_sample_docs,
         "events_mode_type": q_events_mode_type,
-        "embeddings_unnest": q_embeddings_unnest,
-        "user_cents_sequence": q_user_cents_sequence,
-        "docs_ksample_per_lang": q_docs_ksample_per_lang,
-        "csv_jsonl_roundtrip": q_csv_jsonl_roundtrip,
         "docs_length_tiles": q_docs_length_tiles,
-        "events_anti_orders": q_events_anti_orders,
         "events_bloom_semi": q_events_bloom_semi,
         "events_prev_value": q_events_prev_value,
         "events_next_value": q_events_next_value,
         "events_change_points": q_events_change_points,
         "asof_forward_next_order": q_asof_forward_next_order,
-        "region_nation_grid": q_region_nation_grid,
-        "lineitem_wmean": q_lineitem_wmean,
         "events_running_total": q_events_running_total,
         "events_rolling_sum": q_events_rolling_sum,
         "events_rolling_stats": q_events_rolling_stats,
@@ -3851,8 +3854,18 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "cdc_replay_then_rank": q_cdc_replay_then_rank,
         "events_orders_full": q_events_orders_full,
         "user_event_sequence": q_user_event_sequence,
-        "events_type_quantile_hist": q_events_type_quantile_hist,
         # ---- driver window ends here (50 entries above) ----
+        "events_type_quantile_hist": q_events_type_quantile_hist,
+        # driver-green in r05, displaced from the window by the entries above:
+        "region_nation_grid": q_region_nation_grid,
+        "lineitem_wmean": q_lineitem_wmean,
+        "csv_jsonl_roundtrip": q_csv_jsonl_roundtrip,
+        "embeddings_unnest": q_embeddings_unnest,
+        "user_cents_sequence": q_user_cents_sequence,
+        "docs_ksample_per_lang": q_docs_ksample_per_lang,
+        "weighted_sample_docs": q_weighted_sample_docs,
+        "customers_except_users": q_customers_except_users,
+        "events_anti_orders": q_events_anti_orders,
         # driver-green in r04 (rotated out; lowest re-check priority first):
         "dedup_clusters": q_dedup_clusters,
         "dedup_cluster_survivors": q_dedup_cluster_survivors,
@@ -3876,9 +3889,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "lineitem_moments": q_lineitem_moments,
         "lineitem_regression": q_lineitem_regression,
         "corr_customer_orders": q_corr_customer_orders,
-        "orders_mad": q_orders_mad,
-        "orders_argmax": q_orders_argmax,
-        "events_entropy": q_events_entropy,
         "events_retention": q_events_retention,
         "events_gini": q_events_gini,
         "user_autocorr": q_user_autocorr,
@@ -3894,17 +3904,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "docs_sentences": q_docs_sentences,
         "docs_histogram": q_docs_histogram,
         "docs_outlier_filter": q_docs_outlier_filter,
-        "docs_winsorize": q_docs_winsorize,
         "docs_split": q_docs_split,
         "docs_repetition": q_docs_repetition,
         "docs_decontaminate": q_docs_decontaminate,
         "text_curation_full": q_text_curation_full,
         "q3_unshipped_orders": q3_unshipped_orders,
         "q4_order_priority": q4_order_priority,
-        "q5_local_supplier_volume": q5_local_supplier_volume,
-        "q6_revenue_delta": q6_revenue_delta,
-        "q12_priority_by_flag": q12_priority_by_flag,
-        "q13_customer_distribution": q13_customer_distribution,
         "cdc_lww_latest": q_cdc_lww_latest,
         "cdc_first_writer": q_cdc_first_writer,
         "cdc_route_matrix": q_cdc_route_matrix,
@@ -3929,7 +3934,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "derive_path": q_derive_path,
         "flatten_struct": q_flatten_struct,
         "roundtrip_diffmerge": q_roundtrip_diffmerge,
-        "embedding_cosine_pairs": q_embedding_cosine_pairs,
         "asof_join_orders": q_asof_join_orders,
         "stratified_sample": q_stratified_sample,
         "range_join_windows": q_range_join_windows,

@@ -5,13 +5,18 @@ Scale shapes (ray_guide "Near-dup (MinHash-LSH)"):
 * exact      — hash column (vectorized) → combiner groupby (partial min/
                count per batch, tiny shuffle)
 * minhash    — per-batch shingle→minhash (numpy-vectorized per row) →
-               explode to (band, band_hash, doc) rows → groupby bands →
-               candidate pairs in-bucket → Jaccard verify. Only banded
-               signatures shuffle, never the text corpus.
+               explode to (band, band_hash, doc) rows → ONE ``_by_key``
+               shuffle on the band → candidate pairs per band run →
+               Jaccard verify. Only banded signatures shuffle, never the
+               text corpus.
 * simhash    — 64-bit signature per doc; near-dups via 4-band exact-match
                bucketing (Hamming ≤ 3 guaranteed caught by pigeonhole
-               when bands = hamming_budget + 1).
-* embedding  — random-hyperplane LSH bucketing, in-bucket cosine verify.
+               when bands = hamming_budget + 1), same shuffle shape.
+* embedding  — random-hyperplane LSH bucketing, ONE ``_by_key`` shuffle
+               on (table, LSH bucket), cosine verify per bucket run.
+
+Every pair stage folds a whole shuffle bucket (many band/LSH runs) with
+one sort; no stage runs a UDF per band value.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ import pyarrow.compute as pc
 import ray.data
 
 from raycdc.extras.texthash import hamming64
-from raycdc.ops import _by_key, _distinct, _frame, _run_pairs, _sorted_runs, partial_groupby_agg
+from raycdc.ops import (_by_key, _distinct, _frame, _Frame, _run_boundaries, _run_pairs,
+                        _sorted_runs, partial_groupby_agg)
 
 _MERSENNE = (1 << 61) - 1
 
@@ -197,6 +203,30 @@ def _dedup_pair_rows(cand: ray.data.Dataset, num_buckets: int = 64) -> ray.data.
     return _by_key(cand, ["id_a", "id_b"], uniq, num_buckets, None)
 
 
+def _band_runs(g: pa.Table, band_cols: list[str], id_col: str, max_bucket: int,
+               unique: bool, counter: str | None = None,
+               metrics_name: str | None = None) -> tuple[pa.Table, _Frame]:
+    """Sort a bucket of banded rows by (``band_cols``, id) and keep the
+    first ``max_bucket`` ids of each band run (the degenerate-bucket
+    guardrail: a run of b members yields O(b²) pairs). ``unique`` drops
+    repeated ids within a run first. The dropped members are counted
+    into ``counter`` with one ``incr`` when ``metrics_name`` is given.
+    Returns the kept rows and their run frame."""
+    g, fr = _sorted_runs(g, [(c, "ascending") for c in [*band_cols, id_col]], band_cols[0])
+    new = fr.new
+    for c in band_cols[1:]:
+        new = new | _run_boundaries(g.column(c), g.num_rows)
+    keep = (new | _run_boundaries(g.column(id_col), g.num_rows)) if unique else np.ones_like(new)
+    fr = _frame(new[keep])
+    cap = np.arange(len(fr.run)) - fr.first < max_bucket
+    dropped = int(len(cap) - cap.sum())
+    if dropped and metrics_name is not None:
+        from raycdc.metrics import Metrics
+
+        Metrics(metrics_name).incr(counter, dropped)
+    return g.take(pa.array(np.flatnonzero(keep)[cap])), _frame(fr.new[cap])
+
+
 def candidate_pairs_from_bands(
     banded: ray.data.Dataset,
     id_col: str = "doc_id",
@@ -204,7 +234,9 @@ def candidate_pairs_from_bands(
     metrics_name: str | None = None,
 ) -> ray.data.Dataset:
     """(id_a, id_b) candidate pairs from a banded-signature dataset,
-    deduplicated across bands.
+    deduplicated across bands: ONE :func:`_by_key` shuffle on (band,
+    band_key), every distinct-id pair of each band run from
+    :func:`_run_pairs`, then :func:`_dedup_pair_rows`.
 
     Skew guardrail: a degenerate bucket (boilerplate/empty docs sharing
     a band key) would otherwise emit O(b²) pairs on one reducer —
@@ -213,27 +245,13 @@ def candidate_pairs_from_bands(
     metrics actor when ``metrics_name`` is given."""
 
     def pairs(g: pa.Table) -> pa.Table:
-        id_type = g.schema.field(id_col).type
-        empty = pa.table({"id_a": pa.array([], id_type), "id_b": pa.array([], id_type)})
-        if g.num_rows < 2:
-            return empty
-        ids = pc.unique(g[id_col].combine_chunks())
-        ids = ids.take(pc.sort_indices(ids))
-        if len(ids) > max_bucket:
-            if metrics_name is not None:
-                from raycdc.metrics import Metrics
-
-                Metrics(metrics_name).incr("minhash_bucket_truncated", len(ids) - max_bucket)
-            ids = ids.slice(0, max_bucket)
-        if len(ids) < 2:
-            return empty
-        # all C(m,2) index pairs in one kernel + two Arrow takes — no
-        # Python loop over combinations
-        ia, ib = np.triu_indices(len(ids), k=1)
+        g, fr = _band_runs(g, ["band", "band_key"], id_col, max_bucket, unique=True,
+                           counter="minhash_bucket_truncated", metrics_name=metrics_name)
+        ia, ib = _run_pairs(fr)
+        ids = g.column(id_col)
         return pa.table({"id_a": ids.take(pa.array(ia)), "id_b": ids.take(pa.array(ib))})
 
-    cand = banded.groupby(["band", "band_key"]).map_groups(pairs, batch_format="pyarrow")
-    return _dedup_pair_rows(cand)
+    return _dedup_pair_rows(_by_key(banded, ["band", "band_key"], pairs, 64, None))
 
 
 def gram_sets_dataset(
@@ -425,7 +443,9 @@ def simhash_near_dup(ds: ray.data.Dataset, text_col: str = "text", id_col: str =
     Hamming ≤ 3 agrees on ≥ 1 of 4 bands) then exact Hamming verify.
 
     Single-shuffle shape: signatures explode to one row per (band_id,
-    band_value) — 4 rows/doc — and ONE groupby finds co-bucketed docs.
+    band_value) — 4 rows/doc — and ONE :func:`_by_key` shuffle on
+    (band_id, band_value) co-locates each band run; per bucket one sort,
+    pairs from :func:`_run_pairs`, Hamming verify on the pair arrays.
     (An earlier 4-way union of per-band groupbys deadlocked the streaming
     executor and shuffled 4 separate times.)"""
     sigs = simhash_signatures(ds, text_col, id_col)
@@ -449,30 +469,18 @@ def simhash_near_dup(ds: ray.data.Dataset, text_col: str = "text", id_col: str =
     exploded = sigs.map_batches(explode, batch_format="pyarrow")
 
     def pairs(g: pa.Table) -> pa.Table:
-        id_type = g.schema.field(id_col).type
-        ids = np.asarray(g[id_col].to_pylist(), dtype=object)
-        sh = g["simhash"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        order = np.argsort(ids, kind="stable")
-        ids, sh = ids[order], sh[order]
-        if len(ids) > max_bucket:  # degenerate-bucket guardrail (O(b²) cap)
-            if metrics_name is not None:
-                from raycdc.metrics import Metrics
-
-                Metrics(metrics_name).incr("simhash_bucket_truncated", len(ids) - max_bucket)
-            ids, sh = ids[:max_bucket], sh[:max_bucket]
-        n = len(ids)
-        if n < 2:
-            return pa.table({"id_a": pa.array([], id_type), "id_b": pa.array([], id_type),
-                             "hamming": pa.array([], pa.int64())})
-        ia, ib = np.triu_indices(n, k=1)
+        g, fr = _band_runs(g, ["band_id", "band_val"], id_col, max_bucket, unique=False,
+                           counter="simhash_bucket_truncated", metrics_name=metrics_name)
+        ia, ib = _run_pairs(fr)
+        sh = np.asarray(g.column("simhash")).view(np.uint64)
         hs = hamming64(sh[ia], sh[ib])
         keep = hs <= max_hamming
-        return pa.table({"id_a": pa.array(ids[ia[keep]].tolist(), id_type),
-                         "id_b": pa.array(ids[ib[keep]].tolist(), id_type),
+        ids = g.column(id_col)
+        return pa.table({"id_a": ids.take(pa.array(ia[keep])),
+                         "id_b": ids.take(pa.array(ib[keep])),
                          "hamming": pa.array(hs[keep], pa.int64())})
 
-    cand = exploded.groupby(["band_id", "band_val"]).map_groups(pairs, batch_format="pyarrow")
-    return _dedup_pair_rows(cand)
+    return _dedup_pair_rows(_by_key(exploded, ["band_id", "band_val"], pairs, 64, None))
 
 
 # --------------------------------------------------------------- embeddings
@@ -513,7 +521,7 @@ def embedding_near_dup(
             if not n_planes:
                 bucket = np.zeros(len(emb), dtype=np.int32)
                 return t.append_column("_table", pa.array(np.zeros(len(emb), np.int32))) \
-                        .append_column("_bucket", pa.array(bucket))
+                        .append_column("_lsh", pa.array(bucket))
             if self.planes is None or self.planes[0].shape[0] != mat.shape[1]:
                 self.planes = [
                     np.random.default_rng(seed + 7919 * ti).standard_normal(
@@ -532,45 +540,44 @@ def embedding_near_dup(
             )
             return pa.concat_tables([
                 t.append_column("_table", pa.array(np.full(len(emb), ti, np.int32)))
-                .append_column("_bucket", pa.array(buckets[:, ti]))
+                .append_column("_lsh", pa.array(buckets[:, ti]))
                 for ti in range(n_tables)
             ])
 
     def pairs(g: pa.Table) -> pa.Table:
-        id_type = g.schema.field(id_col).type
+        # per (table, LSH bucket) run: its first max_bucket ids, one
+        # mat @ mat.T each (never pairs × dim), pairs over the threshold
+        g, fr = _band_runs(g, ["_table", "_lsh"], id_col, max_bucket, unique=False)
         emb = g[emb_col].combine_chunks()
         mat = emb.flatten().to_numpy(zero_copy_only=False).astype(np.float64).reshape(len(emb), -1)
-        ids = np.asarray(g[id_col].to_pylist(), dtype=object)
-        order = np.argsort(ids, kind="stable")
-        ids, mat = ids[order], mat[order]
-        # drop same-bucket duplicates of one id (possible when a vector
-        # repeats); degenerate-bucket guardrail caps the O(b²) verify
-        if len(ids) > max_bucket:
-            ids, mat = ids[:max_bucket], mat[:max_bucket]
         norms = np.linalg.norm(mat, axis=1)
         norms[norms == 0] = 1
         mat = mat / norms[:, None]
-        sims = mat @ mat.T
-        ia, ib = np.triu_indices(len(ids), k=1)
-        keep = sims[ia, ib] >= threshold
+        tables = np.asarray(g["_table"])
         if n_planes and n_tables > 1:
-            # emit a pair only from the first table where it collides
             bk = np.asarray(g["_buckets"].combine_chunks().flatten()).reshape(-1, n_tables)
-            bk = bk[order][: len(ids)]
-            first = np.argmax(bk[ia] == bk[ib], axis=1)
-            keep &= first == g["_table"][0].as_py()
-        return pa.table(
-            {
-                "id_a": pa.array(ids[ia[keep]].tolist(), id_type),
-                "id_b": pa.array(ids[ib[keep]].tolist(), id_type),
-                "cosine": pa.array(np.round(sims[ia, ib][keep], 6), type=pa.float64()),
-            }
-        )
+        ia, ib, cos = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
+        multi = fr.lens > 1
+        for s, n in zip(fr.starts[multi], fr.lens[multi]):
+            a, b = np.triu_indices(n, k=1)
+            sims = (mat[s:s + n] @ mat[s:s + n].T)[a, b]
+            keep = sims >= threshold
+            if n_planes and n_tables > 1:
+                # emit a pair only from the first table where it collides
+                keep &= np.argmax(bk[s + a] == bk[s + b], axis=1) == tables[s]
+            ia.append(s + a[keep])
+            ib.append(s + b[keep])
+            cos.append(sims[keep])
+        ids = g.column(id_col)
+        return pa.table({
+            "id_a": ids.take(pa.array(np.concatenate(ia))),
+            "id_b": ids.take(pa.array(np.concatenate(ib))),
+            "cosine": pa.array(np.round(np.concatenate(cos), 6), type=pa.float64()),
+        })
 
-    return (
-        ds.map_batches(Bucketize, batch_format="pyarrow", concurrency=(1, 2))
-        .groupby(["_table", "_bucket"])
-        .map_groups(pairs, batch_format="pyarrow")
+    return _by_key(
+        ds.map_batches(Bucketize, batch_format="pyarrow", concurrency=(1, 2)),
+        ["_table", "_lsh"], pairs, 64, None,
     )
 
 

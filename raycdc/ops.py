@@ -15,10 +15,12 @@ These encode the shuffle-minimizing patterns the engine standardizes on
 * :func:`grouped_min_broadcast` — the grouped-min-then-map pattern
   (date-shift machinery analog, A3/M10).
 * :func:`_by_key` — the one shuffle shape of every bucketed operator
-  (per-key windows, exact quantiles, joins, set operations, DISTINCT):
+  (per-key windows, exact quantiles, joins, set operations, DISTINCT,
+  the merge of per-batch sketches and partials, the dedup pair stages):
   stamp ``_bucket = bucket_of(key)`` per batch, ONE
   ``groupby("_bucket")``, fold each bucket (usually a
-  :func:`_sorted_runs` sort plus run-frame kernel).
+  :func:`_sorted_runs` sort plus run-frame kernel). Its ``map_groups``
+  is the only one in raycdc: no operator runs a UDF per key.
 * :func:`_frame` — the one run frame of a sorted bucket, built from any
   boundary mask (key runs, sessions, rank ties): run starts and lengths,
   and per row its run id and its run's first and last row. Every
@@ -93,6 +95,18 @@ def _frame_sum(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     window ``(max(first, i - w + 1), i + 1)``."""
     c0 = np.concatenate([[0], np.cumsum(x)])
     return c0[hi] - c0[lo]
+
+
+def _quantile_cont(vals: np.ndarray, fr: _Frame, q: float) -> np.ndarray:
+    """Per run of ``vals`` (sorted within each run), DuckDB's float64
+    ``quantile_cont``: ``RN = (n-1)*q; d = RN - floor(RN);
+    v_lo*(1-d) + v_hi*d``."""
+    rn = (fr.lens - 1).astype(np.float64) * np.float64(q)
+    frn = np.floor(rn)
+    d = rn - frn
+    lo = vals[fr.starts + frn.astype(np.int64)]
+    hi = vals[fr.starts + np.ceil(rn).astype(np.int64)]
+    return lo * (np.float64(1.0) - d) + hi * d
 
 
 def _run_pairs(fr: _Frame) -> tuple[np.ndarray, np.ndarray]:
@@ -1125,11 +1139,13 @@ def grouped_nunique_approx(
     ≈ 1.04/sqrt(m); p=11 → m=2048, ~2.3 % σ).
 
     Shape: per-batch vectorized sketch build (one hash pass, registers
-    max-merged with ``np.maximum.at``), ONE small shuffle of
-    fixed-size-binary partials, per-key register max + estimator in
-    ``map_groups``. Mergeability (max is commutative/associative/
-    idempotent) is what makes the result partitioning-independent AND
-    replay-safe under at-least-once delivery.
+    max-merged with ``np.maximum.at``), ONE small :func:`_by_key`
+    shuffle of fixed-size-binary partials; per bucket one sort by key,
+    each key run's register blocks max-merged by ``np.maximum.reduceat``
+    and the estimator run on all keys at once. Mergeability (max is
+    commutative/associative/idempotent) is what makes the result
+    partitioning-independent AND replay-safe under at-least-once
+    delivery.
 
     NULL ``col`` never counts (COUNT(DISTINCT) convention); NULL keys
     form one group. Estimator: raw HLL with the standard small-range
@@ -1145,15 +1161,15 @@ def grouped_nunique_approx(
         return _hll_sketch_batch(t, key, col, p)
 
     def merge(g: pa.Table) -> pa.Table:
-        buf = np.frombuffer(b"".join(g.column("_hll").to_pylist()), dtype=np.uint8)
-        regs = buf.reshape(-1, m).max(axis=0)
-        est = _hll_estimate(regs, m)
-        return pa.table(
-            {key: g.column(key).slice(0, 1), out_col: pa.array([int(round(est))], pa.int64())}
-        )
+        g, fr = _sorted_runs(g, [(key, "ascending")], key)
+        hll = g.column("_hll").combine_chunks()
+        buf = np.frombuffer(hll.buffers()[1], dtype=np.uint8)
+        blocks = buf[hll.offset * m:(hll.offset + len(hll)) * m].reshape(-1, m)
+        est = _hll_estimate(np.maximum.reduceat(blocks, fr.starts), m)
+        return pa.table({key: g.column(key).take(pa.array(fr.starts)),
+                         out_col: pa.array(np.rint(est).astype(np.int64))})
 
-    partials = ds.map_batches(sketch, batch_format="pyarrow", batch_size=batch_size)
-    return partials.groupby(key).map_groups(merge, batch_format="pyarrow")
+    return _by_key(ds, key, merge, 64, batch_size, prep=sketch)
 
 
 def _hll_sketch_batch(t: pa.Table, key: str, col: str, p: int) -> pa.Table:
@@ -1184,17 +1200,18 @@ def _hll_sketch_batch(t: pa.Table, key: str, col: str, p: int) -> pa.Table:
     return pa.table({key: karr, "_hll": hll})
 
 
-def _hll_estimate(regs: np.ndarray, m: int) -> float:
-    """Raw HLL estimator + the standard small/large-range corrections."""
+def _hll_estimate(regs: np.ndarray, m: int) -> np.ndarray:
+    """Raw HLL estimator + the standard small/large-range corrections,
+    one estimate per row of a ``(keys, m)`` register matrix."""
     regs = regs.astype(np.float64)
     alpha = 0.7213 / (1 + 1.079 / m)  # m >= 128
-    est = alpha * m * m / np.sum(np.exp2(-regs))
-    zeros = int((regs == 0).sum())
-    if est <= 2.5 * m and zeros:  # small-range: linear counting
-        est = m * np.log(m / zeros)
-    elif est > (1 << 64) / 30.0:  # large-range correction
-        est = -(2.0**64) * np.log1p(-est / 2.0**64)
-    return float(est)
+    est = alpha * m * m / np.sum(np.exp2(-regs), axis=1)
+    zeros = (regs == 0).sum(axis=1)
+    small = (est <= 2.5 * m) & (zeros > 0)  # small-range: linear counting
+    est[small] = m * np.log(m / zeros[small])
+    large = ~small & (est > (1 << 64) / 30.0)  # large-range correction
+    est[large] = -(2.0**64) * np.log1p(-est[large] / 2.0**64)
+    return est
 
 
 def hll_overlap(
@@ -1230,9 +1247,9 @@ def hll_overlap(
     rows = {"key_a": [], "key_b": [], "inter_approx": [], "jaccard_approx": []}
     for i, a in enumerate(keys):
         for b in keys[i + 1:]:
-            ea = _hll_estimate(merged[a], m)
-            eb = _hll_estimate(merged[b], m)
-            eu = _hll_estimate(np.maximum(merged[a], merged[b]), m)
+            ea, eb, eu = _hll_estimate(
+                np.stack([merged[a], merged[b], np.maximum(merged[a], merged[b])]), m
+            ).tolist()
             inter = max(0.0, ea + eb - eu)
             rows["key_a"].append(a)
             rows["key_b"].append(b)
@@ -1939,9 +1956,9 @@ def grouped_quantile_cont(
     """EXACT per-group INTERPOLATED quantiles (SQL ``quantile_cont`` /
     ``percentile_cont``): for each key, ``q`` yields the linear
     interpolation between the two order statistics around rank
-    ``q*(n-1)``. The finalize replicates DuckDB's float64 arithmetic —
-    ``RN = (n-1)*q; d = RN - floor(RN); v_lo*(1-d) + v_hi*d`` — verified
-    bit-identical across n=1..4096 × 18 short-literal quantiles (a
+    ``q*(n-1)``. :func:`_quantile_cont` replicates DuckDB's float64
+    arithmetic (``RN = (n-1)*q; d = RN - floor(RN); v_lo*(1-d) +
+    v_hi*d``), verified bit-identical across n=1..4096 × 18 short-literal quantiles (a
     LONG-mantissa q literal can differ 1 ulp through SQL's
     DECIMAL→DOUBLE parse, so keep oracle literals short).
 
@@ -1961,12 +1978,7 @@ def grouped_quantile_cont(
         vals = np.asarray(g.column(col).cast(pa.float64()))
         cols = {key: g.column(key).take(pa.array(fr.starts))}
         for name, q in qs.items():
-            rn = (fr.lens - 1).astype(np.float64) * np.float64(q)
-            frn = np.floor(rn)
-            lo = vals[fr.starts + frn.astype(np.int64)]
-            hi = vals[fr.starts + np.ceil(rn).astype(np.int64)]
-            d = rn - frn
-            cols[name] = pa.array(lo * (np.float64(1.0) - d) + hi * d, pa.float64())
+            cols[name] = pa.array(_quantile_cont(vals, fr, q), pa.float64())
         return pa.table(cols)
 
     return _by_key(ds, key, fold, num_buckets, batch_size, prep=prep)
@@ -2764,23 +2776,13 @@ def grouped_mad(
     def prep(t: pa.Table) -> pa.Table:
         return t.select([key, col]).filter(pc.is_valid(t.column(col)))
 
-    def _interp_median(xs: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-        # DuckDB quantile_cont arithmetic at q=0.5: RN=(n-1)*0.5,
-        # v_lo*(1-d) + v_hi*d with d in {0.0, 0.5} — exact on halves.
-        rn = (lens - 1) * 0.5
-        lo = np.floor(rn)
-        d = rn - lo
-        ilo = starts + lo.astype(np.int64)
-        ihi = np.minimum(ilo + 1, starts + lens - 1)
-        return xs[ilo] * (1.0 - d) + xs[ihi] * d
-
     def fold(g: pa.Table) -> pa.Table:
         g, fr = _sorted_runs(g, [(key, "ascending"), (col, "ascending")], key)
         xs = np.asarray(g.column(col).cast(pa.float64()))
-        med = _interp_median(xs, fr.starts, fr.lens)
+        med = _quantile_cont(xs, fr, 0.5)
         dev = np.abs(xs - med[fr.run])
         order = np.lexsort((dev, fr.run))
-        mad = _interp_median(dev[order], fr.starts, fr.lens)
+        mad = _quantile_cont(dev[order], fr, 0.5)
         out = {key: g.column(key).take(pa.array(fr.starts))}
         if med_col is not None:
             out[med_col] = pa.array(med, pa.float64())
@@ -2805,9 +2807,10 @@ def grouped_entropy(
     round to ``ndigits`` (oracle: ``ROUND(entropy(x), 6)``) — the one
     aggregate in this family published with a rounding contract.
 
-    Shape: combiner groupby — per-batch (key, value, count) partials
-    (O(distinct per batch) rows leave each task), ONE shuffle keyed on
-    ``key``, in-group count merge + finalize vectorized with numpy.
+    Shape: combiner — per-batch (key, value, count) partials
+    (O(distinct per batch) rows leave each task), ONE :func:`_by_key`
+    shuffle on ``key``; per bucket one sort by (key, value) merges the
+    partial counts of each (key, value) run and H is summed per key run.
     NULL values excluded (DuckDB entropy ignores NULLs); NULL keys one
     group."""
 
@@ -2817,23 +2820,20 @@ def grouped_entropy(
             [key, col, "_cnt"]
         )
 
-    def finalize(g: pa.Table) -> pa.Table:
-        # merge per-batch partial counts for the same value first; the
-        # key is constant here, and a (key, col) group_by would split
-        # NULL-string-key groups (pyarrow 16.1 multi-key defect)
-        c = np.asarray(g.group_by(col).aggregate([("_cnt", "sum")]).column("_cnt_sum"),
-                       dtype=np.float64)
-        n = c.sum()
-        p = c / n
-        h = float(-(p * np.log2(p)).sum()) if n > 0 else 0.0
-        return pa.table({key: g.column(key).slice(0, 1),
-                         out_col: pa.array([round(h, ndigits)], pa.float64())})
+    def fold(g: pa.Table) -> pa.Table:
+        # value runs by run boundaries, not a (key, col) group_by: that
+        # splits NULL-string-key groups (pyarrow 16.1 multi-key defect)
+        g, fr = _sorted_runs(g, [(key, "ascending"), (col, "ascending")], key)
+        vstarts = np.flatnonzero(fr.new | _run_boundaries(g.column(col), g.num_rows))
+        c = np.add.reduceat(np.asarray(g.column("_cnt")), vstarts)
+        first = np.flatnonzero(fr.new[vstarts])  # first value run of each key run
+        p = c / np.add.reduceat(c, first)[fr.run[vstarts]]
+        h = -np.add.reduceat(p * np.log2(p), first)
+        return pa.table({key: g.column(key).take(pa.array(fr.starts)),
+                         out_col: pa.array([round(x, ndigits) for x in h.tolist()],
+                                           pa.float64())})
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=batch_size)
-        .groupby(key)
-        .map_groups(finalize, batch_format="pyarrow")
-    )
+    return _by_key(ds, key, fold, 64, batch_size, prep=partial)
 
 
 def grouped_arg_extreme(
@@ -2854,11 +2854,12 @@ def grouped_arg_extreme(
         row_number() OVER (PARTITION BY key
                            ORDER BY val DESC, arg ASC) = 1   -- mode=max
 
-    Shape: combiner groupby — each batch reduces to one candidate row
-    per key present (vectorized sort + run-boundary take, no Python
-    rows), then ONE tiny shuffle of O(keys × batches) rows re-reduces
-    per key. NULL vals are excluded; a key whose vals are all NULL is
-    dropped (mirror ``WHERE val IS NOT NULL``)."""
+    Shape: combiner — each batch reduces to one candidate row per key
+    present (vectorized sort + run-boundary take, no Python rows), then
+    ONE :func:`_by_key` shuffle of O(keys × batches) rows re-reduces
+    every key of a bucket the same way. NULL vals are excluded; a key
+    whose vals are all NULL is dropped (mirror ``WHERE val IS NOT
+    NULL``)."""
     if mode not in ("max", "min"):
         raise ValueError("mode must be 'max' or 'min'")
     vdir = "descending" if mode == "max" else "ascending"
@@ -2881,11 +2882,7 @@ def grouped_arg_extreme(
         out[out_arg] = r.column(arg_col)
         return pa.table(out)
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=batch_size)
-        .groupby(key)
-        .map_groups(finalize, batch_format="pyarrow")
-    )
+    return _by_key(ds, key, finalize, 64, batch_size, prep=partial)
 
 
 def grouped_quantile_sketch(
@@ -2911,8 +2908,8 @@ def grouped_quantile_sketch(
     (approximate → rows-only registration).
 
     Keys with ≤ k rows are EXACT (the sample is the population). NULL
-    values dropped up-front; finalize reuses DuckDB's quantile_cont
-    arithmetic on the sample."""
+    values dropped up-front; one :func:`_by_key` shuffle, and per bucket
+    :func:`_quantile_cont` (DuckDB's arithmetic) on the merged sample."""
     for name, q in qs.items():
         if not 0.0 <= float(q) <= 1.0:
             raise ValueError(f"quantile {name}={q} outside [0, 1]")
@@ -2929,27 +2926,15 @@ def grouped_quantile_sketch(
                       "_h": pa.array(h.view(np.int64))})
         return bottom_k(t)
 
-    def finalize(g: pa.Table) -> pa.Table:
-        g = bottom_k(g)
-        v = np.sort(np.asarray(g.column(col).cast(pa.float64())))
-        n = len(v)
-        out = {key: g.column(key).slice(0, 1)}
+    def fold(g: pa.Table) -> pa.Table:
+        g, fr = _sorted_runs(bottom_k(g), [(key, "ascending"), (col, "ascending")], key)
+        vals = np.asarray(g.column(col).cast(pa.float64()))
+        out = {key: g.column(key).take(pa.array(fr.starts))}
         for name, q in qs.items():
-            if n == 0:
-                out[name] = pa.nulls(1, pa.float64())
-                continue
-            rn = (n - 1) * float(q)
-            lo = int(np.floor(rn))
-            d = rn - lo
-            hi = min(lo + 1, n - 1)
-            out[name] = pa.array([v[lo] * (1.0 - d) + v[hi] * d], pa.float64())
+            out[name] = pa.array(_quantile_cont(vals, fr, q), pa.float64())
         return pa.table(out)
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=batch_size)
-        .groupby(key)
-        .map_groups(finalize, batch_format="pyarrow")
-    )
+    return _by_key(ds, key, fold, 64, batch_size, prep=partial)
 
 
 def merge_intervals(

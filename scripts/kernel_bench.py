@@ -7,9 +7,9 @@ output asserted per kernel.
     python scripts/kernel_bench.py
 
 Outcome (this bench DROVE the shipped choice of every kernel):
-- pair GENERATION: np.triu_indices + two Arrow takes is ~26x faster
-  than to_pylist + itertools.combinations — the vectorized form SHIPS
-  (candidate_pairs_from_bands).
+- pair GENERATION: the run frame's pairs (ops._run_pairs) + two Arrow
+  takes is 25-34x faster than to_pylist + itertools.combinations — the
+  vectorized form SHIPS (candidate_pairs_from_bands, simhash_near_dup).
 - pair-Jaccard VERIFY: the "fully vectorized" lexsort-of-tagged-stream
   form measured 8-25x SLOWER than the per-pair np.intersect1d loop at
   every realistic shape (20k-100k pairs x 40-1000 grams; the u64
@@ -72,12 +72,15 @@ def bench_pairgen(m: int = 512) -> dict:
         return pa.table({"id_a": pa.array(a, ids.type), "id_b": pa.array(b, ids.type)})
 
     def vec():  # shipped path (candidate_pairs_from_bands inner kernel)
-        ia, ib = np.triu_indices(m, k=1)
+        from raycdc.ops import _frame, _run_pairs
+
+        ia, ib = _run_pairs(_frame(np.arange(m) == 0))  # one run of m ids
         return pa.table({"id_a": ids.take(pa.array(ia)), "id_b": ids.take(pa.array(ib))})
 
     t_loop, out_l = timeit(loop)
     t_vec, out_v = timeit(vec)
-    assert out_l.equals(out_v)
+    assert out_l.sort_by([("id_a", "ascending"), ("id_b", "ascending")]).equals(
+        out_v.sort_by([("id_a", "ascending"), ("id_b", "ascending")]))
     return {"kernel": "lsh_bucket_pairgen", "bucket": m, "pairs": out_v.num_rows,
             "loop_sec": round(t_loop, 4), "vec_sec": round(t_vec, 4),
             "speedup": round(t_loop / t_vec, 1)}

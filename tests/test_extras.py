@@ -260,6 +260,44 @@ def test_minhash_adversarial_identical_corpus_bounded():
     assert stats.get("minhash_bucket_truncated", 0) > 0
 
 
+def test_band_bucket_cap_keeps_first_ids_and_counts_drops():
+    """Degenerate band buckets larger than ``max_bucket``: the pair stage
+    keeps exactly the first ``max_bucket`` ids of each run in sort order,
+    and the truncation counter equals the members dropped (minhash:
+    distinct ids; simhash: every member of each of its 4 band runs)."""
+    from itertools import combinations
+
+    from raycdc.extras.dedup import candidate_pairs_from_bands
+    from raycdc.metrics import Metrics
+
+    ids = np.random.default_rng(5).permutation(np.arange(100, 130))  # 30 members
+    doc = np.concatenate([ids, [105], ids, [1, 2]])  # 105 repeats in band 0
+    t = pa.table({
+        "doc_id": pa.array(doc, pa.int64()),
+        "band": pa.array([0] * 31 + [3] * 30 + [1, 1], pa.int32()),
+        "band_key": pa.array([7] * 61 + [9, 9], pa.int64()),
+    })
+    m = Metrics("cap_minhash")
+    m.reset()
+    pairs = collect(candidate_pairs_from_bands(
+        rd.from_arrow(t).repartition(3), max_bucket=8, metrics_name="cap_minhash"))
+    got = sorted(zip(pairs["id_a"].to_pylist(), pairs["id_b"].to_pylist()))
+    assert got == sorted([*combinations(range(100, 108), 2), (1, 2)])
+    assert m.stats_stable()["minhash_bucket_truncated"] == 2 * (30 - 8)
+
+    n = 20
+    docs = pa.table({"doc_id": pa.array(np.random.default_rng(6).permutation(n), pa.int64()),
+                     "text": pa.array(["same words everywhere forever and ever"] * n)})
+    m = Metrics("cap_simhash")
+    m.reset()
+    sh = collect(simhash_near_dup(rd.from_arrow(docs).repartition(2), max_bucket=8,
+                                  metrics_name="cap_simhash"))
+    got = sorted(zip(sh["id_a"].to_pylist(), sh["id_b"].to_pylist()))
+    assert got == list(combinations(range(8), 2))
+    assert set(sh["hamming"].to_pylist()) == {0}
+    assert m.stats_stable()["simhash_bucket_truncated"] == 4 * (n - 8)
+
+
 # ------------------------------------------------------------------ tokens
 def token_doc_table():
     return pa.table({

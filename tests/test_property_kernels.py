@@ -8,7 +8,7 @@ import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from raycdc.ops import _frame, _frame_sum, _run_boundaries
+from raycdc.ops import _frame, _frame_sum, _run_boundaries, _run_pairs
 
 
 @settings(max_examples=60, deadline=None)
@@ -76,6 +76,30 @@ def test_rolling_sum_kernel_matches_naive(rows, window, shift):
     src = pos - shift
     inside = ~((src < fr.first) | (src > fr.last))
     assert inside.tolist() == [0 <= i - shift < n and run[i - shift] == run[i] for i in range(n)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.none(), st.integers(min_value=-4, max_value=4)),
+        min_size=0, max_size=40,
+    )
+)
+def test_run_pairs_matches_combinations_per_run(keys):
+    """``_run_pairs`` (every minhash and simhash candidate pair) equals
+    ``itertools.combinations`` taken per run, on sorted keys with a NULL
+    key run, singleton runs and the empty frame."""
+    from itertools import combinations
+
+    keys = sorted(keys, key=lambda v: (v is not None, v))  # nulls first
+    fr = _frame(_run_boundaries(pa.array(keys, type=pa.int64()), len(keys)))
+    ia, ib = _run_pairs(fr)
+    runs: dict = {}
+    for i, k in enumerate(keys):
+        runs.setdefault(k, []).append(i)
+    want = [p for rows in runs.values() for p in combinations(rows, 2)]
+    assert sorted(zip(ia.tolist(), ib.tolist())) == sorted(want)
+    assert len(ia) == len(want)  # no pair twice
 
 
 @settings(max_examples=25, deadline=None)

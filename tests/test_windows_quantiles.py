@@ -2024,3 +2024,20 @@ def test_hll_overlap_tracks_exact_jaccard():
     # disjoint pairs estimate near zero relative to set sizes
     assert d[("a", "c")][0] < 0.1 * 4000
     assert d[("b", "c")][0] < 0.1 * 3200
+
+
+def test_one_keyed_shuffle_shape():
+    """``ops._by_key``'s ``groupby("_bucket").map_groups`` is the only
+    ``.map_groups(`` call in ``raycdc/``: every per-key operator folds a
+    whole hash bucket, never one UDF call (and one block) per key."""
+    import inspect
+    import pathlib
+
+    import raycdc
+    from raycdc import ops
+
+    root = pathlib.Path(raycdc.__file__).parent
+    calls = {p.relative_to(root).as_posix(): p.read_text().count(".map_groups(")
+             for p in sorted(root.rglob("*.py"))}
+    assert {p: n for p, n in calls.items() if n} == {"ops.py": 1}
+    assert inspect.getsource(ops._by_key).count(".map_groups(") == 1
