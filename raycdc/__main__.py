@@ -90,8 +90,8 @@ def main(argv=None) -> int:
     vp.add_argument("lake")
     vp.add_argument("--keep", type=int, default=1)
 
-    cp = sub.add_parser("compact", help="fold every partition's base and pending "
-                                        "L0 runs into a fresh base")
+    cp = sub.add_parser("compact", help="fold each partition's runs, pending ones "
+                                        "included, into one fresh run")
     cp.add_argument("lake")
     cp.add_argument("--drop-tombstones", action="store_true",
                     help="also drop delete tombstones (only safe once upstream "
@@ -184,27 +184,23 @@ def main(argv=None) -> int:
         return 0
 
     if args.cmd == "status":
+        from raycdc.lake import _live_rows, _pending
+
         m = lk.manifest()
-        ents = list(m["partitions"].values())
-        # exact only when NO pending L0 runs AND every partition count is
-        # known — mirrors LakeTable.live_rows() (pending runs hold rows the
-        # partition counters haven't seen yet)
-        exact = not m.get("l0") and all(pt.get("live_rows") is not None for pt in ents)
-        if args.exact and not exact:
+        live = _live_rows(m["l0"])  # None while runs are pending (use --exact)
+        if args.exact and live is None:
             _ray_up(args.num_cpus)
-            live, exact = lk.live_rows(), True
-        else:
-            live = sum(pt.get("live_rows") or 0 for pt in ents) if exact else None
+            live = lk.live_rows()
         print(
             json.dumps(
                 {
                     "epoch": m["epoch"],
                     "partitions": m["num_partitions"],
                     "segments_applied": len(m["segments_applied"]),
-                    "live_rows": live,  # None ⇒ L0 runs pending (use --exact)
-                    # compacted rows + rows in pending runs (tombstones included)
-                    "state_rows": sum(int(pt.get("rows", 0)) for pt in ents + m.get("l0", [])),
-                    "pending_l0_runs": len(m.get("l0", [])),
+                    "live_rows": live,
+                    # rows in every run (tombstones included)
+                    "state_rows": sum(int(e.get("rows", 0)) for e in m["l0"]),
+                    "pending_l0_runs": len(_pending(m["l0"])),
                     "last_history": (m.get("history") or [None])[-1],
                 }
             )

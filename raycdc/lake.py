@@ -7,33 +7,42 @@ Reference capabilities re-expressed (SURVEY.md §2.1 S2/S5, §2.7 W4/W5):
 * ``ProcessSession.commitAsync()`` atomic publish + the durable Derby
   ``uid_map`` (``DeidentifyDICOM.java:192``,
   ``DeidentificationController.java:93-99``) → **two-phase commit**:
-  the epoch's parquet files (L0 runs, compacted bases) are written
-  first (to temp names, then atomically renamed), and a single
-  ``_manifest.json`` swap is the only commit point. A crash between
-  epoch write and manifest swap leaves the lake at the previous epoch;
-  re-running the apply regenerates byte-identical epoch content and
-  commits — replay reconverges (north rule exactly-once).
+  the epoch's run files are written first (to temp names, then
+  atomically renamed), and a single ``_manifest.json`` swap is the only
+  commit point. A crash between epoch write and manifest swap leaves
+  the lake at the previous epoch; re-running the apply regenerates
+  byte-identical epoch content and commits — replay reconverges (north
+  rule exactly-once).
 * ``PutDICOM`` retry-by-requeue (``PutDICOM.java:83-86``) → Ray task
   retries are safe because every write is tmp+rename idempotent and the
   merge is deterministic.
 * Flyway bootstrap (``V1.0__create.sql``) → :meth:`LakeTable.init`
   (idempotent manifest v0).
 
+**One kind of state file.** Every state file is a *run*: rows folded to
+one per key, in ascending ``_bucket`` order, written by
+:meth:`LakeTable._write_run` and listed, oldest first, in the manifest's
+``l0`` list with its bucket metadata. Ingest writes runs spanning many
+buckets; compaction writes one-bucket runs (``part-PPPPP``), whose
+entries also carry ``live_rows``. An entry without ``live_rows`` is
+*pending*.
+
 **Write-amplification design (the 100-TB property).** An epoch writes
 only that epoch's (LWW-reduced) events — bytes written are proportional
 to events applied, NOT to state size — and needs **no shuffle at all**:
-each ingest task writes one bucket-SORTED L0 run file with ~P row
-groups; range reads prune to their own row groups via parquet
-statistics (``filters=``). The apply epoch is a map-only pass — on a
-multi-node cluster every write is node-local and zero bytes cross the
-network, so ingest scales linearly with nodes; merge cost moves to
-read/compaction (LSM level-0 / Hudi merge-on-read shape).
-Auto-compaction folds pending runs into per-partition base files once
-there are more than ``l0_compact_files`` of them.
+each ingest task writes one bucket-SORTED run file with ~P row groups;
+range reads prune to their own row groups via parquet statistics
+(``filters=``). The apply epoch is a map-only pass — on a multi-node
+cluster every write is node-local and zero bytes cross the network, so
+ingest scales linearly with nodes; merge cost moves to read/compaction
+(LSM level-0 / Hudi merge-on-read shape). Auto-compaction rewrites the
+state as one-bucket runs once more than ``l0_compact_files`` runs are
+pending.
 
 ``read()`` is merge-on-read and compaction writes the same merge back:
-one Ray task per contiguous bucket range (:func:`_ranges`) reads each of
-its bases and pending runs once and folds them (per-key LWW) in one pass.
+one Ray task per contiguous bucket range (:func:`_ranges`) reads each
+run that meets it once and folds them (per-key LWW) in one pass; a range
+where no two runs can hold the same bucket needs no fold.
 
 State model: state files hold the converged rows PLUS their winning
 ``lsn`` and ``op`` — including **delete tombstones**. Tombstones are
@@ -41,14 +50,13 @@ what make at-least-once replay safe: a re-delivered older insert loses
 the LWW fold against the tombstone instead of resurrecting a deleted
 row. ``read()`` filters tombstones out; ``compact_tombstones`` drops
 them permanently once upstream segments can no longer be replayed.
-Runs and bases hold the rows in a *stored form*
-(:func:`_encode_stored`): a ``list`` column of ints or floats with no
-null element is a ``binary`` view of the same buffers, whose field
-metadata names the logical type and the byte order. The run writer's
-payload take, the fold and compaction move those bytes, never list
-structure; ``read()`` returns the logical form, and the manifest
-``schema`` is the logical one. Files without that metadata (the list
-form) read as they are.
+Runs hold the rows in a *stored form* (:func:`_encode_stored`): a
+``list`` column of ints or floats with no null element is a ``binary``
+view of the same buffers, whose field metadata names the logical type
+and the byte order. The run writer's payload take, the fold and
+compaction move those bytes, never list structure; ``read()`` returns
+the logical form, and the manifest ``schema`` is the logical one. Files
+without that metadata (the list form) read as they are.
 
 Concurrency: a writer lease lock (O_EXCL file carrying pid+host+lease
 deadline) is held for the duration of ``apply``/compaction and the
@@ -87,6 +95,7 @@ from raycdc.util import bucket_of
 MANIFEST = "_manifest.json"
 WRITER_LOCK = "_writer.lock"
 META_COLS = ("lsn", "op")
+LSN, OP = META_COLS
 # rows one merge-on-read / compaction task folds at most (beyond one
 # range per cluster CPU): bounds a fold task's memory
 RANGE_ROWS = 1 << 18
@@ -110,7 +119,7 @@ def _atomic_write_json(path: str, obj: dict) -> None:
     _fsync_dir(path)
 
 
-# The stored form of runs and bases: a ``list`` column of ints or floats
+# The stored form of runs: a ``list`` column of ints or floats
 # whose child holds no null is written as ``binary``, each value the
 # row's packed elements. Its field metadata keeps the logical field and
 # the byte order of the packed elements.
@@ -207,8 +216,8 @@ def _leaf_paths(f: pa.Field, prefix: str = "") -> list[str]:
 
 
 def _write_options(table: pa.Table) -> dict:
-    """``pq.write_table`` options of every run, base, dead-letter and MV
-    state file: zstd, no dictionary pages — dictionary-encoding the token
+    """``pq.write_table`` options of every run, dead-letter and MV state
+    file: zstd, no dictionary pages — dictionary-encoding the token
     payload (a large vocabulary) cost ~40% of encode time and made files
     larger. A column in the stored form (:func:`_encode_stored`) gets no
     statistics: byte-order min/max of packed elements prunes nothing.
@@ -223,7 +232,7 @@ def _atomic_write_parquet(path: str, table: pa.Table,
                           row_group_size: int | None = None) -> None:
     """Durable tmp+fsync+rename: the manifest swap is only a valid commit
     point if the epoch files it references are already on stable storage.
-    Runs and bases come in their stored form, whose binary payload skips
+    Runs come in their stored form, whose binary payload skips
     Parquet's list encoding; dead letters and MV state in their logical one."""
     tmp = f"{path}.tmp.{uuid.uuid4().hex[:8]}"
     pq.write_table(table, tmp, row_group_size=row_group_size, **_write_options(table))
@@ -252,52 +261,79 @@ def _host() -> str:
     return socket.gethostname()
 
 
-def _bases(m: dict) -> dict[int, str | None]:
-    """pid -> base file of every manifest partition entry. Refuses the
+def _upgrade(m: dict) -> dict:
+    """``m`` with every state file in ``l0``. Lakes written before
+    compaction wrote runs list per-partition base files under
+    ``partitions``; each base becomes a one-bucket entry ahead of the
+    runs (its file has no ``_bucket`` column: the fold stamps it), and
+    the next commit writes the manifest without that key. Refuses the
     layouts only the removed shuffle commit mode wrote — pending
     ``deltas`` and the v1 single-file ``{"file": ...}`` entry — rather
     than fold (or vacuum) the lake without those files' rows."""
-    bases = {}
-    for k, ent in m["partitions"].items():
+    if "partitions" not in m:
+        return m
+    bases = []
+    for k, ent in sorted(m["partitions"].items(), key=lambda kv: int(kv[0])):
         if ent.get("deltas") or "file" in ent:
             raise ValueError(
                 f"lake partition {k} has pending delta files from the removed "
                 "shuffle commit mode (or the v1 single-file layout); this "
                 "engine reads only base files plus L0 runs"
             )
-        bases[int(k)] = ent.get("base")
-    return bases
+        if ent.get("base"):
+            pid = int(k)
+            bases.append({"file": ent["base"], "rows": ent.get("rows", 0),
+                          "watermark": ent.get("watermark", -1),
+                          "bmin": pid, "bmax": pid, "buckets": [pid],
+                          **({"live_rows": ent["live_rows"]}
+                             if ent.get("live_rows") is not None else {})})
+    m = {k: v for k, v in m.items() if k != "partitions"}
+    return dict(m, l0=bases + list(m.get("l0", [])))
+
+
+def _pending(runs: list[dict]) -> list[dict]:
+    """The runs no compaction wrote: entries without ``live_rows``."""
+    return [e for e in runs if "live_rows" not in e]
+
+
+def _live_rows(runs: list[dict]) -> int | None:
+    """Live rows from run entries alone; None while one is pending."""
+    return None if _pending(runs) else sum(e["live_rows"] for e in runs)
+
+
+def _buckets(ent: dict, num_partitions: int) -> list[int] | range:
+    """The buckets a run's metadata admits; every one without metadata."""
+    if ent.get("buckets") is not None:
+        return ent["buckets"]
+    if ent.get("bmin") is not None:
+        return range(ent["bmin"], ent["bmax"] + 1)
+    return range(num_partitions)
 
 
 def _run_meets(ent: dict, lo: int, hi: int) -> bool:
-    """False iff the L0 run entry's bucket metadata proves it holds no row
-    of partitions ``[lo, hi)``; entries without metadata always meet."""
+    """False iff the run entry's bucket metadata proves it holds no row
+    of buckets ``[lo, hi)``; entries without metadata always meet."""
     if ent.get("buckets") is not None:
         return any(lo <= b < hi for b in ent["buckets"])
     return ent.get("bmin") is None or (ent["bmin"] < hi and ent["bmax"] >= lo)
 
 
 def _pids(m: dict) -> list[int]:
-    """The partitions that have state: a base file, or a run whose bucket
-    metadata admits them."""
-    pids = {pid for pid, base in _bases(m).items() if base}
-    for e in m.get("l0", []):
-        if e.get("buckets") is not None:
-            pids.update(e["buckets"])
-        elif e.get("bmin") is not None:
-            pids.update(range(e["bmin"], e["bmax"] + 1))
-        else:
-            pids.update(range(m["num_partitions"]))
-    return sorted(pids)
+    """The partition ids with state: the buckets a run's metadata admits."""
+    return sorted({b for e in m["l0"] for b in _buckets(e, m["num_partitions"])})
 
 
 def _range(m: dict, lo: int, hi: int) -> dict:
-    """The fold unit ``[lo, hi)``: its base files as a JSON list of
-    ``[pid, file]`` and the runs that meet it as a JSON list of files.
-    JSON strings, so a Dataset of ranges keeps one flat schema."""
-    bases = [[pid, f] for pid, f in sorted(_bases(m).items()) if f and lo <= pid < hi]
-    runs = [e["file"] for e in m.get("l0", []) if _run_meets(e, lo, hi)]
-    return {"lo": lo, "hi": hi, "bases": json.dumps(bases), "runs": json.dumps(runs)}
+    """The fold unit ``[lo, hi)``: the runs that meet it, oldest first,
+    as a JSON list of files; each one's single bucket (or null) as a
+    JSON list; and ``fold``, false when no two of them can hold the same
+    bucket. JSON strings, so a Dataset of ranges keeps one flat schema."""
+    ents = [e for e in m["l0"] if _run_meets(e, lo, hi)]
+    held = [b for e in ents for b in _buckets(e, m["num_partitions"]) if lo <= b < hi]
+    one = [e["bmin"] if e.get("bmin") is not None and e["bmin"] == e["bmax"] else None
+           for e in ents]
+    return {"lo": lo, "hi": hi, "runs": json.dumps([e["file"] for e in ents]),
+            "one": json.dumps(one), "fold": len(held) > len(set(held))}
 
 
 def _ranges(m: dict) -> list[dict]:
@@ -306,7 +342,7 @@ def _ranges(m: dict) -> list[dict]:
     pids = _pids(m)
     if not pids:
         return []
-    rows = sum(e.get("rows") or 0 for e in [*m["partitions"].values(), *m.get("l0", [])])
+    rows = sum(e.get("rows") or 0 for e in m["l0"])
     cpus = int(ray.cluster_resources().get("CPU", 1)) if ray.is_initialized() else os.cpu_count()
     n = min(len(pids), max(cpus, -(-rows // RANGE_ROWS)))
     chunks = np.array_split(np.asarray(pids), n)
@@ -427,9 +463,7 @@ class LakeTable:
         self,
         path: str,
         num_partitions: int = 64,
-        key: str = "doc_id",
-        lsn_col: str = "lsn",
-        op_col: str = "op",
+        key: str | None = None,
         commit_mode: str = "l0",
         l0_compact_files: int = 24,
         lock_lease_s: float = 600.0,
@@ -439,19 +473,23 @@ class LakeTable:
         ~``num_partitions`` row groups, so a bucket-range read prunes to
         its own row groups via parquet statistics. There is no all-to-all
         in the apply path — the epoch is map-only and scales linearly with
-        cores/nodes. Reads fold bases + every pending L0 run (pruned);
+        cores/nodes. Reads fold every run that meets a range (pruned);
         when pending runs exceed ``l0_compact_files`` the apply
         auto-compacts (Ray-parallel, one task per contiguous bucket
         range, storage-pruned reads — still no network shuffle).
 
-        ``commit_mode`` accepts only ``"l0"``, the one commit mode.
+        ``key`` defaults to the manifest's key, or ``"doc_id"`` for a lake
+        :meth:`init` creates; a key the manifest contradicts raises
+        ``ValueError``. ``commit_mode`` accepts only ``"l0"``, the one
+        commit mode.
         """
         if commit_mode != "l0":
             raise ValueError(f"commit_mode must be 'l0' (the one commit mode), got {commit_mode!r}")
         self.path = path
-        self.key = key
-        self.lsn_col = lsn_col
-        self.op_col = op_col
+        m = self.manifest() if self.exists() else {}
+        if key is not None and m.get("key", key) != key:
+            raise ValueError(f"lake {path} is keyed by {m['key']!r}, not {key!r}")
+        self.key = m.get("key") or key or "doc_id"
         self.l0_compact_files = l0_compact_files
         self.lock_lease_s = lock_lease_s
         self._requested_partitions = num_partitions
@@ -469,14 +507,13 @@ class LakeTable:
         committed at ``epoch``. Snapshots are written at every commit
         point and retained until :meth:`vacuum` (``keep_epochs``) reclaims
         them, so any retained epoch's full table state stays readable."""
-        if epoch is None:
-            with open(self.manifest_path) as f:
-                return json.load(f)
-        p = self._snapshot_path(epoch)
+        p = self.manifest_path if epoch is None else self._snapshot_path(epoch)
         try:
             with open(p) as f:
-                return json.load(f)
+                return _upgrade(json.load(f))
         except FileNotFoundError:
+            if epoch is None:
+                raise
             raise LookupError(
                 f"no manifest snapshot for epoch {epoch}: it was never "
                 "committed, pre-dates snapshotting, or was vacuumed "
@@ -497,14 +534,27 @@ class LakeTable:
             if f.startswith("manifest-e") and f.endswith(".json")
         )
 
-    def _commit_manifest(self, m: dict) -> None:
-        """The single commit point: atomic current-manifest swap, then an
-        immutable per-epoch snapshot for time travel. (A crash between the
-        two leaves that one epoch unsnapshotted — current-state
-        correctness is unaffected; the swap alone is the commit.)"""
-        _atomic_write_json(self.manifest_path, m)
+    def _commit_manifest(self, m: dict, record: dict, **changes) -> dict:
+        """The single commit point of the epoch after ``m``'s: re-check
+        that the lake is still at ``m``'s epoch (CAS — a competing
+        committed writer would otherwise be silently undone), apply
+        ``changes``, append ``record`` to the history, then swap the
+        current manifest atomically and write an immutable per-epoch
+        snapshot for time travel. (A crash between the two leaves that
+        one epoch unsnapshotted — current-state correctness is
+        unaffected; the swap alone is the commit.) Returns the manifest."""
+        cur = self.manifest()
+        if cur["epoch"] != m["epoch"]:
+            raise ConcurrentWriterError(
+                f"manifest advanced from epoch {m['epoch']} to {cur['epoch']} during the commit"
+            )
+        epoch = m["epoch"] + 1
+        m2 = {**m, **changes, "epoch": epoch,
+              "history": [*m.get("history", []), {"epoch": epoch, **record}]}
+        _atomic_write_json(self.manifest_path, m2)
         os.makedirs(os.path.join(self.path, "manifests"), exist_ok=True)
-        _atomic_write_json(self._snapshot_path(int(m["epoch"])), m)
+        _atomic_write_json(self._snapshot_path(epoch), m2)
+        return m2
 
     def init(self) -> dict:
         """Idempotent bootstrap (Flyway-migration analog): manifest v0,
@@ -518,9 +568,8 @@ class LakeTable:
             "num_partitions": self._requested_partitions,
             "key": self.key,
             "segments_applied": [],
-            # str(pid) -> {base, rows, live_rows, watermark}
-            "partitions": {},
-            # L0 run files (bucket-sorted, span all partitions): [{file, rows, watermark}]
+            # every run file, oldest first: [{file, rows, watermark, bmin,
+            # bmax, buckets}], plus live_rows once a compaction wrote it
             "l0": [],
             "history": [],
         }
@@ -530,38 +579,39 @@ class LakeTable:
     # ------------------------------------------------------------ read
     def _fold_fn(self, schema_str: str | None, include_tombstones: bool,
                  keep_bucket: bool = False):
-        """Merge-on-read of one ``_range`` row: its bases (pid as
-        ``_bucket``) plus each run read once, pruned to the range's row
-        groups, in one LWW fold into (``_bucket``, key) order. Each part
-        is read in its logical form and conformed to ``schema_str``; the
-        fold takes and returns the stored form (:func:`_encode_stored`)."""
-        key, lsn_col, op_col = self.key, self.lsn_col, self.op_col
-        lake_path = self.path
+        """Merge-on-read of one ``_range`` row: each of its runs read once
+        — pruned to the range's row groups unless it holds one bucket —
+        in one LWW fold into (``_bucket``, key) order, which the range's
+        ``fold`` flag skips. Each part is read in
+        its logical form and conformed to ``schema_str``; the fold takes
+        and returns the stored form (:func:`_encode_stored`)."""
+        key, lake_path = self.key, self.path
         conform = schema_str and conform_to(
             schema_from_str(schema_str).append(pa.field("_bucket", pa.int32())))
-        tomb_col = None if include_tombstones else op_col
+        tomb_col = None if include_tombstones else OP
         drop = [] if keep_bucket else ["_bucket"]
         drop += [] if include_tombstones else list(META_COLS)
 
         def fold(batch: pa.Table) -> pa.Table:
             lo, hi = batch["lo"][0].as_py(), batch["hi"][0].as_py()
-            runs = json.loads(batch["runs"][0].as_py())
             parts = []
-            for pid, f in json.loads(batch["bases"][0].as_py()):
-                t = pq.read_table(os.path.join(lake_path, f))
-                pid_col = pa.array(np.full(t.num_rows, pid, np.int32))
-                parts.append(t.append_column("_bucket", pid_col))
-            for f in runs:  # bucket-sorted: row-group statistics prune the read
-                parts.append(pq.read_table(os.path.join(lake_path, f),
-                                           filters=[("_bucket", ">=", lo), ("_bucket", "<", hi)]))
+            for f, b in zip(json.loads(batch["runs"][0].as_py()), json.loads(batch["one"][0].as_py())):
+                path = os.path.join(lake_path, f)
+                if b is None:  # bucket-sorted: row-group statistics prune the read
+                    parts.append(pq.read_table(path, filters=[("_bucket", ">=", lo), ("_bucket", "<", hi)]))
+                    continue
+                t = pq.read_table(path)
+                if "_bucket" not in t.column_names:  # a base file of an older lake
+                    t = t.append_column("_bucket", pa.array(np.full(t.num_rows, b, np.int32)))
+                parts.append(t)
             parts = [_decode_stored(p) for p in parts]
             if conform:
                 parts = [conform(p) for p in parts]
             parts = [p for p in parts if p.num_rows] or parts[:1]
             t = _encode_stored(pa.concat_tables(parts, promote_options="permissive"))
-            if runs:  # bases alone are one row per key and bucket-ordered
-                t = last_writer_per_key(t, key=key, lsn_col=lsn_col, tombstone_col=tomb_col)
-            elif tomb_col:
+            if batch["fold"][0].as_py():
+                t = last_writer_per_key(t, key=key, lsn_col=LSN, tombstone_col=tomb_col)
+            elif tomb_col:  # each run is one row per key, and no key is in two
                 t = drop_tombstones(t, tomb_col)
             return t.drop_columns([c for c in drop if c in t.column_names])
 
@@ -571,8 +621,8 @@ class LakeTable:
         self, include_tombstones: bool = False, epoch: int | None = None
     ) -> ray.data.Dataset:
         """The converged table as a streaming Dataset — merge-on-read:
-        one Ray task per contiguous bucket range folds its bases + L0
-        runs. ``epoch`` time-travels to any retained snapshot (state files
+        one Ray task per contiguous bucket range folds the runs that meet
+        it. ``epoch`` time-travels to any retained snapshot (state files
         are immutable and content-named, so an old manifest replays its
         exact table; see :meth:`epochs` / :meth:`vacuum`)."""
         m = self.manifest(epoch)
@@ -584,13 +634,10 @@ class LakeTable:
             lambda batch: _decode_stored(fold(batch)), batch_format="pyarrow", batch_size=1)
 
     def live_rows(self) -> int:
-        """Exact live-row count. Free when every partition is compacted
-        (manifest metadata); otherwise one merge-on-read counting scan."""
-        m = self.manifest()
-        ents = m["partitions"].values()
-        if not m.get("l0") and all(ent.get("live_rows") is not None for ent in ents):
-            return sum(ent["live_rows"] for ent in ents)
-        return self.read().count()
+        """Exact live-row count. Free when no run is pending (manifest
+        metadata); otherwise one merge-on-read counting scan."""
+        live = _live_rows(self.manifest()["l0"])
+        return self.read().count() if live is None else live
 
     # ------------------------------------------------------------ apply
     def apply(self, events_ds: ray.data.Dataset, segment_names: list[str]) -> dict:
@@ -620,10 +667,22 @@ class LakeTable:
             raise ValueError(
                 "segment batch partially committed — tailer must pass only uncommitted segments"
             )
-        _bases(m)  # refuse an unreadable layout before writing anything
 
         with _WriterLock(self.path, lease_s=self.lock_lease_s):
             return self._apply_locked(m, new_names, events_ds)
+
+    def _write_run(self, rel: str, t: pa.Table, row_group_size: int | None) -> dict:
+        """Write the run ``t`` — rows folded to one per key, in
+        ascending ``_bucket`` order, in the stored form — to ``rel`` and
+        return its manifest entry. The entry's bucket metadata says which
+        buckets the run can contain: a range read skips runs outside
+        its buckets (the manifest-level complement of the in-file
+        row-group statistics)."""
+        _atomic_write_parquet(os.path.join(self.path, rel), t, row_group_size=row_group_size)
+        wm = pc.max(t.column(LSN)).as_py()
+        ub = np.unique(np.asarray(t.column("_bucket").combine_chunks())).tolist()
+        return {"file": rel, "rows": t.num_rows, "watermark": -1 if wm is None else int(wm),
+                "bmin": ub[0], "bmax": ub[-1], "buckets": ub if len(ub) <= 64 else None}
 
     def _apply_locked(self, m: dict, new_names: list[str], events_ds) -> dict:
         """Shuffle-free epoch commit: one map-only pass stamps each input
@@ -634,28 +693,15 @@ class LakeTable:
         manifest swap stays the only commit point)."""
         import hashlib
 
-        epoch = m["epoch"] + 1
-        epoch_rel = f"state/e{epoch:06d}"
+        epoch_rel = f"state/e{m['epoch'] + 1:06d}"
         os.makedirs(os.path.join(self.path, epoch_rel), exist_ok=True)
         P = m["num_partitions"]
-        key, lsn_col = self.key, self.lsn_col
-        lake_path = self.path
+        key, write = self.key, self._write_run
 
         def write_run(t: pa.Table) -> pa.Table:
             from raycdc.util import tune_allocators
 
             tune_allocators()
-            empty = pa.table(
-                {
-                    "file": pa.array([], pa.string()),
-                    "rows": pa.array([], pa.int64()),
-                    "watermark": pa.array([], pa.int64()),
-                    "schema": pa.array([], pa.string()),
-                    "bmin": pa.array([], pa.int32()),
-                    "bmax": pa.array([], pa.int32()),
-                    "buckets": pa.array([], pa.string()),
-                }
-            )
             rows = np.arange(t.num_rows)
             if ROUTE_COL in t.column_names:
                 # the validator's stamp is a selection vector: only the ok
@@ -663,7 +709,8 @@ class LakeTable:
                 rows = np.flatnonzero(pc.equal(t.column(ROUTE_COL), ROUTE_OK))
                 t = t.drop_columns([ROUTE_COL])
             if not len(rows):
-                return empty
+                return pa.table({"entry": pa.array([], pa.string()),
+                                 "schema": pa.array([], pa.string())})
             sch = schema_to_str(t.schema)  # the manifest schema is the logical one
             # the payload take below and the run's parquet encode move
             # the stored form's bytes, not list structure
@@ -674,10 +721,10 @@ class LakeTable:
             # one sort, of the selected rows' key columns only: the run's
             # (bucket, key) row-group layout, which the fold reuses to pick
             # its winners — so the payload is copied once, in layout order
-            keys = t.select(["_bucket", key, lsn_col]).take(rows)
-            order = pa.array(rows).take(lww_order(keys, key, lsn_col))
-            t = last_writer_per_key(t, key=key, lsn_col=lsn_col, order=order)
-            lsns = np.asarray(t.column(lsn_col).combine_chunks().cast(pa.int64()))
+            keys = t.select(["_bucket", key, LSN]).take(rows)
+            order = pa.array(rows).take(lww_order(keys, key, LSN))
+            t = last_writer_per_key(t, key=key, lsn_col=LSN, order=order)
+            lsns = np.asarray(t.column(LSN).combine_chunks().cast(pa.int64()))
             # content-derived name: (lsn stream ⊕ key hashes) — a retried
             # task rewrites the identical file; distinct blocks (even with
             # identical lsn columns, e.g. a lsn=-1 base seed) get distinct
@@ -686,79 +733,38 @@ class LakeTable:
 
             kh = str_hash_u64(t.column(key))
             digest = hashlib.md5(lsns.tobytes() + kh.tobytes()).hexdigest()[:16]
-            rel = f"{epoch_rel}/l0-{digest}.parquet"
             rg = max(2048, -(-t.num_rows // P))  # ≈ one row group per partition
-            _atomic_write_parquet(os.path.join(lake_path, rel), t, row_group_size=rg)
-            wm = int(lsns.max()) if len(lsns) else -1
-            # run-pruning metadata: which partitions this run can contain —
-            # a range read skips runs outside its buckets (the manifest-
-            # level complement of the in-file row-group statistics)
-            ub = np.unique(np.asarray(t.column("_bucket").combine_chunks()))
-            bjson = json.dumps([int(b) for b in ub]) if len(ub) <= 64 else ""
-            return pa.table(
-                {
-                    "file": pa.array([rel]),
-                    "rows": pa.array([t.num_rows], type=pa.int64()),
-                    "watermark": pa.array([wm], type=pa.int64()),
-                    "schema": pa.array([sch]),
-                    "bmin": pa.array([int(ub[0])], type=pa.int32()),
-                    "bmax": pa.array([int(ub[-1])], type=pa.int32()),
-                    "buckets": pa.array([bjson]),
-                }
-            )
+            entry = write(f"{epoch_rel}/l0-{digest}.parquet", t, rg)
+            return pa.table({"entry": [json.dumps(entry)], "schema": [sch]})
 
-        stats_rows = events_ds.map_batches(
-            write_run, batch_format="pyarrow", batch_size=None
-        ).take_all()
+        written = {}
+        for r in events_ds.map_batches(write_run, batch_format="pyarrow",
+                                       batch_size=None).take_all():
+            e = json.loads(r["entry"])
+            written[e["file"]] = (e, r["schema"])
         # two distinct blocks with identical content write the SAME
-        # (content-named) file — keep one stats row per file so reads
-        # don't fold it twice and manifest counters don't double-count;
+        # (content-named) file — keep one entry per file so reads don't
+        # fold it twice and manifest counters don't double-count;
         # (watermark, file) order, not task completion order, so the
         # same input commits the same manifest and folds the same way
-        stats_rows = sorted({r["file"]: r for r in stats_rows}.values(),
-                            key=lambda r: (r["watermark"], r["file"]))
-
-        schemas = [schema_from_str(r["schema"]) for r in stats_rows]
+        written = sorted(written.values(), key=lambda es: (es[0]["watermark"], es[0]["file"]))
+        runs = [e for e, _ in written]
+        schemas = [schema_from_str(sch) for _, sch in written]
         if m.get("schema"):
             schemas.append(schema_from_str(m["schema"]))
-        # CAS: the manifest must still be at the epoch we read at entry —
-        # a competing committed writer would otherwise be silently undone
-        cur = self.manifest()
-        if cur["epoch"] != m["epoch"]:
-            raise ConcurrentWriterError(
-                f"manifest advanced from epoch {m['epoch']} to {cur['epoch']} during apply"
-            )
-        m2 = dict(m)
-        if schemas:
-            m2["schema"] = schema_to_str(unify(schemas))
-        m2["epoch"] = epoch
-        m2["segments_applied"] = list(m["segments_applied"]) + list(new_names)
-        m2["l0"] = list(m.get("l0", [])) + [
-            {
-                "file": r["file"],
-                "rows": int(r["rows"]),
-                "watermark": int(r["watermark"]),
-                "bmin": int(r["bmin"]),
-                "bmax": int(r["bmax"]),
-                "buckets": json.loads(r["buckets"]) if r["buckets"] else None,
-            }
-            for r in stats_rows
-        ]
-        events_out = sum(int(r["rows"]) for r in stats_rows)
-        m2["history"] = list(m.get("history", [])) + [
-            {
-                "epoch": epoch,
-                "segments": list(new_names),
-                "l0_runs": len(stats_rows),
-                "events_after_reduce": events_out,
-            }
-        ]
-        self._commit_manifest(m2)
+        m2 = self._commit_manifest(
+            m,
+            {"segments": list(new_names), "l0_runs": len(runs),
+             "events_after_reduce": sum(e["rows"] for e in runs)},
+            segments_applied=[*m["segments_applied"], *new_names],
+            l0=[*m["l0"], *runs],
+            **({"schema": schema_to_str(unify(schemas))} if schemas else {}),
+        )
         result = m2["history"][-1]
-        if len(m2["l0"]) > self.l0_compact_files:
-            # bound merge-on-read fan-in: fold pending runs into bases
-            # (Ray-parallel, storage-pruned reads — still no shuffle)
-            self._compact_locked(self.manifest(), drop_tombs=False)
+        if len(_pending(m2["l0"])) > self.l0_compact_files:
+            # bound merge-on-read fan-in: rewrite the state as one-bucket
+            # runs (Ray-parallel, storage-pruned reads — still no shuffle)
+            self._compact_locked(m2, drop_tombs=False)
             result = dict(result, auto_compacted=True)
         return result
 
@@ -790,10 +796,7 @@ class LakeTable:
         manifests = [self.manifest()] + [
             self.manifest(e) for e in retained if e != cur_epoch
         ]
-        referenced: set[str] = set()
-        for m in manifests:
-            referenced.update(e["file"] for e in m.get("l0", []))
-            referenced.update(b for b in _bases(m).values() if b)
+        referenced = {e["file"] for m in manifests for e in m["l0"]}
         removed = []
         state_dir = os.path.join(self.path, "state")
         if not os.path.isdir(state_dir):
@@ -813,40 +816,39 @@ class LakeTable:
     def compact(self, drop_tombs: bool = False,
                 zorder: list[str] | None = None) -> int:
         """Full compaction (Ray-parallel, one task per contiguous bucket
-        range): each range's bases + pending L0 runs fold in one pass and
-        split back into one fresh base file per partition; optionally
-        drop tombstones (safe once upstream segments can no longer be
-        replayed). ``zorder`` clusters each fresh base on a Morton key
-        over the named numeric columns (per-partition min-max quantize)
-        so row-group statistics prune selective reads on ANY of them —
-        the Delta OPTIMIZE ZORDER move at compaction time; key order is
-        restored per read by the fold's LWW sort, so query results are
-        unchanged. Writes a new epoch. Returns tombstones dropped."""
+        range): each range's runs fold in one pass and split back into
+        one fresh one-bucket run per partition, written by the ingest run
+        writer; optionally drop tombstones (safe once upstream segments
+        can no longer be replayed). ``zorder`` clusters each fresh run on
+        a Morton key over the named numeric columns (per-partition
+        min-max quantize) so row-group statistics prune selective reads
+        on ANY of them — the Delta OPTIMIZE ZORDER move at compaction
+        time; a read returns the same rows in another order. Writes a
+        new epoch. Returns tombstones dropped."""
         with _WriterLock(self.path, lease_s=self.lock_lease_s):
             return self._compact_locked(self.manifest(), drop_tombs, zorder)
 
     def _compact_locked(self, m: dict, drop_tombs: bool = False,
                         zorder: list[str] | None = None) -> int:
-        epoch = m["epoch"] + 1
-        epoch_rel = f"state/e{epoch:06d}"
+        epoch_rel = f"state/e{m['epoch'] + 1:06d}"
         os.makedirs(os.path.join(self.path, epoch_rel), exist_ok=True)
         ranges = _ranges(m)
         if not ranges:
             return 0
-        lsn_col, op_col = self.lsn_col, self.op_col
-        lake_path = self.path
+        write = self._write_run
         fold = self._fold_fn(m.get("schema"), include_tombstones=True, keep_bucket=True)
-        # one stats row per partition written; a range may write none
-        stats_schema = pa.schema([("pid", pa.int64()), ("file", pa.string()), *(
-            (c, pa.int64()) for c in ("rows", "live_rows", "watermark", "dropped"))])
+        # one row per partition folded: its run's entry (null when
+        # dropping tombstones left it empty) and the tombstones dropped
+        out_schema = pa.schema([("entry", pa.string()), ("dropped", pa.int64())])
 
         def compact_range(batch: pa.Table) -> pa.Table:
-            # key order comes from the fold; a range without pending runs
-            # keeps its bases' order. The fold's stored form is written
-            # as it is: compaction never rebuilds a list
+            # key order comes from the fold. The fold's stored form is
+            # written as it is: compaction never rebuilds a list
             folded = fold(batch)
             b = np.asarray(folded.column("_bucket").combine_chunks())
-            folded = folded.drop_columns(["_bucket"])
+            if (np.diff(b) < 0).any():  # an unfolded range keeps its runs' order
+                order = np.argsort(b, kind="stable")
+                folded, b = folded.take(order), b[order]
             pids = np.unique(b)
             cuts = np.append(np.searchsorted(b, pids), len(b))
             rows = []
@@ -863,46 +865,34 @@ class LakeTable:
                         q[f"_zq{zi}"] = np.nan_to_num(x).astype(np.int64)
                     z = zorder_key(pa.table(q), list(q))
                     t = t.take(pc.sort_indices(z, sort_keys=[("_z", "ascending")]))
-                live_t = drop_tombstones(t, op_col)
+                live_t = drop_tombstones(t, OP)
                 dropped = t.num_rows - live_t.num_rows if drop_tombs else 0
                 t = live_t if drop_tombs else t
-                rel = f"{epoch_rel}/part-{pid:05d}.parquet"
-                # z-ordered bases need bounded row groups for the stats
-                # to prune anything (default = one giant group)
-                rgs = max(2048, t.num_rows // 16) if zorder else None
-                _atomic_write_parquet(os.path.join(lake_path, rel), t, row_group_size=rgs)
-                wm = pc.max(t[lsn_col]).as_py() if t.num_rows and lsn_col in t.column_names else None
-                rows.append({"pid": pid, "file": rel, "rows": t.num_rows,
-                             "live_rows": live_t.num_rows, "dropped": dropped,
-                             "watermark": -1 if wm is None else int(wm)})
-            return pa.Table.from_pylist(rows, schema=stats_schema)
+                entry = None
+                if t.num_rows:
+                    # z-ordered runs need bounded row groups for the stats
+                    # to prune anything (default = one giant group)
+                    rgs = max(2048, t.num_rows // 16) if zorder else None
+                    entry = json.dumps(dict(write(f"{epoch_rel}/part-{pid:05d}.parquet", t, rgs),
+                                            live_rows=live_t.num_rows))
+                rows.append({"entry": entry, "dropped": dropped})
+            return pa.Table.from_pylist(rows, schema=out_schema)
 
-        stats = (
+        out = (
             ray.data.from_items(ranges, override_num_blocks=len(ranges))
             .map_batches(compact_range, batch_format="pyarrow", batch_size=1)
             .take_all()
         )
-        cur = self.manifest()
-        if cur["epoch"] != m["epoch"]:
-            raise ConcurrentWriterError("manifest advanced during compaction")
-        partitions = {k: dict(v) for k, v in m["partitions"].items()}
-        dropped_total = 0
-        for r in stats:
-            old = partitions.get(str(r["pid"]), {})
-            partitions[str(r["pid"])] = {
-                "base": r["file"],
-                "rows": int(r["rows"]),
-                "live_rows": int(r["live_rows"]),
-                "watermark": max(int(r["watermark"]), int(old.get("watermark", -1))),
-            }
-            dropped_total += int(r["dropped"])
-        # compaction folds every pending L0 run into the bases → clear L0
-        m2 = {**m, "epoch": epoch, "partitions": partitions, "l0": []}
-        m2["history"] = list(m.get("history", [])) + [
-            {"epoch": epoch, "compaction": True, "tombstones_dropped": dropped_total}
-        ]
-        self._commit_manifest(m2)
-        return dropped_total
+        # a partition keeps the highest watermark it ever had, even when
+        # the tombstone that carried it was dropped
+        prior = {e["bmin"]: e["watermark"] for e in m["l0"] if "live_rows" in e}
+        runs = sorted((json.loads(r["entry"]) for r in out if r["entry"]), key=lambda e: e["file"])
+        for e in runs:
+            e["watermark"] = max(e["watermark"], prior.get(e["bmin"], -1))
+        dropped = sum(int(r["dropped"]) for r in out)
+        # every run folded into the fresh ones: they are the whole state
+        self._commit_manifest(m, {"compaction": True, "tombstones_dropped": dropped}, l0=runs)
+        return dropped
 
     def compact_tombstones(self) -> int:
         """Drop tombstones from state files (safe once upstream segments
@@ -913,11 +903,11 @@ class LakeTable:
 def lineage(lake: "LakeTable", pid: int | None = None) -> list[dict]:
     """Per-partition LINEAGE from the retained manifest snapshots: for
     every epoch, which changelog segments fed it and which state files
-    each partition gained — its base plus the L0 runs whose bucket
-    metadata admits it — with the partition's LSN watermark (the highest
-    over those files) — the provenance record the north-star names
-    beside metrics. Derived entirely from immutable manifests (no data
-    reads); epochs already vacuumed have no snapshot and are omitted."""
+    each partition gained — the runs whose bucket metadata admits it —
+    with the partition's LSN watermark (the highest over those files) —
+    the provenance record the north-star names beside metrics. Derived
+    entirely from immutable manifests (no data reads); epochs already
+    vacuumed have no snapshot and are omitted."""
     rows: list[dict] = []
     prev_segs: set = set()
     prev_files: dict = {}
@@ -925,25 +915,22 @@ def lineage(lake: "LakeTable", pid: int | None = None) -> list[dict]:
         m = lake.manifest(e)
         segs = set(m.get("segments_applied", []))
         new_segs = sorted(segs - prev_segs)
-        run_wm = {r["file"]: r.get("watermark") for r in m.get("l0", [])}
         for ipid in _pids(m):
             if pid is not None and ipid != pid:
                 continue
-            r = _range(m, ipid, ipid + 1)
-            runs = json.loads(r["runs"])
-            files = set(runs) | {f for _, f in json.loads(r["bases"])}
+            ents = [x for x in m["l0"] if _run_meets(x, ipid, ipid + 1)]
+            files = {x["file"] for x in ents}
             added = sorted(files - prev_files.get(ipid, set()))
-            ent = m["partitions"].get(str(ipid), {})
             if e == 0 or added or new_segs:
-                wms = [run_wm[f] for f in runs] + [ent.get("watermark")]
                 rows.append({
                     "epoch": e,
                     "pid": ipid,
                     "segments": new_segs,
                     "files_added": added,
-                    "watermark": max((w for w in wms if w is not None), default=None),
+                    "watermark": max((x["watermark"] for x in ents
+                                      if x.get("watermark") is not None), default=None),
                     # exact only once no run is pending for the partition
-                    "live_rows": None if runs else ent.get("live_rows"),
+                    "live_rows": _live_rows(ents),
                 })
             prev_files[ipid] = files
         prev_segs = segs

@@ -15,8 +15,9 @@ those keys — this is deliberately NOT "apply the delta rows": a
 re-delivered older event appears in the epoch's files but LOSES the
 LWW fold, and only the state-vs-state difference accounts for that
 correctly (tombstones, duplicate replays, out-of-order lsns all
-included). Refresh is idempotent: the view is stamped with its epoch
-and re-refreshing at the same epoch is a no-op.
+included). A compaction epoch rewrites files but leaves the live state
+unchanged, so it reads nothing. Refresh is idempotent: the view is
+stamped with its epoch and re-refreshing at the same epoch is a no-op.
 
 Scale shape: the key-set filter is a broadcast ``np.isin`` inside
 ``map_batches`` and both scans are merge-on-read Datasets (one task per
@@ -41,12 +42,12 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from raycdc.lake import LakeTable, _atomic_write_json, _atomic_write_parquet, _bases
+from raycdc.lake import LakeTable, _atomic_write_json, _atomic_write_parquet
 
 
 def _manifest_files(m: dict) -> set:
-    """Every state file of a manifest: its base files plus its L0 runs."""
-    return {b for b in _bases(m).values() if b} | {e["file"] for e in m.get("l0", [])}
+    """Every state file of a manifest."""
+    return {e["file"] for e in m["l0"]}
 
 
 class MaterializedAggregate:
@@ -159,8 +160,11 @@ class MaterializedAggregate:
             self._write(mv, cur)
             return self.read()
         for e in range(have + 1, cur + 1):
-            new_files = _manifest_files(self.lake.manifest(e)) - \
-                _manifest_files(self.lake.manifest(e - 1))
+            m = self.lake.manifest(e)
+            if m["history"][-1].get("compaction"):  # the live state is unchanged
+                self._write(mv, e)
+                continue
+            new_files = _manifest_files(m) - _manifest_files(self.lake.manifest(e - 1))
             key_col = self.lake.key
             chunks = []
             for f in sorted(new_files):

@@ -151,19 +151,13 @@ def tail_until_caught_up(
     batch_size: int = 65536,
 ) -> list[dict]:
     """Drain the log: repeat tail_once until no pending segments."""
-    out = []
-    while True:
-        r = tail_once(
-            lake,
-            log_dir,
-            max_segments_per_epoch=max_segments_per_epoch,
-            transform=transform,
-            dead_letter_dir=dead_letter_dir,
-            batch_size=batch_size,
-        )
-        if r is None:
-            return out
-        out.append(r)
+    return list(tail_forever(
+        lake, log_dir, idle_timeout_s=0,
+        max_segments_per_epoch=max_segments_per_epoch,
+        transform=transform,
+        dead_letter_dir=dead_letter_dir,
+        batch_size=batch_size,
+    ))
 
 
 def tail_forever(
@@ -182,7 +176,8 @@ def tail_forever(
     Generator semantics make it embeddable without threads: the caller
     consumes epochs as they commit and controls shutdown. Exits when
     ``max_epochs`` epochs committed, or after ``idle_timeout_s`` seconds
-    fully caught up with nothing new (None = poll forever). Restart-safe
+    fully caught up with nothing new (None = poll forever; 0 = return at
+    the first poll that finds nothing, without sleeping). Restart-safe
     like everything else: the manifest is the consumer offset, so a
     killed watcher resumes exactly where it stopped.
     """

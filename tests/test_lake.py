@@ -99,9 +99,13 @@ def test_epoch_per_segment_resume_equivalence(lake, tmp_path):
     assert len(res) == 5
     golden = fold_events(base, all_events)
     assert_eq(collect(lake.read()), golden)
-    # watermarks recorded per partition
+    # watermarks recorded per run, and kept per partition by compaction
     m = lake.manifest()
-    assert all(p["watermark"] >= -1 for p in m["partitions"].values())
+    assert all(e["watermark"] >= -1 for e in m["l0"])
+    lake.compact()
+    parts = lake.manifest()["l0"]
+    assert parts and all(e["watermark"] >= -1 and e["bmin"] == e["bmax"] for e in parts)
+    assert max(e["watermark"] for e in parts) == max(e["watermark"] for e in m["l0"])
 
 
 def test_reapply_same_segments_is_noop(lake, tmp_path):
@@ -247,7 +251,8 @@ def test_all_dead_letter_segment_still_commits(lake, tmp_path):
     assert len(res) == 1
     m = lake.manifest()
     assert m["segments_applied"] == ["seg-00000.parquet"]
-    assert sum(p.get("live_rows", 0) for p in m["partitions"].values()) == 0
+    assert sum(e.get("live_rows", 0) for e in m["l0"]) == 0
+    assert lake.live_rows() == 0
     assert pq.read_table(str(tmp_path / "dead")).num_rows == 2
     # nothing pending afterwards
     assert tail_until_caught_up(lake, log_dir) == []
@@ -500,7 +505,7 @@ def _range_fold_lake(tmp_path):
     wide = rest.filter(pa.array((b >= 8) & (b < 100)))
     lk.apply(rd.from_arrow(narrow), ["s2"])
     lk.apply(rd.from_arrow(wide), ["s3"])
-    runs = lk.manifest()["l0"]
+    runs = lake_mod._pending(lk.manifest()["l0"])
     assert [e["buckets"] is None for e in runs] == [False, True]
     assert runs[1]["bmax"] < 100
     return lk, fold_events(base, pa.concat_tables([first, narrow, wide]))
@@ -522,7 +527,7 @@ def test_ranges_cut_pids_and_prune_runs(tmp_path, monkeypatch, range_rows):
     m = lk.manifest()
     pids = lake_mod._pids(m)
     ranges = lake_mod._ranges(m)
-    rows = sum(e["rows"] for e in m["partitions"].values()) + sum(e["rows"] for e in m["l0"])
+    rows = sum(e["rows"] for e in m["l0"])
     cpus = int(ray.cluster_resources()["CPU"])
     assert len(ranges) == min(len(pids), max(cpus, math.ceil(rows / range_rows)))
     assert ranges[0]["lo"] == pids[0] and ranges[-1]["hi"] == pids[-1] + 1
@@ -544,10 +549,15 @@ def test_ranges_cut_pids_and_prune_runs(tmp_path, monkeypatch, range_rows):
             assert (e["file"] in got) == meets
             if any(lo <= x < hi for x in run_buckets[e["file"]]):
                 assert e["file"] in got
-        assert {p for p, _ in json.loads(r["bases"])} == {
-            int(k) for k in m["partitions"] if lo <= int(k) < hi}
-    if range_rows == 1:  # one partition per range: some ranges are base-only
-        assert any(not json.loads(r["runs"]) for r in ranges)
+        # the fold is skipped only when no two of the range's runs hold one bucket
+        held = [x for f in got for x in run_buckets[f] if lo <= x < hi]
+        assert r["fold"] or len(held) == len(set(held))
+    # each compacted run holds one bucket, the one its entry names
+    compacted = {e["file"] for e in m["l0"] if "live_rows" in e}
+    assert compacted and all(run_buckets[e["file"]] == set(e["buckets"]) and len(e["buckets"]) == 1
+                             for e in m["l0"] if e["file"] in compacted)
+    if range_rows == 1:  # one partition per range: some ranges hold compacted runs only
+        assert any(set(json.loads(r["runs"])) <= compacted and not r["fold"] for r in ranges)
 
 
 @pytest.mark.parametrize("range_rows", [1, lake_mod.RANGE_ROWS])
@@ -559,7 +569,7 @@ def test_range_fold_read_and_compact_match_oracle(tmp_path, monkeypatch, range_r
     lk, want = _range_fold_lake(tmp_path)
     assert_eq(collect(lk.read()), want)
     lk.compact()
-    assert lk.manifest()["l0"] == []
+    assert lake_mod._pending(lk.manifest()["l0"]) == []
     assert_eq(collect(lk.read()), want)
     assert lk.compact(drop_tombs=True) > 0
     assert_eq(collect(lk.read()), want)
@@ -669,8 +679,8 @@ def test_run_and_base_files_are_zstd_without_dictionary(tmp_path):
     tail_until_caught_up(lk, log_dir, batch_size=256)
     runs = [e["file"] for e in lk.manifest()["l0"]]
     lk.compact()
-    bases = [ent["base"] for ent in lk.manifest()["partitions"].values()]
-    assert runs and bases
+    bases = [e["file"] for e in lk.manifest()["l0"]]
+    assert runs and bases and not set(runs) & set(bases)
     for rel in runs + bases:
         md = pq.ParquetFile(os.path.join(lk.path, rel)).metadata
         for g in range(md.num_row_groups):
@@ -679,7 +689,7 @@ def test_run_and_base_files_are_zstd_without_dictionary(tmp_path):
                 col = rg.column(c)
                 assert col.compression == "ZSTD", (rel, col.path_in_schema)
                 assert not col.has_dictionary_page, (rel, col.path_in_schema)
-                if rel in runs and col.path_in_schema == "_bucket":
+                if col.path_in_schema == "_bucket":
                     assert col.statistics.has_min_max, rel
                 # the token payload is stored as binary and carries no
                 # min/max statistics; every other column keeps them
@@ -763,8 +773,8 @@ def test_list_form_lake_reads_tails_and_compacts(tmp_path):
     lk.compact()
     tail_once(lk, log_dir, max_segments_per_epoch=1, batch_size=256)
     m = lk.manifest()
-    files = [ent["base"] for ent in m["partitions"].values()] + [e["file"] for e in m["l0"]]
-    assert len(files) > len(m["l0"]) == 1
+    files = [e["file"] for e in m["l0"]]
+    assert len(files) > len(lake_mod._pending(m["l0"])) == 1
     for rel in files:  # rewrite every state file in the list form
         path = os.path.join(lk.path, rel)
         pq.write_table(lake_mod._decode_stored(pq.read_table(path)), path)
@@ -775,13 +785,13 @@ def test_list_form_lake_reads_tails_and_compacts(tmp_path):
     early = pa.concat_tables([pq.read_table(os.path.join(log_dir, f)) for f in segs[:2]])
     assert_eq(got, fold_events(base, early))
     tail_until_caught_up(lk, log_dir, max_segments_per_epoch=1, batch_size=256)
-    for e in lk.manifest()["l0"][1:]:
+    for e in lake_mod._pending(lk.manifest()["l0"])[1:]:
         assert pq.read_schema(os.path.join(lk.path, e["file"])).field("tokens").type == pa.binary()
     want = fold_events(base, all_events)
     assert_eq(collect(lk.read()), want)
     lk.compact()
-    for ent in lk.manifest()["partitions"].values():
-        assert pq.read_schema(os.path.join(lk.path, ent["base"])).field("tokens").type == pa.binary()
+    for e in lk.manifest()["l0"]:
+        assert pq.read_schema(os.path.join(lk.path, e["file"])).field("tokens").type == pa.binary()
     assert_eq(collect(lk.read()), want)
 
 
@@ -872,12 +882,13 @@ def test_l0_auto_compaction_bounds_fan_in(tmp_path):
     assert len(res) == 5
     assert any(r.get("auto_compacted") for r in res)
     m = lk.manifest()
-    assert len(m["l0"]) <= 3 + 5  # bounded fan-in (epochs since last compaction)
-    assert any(ent.get("base") for ent in m["partitions"].values())
+    assert len(lake_mod._pending(m["l0"])) <= 3  # bounded fan-in
+    compacted = [e for e in m["l0"] if "live_rows" in e]
+    assert compacted and all(e["file"].split("/")[-1].startswith("part-") for e in compacted)
     assert_eq(collect(lk.read()), fold_events(base, all_events))
     # explicit compaction clears every pending run
     lk.compact()
-    assert lk.manifest()["l0"] == []
+    assert lake_mod._pending(lk.manifest()["l0"]) == []
     assert_eq(collect(lk.read()), fold_events(base, all_events))
 
 
@@ -954,8 +965,8 @@ def test_compact_zorder_clusters_rowgroups_and_preserves_state(tmp_path):
     # clustered base: row-group stats on BOTH columns are selective
     m = lake.manifest()
     frac = []
-    for ent in m["partitions"].values():
-        f = os.path.join(lake.path, ent["base"])
+    for ent in m["l0"]:
+        f = os.path.join(lake.path, ent["file"])
         md = pq.ParquetFile(f).metadata
         for col in ("a", "b"):
             ci = md.schema.to_arrow_schema().get_field_index(col)
@@ -1020,8 +1031,7 @@ def test_midepoch_task_failure_then_rerun_commits_once(tmp_path, mode):
 
     # content-named rewrite: every file in the epoch dirs is referenced
     # by the manifest (orphans were overwritten, never duplicated)
-    referenced = {e["file"] for e in lk.manifest().get("l0", [])}
-    referenced.update(ent["base"] for ent in lk.manifest()["partitions"].values())
+    referenced = {e["file"] for e in lk.manifest()["l0"]}
     on_disk = {
         os.path.relpath(p, lk.path)
         for p in _glob.glob(os.path.join(lk.path, "state", "*", "*.parquet"))
@@ -1111,6 +1121,8 @@ def test_shuffle_layout_manifest_refused(tmp_path):
     pending delta files, or the v1 single-file layout — are refused
     loudly: reading, compacting, vacuuming or applying onto such a lake
     would otherwise drop those files' rows without a word."""
+    import json
+
     with pytest.raises(ValueError, match="commit_mode"):
         LakeTable(str(tmp_path / "x"), commit_mode="shuffle")
     lk = LakeTable(str(tmp_path / "lake"), num_partitions=2)
@@ -1118,15 +1130,103 @@ def test_shuffle_layout_manifest_refused(tmp_path):
     lk.apply(rd.from_arrow(_one_event()), ["s1"])
     lk.compact()
     good = lk.manifest()
-    (pid, ent), = good["partitions"].items()
+    ent, = good["l0"]
+    pid = str(ent["bmin"])
     legacy = [
-        dict(ent, deltas=[ent["base"]]),  # a pending delta file
-        {"file": ent["base"], "rows": 1, "watermark": 1},  # v1 layout
+        {"base": ent["file"], "rows": 1, "live_rows": 1, "watermark": 1,
+         "deltas": [ent["file"]]},  # a pending delta file
+        {"file": ent["file"], "rows": 1, "watermark": 1},  # v1 layout
     ]
     for bad in legacy:
-        lake_mod._atomic_write_json(lk.manifest_path, dict(good, partitions={pid: bad}))
+        lake_mod._atomic_write_json(lk.manifest_path, dict(good, l0=[], partitions={pid: bad}))
         for op in (lk.read, lk.compact, lk.vacuum,
-                   lambda: lk.apply(rd.from_arrow(_one_event("k2", 2)), ["s2"])):
+                   lambda: lk.apply(rd.from_arrow(_one_event("k2", 2)), ["s2"]),
+                   lambda: LakeTable(lk.path)):
             with pytest.raises(ValueError, match="pending delta files"):
                 op()
-        assert lk.manifest()["epoch"] == good["epoch"]  # nothing committed
+        with open(lk.manifest_path) as f:
+            assert json.load(f)["epoch"] == good["epoch"]  # nothing committed
+
+
+def test_base_file_lake_reads_tails_compacts_and_time_travels(tmp_path):
+    """A lake written before compaction wrote runs: its manifest lists
+    per-partition base files, without a ``_bucket`` column, under
+    ``partitions``, beside pending runs in ``l0``. It reads, time-travels,
+    tails, compacts and vacuums to the oracle, and the first commit
+    writes a manifest without ``partitions``."""
+    import json
+
+    base, log_dir, all_events = make_log(tmp_path, seed=71, n_segments=4)
+    segs = sorted(os.listdir(log_dir))
+    lk = LakeTable(str(tmp_path / "lake"), num_partitions=8)
+    lk.init()
+    seeded_lake(lk, base)
+    tail_once(lk, log_dir, max_segments_per_epoch=1, batch_size=256)  # epoch 2
+    lk.compact()  # epoch 3
+    tail_once(lk, log_dir, max_segments_per_epoch=1, batch_size=256)  # epoch 4
+    m = lk.manifest()
+    parts = [e for e in m["l0"] if "live_rows" in e]
+    pending = lake_mod._pending(m["l0"])
+    assert len(parts) > 1 and len(pending) == 1
+    for e in parts:  # base files never held _bucket
+        path = os.path.join(lk.path, e["file"])
+        lake_mod._atomic_write_parquet(path, pq.read_table(path).drop_columns(["_bucket"]))
+    partitions = {str(e["bmin"]): {"base": e["file"], "rows": e["rows"],
+                                   "live_rows": e["live_rows"], "watermark": e["watermark"]}
+                  for e in parts}
+    for epoch, l0 in ((3, []), (4, pending)):
+        old = dict(lk.manifest(epoch), partitions=partitions, l0=l0)
+        lake_mod._atomic_write_json(lk._snapshot_path(epoch), old)
+    lake_mod._atomic_write_json(lk.manifest_path, old)
+
+    def upto(n):
+        return fold_events(base, pa.concat_tables(
+            [pq.read_table(os.path.join(log_dir, f)) for f in segs[:n]]))
+
+    lk = LakeTable(lk.path)
+    assert lk.manifest()["l0"][:len(parts)] == parts  # the bases ahead of the runs
+    assert_eq(collect(lk.read()), upto(2))
+    assert_eq(collect(lk.read(epoch=3)), upto(1))
+    assert lk.live_rows() == upto(2).num_rows  # a pending run: one scan
+    tail_until_caught_up(lk, log_dir, max_segments_per_epoch=1, batch_size=256)
+    want = fold_events(base, all_events)
+    assert_eq(collect(lk.read()), want)
+    with open(lk.manifest_path) as f:
+        assert "partitions" not in json.load(f)
+    assert_eq(collect(lk.read(epoch=4)), upto(2))
+    lk.compact()
+    assert_eq(collect(lk.read()), want)
+    assert lk.live_rows() == want.num_rows
+    for e in lk.manifest()["l0"]:
+        assert pq.read_schema(os.path.join(lk.path, e["file"])).field("_bucket").type == pa.int32()
+    lk.vacuum(keep_epochs=1)
+    assert_eq(collect(lk.read()), want)
+
+
+def test_reopened_lake_keeps_its_key(tmp_path):
+    """A handle opened without ``key`` folds on the manifest's key; a key
+    the manifest contradicts is refused."""
+    ev = _one_event().rename_columns(["lsn", "op", "user_id", "tokens", "n_tok", "source"])
+    path = str(tmp_path / "lake")
+    LakeTable(path, num_partitions=4, key="user_id").init()
+    lk = LakeTable(path)
+    assert lk.key == "user_id"
+    lk.apply(rd.from_arrow(ev), ["s1"])
+    newer = ev.set_column(0, "lsn", pa.array([2], pa.int64()))
+    lk.apply(rd.from_arrow(newer), ["s2"])
+    got = collect(lk.read())
+    assert got["user_id"].to_pylist() == ["k"] and got.num_rows == 1
+    with pytest.raises(ValueError, match="keyed by 'user_id'"):
+        LakeTable(path, key="doc_id")
+    assert LakeTable(str(tmp_path / "fresh")).key == "doc_id"
+
+
+def test_lake_writes_state_files_through_one_writer():
+    """Every state file, ingest run or compacted run, is written by
+    ``LakeTable._write_run``: it holds the one parquet write of the lake."""
+    import inspect
+
+    src = inspect.getsource(lake_mod)
+    calls = src.count("_atomic_write_parquet(") - src.count("def _atomic_write_parquet(")
+    assert calls == 1
+    assert "_atomic_write_parquet(" in inspect.getsource(LakeTable._write_run)

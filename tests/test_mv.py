@@ -121,3 +121,35 @@ def test_lineage_traces_segments_and_files(tmp_path):
     touched = next(r["pid"] for r in rows if r["pid"] is not None)
     only = lineage(lake, pid=touched)
     assert only and all(r["pid"] == touched for r in only)
+    # after a compaction each partition's one run gives exact live rows
+    # and keeps the partition's watermark
+    assert [r["live_rows"] for r in by_epoch[2]] == [None] * len(by_epoch[2])
+    lake.compact()
+    e3 = [r for r in lineage(lake) if r["epoch"] == 3]
+    assert sum(r["live_rows"] for r in e3) == 2
+    assert max(r["watermark"] for r in e3) == 3
+    assert all(len(r["files_added"]) == 1 for r in e3)
+
+
+def test_mv_refresh_skips_compaction_epochs(tmp_path, monkeypatch):
+    """A compaction epoch leaves the live state unchanged: refreshing
+    across one reads nothing for it, and the view still equals a full
+    recompute."""
+    lake = LakeTable(str(tmp_path / "lake"), num_partitions=2)
+    lake.init()
+    mv = MaterializedAggregate(
+        lake, "grp", {"sum_cents": ("cents", "sum"), "n_docs": (None, "count")},
+        str(tmp_path / "mv"))
+    lake.apply(rd.from_arrow(_ev([(1, "insert", "d1", "a", 5),
+                                  (2, "insert", "d2", "b", 6)])), ["s0"])
+    mv.refresh()
+    lake.apply(rd.from_arrow(_ev([(3, "delete", "d1", "a", 0),
+                                  (4, "insert", "d3", "b", 7)])), ["s1"])
+    assert lake.compact(drop_tombs=True) == 1
+    reads = []
+    real = lake.read
+    monkeypatch.setattr(lake, "read", lambda **kw: reads.append(kw.get("epoch")) or real(**kw))
+    got = _view(mv.refresh())
+    assert reads == [2, 1]  # epoch 2 and its predecessor; nothing for epoch 3
+    assert got == _full(lake) == {"b": (13, 2)}
+    assert mv.epoch() == lake.manifest()["epoch"] == 3
