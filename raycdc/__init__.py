@@ -10,8 +10,8 @@ Parquet tables of pre-tokenized training sequences
 Nothing here is a port: the NiFi flow-file/queue execution model is
 replaced end-to-end by ``ray.data.Dataset`` streaming pipelines —
 ``map_batches`` over zero-copy Arrow batches, hash-bucketed shuffles for
-the keyed folds, and shuffle-free bucket-sorted run files + an atomic
-manifest swap for exactly-once lake commits.
+the keyed folds, and shuffle-free bucket-sorted run files + a
+put-if-absent manifest snapshot for exactly-once lake commits.
 """
 
 from raycdc import util  # noqa: F401

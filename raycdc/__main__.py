@@ -133,7 +133,11 @@ def main(argv=None) -> int:
         print(json.dumps({"lake": args.lake, "epoch": m["epoch"], "partitions": m["num_partitions"]}))
         return 0
 
-    lk = LakeTable(args.lake)
+    try:
+        lk = LakeTable(args.lake)
+    except ValueError as e:  # a manifest this engine refuses
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     if not lk.exists():
         print(f"error: no lake at {args.lake} (run `init` first)", file=sys.stderr)
         return 2

@@ -8,11 +8,11 @@ Reference capabilities re-expressed (SURVEY.md §2.1 S2/S5, §2.7 W4/W5):
   ``uid_map`` (``DeidentifyDICOM.java:192``,
   ``DeidentificationController.java:93-99``) → **two-phase commit**:
   the epoch's run files are written first (to temp names, then
-  atomically renamed), and a single ``_manifest.json`` swap is the only
-  commit point. A crash between epoch write and manifest swap leaves
-  the lake at the previous epoch; re-running the apply regenerates
-  byte-identical epoch content and commits — replay reconverges (north
-  rule exactly-once).
+  atomically renamed), and creating the epoch's snapshot
+  ``manifests/manifest-eNNNNNN.json`` put-if-absent is the only commit
+  point. A crash before it leaves the lake at the previous epoch;
+  re-running the apply regenerates byte-identical epoch content and
+  commits — replay reconverges (north rule exactly-once).
 * ``PutDICOM`` retry-by-requeue (``PutDICOM.java:83-86``) → Ray task
   retries are safe because every write is tmp+rename idempotent and the
   merge is deterministic.
@@ -23,7 +23,7 @@ Reference capabilities re-expressed (SURVEY.md §2.1 S2/S5, §2.7 W4/W5):
 one per key, in ascending ``_bucket`` order, written by
 :meth:`LakeTable._write_run` and listed, oldest first, in the manifest's
 ``l0`` list with its bucket metadata. Ingest writes runs spanning many
-buckets; compaction writes one-bucket runs (``part-PPPPP``), whose
+buckets; compaction writes one-bucket runs (``part-PPPPP-<digest>``), whose
 entries also carry ``live_rows``. An entry without ``live_rows`` is
 *pending*.
 
@@ -48,8 +48,8 @@ State model: state files hold the converged rows PLUS their winning
 ``lsn`` and ``op`` — including **delete tombstones**. Tombstones are
 what make at-least-once replay safe: a re-delivered older insert loses
 the LWW fold against the tombstone instead of resurrecting a deleted
-row. ``read()`` filters tombstones out; ``compact_tombstones`` drops
-them permanently once upstream segments can no longer be replayed.
+row. ``read()`` filters tombstones out; ``compact(drop_tombs=True)``
+drops them permanently once upstream segments can no longer be replayed.
 Runs hold the rows in a *stored form* (:func:`_encode_stored`): a
 ``list`` column of ints or floats with no null element is a ``binary``
 view of the same buffers, whose field metadata names the logical type
@@ -58,13 +58,15 @@ compaction move those bytes, never list structure; ``read()`` returns
 the logical form, and the manifest ``schema`` is the logical one. Files
 without that metadata (the list form) read as they are.
 
-Concurrency: a writer lease lock (O_EXCL file carrying pid+host+lease
-deadline) is held for the duration of ``apply``/compaction and the
-manifest epoch is re-checked immediately before the swap (CAS) — two
-concurrent writers cannot silently discard each other's committed
-epochs. Stale locks are broken only on same-host crash evidence or
-lease expiry (the shared-filesystem case), via an atomic rename so two
-waiters can never double-break (see ``_WriterLock``).
+Concurrency: the commit is its own compare-and-swap, with no lock. A
+writer that read epoch N commits by ``os.link``-ing a fsynced temp file
+to the snapshot name of N + 1, which fails if the name exists: of two
+writers from one epoch exactly one commits, the other gets
+``ConcurrentWriterError``. ``_manifest.json`` is then swapped to the same
+content; it is a pointer that may lag (a crash between the link and the
+swap), so :meth:`LakeTable.manifest` rolls forward over newer snapshots.
+:meth:`LakeTable.vacuum` never touches a newer epoch's files, which may
+belong to an apply or compaction still in flight.
 
 Scale: a read or compaction task folds one range of at most about
 ``RANGE_ROWS`` rows (or one partition); output is partitioned parquet so
@@ -73,10 +75,11 @@ a failed run resumes by skipping committed epochs.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
 import os
 import sys
-import time
 import uuid
 
 import numpy as np
@@ -90,10 +93,9 @@ import ray.data
 from raycdc.apply import drop_tombstones, last_writer_per_key, lww_order
 from raycdc.routing import ROUTE_COL, ROUTE_OK
 from raycdc.schema_evo import conform_to, schema_from_str, schema_to_str, unify
-from raycdc.util import bucket_of
+from raycdc.util import bucket_of, str_hash_u64
 
 MANIFEST = "_manifest.json"
-WRITER_LOCK = "_writer.lock"
 META_COLS = ("lsn", "op")
 LSN, OP = META_COLS
 # rows one merge-on-read / compaction task folds at most (beyond one
@@ -109,13 +111,22 @@ def _fsync_dir(path: str) -> None:
         os.close(fd)
 
 
-def _atomic_write_json(path: str, obj: dict) -> None:
+def _atomic_write_json(path: str, obj: dict, exclusive: bool = False) -> None:
+    """Write ``obj`` to a fsynced temp file, then replace ``path`` with it
+    — or, ``exclusive``, create ``path`` put-if-absent: ``os.link`` raises
+    ``FileExistsError`` if the name exists."""
     tmp = f"{path}.tmp.{uuid.uuid4().hex[:8]}"
     with open(tmp, "w") as f:
         json.dump(obj, f, indent=1, sort_keys=True)
         f.flush()
         os.fsync(f.fileno())
-    os.replace(tmp, path)
+    if exclusive:
+        try:
+            os.link(tmp, path)
+        finally:
+            os.remove(tmp)
+    else:
+        os.replace(tmp, path)
     _fsync_dir(path)
 
 
@@ -230,7 +241,7 @@ def _write_options(table: pa.Table) -> dict:
 
 def _atomic_write_parquet(path: str, table: pa.Table,
                           row_group_size: int | None = None) -> None:
-    """Durable tmp+fsync+rename: the manifest swap is only a valid commit
+    """Durable tmp+fsync+rename: the snapshot create is only a valid commit
     point if the epoch files it references are already on stable storage.
     Runs come in their stored form, whose binary payload skips
     Parquet's list encoding; dead letters and MV state in their logical one."""
@@ -243,22 +254,6 @@ def _atomic_write_parquet(path: str, table: pa.Table,
         os.close(fd)
     os.replace(tmp, path)
     _fsync_dir(path)
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-        return True
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-
-
-def _host() -> str:
-    import socket
-
-    return socket.gethostname()
 
 
 def _upgrade(m: dict) -> dict:
@@ -351,107 +346,7 @@ def _ranges(m: dict) -> list[dict]:
 
 
 class ConcurrentWriterError(RuntimeError):
-    """Another writer holds the lake lock or committed a competing epoch."""
-
-
-class _WriterLock:
-    """O_EXCL lease lock held across an apply, compact or vacuum.
-
-    Lock content is ``pid host lease_deadline`` so staleness has two
-    independent detectors:
-
-    * **same host + owner pid dead** — crash evidence; break immediately;
-    * **lease expired** — the only valid evidence on a *shared
-      filesystem*, where a pid probe says nothing about a remote writer
-      (a live remote writer's lock must NOT be broken before its lease
-      runs out — writers must finish or re-acquire within ``lease_s``).
-
-    The break itself is race-free: the breaker atomically *renames* the
-    lock to a private name (only one waiter can win the rename), re-reads
-    the renamed file, and — if it captured a FRESHER lock than the one it
-    judged stale — restores it with a non-clobbering ``os.link``. Two
-    waiters can never double-break, and nobody can unlink a live writer's
-    lock (the round-2 remove()-race; the manifest epoch CAS remains the
-    corruption backstop either way)."""
-
-    def __init__(self, lake_path: str, lease_s: float = 600.0):
-        self.path = os.path.join(lake_path, WRITER_LOCK)
-        self.lease_s = lease_s
-        self._held = False
-
-    def _read(self) -> tuple[str, int, str, float] | None:
-        """(raw, pid, host, deadline) or None if the lock vanished."""
-        try:
-            raw = open(self.path).read()
-        except OSError:
-            return None
-        parts = raw.split()
-        try:
-            pid = int(parts[0])
-        except (ValueError, IndexError):
-            return raw, -1, "?", 0.0  # unreadable → expired lease
-        if len(parts) >= 3:  # v3: pid host deadline
-            try:
-                return raw, pid, parts[1], float(parts[2])
-            except ValueError:
-                return raw, pid, parts[1], 0.0
-        # v2 legacy "pid acquire_ts": deadline = acquire + default lease
-        try:
-            return raw, pid, _host(), float(parts[1]) + self.lease_s
-        except (ValueError, IndexError):
-            return raw, pid, _host(), 0.0
-
-    def __enter__(self):
-        me = _host()
-        for attempt in range(6):
-            try:
-                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                os.write(fd, f"{os.getpid()} {me} {time.time() + self.lease_s:.3f}".encode())
-                os.close(fd)
-                self._held = True
-                return self
-            except FileExistsError:
-                info = self._read()
-                if info is None:
-                    continue  # holder released between create and read — retry
-                raw, pid, host, deadline = info
-                if host == me and pid > 0:
-                    # the local pid probe is authoritative on this host: a
-                    # dead owner is stale NOW; a live owner is never broken
-                    # (even past its lease — a slow local writer is visible)
-                    stale = not _pid_alive(pid)
-                else:
-                    # remote/unreadable owner: only lease expiry is evidence
-                    stale = time.time() > deadline
-                if not stale or attempt >= 4:
-                    raise ConcurrentWriterError(
-                        f"lake is locked by live writer pid={pid}@{host} "
-                        f"(lease deadline {deadline:.0f}, {self.path}); "
-                        "LakeTable requires a single writer at a time"
-                    )
-                priv = f"{self.path}.stale.{uuid.uuid4().hex[:8]}"
-                try:
-                    os.rename(self.path, priv)
-                except FileNotFoundError:
-                    continue  # another waiter already broke it
-                if open(priv).read() != raw:
-                    # we renamed a lock fresher than the one judged stale —
-                    # restore it without clobbering any newer lock
-                    try:
-                        os.link(priv, self.path)
-                    except FileExistsError:
-                        pass
-                    os.remove(priv)
-                    continue
-                os.remove(priv)  # stale lock broken — loop back to acquire
-
-    def __exit__(self, *exc):
-        if self._held:
-            try:
-                os.remove(self.path)
-            except FileNotFoundError:
-                pass
-        return False
+    """Another writer committed the epoch this one meant to commit."""
 
 
 class LakeTable:
@@ -466,7 +361,6 @@ class LakeTable:
         key: str | None = None,
         commit_mode: str = "l0",
         l0_compact_files: int = 24,
-        lock_lease_s: float = 600.0,
     ):
         """Ingest is **shuffle-free** (LSM level-0 / merge-on-read style):
         each ingest task writes one bucket-SORTED run file with
@@ -491,7 +385,6 @@ class LakeTable:
             raise ValueError(f"lake {path} is keyed by {m['key']!r}, not {key!r}")
         self.key = m.get("key") or key or "doc_id"
         self.l0_compact_files = l0_compact_files
-        self.lock_lease_s = lock_lease_s
         self._requested_partitions = num_partitions
 
     # ------------------------------------------------------------ manifest
@@ -504,13 +397,19 @@ class LakeTable:
 
     def manifest(self, epoch: int | None = None) -> dict:
         """Current manifest, or — time travel — the immutable snapshot
-        committed at ``epoch``. Snapshots are written at every commit
-        point and retained until :meth:`vacuum` (``keep_epochs``) reclaims
-        them, so any retained epoch's full table state stays readable."""
+        committed at ``epoch``. Each snapshot is its epoch's commit and
+        is retained until :meth:`vacuum` (``keep_epochs``) reclaims it, so
+        any retained epoch's full table state stays readable. The current
+        manifest is ``_manifest.json`` rolled forward: while the snapshot
+        of the next epoch exists, that commit is newer than the pointer."""
         p = self.manifest_path if epoch is None else self._snapshot_path(epoch)
         try:
             with open(p) as f:
-                return _upgrade(json.load(f))
+                m = json.load(f)
+            while epoch is None and os.path.exists(p := self._snapshot_path(m["epoch"] + 1)):
+                with open(p) as f:
+                    m = json.load(f)
+            return _upgrade(m)
         except FileNotFoundError:
             if epoch is None:
                 raise
@@ -535,25 +434,28 @@ class LakeTable:
         )
 
     def _commit_manifest(self, m: dict, record: dict, **changes) -> dict:
-        """The single commit point of the epoch after ``m``'s: re-check
-        that the lake is still at ``m``'s epoch (CAS — a competing
-        committed writer would otherwise be silently undone), apply
-        ``changes``, append ``record`` to the history, then swap the
-        current manifest atomically and write an immutable per-epoch
-        snapshot for time travel. (A crash between the two leaves that
-        one epoch unsnapshotted — current-state correctness is
-        unaffected; the swap alone is the commit.) Returns the manifest."""
-        cur = self.manifest()
-        if cur["epoch"] != m["epoch"]:
-            raise ConcurrentWriterError(
-                f"manifest advanced from epoch {m['epoch']} to {cur['epoch']} during the commit"
-            )
+        """The single commit point of the epoch after ``m``'s: apply
+        ``changes``, append ``record`` to the history, and create that
+        epoch's immutable snapshot put-if-absent — the compare-and-swap:
+        if another writer committed the epoch first, this one raises
+        ``ConcurrentWriterError`` and its files stay orphans for
+        :meth:`vacuum`. Then swap ``_manifest.json`` to the same content.
+        A crash between the two loses nothing: :meth:`manifest` rolls
+        forward over the snapshot. Returns the manifest."""
         epoch = m["epoch"] + 1
         m2 = {**m, **changes, "epoch": epoch,
               "history": [*m.get("history", []), {"epoch": epoch, **record}]}
-        _atomic_write_json(self.manifest_path, m2)
+        lost = ConcurrentWriterError(f"another writer committed epoch {epoch} first")
+        # vacuum reclaims old snapshots, so the create alone cannot refuse
+        # a writer that outlived two newer commits and a vacuum of them
+        if self.manifest()["epoch"] != m["epoch"]:
+            raise lost
         os.makedirs(os.path.join(self.path, "manifests"), exist_ok=True)
-        _atomic_write_json(self._snapshot_path(epoch), m2)
+        try:
+            _atomic_write_json(self._snapshot_path(epoch), m2, exclusive=True)
+        except FileExistsError:
+            raise lost from None
+        _atomic_write_json(self.manifest_path, m2)
         return m2
 
     def init(self) -> dict:
@@ -640,6 +542,27 @@ class LakeTable:
         return self.read().count() if live is None else live
 
     # ------------------------------------------------------------ apply
+    def _write_run(self, stem: str, t: pa.Table, row_group_size: int | None) -> dict:
+        """Write the run ``t`` — rows folded to one per key, in
+        ascending ``_bucket`` order, in the stored form — to
+        ``{stem}-{digest}.parquet`` and return its manifest entry. The
+        name is content-derived (md5 of the lsn stream and key hashes, in
+        row order): a retried task rewrites the identical file, distinct
+        blocks (even with identical lsn columns, e.g. a lsn=-1 base seed)
+        get distinct names, and a writer that loses the commit never
+        replaces a file the winner's manifest lists. The entry's bucket
+        metadata says which buckets the run can contain: a range read
+        skips runs outside its buckets (the manifest-level complement of
+        the in-file row-group statistics)."""
+        lsns = np.asarray(t.column(LSN).combine_chunks().cast(pa.int64()))
+        kh = str_hash_u64(t.column(self.key))
+        rel = f"{stem}-{hashlib.md5(lsns.tobytes() + kh.tobytes()).hexdigest()[:16]}.parquet"
+        _atomic_write_parquet(os.path.join(self.path, rel), t, row_group_size=row_group_size)
+        wm = pc.max(t.column(LSN)).as_py()
+        ub = np.unique(np.asarray(t.column("_bucket").combine_chunks())).tolist()
+        return {"file": rel, "rows": t.num_rows, "watermark": -1 if wm is None else int(wm),
+                "bmin": ub[0], "bmax": ub[-1], "buckets": ub if len(ub) <= 64 else None}
+
     def apply(self, events_ds: ray.data.Dataset, segment_names: list[str]) -> dict:
         """Apply one epoch of change events exactly once.
 
@@ -657,6 +580,15 @@ class LakeTable:
 
         Bytes written per epoch ∝ events applied (L0 runs); an epoch that
         leaves more than ``l0_compact_files`` runs pending also compacts.
+        Raises ``ConcurrentWriterError`` if another writer committed the
+        epoch first; a compaction that loses so leaves the applied epoch
+        committed, and the result has no ``auto_compacted``.
+
+        Shuffle-free: one map-only pass stamps each input block's
+        buckets, folds it per key into (bucket, key) order, and writes ONE
+        run file per block with ~P row groups (so bucket-range reads prune
+        via parquet statistics), named from its content by
+        :meth:`_write_run`.
         """
         m = self.manifest()
         done = set(m["segments_applied"])
@@ -667,32 +599,6 @@ class LakeTable:
             raise ValueError(
                 "segment batch partially committed — tailer must pass only uncommitted segments"
             )
-
-        with _WriterLock(self.path, lease_s=self.lock_lease_s):
-            return self._apply_locked(m, new_names, events_ds)
-
-    def _write_run(self, rel: str, t: pa.Table, row_group_size: int | None) -> dict:
-        """Write the run ``t`` — rows folded to one per key, in
-        ascending ``_bucket`` order, in the stored form — to ``rel`` and
-        return its manifest entry. The entry's bucket metadata says which
-        buckets the run can contain: a range read skips runs outside
-        its buckets (the manifest-level complement of the in-file
-        row-group statistics)."""
-        _atomic_write_parquet(os.path.join(self.path, rel), t, row_group_size=row_group_size)
-        wm = pc.max(t.column(LSN)).as_py()
-        ub = np.unique(np.asarray(t.column("_bucket").combine_chunks())).tolist()
-        return {"file": rel, "rows": t.num_rows, "watermark": -1 if wm is None else int(wm),
-                "bmin": ub[0], "bmax": ub[-1], "buckets": ub if len(ub) <= 64 else None}
-
-    def _apply_locked(self, m: dict, new_names: list[str], events_ds) -> dict:
-        """Shuffle-free epoch commit: one map-only pass stamps each input
-        block's buckets, folds it per key into (bucket, key) order, and
-        writes ONE run file per block with ~P row groups (so bucket-range
-        reads prune via parquet statistics). File names are content-derived → a retried
-        task rewrites the identical file (exactly-once preserved; the
-        manifest swap stays the only commit point)."""
-        import hashlib
-
         epoch_rel = f"state/e{m['epoch'] + 1:06d}"
         os.makedirs(os.path.join(self.path, epoch_rel), exist_ok=True)
         P = m["num_partitions"]
@@ -724,17 +630,8 @@ class LakeTable:
             keys = t.select(["_bucket", key, LSN]).take(rows)
             order = pa.array(rows).take(lww_order(keys, key, LSN))
             t = last_writer_per_key(t, key=key, lsn_col=LSN, order=order)
-            lsns = np.asarray(t.column(LSN).combine_chunks().cast(pa.int64()))
-            # content-derived name: (lsn stream ⊕ key hashes) — a retried
-            # task rewrites the identical file; distinct blocks (even with
-            # identical lsn columns, e.g. a lsn=-1 base seed) get distinct
-            # names because the key hashes differ
-            from raycdc.util import str_hash_u64
-
-            kh = str_hash_u64(t.column(key))
-            digest = hashlib.md5(lsns.tobytes() + kh.tobytes()).hexdigest()[:16]
             rg = max(2048, -(-t.num_rows // P))  # ≈ one row group per partition
-            entry = write(f"{epoch_rel}/l0-{digest}.parquet", t, rg)
+            entry = write(f"{epoch_rel}/l0", t, rg)
             return pa.table({"entry": [json.dumps(entry)], "schema": [sch]})
 
         written = {}
@@ -764,8 +661,11 @@ class LakeTable:
         if len(_pending(m2["l0"])) > self.l0_compact_files:
             # bound merge-on-read fan-in: rewrite the state as one-bucket
             # runs (Ray-parallel, storage-pruned reads — still no shuffle)
-            self._compact_locked(m2, drop_tombs=False)
-            result = dict(result, auto_compacted=True)
+            try:
+                self._compact_locked(m2, drop_tombs=False)
+                result = dict(result, auto_compacted=True)
+            except ConcurrentWriterError:
+                pass  # another writer committed first: the compaction's runs are orphans
         return result
 
     # ------------------------------------------------------------ maintenance
@@ -776,40 +676,40 @@ class LakeTable:
         newest ``keep_epochs`` are reclaimed first — ``keep_epochs`` is
         the single retention dial for both state and history.
 
-        Holds the writer lock: the newest ``state/`` dir may hold files an
-        in-flight apply or compaction wrote but has not committed yet."""
-        with _WriterLock(self.path, lease_s=self.lock_lease_s):
-            return self._vacuum_locked(keep_epochs)
-
-    def _vacuum_locked(self, keep_epochs: int) -> list[str]:
-        # prune manifest snapshots beyond the retention window (the
-        # current manifest is always authoritative regardless)
-        snaps = self.epochs()
-        cur_epoch = int(self.manifest()["epoch"])
-        retained = snaps[-keep_epochs:] if keep_epochs else []
+        Runs beside writers, without a lock: the current epoch's snapshot
+        (the commit, while ``_manifest.json`` lags) and everything of a
+        newer epoch — an in-flight apply's or compaction's runs — are
+        kept, and a file another vacuum removed first is skipped."""
+        m = self.manifest()
+        cur = m["epoch"]
+        snaps = [e for e in self.epochs() if e <= cur]
+        retained = set(snaps[-keep_epochs:] if keep_epochs else []) | {cur}
         for e in snaps:
             if e not in retained:
-                try:
+                with contextlib.suppress(FileNotFoundError):
                     os.remove(self._snapshot_path(e))
-                except FileNotFoundError:
-                    pass
-        manifests = [self.manifest()] + [
-            self.manifest(e) for e in retained if e != cur_epoch
-        ]
-        referenced = {e["file"] for m in manifests for e in m["l0"]}
+        referenced = {e["file"] for e in m["l0"]}
+        for e in retained - {cur}:
+            with contextlib.suppress(LookupError):  # another vacuum reclaimed it
+                referenced |= {x["file"] for x in self.manifest(e)["l0"]}
         removed = []
         state_dir = os.path.join(self.path, "state")
         if not os.path.isdir(state_dir):
             return removed
-        epochs = sorted(os.listdir(state_dir))
+        epochs = sorted(d for d in os.listdir(state_dir) if int(d[1:]) <= cur)
         for e in epochs[:-keep_epochs] if keep_epochs else epochs:
             d = os.path.join(state_dir, e)
-            for f in os.listdir(d):
+            try:
+                names = os.listdir(d)
+            except FileNotFoundError:  # another vacuum removed it
+                continue
+            for f in names:
                 rel = f"state/{e}/{f}"
                 if rel not in referenced:
-                    os.remove(os.path.join(d, f))
-                    removed.append(rel)
-            if not os.listdir(d):
+                    with contextlib.suppress(FileNotFoundError):
+                        os.remove(os.path.join(d, f))
+                        removed.append(rel)
+            with contextlib.suppress(OSError):  # not empty, or already removed
                 os.rmdir(d)
         return removed
 
@@ -824,12 +724,14 @@ class LakeTable:
         min-max quantize) so row-group statistics prune selective reads
         on ANY of them — the Delta OPTIMIZE ZORDER move at compaction
         time; a read returns the same rows in another order. Writes a
-        new epoch. Returns tombstones dropped."""
-        with _WriterLock(self.path, lease_s=self.lock_lease_s):
-            return self._compact_locked(self.manifest(), drop_tombs, zorder)
+        new epoch, or raises ``ConcurrentWriterError`` if another writer
+        committed it first. Returns tombstones dropped."""
+        return self._compact_locked(self.manifest(), drop_tombs, zorder)
 
     def _compact_locked(self, m: dict, drop_tombs: bool = False,
                         zorder: list[str] | None = None) -> int:
+        """:meth:`compact` of ``m``, also run by an auto-compacting apply.
+        No lock is held: perfbench traces this name as ``lake.compact``."""
         epoch_rel = f"state/e{m['epoch'] + 1:06d}"
         os.makedirs(os.path.join(self.path, epoch_rel), exist_ok=True)
         ranges = _ranges(m)
@@ -873,7 +775,7 @@ class LakeTable:
                     # z-ordered runs need bounded row groups for the stats
                     # to prune anything (default = one giant group)
                     rgs = max(2048, t.num_rows // 16) if zorder else None
-                    entry = json.dumps(dict(write(f"{epoch_rel}/part-{pid:05d}.parquet", t, rgs),
+                    entry = json.dumps(dict(write(f"{epoch_rel}/part-{pid:05d}", t, rgs),
                                             live_rows=live_t.num_rows))
                 rows.append({"entry": entry, "dropped": dropped})
             return pa.Table.from_pylist(rows, schema=out_schema)
@@ -893,11 +795,6 @@ class LakeTable:
         # every run folded into the fresh ones: they are the whole state
         self._commit_manifest(m, {"compaction": True, "tombstones_dropped": dropped}, l0=runs)
         return dropped
-
-    def compact_tombstones(self) -> int:
-        """Drop tombstones from state files (safe once upstream segments
-        can no longer be replayed). Writes a new epoch. Returns dropped count."""
-        return self.compact(drop_tombs=True)
 
 
 def lineage(lake: "LakeTable", pid: int | None = None) -> list[dict]:

@@ -130,25 +130,40 @@ def test_partial_overlap_rejected(lake, tmp_path):
         lake.apply(ev, [segs[0], segs[1]])
 
 
-def test_crash_between_epoch_write_and_manifest_swap(lake, tmp_path, monkeypatch):
-    """Kill the commit after state files are written but before the
-    manifest swap → manifest still at old epoch → re-run reconverges."""
+@pytest.mark.parametrize("crash_at", ["snapshot", "pointer"])
+def test_crash_between_epoch_write_and_manifest_swap(lake, tmp_path, monkeypatch, crash_at):
+    """Kill the commit after the epoch's state files are written. At the
+    snapshot create (the commit point) the lake stays at the old epoch; at
+    the pointer swap after it, the epoch is committed and ``manifest()``
+    rolls forward to it. Either way vacuum keeps the epoch it reads, and
+    tailing on reconverges with no segment applied twice."""
+    import json
+
     base, log_dir, all_events = make_log(tmp_path, seed=37, n_segments=2)
     seeded_lake(lake, base)
     real_write = lake_mod._atomic_write_json
-    calls = {"n": 0}
 
-    def crashing_write(path, obj):
-        calls["n"] += 1
-        raise OSError("simulated crash before manifest swap")
+    def crashing_write(path, obj, exclusive=False):
+        if exclusive == (crash_at == "snapshot"):
+            raise OSError(f"simulated crash at the {crash_at} write")
+        real_write(path, obj, exclusive)
 
     monkeypatch.setattr(lake_mod, "_atomic_write_json", crashing_write)
     with pytest.raises(OSError):
-        tail_once(lake, log_dir, batch_size=256)
+        tail_once(lake, log_dir, max_segments_per_epoch=1, batch_size=256)
     monkeypatch.setattr(lake_mod, "_atomic_write_json", real_write)
-    # lake still at the seeded epoch; orphan epoch files on disk are ignored
-    assert lake.manifest()["epoch"] == 1
+    with open(lake.manifest_path) as f:
+        assert json.load(f)["epoch"] == 1  # the pointer never swapped
+    epoch = 1 if crash_at == "snapshot" else 2
+    assert lake.manifest()["epoch"] == epoch
+    # orphan epoch files on disk are ignored; the epoch read is kept
+    lake.vacuum(keep_epochs=0)
+    assert lake.epochs() == [epoch]
+    done = [pq.read_table(os.path.join(log_dir, f)) for f in sorted(os.listdir(log_dir))[:epoch - 1]]
+    assert_eq(collect(lake.read()), fold_events(base, pa.concat_tables([all_events.slice(0, 0), *done])))
     tail_until_caught_up(lake, log_dir, batch_size=256)
+    applied = lake.manifest()["segments_applied"]
+    assert len(applied) == len(set(applied)) == 3
     assert_eq(collect(lake.read()), fold_events(base, all_events))
 
 
@@ -182,7 +197,7 @@ def test_tombstone_prevents_resurrection(lake):
     lake.apply(rd.from_arrow(ins), ["s3"])
     assert collect(lake.read()).num_rows == 0  # tombstone wins (lsn 2 > 1)
     # compaction drops the tombstone; count is exact
-    assert lake.compact_tombstones() == 1
+    assert lake.compact(drop_tombs=True) == 1
     assert collect(lake.read()).num_rows == 0
 
 
@@ -296,34 +311,6 @@ def test_delta_epoch_bytes_proportional_to_events(tmp_path):
     assert row["tokens"].to_pylist() == [[1, 2, 3]]
 
 
-def test_concurrent_writer_lock(lake, tmp_path):
-    """A live writer's lock blocks a second apply; a dead writer's stale
-    lock is broken automatically."""
-    from raycdc.lake import WRITER_LOCK, ConcurrentWriterError
-
-    ev = pa.table(
-        {
-            "lsn": pa.array([1], type=pa.int64()),
-            "op": ["insert"],
-            "doc_id": ["k"],
-            "tokens": pa.array([[1]], type=pa.list_(pa.int32())),
-            "n_tok": pa.array([1], type=pa.int32()),
-            "source": ["web"],
-        }
-    )
-    lock_path = os.path.join(lake.path, WRITER_LOCK)
-    with open(lock_path, "w") as f:
-        f.write(f"{os.getpid()} 0")  # a live pid (ours)
-    with pytest.raises(ConcurrentWriterError, match="locked by live writer"):
-        lake.apply(rd.from_arrow(ev), ["s1"])
-    # stale lock: nonexistent pid → broken automatically, apply proceeds
-    with open(lock_path, "w") as f:
-        f.write("999999999 0")
-    lake.apply(rd.from_arrow(ev), ["s1"])
-    assert collect(lake.read()).num_rows == 1
-    assert not os.path.exists(lock_path)
-
-
 def _one_event(doc_id="k", lsn=1):
     return pa.table(
         {
@@ -335,69 +322,6 @@ def _one_event(doc_id="k", lsn=1):
             "source": ["web"],
         }
     )
-
-
-def test_writer_lease_remote_lock(tmp_path):
-    """Shared-filesystem story: a lock owned by a REMOTE host (pid probe
-    meaningless) is respected until its lease deadline and broken after."""
-    import time as _time
-
-    from raycdc.lake import WRITER_LOCK, ConcurrentWriterError
-
-    lk = LakeTable(str(tmp_path / "lake"), num_partitions=4)
-    lk.init()
-    lock_path = os.path.join(lk.path, WRITER_LOCK)
-    # live remote writer: unexpired lease — must NOT be broken, even though
-    # pid 999999999 is dead on THIS host
-    with open(lock_path, "w") as f:
-        f.write(f"999999999 other-host-f00 {_time.time() + 3600:.3f}")
-    with pytest.raises(ConcurrentWriterError, match="other-host-f00"):
-        lk.apply(rd.from_arrow(_one_event()), ["s1"])
-    # expired remote lease — broken, apply proceeds
-    with open(lock_path, "w") as f:
-        f.write(f"999999999 other-host-f00 {_time.time() - 1:.3f}")
-    lk.apply(rd.from_arrow(_one_event()), ["s1"])
-    assert collect(lk.read()).num_rows == 1
-    assert not os.path.exists(lock_path)
-
-
-def test_writer_lock_break_does_not_steal_fresh_lock(tmp_path):
-    """The round-2 race: a waiter that judged a lock stale must not break
-    the DIFFERENT (fresh) lock that replaced it. Simulated by swapping the
-    lock content between the staleness judgment and the break."""
-    import time as _time
-
-    import raycdc.lake as lm
-    from raycdc.lake import WRITER_LOCK, ConcurrentWriterError, _WriterLock
-
-    lk = LakeTable(str(tmp_path / "lake"), num_partitions=4)
-    lk.init()
-    lock_path = os.path.join(lk.path, WRITER_LOCK)
-    stale = f"999999999 {lm._host()} 0"
-    fresh = f"{os.getpid()} {lm._host()} {_time.time() + 3600:.3f}"
-    with open(lock_path, "w") as f:
-        f.write(stale)
-
-    lock = _WriterLock(lk.path)
-    orig_read = lock._read
-    calls = {"n": 0}
-
-    def racy_read():
-        out = orig_read()
-        calls["n"] += 1
-        # after the waiter reads the stale owner, the "faster waiter" breaks
-        # the lock and installs a fresh one before this waiter acts
-        if calls["n"] == 1:
-            with open(lock_path, "w") as f:
-                f.write(fresh)
-        return out
-
-    lock._read = racy_read
-    with pytest.raises(ConcurrentWriterError):
-        lock.__enter__()
-    # the fresh (live) lock survived the attempted break
-    assert open(lock_path).read() == fresh
-    os.remove(lock_path)
 
 
 def test_l0_run_pruning_metadata(tmp_path):
@@ -603,7 +527,7 @@ def test_l0_run_name_is_pinned_across_retries(tmp_path, monkeypatch):
     lk = LakeTable(str(tmp_path / "lake"), num_partitions=8)
     lk.init()
 
-    def crashing_write(path, obj):
+    def crashing_write(path, obj, exclusive=False):
         raise OSError("simulated crash before manifest swap")
 
     monkeypatch.setattr(lake_mod, "_atomic_write_json", crashing_write)
@@ -810,27 +734,80 @@ def test_vacuum_removes_unreferenced_epochs(lake, tmp_path):
     assert collect(lake.read()).num_rows > 0
 
 
-def test_vacuum_waits_for_the_writer_lock(lake):
+def test_vacuum_keeps_an_uncommitted_epochs_files(lake):
     """An in-flight apply or compaction has written files under the next
-    epoch's state dir that no manifest references yet; vacuum must not
-    run under a live writer's lock and delete them."""
-    from raycdc.lake import WRITER_LOCK, ConcurrentWriterError
-
+    epoch's state dir that no manifest references yet; vacuum runs beside
+    it, with no lock, and must leave them."""
     lake.apply(rd.from_arrow(_one_event("a", 1)), ["s1"])
     lake.apply(rd.from_arrow(_one_event("b", 2)), ["s2"])
-    snaps = lake.epochs()
-    assert snaps
     epoch = int(lake.manifest()["epoch"])
     inflight = os.path.join(lake.path, "state", f"e{epoch + 1:06d}", "l0-inflight.parquet")
     os.makedirs(os.path.dirname(inflight))
     pq.write_table(_one_event("c", 3), inflight)
-    with open(os.path.join(lake.path, WRITER_LOCK), "w") as f:
-        f.write(f"{os.getpid()} 0")  # a live pid (ours)
-    with pytest.raises(ConcurrentWriterError, match="locked by live writer"):
-        lake.vacuum(keep_epochs=0)
+    lake.vacuum(keep_epochs=0)
     assert os.path.exists(inflight)
-    assert lake.epochs() == snaps
-    assert all(os.path.exists(lake._snapshot_path(e)) for e in snaps)
+    assert lake.epochs() == [epoch]  # the current epoch's snapshot is its commit
+    assert sorted(collect(lake.read())["doc_id"].to_pylist()) == ["a", "b"]
+
+
+def test_concurrent_commits_from_one_epoch_commit_once(lake, monkeypatch):
+    """Writers that read the same epoch race to commit the next: the
+    snapshot create is the compare-and-swap, so exactly one commits and
+    every other gets ``ConcurrentWriterError`` (none silently undone)."""
+    import threading
+
+    from raycdc.lake import ConcurrentWriterError
+
+    n = 4
+    m = lake.manifest()
+    real_write = lake_mod._atomic_write_json
+    barrier = threading.Barrier(n, timeout=30)
+    local = threading.local()
+
+    def gated_write(*args, **kw):
+        if not getattr(local, "passed", False):  # every writer reaches its first write
+            local.passed = True
+            barrier.wait()
+        return real_write(*args, **kw)
+
+    monkeypatch.setattr(lake_mod, "_atomic_write_json", gated_write)
+    won, lost = [], []
+
+    def commit(i):
+        try:
+            won.append(lake._commit_manifest(m, {"segments": [f"s{i}"]},
+                                             segments_applied=[f"s{i}"]))
+        except ConcurrentWriterError:
+            lost.append(i)
+
+    threads = [threading.Thread(target=commit, args=(i,)) for i in range(n)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert len(won) == 1 and len(lost) == n - 1
+    assert lake.manifest() == won[0]
+    assert os.listdir(os.path.join(lake.path, "manifests")) == ["manifest-e000001.json"]
+
+
+def test_writer_outlived_by_vacuum_cannot_commit(lake):
+    """Vacuum reclaims old snapshots, so the snapshot a stale writer would
+    create may be free again: a writer that read epoch 1 while three newer
+    epochs committed and were vacuumed must still lose, not swap the lake
+    back to its own epoch 2."""
+    from raycdc.lake import ConcurrentWriterError
+
+    lake.apply(rd.from_arrow(_one_event("a", 1)), ["s1"])
+    stale = lake.manifest()
+    for i in range(2, 5):
+        lake.apply(rd.from_arrow(_one_event(f"k{i}", i)), [f"s{i}"])
+    lake.vacuum(keep_epochs=1)
+    assert lake.epochs() == [4]
+    with pytest.raises(ConcurrentWriterError):
+        lake._commit_manifest(stale, {"segments": ["late"]},
+                              segments_applied=[*stale["segments_applied"], "late"])
+    assert lake.manifest()["epoch"] == 4 and lake.epochs() == [4]
+    assert collect(lake.read()).num_rows == 4
 
 
 def test_tail_forever_picks_up_segments_mid_run(tmp_path):
@@ -890,6 +867,60 @@ def test_l0_auto_compaction_bounds_fan_in(tmp_path):
     lk.compact()
     assert lake_mod._pending(lk.manifest()["l0"]) == []
     assert_eq(collect(lk.read()), fold_events(base, all_events))
+
+
+def test_auto_compaction_that_loses_the_commit_keeps_the_apply(tmp_path, monkeypatch):
+    """Another writer commits just before an auto-compaction's snapshot
+    create: the compaction loses, the apply that triggered it has already
+    committed and returns its epoch, and its runs stay orphans for vacuum."""
+    base, log_dir, all_events = make_log(tmp_path, seed=53, n_segments=3)
+    lk = LakeTable(str(tmp_path / "lake"), num_partitions=4, l0_compact_files=1)
+    lk.init()
+    seeded_lake(lk, base)
+    other = LakeTable(lk.path, l0_compact_files=100)
+    real_write = lake_mod._atomic_write_json
+
+    def competing_write(path, obj, exclusive=False):
+        if exclusive and obj["history"][-1].get("compaction"):
+            monkeypatch.setattr(lake_mod, "_atomic_write_json", real_write)
+            tail_once(other, log_dir, max_segments_per_epoch=1, batch_size=256)
+        real_write(path, obj, exclusive)
+
+    monkeypatch.setattr(lake_mod, "_atomic_write_json", competing_write)
+    r = tail_once(lk, log_dir, max_segments_per_epoch=1, batch_size=256)
+    assert r["epoch"] == 2 and "auto_compacted" not in r
+    m = lk.manifest()
+    assert m["epoch"] == 3 and "compaction" not in m["history"][-1]
+    referenced = {e["file"] for e in m["l0"]}
+    orphans = {f"state/e000003/{f}" for f in os.listdir(os.path.join(lk.path, "state", "e000003"))
+               if f.startswith("part-")}
+    assert orphans and not orphans & referenced
+    tail_until_caught_up(lk, log_dir, max_segments_per_epoch=1, batch_size=256)
+    assert orphans <= set(lk.vacuum(keep_epochs=1))
+    assert_eq(collect(lk.read()), fold_events(base, all_events))
+
+
+def test_compaction_that_loses_never_replaces_the_winners_runs(tmp_path):
+    """Two compactions from one epoch write into the same epoch dir; the
+    one that drops tombstones loses the commit after its writes. Run
+    names are content-derived, so the winner's runs still hold the rows
+    its entries list, tombstone included, and a replayed insert stays
+    deleted."""
+    from raycdc.lake import ConcurrentWriterError
+
+    lk = LakeTable(str(tmp_path / "lake"), num_partitions=2)
+    lk.init()
+    lk.apply(rd.from_arrow(_one_event("a", 1)), ["s1"])
+    lk.apply(rd.from_arrow(_one_event("a", 2).set_column(1, "op", pa.array(["delete"]))), ["s2"])
+    lk.apply(rd.from_arrow(_one_event("b", 3)), ["s3"])
+    m = lk.manifest()
+    lk._compact_locked(m, drop_tombs=False)
+    with pytest.raises(ConcurrentWriterError):
+        lk._compact_locked(m, drop_tombs=True)
+    for e in lk.manifest()["l0"]:
+        assert pq.read_metadata(os.path.join(lk.path, e["file"])).num_rows == e["rows"]
+    lk.apply(rd.from_arrow(_one_event("a", 1)), ["s1-replayed"])
+    assert collect(lk.read())["doc_id"].to_pylist() == ["b"]
 
 
 def test_time_travel_read_epochs(lake, tmp_path):

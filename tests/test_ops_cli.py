@@ -131,6 +131,18 @@ def test_cli_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"rules": [{"column": "x", "action": "bogus"}]}')
     assert main(["tail", lake, str(tmp_path), "--rules", str(bad)]) == 2
+    # a manifest the engine refuses (shuffle-mode deltas, the v1 layout)
+    # is an error line, not a traceback
+    import raycdc.lake as lake_mod
+
+    m = lake_mod.LakeTable(lake).manifest()
+    for bad_part in ({"base": "b.parquet", "rows": 1, "deltas": ["d.parquet"]},
+                     {"file": "f.parquet", "rows": 1}):
+        lake_mod._atomic_write_json(os.path.join(lake, lake_mod.MANIFEST),
+                                    dict(m, partitions={"0": bad_part}))
+        capsys.readouterr()
+        assert main(["status", lake]) == 2
+        assert capsys.readouterr().err.startswith("error: lake partition 0 has pending delta files")
 
 
 class _RayUpCalled(Exception):
