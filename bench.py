@@ -115,7 +115,9 @@ def run_bench() -> dict:
     # work (rules + change-set envelope crypto — the DeidentifyEncrypt
     # stage) on the timed tail, the workload DeidentifyEncryptDICOM
     # performs per image. --scaling uses it so the timed tail carries the
-    # reference's real per-event CPU profile (see BASELINE.md).
+    # reference's per-record CPU profile (see BASELINE.md). tail_once
+    # hands the transform each segment's LWW winners, not every event, so
+    # with kdf="row" a run pays one KDF per segment winner.
     transform = None
     tname = os.environ.get("RAYCDC_BENCH_TRANSFORM", "")
     if tname == "deid":

@@ -64,7 +64,8 @@ to the snapshot name of N + 1, which fails if the name exists: of two
 writers from one epoch exactly one commits, the other gets
 ``ConcurrentWriterError``. ``_manifest.json`` is then swapped to the same
 content; it is a pointer that may lag (a crash between the link and the
-swap), so :meth:`LakeTable.manifest` rolls forward over newer snapshots.
+swap, or a swap that stalls past newer commits), so
+:meth:`LakeTable.manifest` reads the newest snapshot when it is newer.
 :meth:`LakeTable.vacuum` never touches a newer epoch's files, which may
 belong to an apply or compaction still in flight.
 
@@ -345,6 +346,29 @@ def _ranges(m: dict) -> list[dict]:
     return [_range(m, int(c[0]), hi) for c, hi in zip(chunks, his)]
 
 
+def ok_lww_order(t: pa.Table, key: str,
+                 num_buckets: int | None = None) -> tuple[pa.Table, pa.Array]:
+    """The one selection of every fold over validated rows: the ``ok``
+    rows of ``t`` in :func:`~raycdc.apply.lww_order`, as row indices of
+    the returned table. The validator's ``_route`` stamp is a selection
+    vector (every row is ok without it) and the returned table drops it.
+    Only the selected rows' key columns are hashed and sorted; the
+    payload stays in place for the caller's one copy. With
+    ``num_buckets`` the table first gains the lake's ``_bucket`` column
+    (0 on the rows left out; not added when no row is ok), so the order
+    is an L0 run's (bucket, key, lsn) row-group layout."""
+    rows = np.arange(t.num_rows)
+    if ROUTE_COL in t.column_names:
+        rows = np.flatnonzero(pc.equal(t.column(ROUTE_COL), ROUTE_OK))
+        t = t.drop_columns([ROUTE_COL])
+    if num_buckets is not None and len(rows):
+        b = np.zeros(t.num_rows, dtype=np.int32)
+        b[rows] = bucket_of(t.column(key).take(rows), num_buckets)
+        t = t.append_column("_bucket", pa.array(b))
+    keys = t.select([c for c in ("_bucket", key, LSN) if c in t.column_names]).take(rows)
+    return t, pa.array(rows).take(lww_order(keys, key, LSN))
+
+
 class ConcurrentWriterError(RuntimeError):
     """Another writer committed the epoch this one meant to commit."""
 
@@ -400,24 +424,27 @@ class LakeTable:
         committed at ``epoch``. Each snapshot is its epoch's commit and
         is retained until :meth:`vacuum` (``keep_epochs``) reclaims it, so
         any retained epoch's full table state stays readable. The current
-        manifest is ``_manifest.json`` rolled forward: while the snapshot
-        of the next epoch exists, that commit is newer than the pointer."""
-        p = self.manifest_path if epoch is None else self._snapshot_path(epoch)
-        try:
-            with open(p) as f:
+        manifest is the newer of ``_manifest.json`` and the newest
+        snapshot: the pointer is swapped after the commit, so it may lag,
+        and a stalled swap may land after newer commits and a vacuum of
+        the snapshots between."""
+        if epoch is not None:
+            try:
+                with open(self._snapshot_path(epoch)) as f:
+                    return _upgrade(json.load(f))
+            except FileNotFoundError:
+                raise LookupError(
+                    f"no manifest snapshot for epoch {epoch}: it was never "
+                    "committed, pre-dates snapshotting, or was vacuumed "
+                    "(raise vacuum(keep_epochs=...) to retain more history)"
+                ) from None
+        with open(self.manifest_path) as f:
+            m = json.load(f)
+        snaps = self.epochs()
+        if snaps and snaps[-1] > m["epoch"]:
+            with open(self._snapshot_path(snaps[-1])) as f:
                 m = json.load(f)
-            while epoch is None and os.path.exists(p := self._snapshot_path(m["epoch"] + 1)):
-                with open(p) as f:
-                    m = json.load(f)
-            return _upgrade(m)
-        except FileNotFoundError:
-            if epoch is None:
-                raise
-            raise LookupError(
-                f"no manifest snapshot for epoch {epoch}: it was never "
-                "committed, pre-dates snapshotting, or was vacuumed "
-                "(raise vacuum(keep_epochs=...) to retain more history)"
-            ) from None
+        return _upgrade(m)
 
     def _snapshot_path(self, epoch: int) -> str:
         return os.path.join(self.path, "manifests", f"manifest-e{epoch:06d}.json")
@@ -440,21 +467,32 @@ class LakeTable:
         if another writer committed the epoch first, this one raises
         ``ConcurrentWriterError`` and its files stay orphans for
         :meth:`vacuum`. Then swap ``_manifest.json`` to the same content.
-        A crash between the two loses nothing: :meth:`manifest` rolls
-        forward over the snapshot. Returns the manifest."""
+        A crash between the two loses nothing: :meth:`manifest` reads the
+        newest snapshot. Returns the manifest.
+
+        Vacuum reclaims old snapshot names, so a writer that outlived
+        newer commits and a vacuum of them could create its name anew.
+        It is refused before the create when it reads a newer epoch, and
+        after it when a newer snapshot exists: the writer then removes
+        its snapshot and raises. A writer that built on the snapshot just
+        created cannot have committed yet — it needs a whole apply after
+        reading it — so a newer snapshot is never its child."""
         epoch = m["epoch"] + 1
         m2 = {**m, **changes, "epoch": epoch,
               "history": [*m.get("history", []), {"epoch": epoch, **record}]}
         lost = ConcurrentWriterError(f"another writer committed epoch {epoch} first")
-        # vacuum reclaims old snapshots, so the create alone cannot refuse
-        # a writer that outlived two newer commits and a vacuum of them
         if self.manifest()["epoch"] != m["epoch"]:
             raise lost
         os.makedirs(os.path.join(self.path, "manifests"), exist_ok=True)
+        snap = self._snapshot_path(epoch)
         try:
-            _atomic_write_json(self._snapshot_path(epoch), m2, exclusive=True)
+            _atomic_write_json(snap, m2, exclusive=True)
         except FileExistsError:
             raise lost from None
+        if self.epochs()[-1] > epoch:  # the name was reclaimed
+            os.remove(snap)
+            _fsync_dir(snap)
+            raise lost
         _atomic_write_json(self.manifest_path, m2)
         return m2
 
@@ -608,28 +646,18 @@ class LakeTable:
             from raycdc.util import tune_allocators
 
             tune_allocators()
-            rows = np.arange(t.num_rows)
-            if ROUTE_COL in t.column_names:
-                # the validator's stamp is a selection vector: only the ok
-                # rows are hashed, sorted and gathered, and _route is not kept
-                rows = np.flatnonzero(pc.equal(t.column(ROUTE_COL), ROUTE_OK))
-                t = t.drop_columns([ROUTE_COL])
-            if not len(rows):
-                return pa.table({"entry": pa.array([], pa.string()),
-                                 "schema": pa.array([], pa.string())})
-            sch = schema_to_str(t.schema)  # the manifest schema is the logical one
-            # the payload take below and the run's parquet encode move
-            # the stored form's bytes, not list structure
-            t = _encode_stored(t)
-            b = np.zeros(t.num_rows, dtype=np.int32)
-            b[rows] = bucket_of(t.column(key).take(rows), P)
-            t = t.append_column("_bucket", pa.array(b))
-            # one sort, of the selected rows' key columns only: the run's
+            # one sort, of the ok rows' key columns only: the run's
             # (bucket, key) row-group layout, which the fold reuses to pick
             # its winners — so the payload is copied once, in layout order
-            keys = t.select(["_bucket", key, LSN]).take(rows)
-            order = pa.array(rows).take(lww_order(keys, key, LSN))
-            t = last_writer_per_key(t, key=key, lsn_col=LSN, order=order)
+            t, order = ok_lww_order(t, key, P)
+            if not len(order):
+                return pa.table({"entry": pa.array([], pa.string()),
+                                 "schema": pa.array([], pa.string())})
+            # the manifest schema is the logical one
+            sch = schema_to_str(t.drop_columns(["_bucket"]).schema)
+            # the payload take below and the run's parquet encode move
+            # the stored form's bytes, not list structure
+            t = last_writer_per_key(_encode_stored(t), key=key, lsn_col=LSN, order=order)
             rg = max(2048, -(-t.num_rows // P))  # ≈ one row group per partition
             entry = write(f"{epoch_rel}/l0", t, rg)
             return pa.table({"entry": [json.dumps(entry)], "schema": [sch]})

@@ -136,6 +136,21 @@ def curate_text(
     return ds
 
 
+def deid_stage(password: str | None = "bench", iterations: int = 200, kdf: str = "batch"):
+    """The per-record work of :func:`deid_transform` as a batch callable:
+    pseudonymize ``doc_id`` and ``source`` and seal the restoring
+    change-set envelope."""
+    from raycdc.diffmerge import DeidentifyEncrypt
+    from raycdc.identity import name_based_uid, pseudo_id
+    from raycdc.rules import Rule, RuleSet
+
+    rs = RuleSet(rules=[
+        Rule(column="doc_id", action="map", fn=lambda t: pseudo_id(t["doc_id"])),
+        Rule(column="source", action="map", fn=lambda t: name_based_uid(t["source"])),
+    ])
+    return DeidentifyEncrypt(rs, key="doc_id", password=password, iterations=iterations, kdf=kdf)
+
+
 def deid_transform(password: str | None = "bench", iterations: int = 200,
                    batch_size: int | None = 65536, kdf: str = "batch"):
     """The reference-analog per-record work stage for the changelog tail:
@@ -148,18 +163,12 @@ def deid_transform(password: str | None = "bench", iterations: int = 200,
 
     Used by ``bench.py --scaling`` with ``kdf="row"`` (one PBKDF2 per
     record, as the reference seals one envelope per image): the timed
-    tail then carries the reference's real per-event CPU profile (rules
+    tail then carries the reference's real per-record CPU profile (rules
     + envelope crypto) rather than raw byte movement, which is what the
-    N-vs-4N scaling criterion is meant to exercise (see BASELINE.md)."""
-    from raycdc.diffmerge import DeidentifyEncrypt
-    from raycdc.identity import name_based_uid, pseudo_id
-    from raycdc.rules import Rule, RuleSet
-
-    rs = RuleSet(rules=[
-        Rule(column="doc_id", action="map", fn=lambda t: pseudo_id(t["doc_id"])),
-        Rule(column="source", action="map", fn=lambda t: name_based_uid(t["source"])),
-    ])
-    stage = DeidentifyEncrypt(rs, key="doc_id", password=password, iterations=iterations, kdf=kdf)
+    N-vs-4N scaling criterion is meant to exercise (see BASELINE.md).
+    Behind ``tail_once`` the records are each segment's LWW winners, not
+    every event."""
+    stage = deid_stage(password, iterations, kdf)
 
     def transform(ds: ray.data.Dataset) -> ray.data.Dataset:
         return ds.map_batches(stage, batch_format="pyarrow", batch_size=batch_size)

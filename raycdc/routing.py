@@ -74,10 +74,12 @@ def make_validator(dead_letter_dir: str | None = None):
     every row is stamped with its ``_route`` and dead-lettered rows are
     written to parquet side-files as they stream by. The batch comes back
     whole and stamped, not filtered: ``LakeTable.apply`` folds only the
-    ``ok`` rows (``_route`` is its selection vector), so the payload is
-    copied once, by the run writer's take. A consumer that needs only
-    valid rows takes them with :func:`take_route`. One pass over the
-    input.
+    ``ok`` rows (``_route`` is its selection vector, read by
+    ``lake.ok_lww_order``), so the payload is copied once, by the run
+    writer's take. A transform in ``tail_once`` sees only the ``ok`` LWW
+    winners, taken through the same selection (``tailer.ok_winners``);
+    another consumer that needs only valid rows takes them with
+    :func:`take_route`. One pass over the input.
 
     Dead-letter files are named from their rows' content, as L0 runs
     are, so a retried task rewrites the identical file instead of adding

@@ -21,8 +21,9 @@ import pyarrow as pa
 
 import ray.data
 
-from raycdc.lake import LakeTable
-from raycdc.routing import ROUTE_OK, make_validator, take_route
+from raycdc.apply import _in_input_order, lww_winners
+from raycdc.lake import LSN, LakeTable, ok_lww_order
+from raycdc.routing import make_validator
 
 
 def list_segments(log_dir: str, suffix: str = ".parquet") -> list[str]:
@@ -95,6 +96,15 @@ def read_segments(log_dir: str, names: list[str]) -> ray.data.Dataset:
     return ds.map_batches(read_files, batch_format="pyarrow", batch_size=1)
 
 
+def ok_winners(t: pa.Table, key: str) -> pa.Table:
+    """The ``ok`` LWW winners of a validator-stamped block on ``key``, in
+    input order and without ``_route``: per key, its highest-``lsn`` ok
+    row, the last such row on ties. The payload is copied once, by
+    :func:`~raycdc.apply._in_input_order`'s filter."""
+    t, order = ok_lww_order(t, key)
+    return _in_input_order(t, lww_winners(t, key, LSN, order))
+
+
 def tail_once(
     lake: LakeTable,
     log_dir: str,
@@ -112,7 +122,19 @@ def tail_once(
     repair (failure-loopback analog, ``PutDICOM.java:83-86``); one pass
     over the input total. Without a transform the stamped rows go to
     ``lake.apply`` whole and its run writer drops the dead ones in its
-    one payload take; a transform sees only the ``ok`` rows.
+    one payload take.
+
+    A transform sees only each block's ``ok`` LWW winners on the raw key
+    (:func:`ok_winners`, one payload copy), so it does its per-row work
+    — hashing, sealing — once per key of a block, not once per event.
+    The transform must be row-wise and deterministic per row: it keeps
+    ``lsn``, ``op`` and the key column, drops or adds no row, and the
+    key it writes is a function of the raw key alone. ``RuleSet``
+    actions with a row-wise ``fn`` (not a ``rename`` of the key) and
+    ``DeidentifyEncrypt`` meet this. The run writer still
+    folds on the transformed key, so a many-to-one key mapping converges
+    as if every row had been transformed: the row that wins a mapped key
+    is the winner of its own raw key.
 
     ``batch_size=None`` keeps each segment ONE batch end-to-end through
     the fused read → validate → transform → L0 write chain: maximal
@@ -138,7 +160,8 @@ def tail_once(
         batch_size=batch_size,
     )
     if transform is not None:
-        ds = transform(take_route(ds, ROUTE_OK))
+        ds = transform(ds.map_batches(ok_winners, fn_kwargs={"key": lake.key},
+                                      batch_format="pyarrow"))
     return lake.apply(ds, todo)
 
 

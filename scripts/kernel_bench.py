@@ -1,8 +1,9 @@
 """Micro-bench of engine kernels, each against the variant it replaced
 or beat: dedup candidate-pair generation and pair-Jaccard verify, the
-L0 run writer's LWW fold and its parquet encode, and the unordered LWW
-fold of ``lww_apply``. Pure numpy/Arrow — no Ray session; identical
-output asserted per kernel.
+L0 run writer's LWW fold and its parquet encode, the unordered LWW
+fold of ``lww_apply``, and the LWW pre-fold ahead of the deid
+transform. Pure numpy/Arrow — no Ray session; identical output
+asserted per kernel.
 
     python scripts/kernel_bench.py
 
@@ -26,6 +27,12 @@ Outcome (this bench DROVE the shipped choice of every kernel):
   0.26-0.38 s, vs stamp + filter + the same fold, 0.47-0.63 s (1.7-1.8x);
   identical tables and run names. SHIPS (make_validator's stamped batch
   into LakeTable write_run).
+- DEID pre-fold (the 4 raw tail_deid segments, 4-core host, pyarrow
+  16.1, best of 3): stamp + each segment's ok LWW winners in one take +
+  the deid stage on those + the run fold, 0.81 s, vs stamp + filter +
+  the deid stage on every ok row + the same fold, 1.01 s (1.24x);
+  identical run tables and run names. SHIPS (tailer.ok_winners ahead
+  of a tail_once transform).
 - UNORDERED fold (lww_apply, 65k-row multi-chunk batches): a mask
   filter of the shared winners matches the replaced filter fold
   (0.17-0.22 s); an ordered take or a sorted-index take is 1.4-1.8x
@@ -132,12 +139,14 @@ def bench_jaccard(n_pairs: int = 20000, grams: int = 40) -> dict:
             "shipped_speedup_over_rejected": round(t_vec / t_loop, 1)}
 
 
-def _raw_segments(n_segments: int = 8, per: int = 25_000, seed: int = 7) -> list[pa.Table]:
-    """Change segments of the benchmark's ``tail_bulk`` shape, malformed
-    events included (as the tailer reads them)."""
+def _raw_segments(n_segments: int = 8, per: int = 25_000, seed: int = 7,
+                  n_base: int = 50_000) -> list[pa.Table]:
+    """Change segments of the benchmark's ``tail_bulk`` shape (``tail_deid``'s
+    with ``n_segments=4, n_base=25_000``), malformed events included (as
+    the tailer reads them)."""
     from raycdc.synth import EventGenConfig, events_table, with_replays_and_disorder
 
-    cfg = EventGenConfig(n_events=per * n_segments, n_base=50_000, seed=seed,
+    cfg = EventGenConfig(n_events=per * n_segments, n_base=n_base, seed=seed,
                          dup_replay_rate=0.02, pct_malformed=0.01, hot_key_share=0.1,
                          min_len=48, max_len=192)
     return [with_replays_and_disorder(events_table(cfg, 1 + k * per, 1 + (k + 1) * per), cfg)
@@ -264,6 +273,52 @@ def bench_lww_unordered_fold(batch_rows: int = 65_536) -> dict:
             "sorted_index_take_sec": round(t_sorted, 4)}
 
 
+def bench_deid_prefold(partitions: int = 32) -> dict:
+    """One ``tail_deid`` ingest task per segment, over its four raw
+    segments: the replaced path (stamp, filter the ok rows, the
+    ``deid_transform`` stage on every one of them, the run writer's fold)
+    vs the shipped one (stamp, each segment's ok LWW winners in one take,
+    the same stage on those only, the same fold)."""
+    from raycdc.apply import last_writer_per_key
+    from raycdc.lake import _encode_stored, ok_lww_order
+    from raycdc.pipelines import deid_stage
+    from raycdc.routing import ROUTE_COL, ROUTE_OK, stamp_route
+    from raycdc.tailer import ok_winners
+
+    segs = _raw_segments(n_segments=4, n_base=25_000)
+    stage = deid_stage(iterations=200, kdf="batch")
+
+    def fold(t: pa.Table) -> pa.Table:  # LakeTable.apply's write_run
+        t, order = ok_lww_order(t, "doc_id", partitions)
+        return last_writer_per_key(_encode_stored(t), order=order)
+
+    def old():
+        out = []
+        for s in segs:
+            t = stamp_route(s)
+            t = fold(stage(t.filter(pc.equal(t[ROUTE_COL], ROUTE_OK)).drop_columns([ROUTE_COL])))
+            out.append((t, _run_name(t)))
+        return out
+
+    def new():  # SHIPPED (tail_once with a transform)
+        out = []
+        for s in segs:
+            t = fold(stage(ok_winners(stamp_route(s), "doc_id")))
+            out.append((t, _run_name(t)))
+        return out
+
+    t_old, o_old = timeit(old, reps=3)
+    t_new, o_new = timeit(new, reps=3)
+    assert [n for _, n in o_old] == [n for _, n in o_new]
+    assert all(a.equals(b) for (a, _), (b, _) in zip(o_old, o_new))
+    return {"kernel": "deid_prefold", "segments": len(segs),
+            "rows_in": sum(s.num_rows for s in segs),
+            "rows_out": sum(t.num_rows for t, _ in o_new),
+            "replaced_transform_all_ok_sec": round(t_old, 4),
+            "shipped_transform_winners_sec": round(t_new, 4),
+            "speedup": round(t_old / t_new, 2)}
+
+
 def bench_run_encode(partitions: int = 32) -> dict:
     """Parquet encode of one bucket-sorted L0 run: the pyarrow default
     (snappy, dictionary on every column — the token-list leaf included),
@@ -306,4 +361,5 @@ if __name__ == "__main__":
     print(json.dumps(bench_jaccard()))
     print(json.dumps(bench_lww_write_run()))
     print(json.dumps(bench_lww_unordered_fold()))
+    print(json.dumps(bench_deid_prefold()))
     print(json.dumps(bench_run_encode()))

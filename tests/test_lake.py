@@ -683,6 +683,102 @@ def test_deid_transform_tail_converges(tmp_path):
     assert sorted(dl["doc_id"].to_pylist()) == sorted(bad["doc_id"].to_pylist())
 
 
+def _spied(transform, out_dir: str):
+    """``transform`` behind a stage that writes each batch it hands on to
+    ``out_dir/<call>`` — one directory per ``tail_once`` — so the rows the
+    transform received in Ray workers can be read back."""
+    calls = []
+
+    def spied(ds):
+        d = os.path.join(out_dir, str(len(calls)))
+        calls.append(d)
+
+        def record(t: pa.Table) -> pa.Table:
+            import uuid
+
+            os.makedirs(d, exist_ok=True)
+            pq.write_table(t, os.path.join(d, f"{uuid.uuid4().hex}.parquet"))
+            return t
+
+        return transform(ds.map_batches(record, batch_format="pyarrow"))
+
+    return spied, calls
+
+
+@pytest.mark.parametrize("mapping", ["deid", "coarse"])
+def test_transform_sees_only_each_segments_ok_winners(tmp_path, mapping):
+    """A tail transform receives, per segment, exactly one row per raw key:
+    its highest-lsn ok row. The input has replays, out-of-order lsns, a
+    delete of a replayed key and malformed rows, one with the highest lsn
+    of its key. The lake still converges to the fold of every event with
+    the keys mapped — through ``pseudo_id``/``name_based_uid``, or through
+    a many-to-one key ``map`` rule, where it is the fold on the mapped key."""
+    from raycdc.identity import name_based_uid, pseudo_id
+    from raycdc.pipelines import deid_transform
+    from raycdc.rules import Rule, RuleSet
+    from raycdc.synth import EVENT_SCHEMA
+    from raycdc.tailer import publish_segment
+
+    base, log_dir, all_events = make_log(tmp_path, seed=71, n_segments=3, pct_malformed=0.05)
+    ok = all_events.filter(pa.array(~is_malformed_mask(all_events)))
+    x = ok.filter(pc.equal(ok["op"], "update"))["doc_id"][0].as_py()
+    top = pc.max(all_events["lsn"]).as_py()
+    up = {"op": "update", "doc_id": x, "tokens": [1, 2, 3], "n_tok": 3, "source": "web"}
+    extra = pa.Table.from_pylist([
+        {"lsn": top + 2, "op": "delete", "doc_id": x, "tokens": None, "n_tok": None, "source": None},
+        {"lsn": top + 1, **up},
+        {"lsn": top + 3, **up, "n_tok": 4},  # malformed, and x's highest lsn
+        {"lsn": top + 1, **up},  # replay
+        {"lsn": top + 5, "op": "insert", "doc_id": "doc-late", "tokens": [7], "n_tok": 1,
+         "source": "code"},
+        {"lsn": top + 4, "op": "insert", "doc_id": "doc-late", "tokens": [8, 9], "n_tok": 2,
+         "source": "books"},
+    ], schema=EVENT_SCHEMA)
+    publish_segment(log_dir, "seg-00003.parquet", extra)
+    segs = [pq.read_table(os.path.join(log_dir, f)) for f in sorted(os.listdir(log_dir))]
+    all_events = pa.concat_tables(segs)
+
+    if mapping == "deid":
+        transform = deid_transform(iterations=2, kdf="batch")
+        maps = {"doc_id": pseudo_id, "source": name_based_uid}
+    else:
+        def coarse_key(doc_id):  # deliberately many-to-one: ten raw keys per key
+            return pc.utf8_slice_codeunits(doc_id, 0, -1)
+
+        rs = RuleSet(rules=[Rule(column="doc_id", action="map",
+                                 fn=lambda t: coarse_key(t["doc_id"]))])
+
+        def transform(ds):
+            return ds.map_batches(rs, batch_format="pyarrow")
+
+        maps = {"doc_id": coarse_key}
+    spy, calls = _spied(transform, str(tmp_path / "spy"))
+    lk = LakeTable(str(tmp_path / "lake"), num_partitions=8)
+    lk.init()
+    lk.apply(transform(base_as_inserts(rd.from_arrow(base))), ["__base__"])
+    tail_until_caught_up(lk, log_dir, max_segments_per_epoch=1, transform=spy, batch_size=None)
+
+    assert len(calls) == len(segs) == 4
+    for seg, d in zip(segs, calls):
+        seen = pq.read_table(d)
+        seg_ok = seg.filter(pa.array(~is_malformed_mask(seg)))
+        top_lsn = seg_ok.group_by("doc_id").aggregate([("lsn", "max")])
+        assert seen.num_rows == top_lsn.num_rows == len(set(seen["doc_id"].to_pylist()))
+        assert sorted(zip(seen["doc_id"].to_pylist(), seen["lsn"].to_pylist())) == \
+            sorted(zip(top_lsn["doc_id"].to_pylist(), top_lsn["lsn_max"].to_pylist()))
+        ok_rows = {repr(r) for r in seg_ok.to_pylist()}
+        assert all(repr(r) in ok_rows for r in seen.select(seg.column_names).to_pylist())
+    assert pq.read_table(calls[-1]).sort_by("doc_id")["op"].to_pylist() == ["delete", "insert"]
+
+    def mapped(t):
+        for c, fn in maps.items():
+            t = t.set_column(t.schema.get_field_index(c), c, fn(t[c]))
+        return t
+
+    want = fold_events(mapped(base), mapped(all_events))
+    assert_eq(collect(lk.read()).select(want.column_names), want)
+
+
 def test_list_form_lake_reads_tails_and_compacts(tmp_path):
     """A lake whose runs and bases were written in the list form (plain
     ``pq.write_table``, no stored-form metadata) reads as before; new
@@ -808,6 +904,58 @@ def test_writer_outlived_by_vacuum_cannot_commit(lake):
                               segments_applied=[*stale["segments_applied"], "late"])
     assert lake.manifest()["epoch"] == 4 and lake.epochs() == [4]
     assert collect(lake.read()).num_rows == 4
+
+
+def test_late_pointer_swap_after_vacuum_reads_the_newest_commit(lake):
+    """A writer links the epoch-1 snapshot and stalls before its pointer
+    swap; another commits epochs 2 and 3, a vacuum reclaims the snapshots
+    of 1 and 2, and then the stalled swap lands. The current epoch comes
+    from the snapshots: it stays 3, and the next commit lands at 4 with
+    every segment and row."""
+    m0 = lake.manifest()
+    m1 = {**m0, "epoch": 1, "segments_applied": ["s1"],
+          "history": [{"epoch": 1, "segments": ["s1"]}]}
+    os.makedirs(os.path.join(lake.path, "manifests"), exist_ok=True)
+    lake_mod._atomic_write_json(lake._snapshot_path(1), m1, exclusive=True)
+    for i in (2, 3):
+        lake.apply(rd.from_arrow(_one_event(f"k{i}", i)), [f"s{i}"])
+    lake.vacuum(keep_epochs=1)
+    assert lake.epochs() == [3]
+    lake_mod._atomic_write_json(lake.manifest_path, m1)  # the stalled swap lands
+    assert lake.manifest()["epoch"] == 3
+    assert lake.apply(rd.from_arrow(_one_event("k4", 4)), ["s4"])["epoch"] == 4
+    assert lake.manifest()["segments_applied"] == ["s1", "s2", "s3", "s4"]
+    assert sorted(collect(lake.read())["doc_id"].to_pylist()) == ["k2", "k3", "k4"]
+
+
+def test_writer_recreating_a_reclaimed_snapshot_raises_and_leaves_none(lake, monkeypatch):
+    """A stale writer passes its re-read check, and only then do two newer
+    commits and a vacuum free the snapshot name it creates. The create
+    succeeds, so the writer must see the newer snapshot, remove its own
+    and raise ``ConcurrentWriterError``."""
+    from raycdc.lake import ConcurrentWriterError
+
+    lake.apply(rd.from_arrow(_one_event("a", 1)), ["s1"])
+    stale = lake.manifest()
+    real_write = lake_mod._atomic_write_json
+
+    def racing_write(path, obj, exclusive=False):
+        if exclusive:  # the stale writer's create: the others commit first
+            monkeypatch.setattr(lake_mod, "_atomic_write_json", real_write)
+            for i in (2, 3):
+                lake.apply(rd.from_arrow(_one_event(f"k{i}", i)), [f"s{i}"])
+            lake.vacuum(keep_epochs=1)
+            assert lake.epochs() == [3]
+        real_write(path, obj, exclusive)
+
+    monkeypatch.setattr(lake_mod, "_atomic_write_json", racing_write)
+    with pytest.raises(ConcurrentWriterError):
+        lake._commit_manifest(stale, {"segments": ["late"]},
+                              segments_applied=[*stale["segments_applied"], "late"])
+    assert os.listdir(os.path.join(lake.path, "manifests")) == ["manifest-e000003.json"]
+    assert lake.manifest()["epoch"] == 3
+    assert "late" not in lake.manifest()["segments_applied"]
+    assert collect(lake.read()).num_rows == 3
 
 
 def test_tail_forever_picks_up_segments_mid_run(tmp_path):
