@@ -1,4 +1,12 @@
-"""The keyed LWW merge-apply kernel — the engine's core CDC stage.
+"""The change-event contract and the keyed LWW merge-apply kernel — the
+engine's core CDC stage.
+
+The contract, defined here and nowhere else: a change event carries the
+table's key column, an ``lsn`` (:data:`LSN`, its per-key order) and an
+``op`` (:data:`OP`), one of :data:`OPS`; an op in :data:`TOMBSTONE_OPS`
+(``delete``) is a tombstone, tested by :func:`is_tombstone`. The
+validator (``routing.stamp_route``) dead-letters an event with a null
+key or ``lsn`` or an unknown op; every fold below assumes that contract.
 
 Reference semantics being re-expressed (SURVEY.md §2.3/§2.6):
 
@@ -44,22 +52,29 @@ import ray.data
 from raycdc.metrics import Metrics
 from raycdc.ops import _by_key
 
+LSN, OP = "lsn", "op"
+OPS = ("insert", "update", "delete")
 TOMBSTONE_OPS = ("delete",)
 
 
-def lww_order(t: pa.Table, key: str = "doc_id", lsn_col: str = "lsn") -> pa.Array:
+def is_tombstone(op: pa.Array | pa.ChunkedArray) -> np.ndarray:
+    """The one tombstone predicate: True where ``op`` is a delete (False
+    where it is null)."""
+    return np.asarray(pc.is_in(op, value_set=pa.array(TOMBSTONE_OPS)))
+
+
+def lww_order(t: pa.Table, key: str = "doc_id") -> pa.Array:
     """The one sort of every LWW fold: row indices of ``t`` in
     (``_bucket`` when ``t`` carries it, key, lsn) order, sorting only
     those key columns. The lake's run writer calls it itself — the sort
     doubles as the run's row-group layout — and hands it to the fold."""
-    cols = [key, lsn_col]
+    cols = [key, LSN]
     if "_bucket" in t.column_names:
         cols.insert(0, "_bucket")
     return pc.sort_indices(t.select(cols), sort_keys=[(c, "ascending") for c in cols])
 
 
-def lww_winners(t: pa.Table, key: str = "doc_id", lsn_col: str = "lsn",
-                order: pa.Array | None = None) -> np.ndarray:
+def lww_winners(t: pa.Table, key: str = "doc_id", order: pa.Array | None = None) -> np.ndarray:
     """THE LWW kernel: row indices of the highest-``lsn`` row per ``key``,
     in (``_bucket`` when ``t`` carries it, key) order — every LWW fold in
     the engine computes its winners here.
@@ -74,7 +89,7 @@ def lww_winners(t: pa.Table, key: str = "doc_id", lsn_col: str = "lsn",
     keys never compare equal, so each null-key row is its own winner.
     ``_bucket`` only orders the output, so it must be a function of the
     key within ``t``."""
-    idx = lww_order(t, key, lsn_col) if order is None else order
+    idx = lww_order(t, key) if order is None else order
     n = len(idx)
     if n <= 1:
         return np.asarray(idx, dtype=np.int64)
@@ -86,30 +101,24 @@ def lww_winners(t: pa.Table, key: str = "doc_id", lsn_col: str = "lsn",
     return np.asarray(idx)[last_of_run]
 
 
-def _is_tomb(op: pa.Array | pa.ChunkedArray) -> np.ndarray:
-    """The one tombstone predicate: True where ``op`` is a delete."""
-    return np.asarray(pc.is_in(op, value_set=pa.array(TOMBSTONE_OPS)))
-
-
-def _live(t: pa.Table, win: np.ndarray, op_col: str | None) -> np.ndarray:
-    """``win`` minus the rows whose ``op_col`` is a tombstone."""
-    if op_col is None or op_col not in t.column_names or not len(win):
+def _live(t: pa.Table, win: np.ndarray, drop_tombs: bool) -> np.ndarray:
+    """``win``, minus its tombstones when ``drop_tombs``."""
+    if not drop_tombs or OP not in t.column_names or not len(win):
         return win
-    return win[~_is_tomb(t.column(op_col).take(win))]
+    return win[~is_tombstone(t.column(OP).take(win))]
 
 
-def last_writer_per_key(t: pa.Table, key: str = "doc_id", lsn_col: str = "lsn",
-                        tombstone_col: str | None = None,
+def last_writer_per_key(t: pa.Table, key: str = "doc_id", drop_tombs: bool = False,
                         order: pa.Array | None = None) -> pa.Table:
     """Within-table LWW reduce: the :func:`lww_winners` rows, ordered by
     (``_bucket`` when present, key). The payload (token lists — the
     heavy bytes) is copied ONCE, by a single take in that order, so an
     L0 run comes out bucket-sorted with no second sort or take. With
-    ``tombstone_col`` set, winners that are tombstones are dropped
-    before the take (the merge-on-read path). ``order`` is a
-    :func:`lww_order` of ``t`` the caller already holds; rows it leaves
-    out are neither folded nor copied."""
-    return t.take(_live(t, lww_winners(t, key, lsn_col, order), tombstone_col))
+    ``drop_tombs``, winners that are tombstones are dropped before the
+    take (the merge-on-read path). ``order`` is a :func:`lww_order` of
+    ``t`` the caller already holds; rows it leaves out are neither
+    folded nor copied."""
+    return t.take(_live(t, lww_winners(t, key, order), drop_tombs))
 
 
 def _in_input_order(t: pa.Table, rows: np.ndarray) -> pa.Table:
@@ -122,26 +131,22 @@ def _in_input_order(t: pa.Table, rows: np.ndarray) -> pa.Table:
     return t.filter(pa.array(keep))
 
 
-def drop_tombstones(t: pa.Table, op_col: str = "op") -> pa.Table:
-    if op_col not in t.column_names or t.num_rows == 0:
+def drop_tombstones(t: pa.Table) -> pa.Table:
+    if OP not in t.column_names or t.num_rows == 0:
         return t
-    return t.filter(pa.array(~_is_tomb(t.column(op_col))))
+    return t.filter(pa.array(~is_tombstone(t.column(OP))))
 
 
-def base_as_inserts(
-    base_ds: ray.data.Dataset,
-    lsn_col: str = "lsn",
-    op_col: str = "op",
-    column_order: list[str] | None = None,
-) -> ray.data.Dataset:
+def base_as_inserts(base_ds: ray.data.Dataset,
+                    column_order: list[str] | None = None) -> ray.data.Dataset:
     """Lift a base-table Dataset into the event schema as lsn=-1 inserts.
     ``column_order`` aligns the lifted schema with the event stream so the
     union of the two datasets has one consistent schema."""
 
     def lift(t: pa.Table) -> pa.Table:
         n = t.num_rows
-        t = t.append_column(lsn_col, pa.array(np.full(n, -1, dtype=np.int64)))
-        t = t.append_column(op_col, pa.array(["insert"] * n))
+        t = t.append_column(LSN, pa.array(np.full(n, -1, dtype=np.int64)))
+        t = t.append_column(OP, pa.array(["insert"] * n))
         if column_order:
             t = t.select([c for c in column_order if c in t.column_names])
         return t
@@ -153,8 +158,6 @@ def lww_apply(
     events_ds: ray.data.Dataset,
     base_ds: ray.data.Dataset | None = None,
     key: str = "doc_id",
-    lsn_col: str = "lsn",
-    op_col: str = "op",
     num_buckets: int = 64,
     batch_size: int = 65536,
     meta_drop: tuple | None = None,
@@ -164,7 +167,7 @@ def lww_apply(
 
     One :func:`raycdc.ops._by_key` shuffle: its per-batch ``prep`` is the
     level-1 reduce, its per-bucket fold drops tombstone winners and the
-    ``meta_drop`` columns (default: ``lsn_col`` and ``op_col``).
+    ``meta_drop`` columns (default: ``lsn`` and ``op``).
 
     ``metrics_name``: when set, both levels publish LWW-index counters
     (``apply.partial_rows_in``/``_out``, ``fold_rows_in``, ``keys_out``,
@@ -182,19 +185,18 @@ def lww_apply(
 
     ds = events_ds
     if base_ds is not None:
-        order = events_ds.schema().names
-        ds = base_as_inserts(base_ds, lsn_col, op_col, column_order=order).union(ds)
-    drop = meta_drop if meta_drop is not None else (lsn_col, op_col)
+        ds = base_as_inserts(base_ds, column_order=events_ds.schema().names).union(ds)
+    drop = meta_drop if meta_drop is not None else (LSN, OP)
 
     def partial(batch: pa.Table) -> pa.Table:
-        out = _in_input_order(batch, lww_winners(batch, key, lsn_col))
+        out = _in_input_order(batch, lww_winners(batch, key))
         publish({"apply.partial_rows_in": batch.num_rows,
                  "apply.partial_rows_out": out.num_rows})
         return out
 
     def fold(group: pa.Table) -> pa.Table:
-        win = lww_winners(group, key, lsn_col)
-        out = _in_input_order(group, _live(group, win, op_col))
+        win = lww_winners(group, key)
+        out = _in_input_order(group, _live(group, win, drop_tombs=True))
         publish({
             "apply.fold_rows_in": group.num_rows,
             "apply.keys_out": out.num_rows,

@@ -91,14 +91,12 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from raycdc.apply import drop_tombstones, last_writer_per_key, lww_order
+from raycdc.apply import LSN, OP, drop_tombstones, last_writer_per_key, lww_order
 from raycdc.routing import ROUTE_COL, ROUTE_OK
 from raycdc.schema_evo import conform_to, schema_from_str, schema_to_str, unify
 from raycdc.util import bucket_of, str_hash_u64
 
 MANIFEST = "_manifest.json"
-META_COLS = ("lsn", "op")
-LSN, OP = META_COLS
 # rows one merge-on-read / compaction task folds at most (beyond one
 # range per cluster CPU): bounds a fold task's memory
 RANGE_ROWS = 1 << 18
@@ -306,30 +304,27 @@ def _buckets(ent: dict, num_partitions: int) -> list[int] | range:
     return range(num_partitions)
 
 
-def _run_meets(ent: dict, lo: int, hi: int) -> bool:
-    """False iff the run entry's bucket metadata proves it holds no row
-    of buckets ``[lo, hi)``; entries without metadata always meet."""
-    if ent.get("buckets") is not None:
-        return any(lo <= b < hi for b in ent["buckets"])
-    return ent.get("bmin") is None or (ent["bmin"] < hi and ent["bmax"] >= lo)
-
-
 def _pids(m: dict) -> list[int]:
     """The partition ids with state: the buckets a run's metadata admits."""
     return sorted({b for e in m["l0"] for b in _buckets(e, m["num_partitions"])})
 
 
 def _range(m: dict, lo: int, hi: int) -> dict:
-    """The fold unit ``[lo, hi)``: the runs that meet it, oldest first,
-    as a JSON list of files; each one's single bucket (or null) as a
-    JSON list; and ``fold``, false when no two of them can hold the same
-    bucket. JSON strings, so a Dataset of ranges keeps one flat schema."""
-    ents = [e for e in m["l0"] if _run_meets(e, lo, hi)]
-    held = [b for e in ents for b in _buckets(e, m["num_partitions"]) if lo <= b < hi]
-    one = [e["bmin"] if e.get("bmin") is not None and e["bmin"] == e["bmax"] else None
-           for e in ents]
-    return {"lo": lo, "hi": hi, "runs": json.dumps([e["file"] for e in ents]),
-            "one": json.dumps(one), "fold": len(held) > len(set(held))}
+    """The fold unit ``[lo, hi)``: ``runs``, the runs whose buckets meet
+    it, oldest first, each as ``(file, b)``; and ``fold``, false when no
+    two of them can hold the same bucket. ``b`` is None when the run
+    holds a bucket outside the range: it is read with a ``_bucket``
+    filter. Else ``b`` is its lowest bucket: it is read whole, and a base
+    file of an older lake (one bucket, no ``_bucket`` column) is stamped
+    with ``b``."""
+    runs, held = [], []
+    for e in m["l0"]:
+        bs = _buckets(e, m["num_partitions"])
+        mine = [b for b in bs if lo <= b < hi]
+        if mine:
+            runs.append((e["file"], bs[0] if len(mine) == len(bs) else None))
+            held += mine
+    return {"lo": lo, "hi": hi, "runs": runs, "fold": len(held) > len(set(held))}
 
 
 def _ranges(m: dict) -> list[dict]:
@@ -366,7 +361,7 @@ def ok_lww_order(t: pa.Table, key: str,
         b[rows] = bucket_of(t.column(key).take(rows), num_buckets)
         t = t.append_column("_bucket", pa.array(b))
     keys = t.select([c for c in ("_bucket", key, LSN) if c in t.column_names]).take(rows)
-    return t, pa.array(rows).take(lww_order(keys, key, LSN))
+    return t, pa.array(rows).take(lww_order(keys, key))
 
 
 class ConcurrentWriterError(RuntimeError):
@@ -517,25 +512,26 @@ class LakeTable:
         return m
 
     # ------------------------------------------------------------ read
-    def _fold_fn(self, schema_str: str | None, include_tombstones: bool,
-                 keep_bucket: bool = False):
-        """Merge-on-read of one ``_range`` row: each of its runs read once
-        — pruned to the range's row groups unless it holds one bucket —
-        in one LWW fold into (``_bucket``, key) order, which the range's
-        ``fold`` flag skips. Each part is read in
-        its logical form and conformed to ``schema_str``; the fold takes
-        and returns the stored form (:func:`_encode_stored`)."""
+    def _fold_fn(self, plan: list[dict], schema_str: str | None,
+                 include_tombstones: bool, keep_bucket: bool = False):
+        """Merge-on-read of one range of ``plan`` (:func:`_ranges`), given
+        its index: each of its runs read once — pruned to the range's row
+        groups unless it lies inside the range — in one LWW fold into
+        (``_bucket``, key) order, which the range's ``fold`` flag skips.
+        Each part is read in its logical form and conformed to
+        ``schema_str``; the fold takes and returns the stored form
+        (:func:`_encode_stored`)."""
         key, lake_path = self.key, self.path
         conform = schema_str and conform_to(
             schema_from_str(schema_str).append(pa.field("_bucket", pa.int32())))
-        tomb_col = None if include_tombstones else OP
         drop = [] if keep_bucket else ["_bucket"]
-        drop += [] if include_tombstones else list(META_COLS)
+        drop += [] if include_tombstones else [LSN, OP]
 
         def fold(batch: pa.Table) -> pa.Table:
-            lo, hi = batch["lo"][0].as_py(), batch["hi"][0].as_py()
+            r = plan[batch["item"][0].as_py()]
+            lo, hi = r["lo"], r["hi"]
             parts = []
-            for f, b in zip(json.loads(batch["runs"][0].as_py()), json.loads(batch["one"][0].as_py())):
+            for f, b in r["runs"]:
                 path = os.path.join(lake_path, f)
                 if b is None:  # bucket-sorted: row-group statistics prune the read
                     parts.append(pq.read_table(path, filters=[("_bucket", ">=", lo), ("_bucket", "<", hi)]))
@@ -549,10 +545,10 @@ class LakeTable:
                 parts = [conform(p) for p in parts]
             parts = [p for p in parts if p.num_rows] or parts[:1]
             t = _encode_stored(pa.concat_tables(parts, promote_options="permissive"))
-            if batch["fold"][0].as_py():
-                t = last_writer_per_key(t, key=key, lsn_col=LSN, tombstone_col=tomb_col)
-            elif tomb_col:  # each run is one row per key, and no key is in two
-                t = drop_tombstones(t, tomb_col)
+            if r["fold"]:
+                t = last_writer_per_key(t, key=key, drop_tombs=not include_tombstones)
+            elif not include_tombstones:  # each run is one row per key, and no key is in two
+                t = drop_tombstones(t)
             return t.drop_columns([c for c in drop if c in t.column_names])
 
         return fold
@@ -566,11 +562,11 @@ class LakeTable:
         are immutable and content-named, so an old manifest replays its
         exact table; see :meth:`epochs` / :meth:`vacuum`)."""
         m = self.manifest(epoch)
-        ranges = _ranges(m)
-        if not ranges:
+        plan = _ranges(m)
+        if not plan:
             return ray.data.from_arrow(pa.table({}))
-        fold = self._fold_fn(m.get("schema"), include_tombstones)
-        return ray.data.from_items(ranges, override_num_blocks=len(ranges)).map_batches(
+        fold = self._fold_fn(plan, m.get("schema"), include_tombstones)
+        return ray.data.from_items(list(range(len(plan))), override_num_blocks=len(plan)).map_batches(
             lambda batch: _decode_stored(fold(batch)), batch_format="pyarrow", batch_size=1)
 
     def live_rows(self) -> int:
@@ -657,7 +653,7 @@ class LakeTable:
             sch = schema_to_str(t.drop_columns(["_bucket"]).schema)
             # the payload take below and the run's parquet encode move
             # the stored form's bytes, not list structure
-            t = last_writer_per_key(_encode_stored(t), key=key, lsn_col=LSN, order=order)
+            t = last_writer_per_key(_encode_stored(t), key=key, order=order)
             rg = max(2048, -(-t.num_rows // P))  # ≈ one row group per partition
             entry = write(f"{epoch_rel}/l0", t, rg)
             return pa.table({"entry": [json.dumps(entry)], "schema": [sch]})
@@ -741,32 +737,26 @@ class LakeTable:
                 os.rmdir(d)
         return removed
 
-    def compact(self, drop_tombs: bool = False,
-                zorder: list[str] | None = None) -> int:
+    def compact(self, drop_tombs: bool = False) -> int:
         """Full compaction (Ray-parallel, one task per contiguous bucket
         range): each range's runs fold in one pass and split back into
         one fresh one-bucket run per partition, written by the ingest run
         writer; optionally drop tombstones (safe once upstream segments
-        can no longer be replayed). ``zorder`` clusters each fresh run on
-        a Morton key over the named numeric columns (per-partition
-        min-max quantize) so row-group statistics prune selective reads
-        on ANY of them — the Delta OPTIMIZE ZORDER move at compaction
-        time; a read returns the same rows in another order. Writes a
-        new epoch, or raises ``ConcurrentWriterError`` if another writer
-        committed it first. Returns tombstones dropped."""
-        return self._compact_locked(self.manifest(), drop_tombs, zorder)
+        can no longer be replayed). Writes a new epoch, or raises
+        ``ConcurrentWriterError`` if another writer committed it first.
+        Returns tombstones dropped."""
+        return self._compact_locked(self.manifest(), drop_tombs)
 
-    def _compact_locked(self, m: dict, drop_tombs: bool = False,
-                        zorder: list[str] | None = None) -> int:
+    def _compact_locked(self, m: dict, drop_tombs: bool = False) -> int:
         """:meth:`compact` of ``m``, also run by an auto-compacting apply.
         No lock is held: perfbench traces this name as ``lake.compact``."""
         epoch_rel = f"state/e{m['epoch'] + 1:06d}"
         os.makedirs(os.path.join(self.path, epoch_rel), exist_ok=True)
-        ranges = _ranges(m)
-        if not ranges:
+        plan = _ranges(m)
+        if not plan:
             return 0
         write = self._write_run
-        fold = self._fold_fn(m.get("schema"), include_tombstones=True, keep_bucket=True)
+        fold = self._fold_fn(plan, m.get("schema"), include_tombstones=True, keep_bucket=True)
         # one row per partition folded: its run's entry (null when
         # dropping tombstones left it empty) and the tombstones dropped
         out_schema = pa.schema([("entry", pa.string()), ("dropped", pa.int64())])
@@ -784,32 +774,18 @@ class LakeTable:
             rows = []
             for pid, start, end in zip(pids.tolist(), cuts[:-1], cuts[1:]):
                 t = folded.slice(start, end - start)
-                if zorder:  # Morton order over per-partition min-max quantized columns
-                    from raycdc.ops import zorder_key
-
-                    q = {}
-                    for zi, zc in enumerate(zorder):
-                        x = np.asarray(t.column(zc).cast(pa.float64()))
-                        mn, mx = float(np.nanmin(x)), float(np.nanmax(x))
-                        x = np.clip((x - mn) / ((mx - mn) or 1.0) * 65535, 0, 65535)
-                        q[f"_zq{zi}"] = np.nan_to_num(x).astype(np.int64)
-                    z = zorder_key(pa.table(q), list(q))
-                    t = t.take(pc.sort_indices(z, sort_keys=[("_z", "ascending")]))
-                live_t = drop_tombstones(t, OP)
+                live_t = drop_tombstones(t)
                 dropped = t.num_rows - live_t.num_rows if drop_tombs else 0
                 t = live_t if drop_tombs else t
                 entry = None
                 if t.num_rows:
-                    # z-ordered runs need bounded row groups for the stats
-                    # to prune anything (default = one giant group)
-                    rgs = max(2048, t.num_rows // 16) if zorder else None
-                    entry = json.dumps(dict(write(f"{epoch_rel}/part-{pid:05d}", t, rgs),
+                    entry = json.dumps(dict(write(f"{epoch_rel}/part-{pid:05d}", t, None),
                                             live_rows=live_t.num_rows))
                 rows.append({"entry": entry, "dropped": dropped})
             return pa.Table.from_pylist(rows, schema=out_schema)
 
         out = (
-            ray.data.from_items(ranges, override_num_blocks=len(ranges))
+            ray.data.from_items(list(range(len(plan))), override_num_blocks=len(plan))
             .map_batches(compact_range, batch_format="pyarrow", batch_size=1)
             .take_all()
         )
@@ -843,7 +819,7 @@ def lineage(lake: "LakeTable", pid: int | None = None) -> list[dict]:
         for ipid in _pids(m):
             if pid is not None and ipid != pid:
                 continue
-            ents = [x for x in m["l0"] if _run_meets(x, ipid, ipid + 1)]
+            ents = [x for x in m["l0"] if ipid in _buckets(x, m["num_partitions"])]
             files = {x["file"] for x in ents}
             added = sorted(files - prev_files.get(ipid, set()))
             if e == 0 or added or new_segs:

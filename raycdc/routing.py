@@ -8,9 +8,9 @@ success / failure / not_matched / reject / "not decrypted"
 parse attempt whose failure diverts the record
 (``DeidentifyDICOMTest.java:178-195``: 2 success + 1 reject).
 
-Engine model: a vectorized validation stage stamps a ``_route`` column;
-downstream consumers filter one route (streaming-friendly, no
-materialization).
+Engine model: a vectorized validation stage stamps a ``_route`` column
+against the change-event contract of :mod:`raycdc.apply`; downstream
+consumers select one route (streaming-friendly, no materialization).
 The dead-letter dataset IS a first-class output, mirroring the
 failure-relationship loop-back being "usually looped back" for retry
 (``PutDICOM.java:83-86``) — dead-lettered events keep full payload so
@@ -24,8 +24,7 @@ import os
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray.data
-
+from raycdc.apply import LSN, OP, OPS
 from raycdc.synth import is_malformed_mask
 
 ROUTE_COL = "_route"
@@ -33,22 +32,19 @@ ROUTE_OK = "ok"
 ROUTE_DEAD_LETTER = "dead_letter"
 ROUTE_ORPHAN = "not_matched"
 
-_VALID_OPS = ("insert", "update", "delete")
 
-
-def stamp_route(batch: pa.Table) -> pa.Table:
+def stamp_route(batch: pa.Table, key: str) -> pa.Table:
     """Validation map: ok | dead_letter. Checks (all pyarrow.compute
     vectorized, no Python-object conversion): n_tok/token-length
     consistency, payload presence for non-deletes, known op, non-null
-    key, non-null lsn."""
+    ``key``, non-null lsn."""
     bad = is_malformed_mask(batch)
-    if "op" in batch.column_names:
-        known = pc.is_in(batch["op"], value_set=pa.array(_VALID_OPS))
+    if OP in batch.column_names:
+        known = pc.is_in(batch[OP], value_set=pa.array(OPS))
         bad |= pc.invert(pc.fill_null(known, False)).to_numpy(zero_copy_only=False)
-    if "doc_id" in batch.column_names:
-        bad |= pc.is_null(batch["doc_id"]).to_numpy(zero_copy_only=False)
-    if "lsn" in batch.column_names:
-        bad |= pc.is_null(batch["lsn"]).to_numpy(zero_copy_only=False)
+    for col in (key, LSN):
+        if col in batch.column_names:
+            bad |= pc.is_null(batch[col]).to_numpy(zero_copy_only=False)
     route = pc.if_else(
         pa.array(bad), pa.scalar(ROUTE_DEAD_LETTER), pa.scalar(ROUTE_OK)
     )
@@ -57,29 +53,18 @@ def stamp_route(batch: pa.Table) -> pa.Table:
     return batch.append_column(ROUTE_COL, route)
 
 
-def take_route(ds: ray.data.Dataset, route: str, drop_route_col: bool = True) -> ray.data.Dataset:
-    """One route as a streaming Dataset (predicate split; each call
-    re-executes upstream — cache upstream with ``materialize()`` only if
-    it is small)."""
-
-    def pick(t: pa.Table) -> pa.Table:
-        out = t.filter(pc.equal(t[ROUTE_COL], route))
-        return out.drop_columns([ROUTE_COL]) if drop_route_col else out
-
-    return ds.map_batches(pick, batch_format="pyarrow")
-
-
-def make_validator(dead_letter_dir: str | None = None):
+def make_validator(key: str, dead_letter_dir: str | None = None):
     """Single-pass validation as a plain batch fn for ``map_batches``:
-    every row is stamped with its ``_route`` and dead-lettered rows are
+    every row is stamped with its ``_route`` by :func:`stamp_route` on
+    ``key`` — the lake's own key, so a null-key event is dead-lettered
+    whatever the lake is keyed by — and dead-lettered rows are
     written to parquet side-files as they stream by. The batch comes back
     whole and stamped, not filtered: ``LakeTable.apply`` folds only the
     ``ok`` rows (``_route`` is its selection vector, read by
     ``lake.ok_lww_order``), so the payload is copied once, by the run
     writer's take. A transform in ``tail_once`` sees only the ``ok`` LWW
-    winners, taken through the same selection (``tailer.ok_winners``);
-    another consumer that needs only valid rows takes them with
-    :func:`take_route`. One pass over the input.
+    winners, taken through the same selection (``tailer.ok_winners``).
+    One pass over the input.
 
     Dead-letter files are named from their rows' content, as L0 runs
     are, so a retried task rewrites the identical file instead of adding
@@ -97,7 +82,7 @@ def make_validator(dead_letter_dir: str | None = None):
         from raycdc.util import tune_allocators
 
         tune_allocators()
-        stamped = stamp_route(batch)
+        stamped = stamp_route(batch, key)
         dead_mask = pc.equal(stamped[ROUTE_COL], ROUTE_DEAD_LETTER)
         if dead_letter_dir and pc.any(dead_mask).as_py():
             import hashlib

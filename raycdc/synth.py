@@ -27,6 +27,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from raycdc.apply import LSN, OP, OPS, is_tombstone
 from raycdc.util import counter_rng_u64, splitmix64
 
 VOCAB_SIZE = 50_000
@@ -43,16 +44,14 @@ BASE_SCHEMA = pa.schema(
 
 EVENT_SCHEMA = pa.schema(
     [
-        ("lsn", pa.int64()),
-        ("op", pa.string()),
+        (LSN, pa.int64()),
+        (OP, pa.string()),
         ("doc_id", pa.string()),
         ("tokens", pa.list_(pa.int32())),
         ("n_tok", pa.int32()),
         ("source", pa.string()),
     ]
 )
-
-OPS = ("insert", "update", "delete")
 
 
 def _doc_ids(indices: np.ndarray) -> pa.Array:
@@ -173,8 +172,8 @@ def events_table(cfg: EventGenConfig, lsn_lo: int | None = None, lsn_hi: int | N
 
     return pa.table(
         {
-            "lsn": pa.array(lsn),
-            "op": op,
+            LSN: pa.array(lsn),
+            OP: op,
             "doc_id": doc_id,
             "tokens": tokens,
             "n_tok": n_tok_arr,
@@ -269,11 +268,8 @@ def is_malformed_mask(events: pa.Table) -> np.ndarray:
     # lengths of the column as given: combine_chunks would copy the payload
     lens = pc.fill_null(pc.list_value_length(events["tokens"]).cast(pa.int64()), -1)
     n_tok = pc.fill_null(events["n_tok"].cast(pa.int64()), -1)
-    not_del = pc.invert(pc.fill_null(pc.equal(events["op"], "delete"), False))
-    bad = pc.and_(
-        not_del, pc.or_(pc.less(lens, 0), pc.not_equal(n_tok, lens))
-    )
-    return np.asarray(bad.to_numpy(zero_copy_only=False), dtype=bool)
+    wrong = pc.or_(pc.less(lens, 0), pc.not_equal(n_tok, lens)).to_numpy(zero_copy_only=False)
+    return ~is_tombstone(events[OP]) & np.asarray(wrong, dtype=bool)
 
 
 def fold_events(base: pa.Table, events: pa.Table) -> pa.Table:

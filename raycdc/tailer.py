@@ -22,7 +22,7 @@ import pyarrow as pa
 import ray.data
 
 from raycdc.apply import _in_input_order, lww_winners
-from raycdc.lake import LSN, LakeTable, ok_lww_order
+from raycdc.lake import LakeTable, ok_lww_order
 from raycdc.routing import make_validator
 
 
@@ -102,7 +102,7 @@ def ok_winners(t: pa.Table, key: str) -> pa.Table:
     row, the last such row on ties. The payload is copied once, by
     :func:`~raycdc.apply._in_input_order`'s filter."""
     t, order = ok_lww_order(t, key)
-    return _in_input_order(t, lww_winners(t, key, LSN, order))
+    return _in_input_order(t, lww_winners(t, key, order))
 
 
 def tail_once(
@@ -117,7 +117,9 @@ def tail_once(
 
     Flow: discover → read → single-pass validate with
     dead-letter diversion → [optional transform, e.g. a RuleSet stage] →
-    lake.apply (exactly-once). Dead letters land under
+    lake.apply (exactly-once). The validator checks the change-event
+    contract on ``lake.key``, so an event with a null key is
+    dead-lettered whatever the lake is keyed by. Dead letters land under
     ``dead_letter_dir/epoch=N`` with full, untransformed payload for
     repair (failure-loopback analog, ``PutDICOM.java:83-86``); one pass
     over the input total. Without a transform the stamped rows go to
@@ -155,7 +157,7 @@ def tail_once(
     # and uses every core (an actor pool here capped parallelism at its
     # pool size and paid per-actor warmup)
     ds = ds.map_batches(
-        make_validator(dl),
+        make_validator(lake.key, dl),
         batch_format="pyarrow",
         batch_size=batch_size,
     )

@@ -198,7 +198,7 @@ def bench_lww_write_run(partitions: int = 32) -> dict:
     def old():
         out = []
         for s in segs:
-            t = stamp_route(s)
+            t = stamp_route(s, "doc_id")
             t = t.filter(pc.equal(t[ROUTE_COL], ROUTE_OK)).drop_columns([ROUTE_COL])
             t = t.append_column("_bucket", pa.array(bucket_of(t.column("doc_id"), partitions)))
             t = last_writer_per_key(t, order=lww_order(t))
@@ -208,7 +208,7 @@ def bench_lww_write_run(partitions: int = 32) -> dict:
     def new():  # SHIPPED (LakeTable write_run)
         out = []
         for s in segs:
-            t = stamp_route(s)
+            t = stamp_route(s, "doc_id")
             rows = np.flatnonzero(pc.equal(t[ROUTE_COL], ROUTE_OK))
             t = t.drop_columns([ROUTE_COL])
             b = np.zeros(t.num_rows, dtype=np.int32)
@@ -295,7 +295,7 @@ def bench_deid_prefold(partitions: int = 32) -> dict:
     def old():
         out = []
         for s in segs:
-            t = stamp_route(s)
+            t = stamp_route(s, "doc_id")
             t = fold(stage(t.filter(pc.equal(t[ROUTE_COL], ROUTE_OK)).drop_columns([ROUTE_COL])))
             out.append((t, _run_name(t)))
         return out
@@ -303,7 +303,7 @@ def bench_deid_prefold(partitions: int = 32) -> dict:
     def new():  # SHIPPED (tail_once with a transform)
         out = []
         for s in segs:
-            t = fold(stage(ok_winners(stamp_route(s), "doc_id")))
+            t = fold(stage(ok_winners(stamp_route(s, "doc_id"), "doc_id")))
             out.append((t, _run_name(t)))
         return out
 

@@ -7,7 +7,6 @@ import os
 
 import numpy as np
 import pyarrow as pa
-import pytest
 import ray.data as rd
 
 from raycdc.lake import LakeTable
@@ -46,10 +45,8 @@ def _view(mv_table):
     }
 
 
-@pytest.mark.parametrize("mode", ["l0"])
-def test_mv_incremental_equals_full_recompute(tmp_path, mode):
-    lake = LakeTable(str(tmp_path / "lake"), num_partitions=4, key="doc_id",
-                     commit_mode=mode)
+def test_mv_incremental_equals_full_recompute(tmp_path):
+    lake = LakeTable(str(tmp_path / "lake"), num_partitions=4, key="doc_id")
     lake.init()
     mv = MaterializedAggregate(
         lake, "grp", {"sum_cents": ("cents", "sum"), "n_docs": (None, "count")},

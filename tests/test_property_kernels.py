@@ -224,12 +224,12 @@ def test_lww_kernel_matches_filter_reference(changes, with_bucket):
     # the run writer's form: the caller sorts once and hands the order over
     assert last_writer_per_key(t, order=lww_order(t)).equals(got)
     # tombstones dropped from the winners before the one take
-    live = last_writer_per_key(t, tombstone_col="op")
+    live = last_writer_per_key(t, drop_tombs=True)
     assert live.sort_by("doc_id").equals(drop_tombstones(want).sort_by("doc_id"))
     # the unordered folds materialize the same winners in input order
     win = lww_winners(t)
     assert _in_input_order(t, win).equals(want)
-    assert _in_input_order(t, _live(t, win, "op")).equals(drop_tombstones(want))
+    assert _in_input_order(t, _live(t, win, True)).equals(drop_tombstones(want))
 
 
 def test_lww_kernel_replay_tie_keeps_last_input_row():

@@ -7,6 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data as rd
 
 from raycdc.identity import (
@@ -22,13 +23,12 @@ from raycdc.routing import (
     ROUTE_OK,
     ROUTE_ORPHAN,
     stamp_route,
-    take_route,
 )
 from raycdc.synth import EventGenConfig, base_table, events_table, is_malformed_mask
 
 
 def route_counts(t: pa.Table) -> Counter:
-    return Counter(stamp_route(t)[ROUTE_COL].to_pylist())
+    return Counter(stamp_route(t, "doc_id")[ROUTE_COL].to_pylist())
 
 
 def test_route_matrix_counts():
@@ -43,8 +43,15 @@ def test_route_matrix_counts():
 def test_split_valid_roundtrip():
     cfg = EventGenConfig(n_events=500, n_base=50, seed=17, pct_malformed=0.2, min_len=4, max_len=8)
     ev = events_table(cfg)
-    stamped = rd.from_arrow(ev).map_batches(stamp_route, batch_format="pyarrow", batch_size=64)
-    ok, dead = take_route(stamped, ROUTE_OK), take_route(stamped, ROUTE_DEAD_LETTER)
+    stamped = rd.from_arrow(ev).map_batches(stamp_route, fn_kwargs={"key": "doc_id"},
+                                            batch_format="pyarrow", batch_size=64)
+
+    def route(r):
+        return stamped.map_batches(
+            lambda t: t.filter(pc.equal(t[ROUTE_COL], r)).drop_columns([ROUTE_COL]),
+            batch_format="pyarrow")
+
+    ok, dead = route(ROUTE_OK), route(ROUTE_DEAD_LETTER)
     n_ok, n_dead = ok.count(), dead.count()
     assert n_ok + n_dead == 500
     # dead letters keep full payload for repair/re-submit
@@ -180,7 +187,7 @@ def test_dead_letter_file_named_from_content(tmp_path):
     ev = events_table(cfg)
     n_bad = int(is_malformed_mask(ev).sum())
     dl = str(tmp_path / "dead")
-    validator = make_validator(dl)
+    validator = make_validator("doc_id", dl)
     for _ in range(2):  # the original attempt and its retry
         stamped = validator(ev)
     # every row comes back, stamped: the lake's run writer drops the dead ones
@@ -226,5 +233,5 @@ def test_dead_letter_write_is_atomic(tmp_path, monkeypatch):
     cfg = EventGenConfig(n_events=200, n_base=20, seed=5, pct_malformed=0.2, min_len=4, max_len=8)
     dl = str(tmp_path / "dead")
     with pytest.raises(OSError, match="disk full"):
-        make_validator(dl)(events_table(cfg))
+        make_validator("doc_id", dl)(events_table(cfg))
     assert glob.glob(str(tmp_path / "dead" / "dead-*.parquet")) == []
