@@ -1063,13 +1063,13 @@ def q_stratified_sample(sf_dir: str):
 
 
 def q_events_hourly_window(sf_dir: str):
-    """Tumbling-window aggregate (streaming-window custom operator):
-    hourly event counts + value sums per event_type, epoch-aligned so
+    """Tumbling-window aggregate (streaming-window custom operator;
+    ``hopping_window_agg`` with size == hop): hourly event counts + value sums per event_type, epoch-aligned so
     the SQL oracle computes the identical integer window stamp. The sum
     runs in integer CENTS (values are cents-quantized) so the result is
     exact under any summation order — float sums would differ in the
     last ulp between engines."""
-    from raycdc.ops import tumbling_window_agg
+    from raycdc.ops import hopping_window_agg
 
     cents = _ev(sf_dir).map_batches(
         lambda t: t.select(["event_id", "ts", "event_type"]).append_column(
@@ -1077,8 +1077,8 @@ def q_events_hourly_window(sf_dir: str):
         ),
         batch_format="pyarrow",
     )
-    return tumbling_window_agg(
-        cents, "ts", every_s=3600, keys=["event_type"],
+    return hopping_window_agg(
+        cents, "ts", 3600, 3600, keys=["event_type"],
         specs={"n": ("event_id", "count"), "sum_cents": ("cents", "sum")},
     )
 
@@ -3549,15 +3549,15 @@ def q_trending_types(sf_dir: str):
     type asc tiebreak). The per-window leaderboard every
     feed/monitoring pipeline runs; two combiners + one bounded bucket
     shuffle."""
-    from raycdc.ops import top_k, tumbling_window_agg
+    from raycdc.ops import hopping_window_agg, top_k
 
     ev = _ev(sf_dir).map_batches(
         lambda t: t.select(["event_id", "ts", "event_type"]).filter(
             pc.is_valid(t["event_type"])),
         batch_format="pyarrow",
     )
-    counts = tumbling_window_agg(
-        ev, "ts", every_s=3600, keys=["event_type"],
+    counts = hopping_window_agg(
+        ev, "ts", 3600, 3600, keys=["event_type"],
         specs={"n": ("event_id", "count")},
     )
     out = top_k(counts, "n", 2, descending=True, tiebreak="event_type",

@@ -110,23 +110,36 @@ def _fsync_dir(path: str) -> None:
         os.close(fd)
 
 
-def _atomic_write_json(path: str, obj: dict, exclusive: bool = False) -> None:
-    """Write ``obj`` to a fsynced temp file, then replace ``path`` with it
-    — or, ``exclusive``, create ``path`` put-if-absent: ``os.link`` raises
-    ``FileExistsError`` if the name exists."""
+def _publish(path: str, write, exclusive: bool = False) -> None:
+    """The one durable publish of every file the engine makes visible:
+    ``write(tmp)`` fills a temp file beside ``path`` (its name never ends
+    in ``.parquet``, so no listing picks it up), the file is fsynced and
+    renamed onto ``path`` — or, ``exclusive``, created put-if-absent:
+    ``os.link`` raises ``FileExistsError`` if the name exists — and the
+    directory is fsynced. The temp file never outlives the call, so a
+    reader sees the whole file or none."""
     tmp = f"{path}.tmp.{uuid.uuid4().hex[:8]}"
-    with open(tmp, "w") as f:
-        json.dump(obj, f, indent=1, sort_keys=True)
-        f.flush()
-        os.fsync(f.fileno())
-    if exclusive:
+    try:
+        write(tmp)
+        fd = os.open(tmp, os.O_RDONLY)
         try:
-            os.link(tmp, path)
+            os.fsync(fd)
         finally:
-            os.remove(tmp)
-    else:
-        os.replace(tmp, path)
+            os.close(fd)
+        (os.link if exclusive else os.replace)(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)  # a failed write's remains, or the link's second name
     _fsync_dir(path)
+
+
+def _atomic_write_json(path: str, obj: dict, exclusive: bool = False) -> None:
+    """Publish ``obj`` as JSON at ``path`` (:func:`_publish`)."""
+    def write(tmp: str) -> None:
+        with open(tmp, "w") as f:
+            json.dump(obj, f, indent=1, sort_keys=True)
+
+    _publish(path, write, exclusive)
 
 
 # The stored form of runs: a ``list`` column of ints or floats
@@ -240,19 +253,13 @@ def _write_options(table: pa.Table) -> dict:
 
 def _atomic_write_parquet(path: str, table: pa.Table,
                           row_group_size: int | None = None) -> None:
-    """Durable tmp+fsync+rename: the snapshot create is only a valid commit
-    point if the epoch files it references are already on stable storage.
-    Runs come in their stored form, whose binary payload skips
-    Parquet's list encoding; dead letters and MV state in their logical one."""
-    tmp = f"{path}.tmp.{uuid.uuid4().hex[:8]}"
-    pq.write_table(table, tmp, row_group_size=row_group_size, **_write_options(table))
-    fd = os.open(tmp, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-    os.replace(tmp, path)
-    _fsync_dir(path)
+    """Publish ``table`` with the run write options (:func:`_publish`):
+    the snapshot create is only a valid commit point if the epoch files
+    it references are already on stable storage. Runs come in their
+    stored form, whose binary payload skips Parquet's list encoding;
+    dead letters and MV state in their logical one."""
+    _publish(path, lambda tmp: pq.write_table(
+        table, tmp, row_group_size=row_group_size, **_write_options(table)))
 
 
 def _upgrade(m: dict) -> dict:
@@ -351,12 +358,16 @@ def ok_lww_order(t: pa.Table, key: str,
     payload stays in place for the caller's one copy. With
     ``num_buckets`` the table first gains the lake's ``_bucket`` column
     (0 on the rows left out; not added when no row is ok), so the order
-    is an L0 run's (bucket, key, lsn) row-group layout."""
+    is an L0 run's (bucket, key, lsn) row-group layout. With no ok row
+    the order is empty and the key columns are not read: a batch
+    without the key column is all dead."""
     rows = np.arange(t.num_rows)
     if ROUTE_COL in t.column_names:
         rows = np.flatnonzero(pc.equal(t.column(ROUTE_COL), ROUTE_OK))
         t = t.drop_columns([ROUTE_COL])
-    if num_buckets is not None and len(rows):
+    if not len(rows):
+        return t, pa.array(rows)
+    if num_buckets is not None:
         b = np.zeros(t.num_rows, dtype=np.int32)
         b[rows] = bucket_of(t.column(key).take(rows), num_buckets)
         t = t.append_column("_bucket", pa.array(b))
@@ -602,10 +613,10 @@ class LakeTable:
 
         ``segment_names`` identifies the input (changelog segment files);
         if every name is already committed this is a no-op (idempotent
-        re-call — at-least-once delivery tolerance). Partial overlap
-        applies only the new segments' events IF the caller filtered the
-        stream accordingly; by contract the tailer passes only
-        uncommitted segments.
+        re-call — at-least-once delivery tolerance). A batch of which
+        only some segments are committed raises ``ValueError`` and
+        applies nothing: by contract the tailer passes only uncommitted
+        segments.
 
         Events must be pre-validated, or stamped by
         ``routing.make_validator``: a ``_route`` column is a selection

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -37,13 +38,15 @@ def stamp_route(batch: pa.Table, key: str) -> pa.Table:
     """Validation map: ok | dead_letter. Checks (all pyarrow.compute
     vectorized, no Python-object conversion): n_tok/token-length
     consistency, payload presence for non-deletes, known op, non-null
-    ``key``, non-null lsn."""
-    bad = is_malformed_mask(batch)
-    if OP in batch.column_names:
+    ``key``, non-null lsn. A batch without the ``key``, lsn or op column
+    is dead-lettered whole: no row of it can be folded."""
+    if any(c not in batch.column_names for c in (key, LSN, OP)):
+        bad = np.ones(batch.num_rows, dtype=bool)
+    else:
+        bad = is_malformed_mask(batch)
         known = pc.is_in(batch[OP], value_set=pa.array(OPS))
         bad |= pc.invert(pc.fill_null(known, False)).to_numpy(zero_copy_only=False)
-    for col in (key, LSN):
-        if col in batch.column_names:
+        for col in (key, LSN):
             bad |= pc.is_null(batch[col]).to_numpy(zero_copy_only=False)
     route = pc.if_else(
         pa.array(bad), pa.scalar(ROUTE_DEAD_LETTER), pa.scalar(ROUTE_OK)

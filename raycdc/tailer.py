@@ -22,7 +22,7 @@ import pyarrow as pa
 import ray.data
 
 from raycdc.apply import _in_input_order, lww_winners
-from raycdc.lake import LakeTable, ok_lww_order
+from raycdc.lake import LakeTable, _publish, ok_lww_order
 from raycdc.routing import make_validator
 
 
@@ -36,29 +36,21 @@ def publish_segment(log_dir: str, name: str, table: pa.Table) -> str:
     """The *bring-your-own-WAL-writer* contract, as code (the push-ingest
     analog of ``ListenDICOM.java:165-171``'s create-commit-rollback): a
     concurrent archiver makes a segment visible to the tailer by writing
-    the full file under a NON-segment temp name, then committing it with
-    one atomic ``os.rename``. The tailer's directory listing therefore
-    never sees a torn file, and a crashed writer leaves only an invisible
-    ``.*.tmp`` orphan (rollback = delete, never a partial segment).
-    Segment ``name``s must sort in append order (seg-NNNNN);
-    ``test_tail_forever_concurrent_writer`` gates exactly-once under a
-    live writer using this contract."""
+    the full file under a NON-segment temp name, fsyncing it, and
+    committing it with one atomic rename (:func:`raycdc.lake._publish`).
+    The tailer's directory listing therefore never sees a torn file, not
+    even after a crash, and a failed write leaves no temp file behind
+    (rollback = delete, never a partial segment). The segment keeps
+    pyarrow's default encoding. Segment ``name``s must sort in append
+    order (seg-NNNNN); ``test_tail_forever_concurrent_writer`` gates
+    exactly-once under a live writer using this contract."""
     import pyarrow.parquet as pq
 
     if not name.endswith(".parquet"):
         raise ValueError("segment names must end with .parquet")
     os.makedirs(log_dir, exist_ok=True)
-    tmp = os.path.join(log_dir, f".{name}.tmp")
     final = os.path.join(log_dir, name)
-    try:
-        pq.write_table(table, tmp)
-        os.rename(tmp, final)  # atomic commit on POSIX same-fs
-    except BaseException:
-        try:
-            os.unlink(tmp)  # rollback: remove the invisible partial
-        except OSError:
-            pass
-        raise
+    _publish(final, lambda tmp: pq.write_table(table, tmp))
     return final
 
 

@@ -80,15 +80,15 @@ def str_hash_u64(values, seed: int = 0) -> np.ndarray:
     """Deterministic vectorized 64-bit hash of a string column.
 
     Accepts a pyarrow Array/ChunkedArray, pandas Series, list, or ndarray.
-    Fast path: polars' seeded vectorized hash (one C pass over the Arrow
-    buffers, ~8 M rows/s — ~80x the pandas keyed-siphash path this
-    replaces and ~8x a per-row C md5 loop; BASELINE.md kernel bench),
-    finalized with splitmix so the published value never exposes the raw
-    kernel. Deterministic across processes, workers, and cluster sizes
-    for a pinned polars version (the hash is part of the lake's bucket
-    layout — any engine upgrade that changes it must rebuild or keep the
-    pandas fallback pinned; all synthesized/bench lakes are rebuilt per
-    run). Falls back to pandas' keyed siphash when polars is absent.
+    The kernel is polars' seeded vectorized hash (one C pass over the
+    Arrow buffers, ~8 M rows/s — ~80x a pandas keyed-siphash path and
+    ~8x a per-row C md5 loop; BASELINE.md kernel bench), finalized with
+    splitmix so the published value never exposes the raw kernel. It is
+    the only kernel: the hash is part of the lake's bucket layout, so a
+    second one would silently route keys to other buckets. polars is a
+    declared dependency, and ``tests/test_lake.py::
+    test_bucket_of_values_are_pinned`` fails if a polars upgrade moves
+    the values (such a lake must then be rebuilt).
     """
     if isinstance(values, pa.ChunkedArray):
         arr = values
@@ -98,16 +98,11 @@ def str_hash_u64(values, seed: int = 0) -> np.ndarray:
         arr = pa.chunked_array([pa.Array.from_pandas(values)])
     else:
         arr = pa.chunked_array([pa.array(values)])
-    try:
-        import polars as pl
+    import polars as pl
 
-        if not pa.types.is_string(arr.type) and not pa.types.is_large_string(arr.type):
-            arr = arr.cast(pa.string())
-        h = np.asarray(pl.from_arrow(arr).hash(seed=0).to_numpy(), dtype=np.uint64)
-    except ImportError:  # pragma: no cover - polars is baked into this env
-        h = pd.util.hash_pandas_object(
-            arr.to_pandas().astype("object"), index=False
-        ).to_numpy(np.uint64)
+    if not pa.types.is_string(arr.type) and not pa.types.is_large_string(arr.type):
+        arr = arr.cast(pa.string())
+    h = np.asarray(pl.from_arrow(arr).hash(seed=0).to_numpy(), dtype=np.uint64)
     return splitmix64(h ^ np.uint64(seed))
 
 

@@ -1380,6 +1380,86 @@ def test_null_key_events_are_dead_lettered_on_the_lakes_key(tmp_path):
     assert got["tokens"].to_pylist() == [[5], [3]]
 
 
+def test_segment_without_the_key_or_lsn_column_is_dead_lettered_whole(tmp_path):
+    """A segment that lacks the lake's key column, ``lsn`` or ``op``
+    cannot be folded: it is dead-lettered whole and committed once, and
+    the lake's state does not move — the tailer is not wedged on it."""
+    def seg(lsns, **key):
+        n = len(lsns)
+        return pa.table({
+            **key,
+            "lsn": pa.array(lsns, pa.int64()),
+            "op": ["insert"] * n,
+            "tokens": pa.array([[v] for v in lsns], pa.list_(pa.int32())),
+            "n_tok": pa.array([1] * n, pa.int32()),
+        })
+
+    log_dir = str(tmp_path / "log")
+    os.makedirs(log_dir)
+    pq.write_table(seg([1, 2], user_id=["u1", "u2"]), os.path.join(log_dir, "seg-00000.parquet"))
+    lk = LakeTable(str(tmp_path / "lake"), num_partitions=4, key="user_id")
+    lk.init()
+    dl = str(tmp_path / "dead")
+    assert tail_once(lk, log_dir, dead_letter_dir=dl) is not None
+    before = collect(lk.read()).sort_by("user_id")
+
+    pq.write_table(seg([3, 4], doc_id=[7, 8]), os.path.join(log_dir, "seg-00001.parquet"))
+    pq.write_table(seg([5], user_id=["u1"]).drop_columns(["lsn"]),
+                   os.path.join(log_dir, "seg-00002.parquet"))
+    pq.write_table(seg([6], user_id=["u2"]).drop_columns(["op"]),
+                   os.path.join(log_dir, "seg-00003.parquet"))
+    # one segment per epoch, so no batch mixes two segments
+    for epoch, name, tokens in ((2, "seg-00001.parquet", [3, 4]), (3, "seg-00002.parquet", [5]),
+                                (4, "seg-00003.parquet", [6])):
+        r = tail_once(lk, log_dir, max_segments_per_epoch=1, dead_letter_dir=dl)
+        assert (r["segments"], r["l0_runs"]) == ([name], 0)
+        dead = pq.read_table(os.path.join(dl, f"epoch={epoch:06d}"))
+        assert sorted(t for (t,) in dead["tokens"].to_pylist()) == tokens
+    assert tail_once(lk, log_dir, dead_letter_dir=dl) is None
+    applied = lk.manifest()["segments_applied"]
+    assert [applied.count(f"seg-0000{i}.parquet") for i in range(4)] == [1, 1, 1, 1]
+    assert collect(lk.read()).sort_by("user_id").equals(before)
+
+
+def test_publish_segment_fsyncs_the_segment_before_it_is_visible(tmp_path, monkeypatch):
+    """A segment is on stable storage before the rename makes it visible,
+    so a crash cannot leave a torn segment for the tailer; a failed write
+    leaves no temp file."""
+    from raycdc.tailer import publish_segment
+
+    events = []
+    real_fsync, real_replace, real_rename = os.fsync, os.replace, os.rename
+
+    def fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        return real_fsync(fd)
+
+    def visible(real):
+        def fn(src, dst, *a, **k):
+            events.append(("visible", os.path.basename(dst)))
+            return real(src, dst, *a, **k)
+        return fn
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", visible(real_replace))
+    monkeypatch.setattr(os, "rename", visible(real_rename))
+    log_dir = str(tmp_path / "log")
+    final = publish_segment(log_dir, "seg-00000.parquet", pa.table({"lsn": [1, 2]}))
+    at = events.index(("visible", "seg-00000.parquet"))
+    assert ("fsync", os.stat(final).st_ino) in events[:at]
+    assert pq.read_table(final)["lsn"].to_pylist() == [1, 2]
+
+    def torn_write(table, where, **kwargs):
+        with open(where, "wb") as f:
+            f.write(b"PAR1")
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(pq, "write_table", torn_write)
+    with pytest.raises(OSError):
+        publish_segment(log_dir, "seg-00001.parquet", pa.table({"lsn": [3]}))
+    assert os.listdir(log_dir) == ["seg-00000.parquet"]
+
+
 def test_lake_writes_state_files_through_one_writer():
     """Every state file, ingest run or compacted run, is written by
     ``LakeTable._write_run``: it holds the one parquet write of the lake."""

@@ -410,7 +410,7 @@ def test_asof_join_semantics():
 def test_tumbling_window_agg():
     import ray.data as rd
 
-    from raycdc.ops import tumbling_window_agg
+    from raycdc.ops import hopping_window_agg
 
     us = 1_000_000
     t = pa.table({
@@ -420,8 +420,8 @@ def test_tumbling_window_agg():
         "k": pa.array(["a", "b", "a", "a", "b"]),
         "v": pa.array([1, 2, 3, 4, 5], pa.int64()),
     })
-    out = tumbling_window_agg(
-        rd.from_arrow(t), "ts", every_s=60, keys=["k"],
+    out = hopping_window_agg(
+        rd.from_arrow(t), "ts", 60, 60, keys=["k"],
         specs={"n": ("v", "count"), "s": ("v", "sum")},
     )
     rows = {
@@ -466,6 +466,14 @@ def test_stratified_sample():
                               hash_kernel=kernel)
             .iter_batches(batch_size=None, batch_format="pyarrow")))
         assert sorted(a["doc_id"].to_pylist()) == sorted(b["doc_id"].to_pylist())
+        # a null group takes the default rate (SQL: ELSE of a CASE on the
+        # group); a null key is never kept
+        ng = pa.table({"doc_id": pa.array(["d1", "d2", None]),
+                       "lang": pa.nulls(3, pa.string())})
+        for default, want in ((0, []), (16, ["d1", "d2"])):
+            got = stratified_sample(rd.from_arrow(ng), "doc_id", "lang", {"en": 16},
+                                    default_sixteenths=default, hash_kernel=kernel)
+            assert sorted(r["doc_id"] for r in got.take_all()) == want, (kernel, default)
 
 
 def test_range_join():

@@ -14,7 +14,6 @@ from raycdc.ops import (
     grouped_quantile,
     hopping_window_agg,
     sessionize,
-    tumbling_window_agg,
 )
 
 
@@ -165,8 +164,10 @@ def test_hopping_equals_tumbling_when_size_is_hop():
         rd.from_arrow(t), "ts", size_s=3600, hop_s=3600,
         keys=["etype"], specs={"n": ("event_id", "count")},
     ).to_pandas()
-    tum = tumbling_window_agg(
-        rd.from_arrow(t), "ts", every_s=3600,
+    # plus a NULL-timestamp row: dropped, every other window unchanged
+    null_ts = t.slice(0, 1).set_column(2, "ts", pa.nulls(1, pa.timestamp("us")))
+    tum = hopping_window_agg(
+        rd.from_arrow(pa.concat_tables([t, null_ts])), "ts", 3600, 3600,
         keys=["etype"], specs={"n": ("event_id", "count")},
     ).to_pandas()
     a = hop.sort_values(["window_start", "etype"]).reset_index(drop=True)
@@ -1100,6 +1101,12 @@ def test_weighted_sample_kernels_and_rates():
         """,
     ).to_pandas()
     assert sorted(out["k"]) == sorted(want["k"])
+
+    # a null key or a null weight is never kept, under either kernel
+    nulls = pa.table({"k": pa.array([None, "doc1", None]),
+                      "w": pa.array([16, None, None], pa.int64())})
+    for kern in ("sip", "md5"):
+        assert weighted_sample(rd.from_arrow(nulls), "k", "w", hash_kernel=kern).count() == 0, kern
 
 
 def test_grouped_mode_matches_sql_count_window():
