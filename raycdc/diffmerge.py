@@ -25,7 +25,6 @@ Reference semantics (SURVEY.md §2.4 J4-J6, §2.8 C1-C4):
 from __future__ import annotations
 
 import hashlib
-import hmac
 import json
 
 import numpy as np
@@ -58,14 +57,39 @@ def _derive_key(password: str, iterations: int, salt: bytes = DEFAULT_SALT) -> b
     return hashlib.pbkdf2_hmac("sha256", password.encode(), salt, iterations)
 
 
+def _sealer(key: bytes):
+    """The envelope sealer for one derived ``key``: ``payload -> nonce +
+    AES-GCM(key, nonce, payload)``, where the nonce is
+    HMAC-SHA256(key, payload)[:12].
+
+    The HMAC is RFC 2104's ``H(K0 ^ opad || H(K0 ^ ipad || payload))``
+    with K0 the key zero-padded to SHA-256's 64-byte block: both pad
+    states are hashed once here, so a payload costs one copy and update
+    of each (byte-identical to ``hmac.new(key, payload, sha256)``), and
+    the ``AESGCM`` object is built once."""
+    if not HAVE_CRYPTO:  # pragma: no cover
+        raise NotImplementedError("cryptography library unavailable")
+    k0 = key.ljust(64, b"\0")  # a derived key is 32 bytes, never longer than a block
+    inner = hashlib.sha256(bytes(b ^ 0x36 for b in k0))
+    outer = hashlib.sha256(bytes(b ^ 0x5C for b in k0))
+    encrypt = AESGCM(key).encrypt
+
+    def seal_one(payload: bytes) -> bytes:
+        h = inner.copy()
+        h.update(payload)
+        mac = outer.copy()
+        mac.update(h.digest())
+        nonce = mac.digest()[:12]
+        return nonce + encrypt(nonce, payload, None)
+
+    return seal_one
+
+
 def seal(
     payload: bytes,
     password: str,
     iterations: int = DEFAULT_ITERATIONS,
     salt: bytes = DEFAULT_SALT,
-    _key: bytes | None = None,
-    _aes=None,
-    _mac=None,
 ) -> bytes:
     """Deterministic authenticated envelope: AES-256-GCM, SIV-style.
 
@@ -73,20 +97,10 @@ def seal(
     equal payloads still seal identically under one key (replay-stable
     epochs) but an attacker without the password can neither confirm a
     guessed payload offline nor link equal payloads across keys (an
-    unkeyed payload hash would leak both). Batch callers pass a
-    pre-derived ``_key`` (KDF once per batch, not per row), a hoisted
-    ``_aes`` cipher object (constructing ``AESGCM`` per row costs more
-    than the encryption of a small payload) and a hoisted ``_mac`` =
-    ``hmac.new(key, digestmod=hashlib.sha256)``, copied per payload so
-    the keyed HMAC state is set up once per batch."""
-    if not HAVE_CRYPTO:  # pragma: no cover
-        raise NotImplementedError("cryptography library unavailable")
-    key = _key if _key is not None else _derive_key(password, iterations, salt)
-    mac = _mac.copy() if _mac is not None else hmac.new(key, digestmod=hashlib.sha256)
-    mac.update(payload)
-    nonce = mac.digest()[:12]
-    aes = _aes if _aes is not None else AESGCM(key)
-    return nonce + aes.encrypt(nonce, payload, None)
+    unkeyed payload hash would leak both). One payload, one PBKDF2:
+    batch callers derive the key once and seal every row with one
+    :func:`_sealer`, which forms every nonce and ciphertext."""
+    return _sealer(_derive_key(password, iterations, salt))(payload)
 
 
 def unseal(
@@ -215,7 +229,9 @@ def compute_changeset(
     sorted column order — byte for byte the ``json.dumps(patch,
     sort_keys=True, separators=(",", ":"))`` of the per-row patch
     ``{"expect": {key: ...}, "restore": {...}}``. Only the seal
-    (HMAC-SHA256 nonce + AES-GCM) runs per row.
+    (HMAC-SHA256 nonce + AES-GCM) runs per row: one :func:`_sealer` per
+    batch, over the payloads read from the Arrow buffer (no per-row
+    Arrow scalar).
 
     ``kdf`` sets the key-derivation COST MODEL (output bytes identical):
 
@@ -227,8 +243,8 @@ def compute_changeset(
       image with a fresh PBKDF2 inside ("more iterations require more
       per-image computation") because its salt is per-envelope. Use for
       workload studies that must carry the reference's per-record CPU
-      (e.g. the scaling bench); the derived key — and therefore every
-      output byte — is unchanged.
+      (e.g. the scaling bench). Each record's PBKDF2 derives the batch
+      key again and is discarded, so every output byte is unchanged.
     """
     if original.num_rows != transformed.num_rows:
         raise ValueError("changeset requires row-aligned tables")
@@ -262,14 +278,12 @@ def compute_changeset(
     ).cast(pa.binary())
     if not password:
         return transformed.append_column(CHANGESET_COL, raw)
-    derived = _derive_key(password, iterations, salt)  # KDF once per batch
-    aes = AESGCM(derived) if HAVE_CRYPTO else None
-    mac = hmac.new(derived, digestmod=hashlib.sha256)
-    blobs = []
-    for payload in raw.to_pylist():
-        if kdf == "row":  # reference cost model: one KDF per record
-            derived = _derive_key(password, iterations, salt)
-        blobs.append(seal(payload, password, iterations, salt, _key=derived, _aes=aes, _mac=mac))
+    seal_one = _sealer(_derive_key(password, iterations, salt))  # KDF once per batch
+    if kdf == "row":  # reference cost model: one KDF per record (the same key)
+        for _ in range(n_rows):
+            _derive_key(password, iterations, salt)
+    # raw is null-free (every cell JSON is filled), so to_numpy yields bytes only
+    blobs = [seal_one(p) for p in raw.to_numpy(zero_copy_only=False)]
     return transformed.append_column(CHANGESET_COL, pa.array(blobs, type=pa.binary()))
 
 
@@ -384,9 +398,14 @@ def apply_changeset(
 
 
 class DeidentifyEncrypt:
-    """Actor-pool stage for the forward path: rules + change-set seal.
-    CPU-bound (PBKDF2 per batch of rows) → run as ``map_batches(cls,
-    concurrency=N)`` with ``iterations`` as the compute dial."""
+    """The forward path as one batch callable: rules + change-set seal.
+    It holds only its configuration, so an instance runs in a task stage
+    (``ds.map_batches(stage, batch_format="pyarrow")``, as
+    :func:`raycdc.pipelines.deid_transform` does); the class also runs
+    as an actor pool (``map_batches(DeidentifyEncrypt,
+    fn_constructor_kwargs=..., concurrency=N)``). Its CPU is one PBKDF2
+    per batch (per row with ``kdf="row"``, ``iterations`` the dial) and
+    one seal per row."""
 
     def __init__(self, ruleset, key: str = "doc_id", password: str | None = None,
                  iterations: int = DEFAULT_ITERATIONS, salt: bytes = DEFAULT_SALT,

@@ -39,13 +39,16 @@ def _per_distinct(values, fn, typ) -> pa.Array:
     order: ``dictionary_encode`` → ``fn`` on the dictionary → ``take``.
     Exact for a pure ``fn``; NULL rows stay NULL. ``typ=None`` infers
     the output type from the mapped values (``null`` when there are
-    none)."""
+    none). The dictionary reaches ``fn`` through ``to_numpy``, which
+    hands over Python strings without boxing an Arrow scalar per value
+    (only a ``null``-typed input's dictionary holds a None)."""
     if isinstance(values, pa.ChunkedArray):
         values = values.combine_chunks()
     elif not isinstance(values, pa.Array):
         values = pa.array(values, type=pa.string())
     enc = values.dictionary_encode()
-    mapped = [None if v is None else fn(v) for v in enc.dictionary.to_pylist()]
+    dist = enc.dictionary.to_numpy(zero_copy_only=False)
+    mapped = [None if v is None else fn(v) for v in dist]
     return pa.array(mapped, type=typ).take(enc.indices)
 
 

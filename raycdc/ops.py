@@ -402,7 +402,9 @@ def _two_sided(left: ray.data.Dataset, right: ray.data.Dataset, lkeys: list[str]
     suffix where its name is a left column) unless ``payload`` is
     False, and a side's missing columns are null-backfilled. An
     ``int8`` ``_side`` column tags the side (0 left, 1 right), and
-    ``split`` takes a bucket apart again."""
+    ``split`` takes a bucket apart again. A name that this schema would
+    repeat (a ``<name>_r`` that is already taken, or ``_side``) raises
+    ``ValueError`` here, before any task runs."""
     lsch, rsch = left.schema(), right.schema()
     lcols = list(lsch.names)
     rtypes = dict(zip(rsch.names, rsch.types))
@@ -410,6 +412,10 @@ def _two_sided(left: ray.data.Dataset, right: ray.data.Dataset, lkeys: list[str]
     rename = {n: f"{n}_r" if n in lcols else n for n in rkeep}
     want = pa.schema([*zip(lcols, lsch.types), *((rename[n], rtypes[n]) for n in rkeep)])
     unified = want.append(pa.field("_side", pa.int8()))
+    clash = sorted({n for n in unified.names if unified.names.count(n) > 1})
+    if clash:
+        raise ValueError(f"join output repeats column(s) {clash}: a right column clashing "
+                         "with a left one is renamed '<name>_r', so rename the inputs")
 
     def conform(side: int, colmap: dict):
         def fn(t: pa.Table) -> pa.Table:

@@ -1,9 +1,9 @@
 """Micro-bench of engine kernels, each against the variant it replaced
 or beat: dedup candidate-pair generation and pair-Jaccard verify, the
 L0 run writer's LWW fold and its parquet encode, the unordered LWW
-fold of ``lww_apply``, and the LWW pre-fold ahead of the deid
-transform. Pure numpy/Arrow — no Ray session; identical output
-asserted per kernel.
+fold of ``lww_apply``, the LWW pre-fold ahead of the deid transform
+and the deid stage's pseudonymize and seal loops. Pure numpy/Arrow —
+no Ray session; identical output asserted per kernel.
 
     python scripts/kernel_bench.py
 
@@ -33,6 +33,13 @@ Outcome (this bench DROVE the shipped choice of every kernel):
   the deid stage on every ok row + the same fold, 1.01 s (1.24x);
   identical run tables and run names. SHIPS (tailer.ok_winners ahead
   of a tail_once transform).
+- DEID seal (the same winners, 70.9k rows, 1-core host, pyarrow 16.1,
+  best of 3, three runs): the stage reading the identity dictionary and
+  the envelope payloads with to_numpy and sealing with one sealer per
+  batch (SHA-256 pad states hashed once), 0.28-0.30 s, vs to_pylist of
+  both and a per-row copy of a keyed hmac.HMAC, 0.48-0.57 s
+  (1.6-2.0x); identical pseudonyms and _changeset bytes. SHIPS
+  (identity._per_distinct, diffmerge.compute_changeset's _sealer).
 - UNORDERED fold (lww_apply, 65k-row multi-chunk batches): a mask
   filter of the shared winners matches the replaced filter fold
   (0.17-0.22 s); an ordered take or a sorted-index take is 1.4-1.8x
@@ -319,6 +326,75 @@ def bench_deid_prefold(partitions: int = 32) -> dict:
             "speedup": round(t_old / t_new, 2)}
 
 
+def _replaced_per_distinct(values, fn, typ) -> pa.Array:
+    """The replaced identity loop: ``fn`` over the boxed dictionary."""
+    enc = values.combine_chunks().dictionary_encode()
+    return pa.array([None if v is None else fn(v) for v in enc.dictionary.to_pylist()],
+                    type=typ).take(enc.indices)
+
+
+def _replaced_seal(payload: bytes, aes, mac) -> bytes:
+    """The replaced per-row seal: a copy of a keyed ``hmac.HMAC`` per row."""
+    m = mac.copy()
+    m.update(payload)
+    nonce = m.digest()[:12]
+    return nonce + aes.encrypt(nonce, payload, None)
+
+
+def bench_deid_seal() -> dict:
+    """``deid_transform``'s stage over the ``tail_deid`` seed-7 ok LWW
+    winners (what ``tail_once`` hands it): the replaced loops (the
+    identity functions over ``to_pylist`` of the dictionary; the envelope
+    payloads over ``to_pylist``, sealed per row with a copy of a keyed
+    ``hmac.HMAC``) vs the shipped stage (both over ``to_numpy``; one
+    ``diffmerge._sealer`` per batch). Identical pseudonyms and
+    ``_changeset`` bytes asserted."""
+    import hmac
+
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
+    from raycdc.diffmerge import CHANGESET_COL, _derive_key, compute_changeset
+    from raycdc.identity import _pseudo, _uuid5
+    from raycdc.pipelines import deid_stage
+    from raycdc.routing import stamp_route
+    from raycdc.rules import Rule, RuleSet
+    from raycdc.tailer import ok_winners
+
+    segs = [ok_winners(stamp_route(s, "doc_id"), "doc_id")
+            for s in _raw_segments(n_segments=4, n_base=25_000)]
+    stage = deid_stage(password="bench", iterations=200, kdf="batch")
+    rules = RuleSet(rules=[
+        Rule(column="doc_id", action="map",
+             fn=lambda t: _replaced_per_distinct(t["doc_id"], _pseudo, pa.string())),
+        Rule(column="source", action="map",
+             fn=lambda t: _replaced_per_distinct(t["source"], _uuid5, None)),
+    ])
+
+    def replaced():
+        key = _derive_key("bench", 200)  # once per batch, as the stage does
+        aes, mac = AESGCM(key), hmac.new(key, digestmod=hashlib.sha256)
+        out = []
+        for s in segs:
+            t = compute_changeset(s, rules(s), key="doc_id")
+            raw = t[CHANGESET_COL].combine_chunks()
+            blobs = [_replaced_seal(p, aes, mac) for p in raw.to_pylist()]
+            out.append(t.set_column(t.column_names.index(CHANGESET_COL), CHANGESET_COL,
+                                    pa.array(blobs, type=pa.binary())))
+        return out
+
+    def shipped():  # SHIPPED (pipelines.deid_stage)
+        return [stage(s) for s in segs]
+
+    t_old, o_old = timeit(replaced, reps=3)
+    t_new, o_new = timeit(shipped, reps=3)
+    assert all(a.equals(b) for a, b in zip(o_old, o_new))
+    return {"kernel": "deid_seal", "segments": len(segs),
+            "rows": sum(s.num_rows for s in segs),
+            "replaced_pylist_hmac_copy_sec": round(t_old, 4),
+            "shipped_to_numpy_pad_states_sec": round(t_new, 4),
+            "speedup": round(t_old / t_new, 2)}
+
+
 def bench_run_encode(partitions: int = 32) -> dict:
     """Parquet encode of one bucket-sorted L0 run: the pyarrow default
     (snappy, dictionary on every column — the token-list leaf included),
@@ -362,4 +438,5 @@ if __name__ == "__main__":
     print(json.dumps(bench_lww_write_run()))
     print(json.dumps(bench_lww_unordered_fold()))
     print(json.dumps(bench_deid_prefold()))
+    print(json.dumps(bench_deid_seal()))
     print(json.dumps(bench_run_encode()))

@@ -45,6 +45,29 @@ def test_seal_unseal_roundtrip_and_determinism():
     assert seal(b"payload", "pw", iterations=10) == blob  # replay-stable
 
 
+def test_sealer_matches_the_standard_library():
+    """The sealer's nonce from precomputed SHA-256 pad states is exactly
+    ``hmac.new(key, payload, sha256).digest()[:12]``; the payload lengths
+    cross SHA-256's block (64) and padding (55/56, 119/120) boundaries."""
+    import hmac
+    import random
+
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
+    from raycdc.diffmerge import _derive_key, _sealer
+
+    rng = random.Random(5)
+    keys = [_derive_key("pw", 10), bytes(32), b"\xff" * 32,
+            *(rng.randbytes(32) for _ in range(3))]
+    for key in keys:
+        seal_one = _sealer(key)
+        for n in (0, 1, 55, 56, 63, 64, 65, 119, 120, 1000):
+            p = rng.randbytes(n)
+            nonce = hmac.new(key, p, hashlib.sha256).digest()[:12]
+            assert seal_one(p) == nonce + AESGCM(key).encrypt(nonce, p, None)
+    assert seal(b"payload", "pw", iterations=10) == _sealer(_derive_key("pw", 10))(b"payload")
+
+
 def test_changeset_roundtrip_plain():
     base = base_table(20, seed=6, min_len=4, max_len=8)
     enc = compute_changeset(base, RULES(base))

@@ -314,6 +314,27 @@ def test_hash_join_null_keys_never_match():
         ("a", "R1"), ("b", "-"), ("c", "-"), ("d", "-")]
 
 
+def test_join_refuses_a_renamed_column_that_is_taken():
+    """A right column that clashes with a left one is renamed
+    ``<name>_r``; when that name is taken as well, both two-sided joins
+    refuse the inputs on the driver, naming the column, instead of
+    failing inside the bucket fold on a duplicate field."""
+    from raycdc.ops import asof_join, hash_join
+
+    k = pa.array([1, 2], pa.int64())
+    left = rd.from_arrow(pa.table({"k": k, "t": k, "x": ["a", "b"]}))
+    right = rd.from_arrow(pa.table({"k": k, "t": k, "x": ["A", "B"], "x_r": ["p", "q"]}))
+    with pytest.raises(ValueError, match=r"\['x_r'\]"):
+        hash_join(left, right, "k", num_buckets=4)
+    with pytest.raises(ValueError, match=r"\['x_r'\]"):
+        asof_join(left, right, on_left="t", on_right="t", by_left="k", by_right="k",
+                  num_buckets=4)
+    # the taken name may be the left's own column too
+    left_r = rd.from_arrow(pa.table({"k": k, "x": ["a", "b"], "x_r": ["p", "q"]}))
+    with pytest.raises(ValueError, match=r"\['x_r'\]"):
+        hash_join(left_r, rd.from_arrow(pa.table({"k": k, "x": ["A", "B"]})), "k")
+
+
 def collect_rows(ds):
     return ds.take_all()
 

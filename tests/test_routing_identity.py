@@ -110,6 +110,34 @@ def test_identity_functions_golden_values():
         assert uid.type == pa.null() and uid.to_pylist() == [None] * len(inp)
 
 
+def test_identity_functions_on_buffer_shapes():
+    """The identity functions read their input's buffers: a slice (non-zero
+    offset), a ``large_string`` array and a chunked input with an empty
+    chunk and NULLs each give the per-value ``hashlib`` / ``uuid.uuid5``
+    result."""
+    import hashlib
+    import uuid
+
+    def ref_pid(vals):
+        return [None if v is None else "anon-" + hashlib.md5(v.encode()).hexdigest()[:16]
+                for v in vals]
+
+    def ref_uid(vals):
+        return [None if v is None else str(uuid.uuid5(uuid.NAMESPACE_DNS, v)) for v in vals]
+
+    vals = [f"doc-{i % 7}" for i in range(20)] + [None, "é", "数据", ""]
+    shapes = [
+        pa.array(vals).slice(3, 17),
+        pa.array(vals, pa.large_string()),
+        pa.array(vals, pa.large_string()).slice(5),
+        pa.chunked_array([vals[:4], [], vals[4:9], [None, None], vals[9:]], pa.string()),
+    ]
+    for inp in shapes:
+        want = inp.to_pylist()
+        assert pseudo_id(inp).to_pylist() == ref_pid(want)
+        assert name_based_uid(inp).to_pylist() == ref_uid(want)
+
+
 def test_identity_substitute_matched_and_generated():
     base = base_table(10, seed=7, min_len=4, max_len=8)
     ids = base["doc_id"].to_pylist()
