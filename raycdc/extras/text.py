@@ -1,18 +1,16 @@
 """Text analysis stages over a documents table: language-ID, quality
-scoring, token counting, fingerprinting.
+scoring, word statistics, search and decontamination.
 
 All hot kernels are vectorized: language/stopword hits are
 ``pc.count_substring_regex`` over a ``\\b(...)\\b`` alternation (one RE2
-scan per language per batch, the same regex the DuckDB oracle runs),
-ratios/scores are Arrow compute arithmetic, and the rolling fingerprint
-is the numpy polynomial hash from ``texthash`` — no per-row Python in
-any hot loop. Stages that hold compiled state are callable classes
+scan per language per batch, the same regex the DuckDB oracle runs) and
+ratios/scores are Arrow compute arithmetic — no per-row Python in any
+hot loop. Stages that hold compiled state are callable classes
 (actor pools — built once per actor in ``__init__``).
 """
 
 from __future__ import annotations
 
-import hashlib
 import re
 
 import numpy as np
@@ -110,43 +108,6 @@ class QualityScore:
             .append_column("punct_ratio", punct_ratio)
             .append_column("quality", score)
         )
-
-
-def token_count_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
-    """Whitespace + BPE-ish token counting (vectorized regex counts)."""
-    txt = batch[text_col]
-    ws = pc.count_substring_regex(txt, pattern=r"\S+").cast(pa.int64())
-    # BPE-ish: word pieces + digits + punctuation as separate tokens
-    bpe = pc.count_substring_regex(txt, pattern=r"[A-Za-z]+|\d|[^\sA-Za-z\d]").cast(pa.int64())
-    return batch.append_column("n_ws_tokens", ws).append_column("n_bpe_tokens", bpe)
-
-
-_WS = re.compile(r"\s+")
-
-
-def fingerprint_batch(batch: pa.Table, text_col: str = "text",
-                      include_md5: bool = True) -> pa.Table:
-    """Content fingerprint. Two columns:
-
-    * ``rolling_fp`` — 64-bit Karp-Rabin rolling hash over the word-hash
-      stream (numpy polynomial, fully vectorized) — the ENGINE-SCALE
-      fingerprint; use this (``include_md5=False``) on corpus-wide paths.
-    * ``fp`` — md5 of whitespace-normalized lowercase text, one C digest
-      per document in a Python loop — ORACLE-ONLY: kept because DuckDB
-      runs the identical ``md5(...)`` expression for the ★ check.
-    """
-    from raycdc.extras.texthash import polynomial_fingerprint, word_hash_flat
-
-    fh, offs = word_hash_flat(batch[text_col])
-    rolls = polynomial_fingerprint(fh, offs)
-    if include_md5:
-        norm = pc.replace_substring_regex(
-            pc.utf8_lower(batch[text_col]), pattern=r"\s+", replacement=" "
-        )
-        norm = pc.utf8_trim_whitespace(norm)
-        fps = [hashlib.md5(x.encode()).hexdigest() for x in norm.to_pylist()]
-        batch = batch.append_column("fp", pa.array(fps))
-    return batch.append_column("rolling_fp", pa.array(rolls.view(np.int64), type=pa.int64()))
 
 
 def top_words(

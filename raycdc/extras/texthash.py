@@ -1,8 +1,8 @@
 """Vectorized text-hashing primitives shared by the dedup and text
 stages: whitespace/word tokenization via Arrow kernels, flat 64-bit word
 hashing via pandas' keyed siphash (C speed, deterministic across
-processes), ragged k-gram rolling hashes and polynomial fingerprints via
-numpy over the *flattened* word stream with per-doc offsets.
+processes), ragged k-gram rolling hashes and minhash/simhash signatures
+via numpy over the *flattened* word stream with per-doc offsets.
 
 These replace the round-1 per-row / per-word Python ``hashlib.md5``
 loops (the 100-TB kernel gap): every hot operation below is one Arrow
@@ -23,8 +23,6 @@ import pyarrow.compute as pc
 from raycdc.util import splitmix64, str_hash_u64
 
 MERSENNE61 = (1 << 61) - 1
-FNV_OFFSET = np.uint64(1469598103934665603)
-FNV_PRIME = np.uint64(1099511628211)
 
 
 def word_hash_flat(
@@ -161,36 +159,6 @@ def simhash_bits(fh: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     out[ne] = (set_bits << np.arange(64, dtype=np.uint64)[None, :]).sum(
         axis=1, dtype=np.uint64
     )
-    return out
-
-
-def polynomial_fingerprint(
-    fh: np.ndarray,
-    offsets: np.ndarray,
-    seed: np.uint64 = FNV_OFFSET,
-    prime: np.uint64 = FNV_PRIME,
-) -> np.ndarray:
-    """Karp-Rabin-style rolling fingerprint per doc, vectorized: the
-    iterative fold ``h = h * p + w_j (mod 2^64)`` equals the polynomial
-    ``seed * p^n + Σ w_j * p^(n-1-j)``, computed with a precomputed
-    power table, flat multiply, and one ``np.add.reduceat``."""
-    n_docs = len(offsets) - 1
-    lens = np.diff(offsets)
-    max_len = int(lens.max()) if n_docs else 0
-    pows = np.empty(max_len + 1, dtype=np.uint64)
-    pows[0] = np.uint64(1)
-    for i in range(1, max_len + 1):  # tiny loop: max words per doc, not per word
-        pows[i] = pows[i - 1] * prime
-    out = np.empty(n_docs, dtype=np.uint64)
-    out[:] = seed * pows[lens]  # seed * p^n  (p^0 = 1 for empty docs → seed)
-    ne = lens > 0
-    if ne.any():
-        doc_of = np.repeat(np.arange(n_docs), lens)
-        local = np.arange(len(fh), dtype=np.int64) - np.repeat(offsets[:-1], lens)
-        exp = (lens[doc_of] - 1 - local).astype(np.int64)
-        terms = fh * pows[exp]
-        sums = np.add.reduceat(terms, offsets[:-1][ne])
-        out[ne] += sums
     return out
 
 

@@ -59,15 +59,12 @@ the logical form, and the manifest ``schema`` is the logical one. Files
 without that metadata (the list form) read as they are.
 
 Concurrency: the commit is its own compare-and-swap, with no lock. A
-writer that read epoch N commits by ``os.link``-ing a fsynced temp file
-to the snapshot name of N + 1, which fails if the name exists: of two
-writers from one epoch exactly one commits, the other gets
-``ConcurrentWriterError``. ``_manifest.json`` is then swapped to the same
-content; it is a pointer that may lag (a crash between the link and the
-swap, or a swap that stalls past newer commits), so
-:meth:`LakeTable.manifest` reads the newest snapshot when it is newer.
-:meth:`LakeTable.vacuum` never touches a newer epoch's files, which may
-belong to an apply or compaction still in flight.
+writer that read epoch N commits with one durable write, ``os.link``-ing
+a fsynced temp file to the snapshot name of N + 1, which fails if the
+name exists: of two writers from one epoch exactly one commits, the
+other gets ``ConcurrentWriterError``. The newest snapshot is the current
+manifest. :meth:`LakeTable.vacuum` never touches a newer epoch's files,
+which may belong to an apply or compaction still in flight.
 
 Scale: a read or compaction task folds one range of at most about
 ``RANGE_ROWS`` rows (or one partition); output is partitioned parquet so
@@ -96,7 +93,9 @@ from raycdc.routing import ROUTE_COL, ROUTE_OK
 from raycdc.schema_evo import conform_to, schema_from_str, schema_to_str, unify
 from raycdc.util import bucket_of, str_hash_u64
 
-MANIFEST = "_manifest.json"
+# the current-manifest pointer of older lakes: read while no snapshot
+# is as new, never written
+_LEGACY_MANIFEST = "_manifest.json"
 # rows one merge-on-read / compaction task folds at most (beyond one
 # range per cluster CPU): bounds a fold task's memory
 RANGE_ROWS = 1 << 18
@@ -140,6 +139,15 @@ def _atomic_write_json(path: str, obj: dict, exclusive: bool = False) -> None:
             json.dump(obj, f, indent=1, sort_keys=True)
 
     _publish(path, write, exclusive)
+
+
+def _load(path: str) -> dict | None:
+    """The JSON object at ``path``; None when there is no such file."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except FileNotFoundError:
+        return None
 
 
 # The stored form of runs: a ``list`` column of ints or floats
@@ -392,15 +400,9 @@ class LakeTable:
         commit_mode: str = "l0",
         l0_compact_files: int = 24,
     ):
-        """Ingest is **shuffle-free** (LSM level-0 / merge-on-read style):
-        each ingest task writes one bucket-SORTED run file with
-        ~``num_partitions`` row groups, so a bucket-range read prunes to
-        its own row groups via parquet statistics. There is no all-to-all
-        in the apply path — the epoch is map-only and scales linearly with
-        cores/nodes. Reads fold every run that meets a range (pruned);
-        when pending runs exceed ``l0_compact_files`` the apply
-        auto-compacts (Ray-parallel, one task per contiguous bucket
-        range, storage-pruned reads — still no network shuffle).
+        """A handle on the lake at ``path``, laid out and committed as the
+        module docstring says; an apply that leaves more than
+        ``l0_compact_files`` runs pending also compacts.
 
         ``key`` defaults to the manifest's key, or ``"doc_id"`` for a lake
         :meth:`init` creates; a key the manifest contradicts raises
@@ -418,38 +420,42 @@ class LakeTable:
         self._requested_partitions = num_partitions
 
     # ------------------------------------------------------------ manifest
+    def _current(self) -> tuple[str, dict | None]:
+        """The file that holds the current manifest and its content (None
+        before :meth:`init`): the newest snapshot, or a legacy
+        ``_manifest.json`` that no snapshot is as new as. A newer commit
+        and a vacuum can reclaim the listed snapshot before it is opened
+        (vacuum keeps only the current one): then it lists again."""
+        legacy = os.path.join(self.path, _LEGACY_MANIFEST)
+        old = _load(legacy)
+        while True:
+            snaps = self.epochs()
+            if old is not None and (not snaps or old["epoch"] > snaps[-1]):
+                return legacy, old
+            path = self._snapshot_path(snaps[-1] if snaps else 0)
+            m = _load(path)
+            if m is not None or not snaps:
+                return path, m
+
     @property
     def manifest_path(self) -> str:
-        return os.path.join(self.path, MANIFEST)
+        """The file that holds the current manifest."""
+        return self._current()[0]
 
     def exists(self) -> bool:
-        return os.path.exists(self.manifest_path)
+        return bool(self.epochs()) or os.path.exists(os.path.join(self.path, _LEGACY_MANIFEST))
 
     def manifest(self, epoch: int | None = None) -> dict:
-        """Current manifest, or — time travel — the immutable snapshot
-        committed at ``epoch``. Each snapshot is its epoch's commit and
-        is retained until :meth:`vacuum` (``keep_epochs``) reclaims it, so
-        any retained epoch's full table state stays readable. The current
-        manifest is the newer of ``_manifest.json`` and the newest
-        snapshot: the pointer is swapped after the commit, so it may lag,
-        and a stalled swap may land after newer commits and a vacuum of
-        the snapshots between."""
-        if epoch is not None:
-            try:
-                with open(self._snapshot_path(epoch)) as f:
-                    return _upgrade(json.load(f))
-            except FileNotFoundError:
-                raise LookupError(
-                    f"no manifest snapshot for epoch {epoch}: it was never "
-                    "committed, pre-dates snapshotting, or was vacuumed "
-                    "(raise vacuum(keep_epochs=...) to retain more history)"
-                ) from None
-        with open(self.manifest_path) as f:
-            m = json.load(f)
-        snaps = self.epochs()
-        if snaps and snaps[-1] > m["epoch"]:
-            with open(self._snapshot_path(snaps[-1])) as f:
-                m = json.load(f)
+        """Current manifest (the newest snapshot) or, time travel, the
+        snapshot committed at ``epoch``: each is immutable and retained
+        until :meth:`vacuum` (``keep_epochs``) reclaims it."""
+        m = self._current()[1] if epoch is None else _load(self._snapshot_path(epoch))
+        if m is None and epoch is not None:
+            raise LookupError(f"no manifest snapshot for epoch {epoch}: it was never committed, "
+                              "pre-dates snapshotting, or was vacuumed (raise "
+                              "vacuum(keep_epochs=...) to retain more history)")
+        if m is None:
+            raise FileNotFoundError(f"no lake at {self.path}")
         return _upgrade(m)
 
     def _snapshot_path(self, epoch: int) -> str:
@@ -458,13 +464,9 @@ class LakeTable:
     def epochs(self) -> list[int]:
         """Epochs readable via ``read(epoch=...)`` (retained snapshots)."""
         d = os.path.join(self.path, "manifests")
-        if not os.path.isdir(d):
-            return []
-        return sorted(
-            int(f[len("manifest-e"):-len(".json")])
-            for f in os.listdir(d)
-            if f.startswith("manifest-e") and f.endswith(".json")
-        )
+        names = os.listdir(d) if os.path.isdir(d) else []
+        return sorted(int(f[len("manifest-e"):-len(".json")]) for f in names
+                      if f.startswith("manifest-e") and f.endswith(".json"))
 
     def _commit_manifest(self, m: dict, record: dict, **changes) -> dict:
         """The single commit point of the epoch after ``m``'s: apply
@@ -472,9 +474,7 @@ class LakeTable:
         epoch's immutable snapshot put-if-absent — the compare-and-swap:
         if another writer committed the epoch first, this one raises
         ``ConcurrentWriterError`` and its files stay orphans for
-        :meth:`vacuum`. Then swap ``_manifest.json`` to the same content.
-        A crash between the two loses nothing: :meth:`manifest` reads the
-        newest snapshot. Returns the manifest.
+        :meth:`vacuum`. Returns the manifest.
 
         Vacuum reclaims old snapshot names, so a writer that outlived
         newer commits and a vacuum of them could create its name anew.
@@ -499,13 +499,12 @@ class LakeTable:
             os.remove(snap)
             _fsync_dir(snap)
             raise lost
-        _atomic_write_json(self.manifest_path, m2)
         return m2
 
     def init(self) -> dict:
-        """Idempotent bootstrap (Flyway-migration analog): manifest v0,
-        empty lake. Returns the manifest."""
-        os.makedirs(self.path, exist_ok=True)
+        """Idempotent bootstrap (Flyway-migration analog): epoch 0's
+        snapshot, the empty lake, created put-if-absent, so of two racing
+        inits one writes it and both return it. Returns the manifest."""
         if self.exists():
             return self.manifest()
         m = {
@@ -519,7 +518,11 @@ class LakeTable:
             "l0": [],
             "history": [],
         }
-        _atomic_write_json(self.manifest_path, m)
+        os.makedirs(os.path.join(self.path, "manifests"), exist_ok=True)
+        try:
+            _atomic_write_json(self._snapshot_path(0), m, exclusive=True)
+        except FileExistsError:
+            return self.manifest()
         return m
 
     # ------------------------------------------------------------ read
@@ -629,11 +632,8 @@ class LakeTable:
         epoch first; a compaction that loses so leaves the applied epoch
         committed, and the result has no ``auto_compacted``.
 
-        Shuffle-free: one map-only pass stamps each input block's
-        buckets, folds it per key into (bucket, key) order, and writes ONE
-        run file per block with ~P row groups (so bucket-range reads prune
-        via parquet statistics), named from its content by
-        :meth:`_write_run`.
+        Shuffle-free: one map-only pass folds each input block into one
+        run (:meth:`_write_run`), in (bucket, key) order.
         """
         m = self.manifest()
         done = set(m["segments_applied"])
@@ -712,9 +712,9 @@ class LakeTable:
         the single retention dial for both state and history.
 
         Runs beside writers, without a lock: the current epoch's snapshot
-        (the commit, while ``_manifest.json`` lags) and everything of a
-        newer epoch — an in-flight apply's or compaction's runs — are
-        kept, and a file another vacuum removed first is skipped."""
+        and everything of a newer epoch — an in-flight apply's or
+        compaction's runs — are kept, and a file another vacuum removed
+        first is skipped."""
         m = self.manifest()
         cur = m["epoch"]
         snaps = [e for e in self.epochs() if e <= cur]

@@ -21,7 +21,7 @@ from raycdc.extras.multimodal import (
     decode_features,
 )
 from raycdc.extras.similarity import IVFIndex, knn_brute
-from raycdc.extras.text import LangId, QualityScore, fingerprint_batch, token_count_batch
+from raycdc.extras.text import LangId, QualityScore
 
 
 def collect(ds):
@@ -146,16 +146,8 @@ def test_lang_id():
 
 
 def test_quality_and_tokens_and_fingerprint():
-    t = doc_table()
-    q = QualityScore()(t)
+    q = QualityScore()(doc_table())
     assert q["stop_ratio"].to_pylist()[0] > 0
-    tk = token_count_batch(t)
-    assert tk["n_ws_tokens"].to_pylist()[0] == 9
-    fp = fingerprint_batch(t)
-    fps = fp["fp"].to_pylist()
-    assert fps[0] == fps[1] and fps[0] != fps[4]
-    rolls = fp["rolling_fp"].to_pylist()
-    assert rolls[0] == rolls[1] and rolls[0] != rolls[4]
 
 
 # --------------------------------------------------------------- multimodal
@@ -394,16 +386,6 @@ def test_deterministic_sample_kernels():
     md5_rows = collect(deterministic_sample(rd.from_arrow(t), "doc_id", 2, hash_kernel="md5"))
     expect = [v for v in ids if v is not None and hashlib.md5(v.encode()).hexdigest()[0] in "01"]
     assert sorted(md5_rows["doc_id"].to_pylist()) == sorted(expect)
-
-
-def test_fingerprint_md5_optional():
-    t = doc_table()
-    full = fingerprint_batch(t)
-    lean = fingerprint_batch(t, include_md5=False)
-    assert "fp" in full.column_names and "fp" not in lean.column_names
-    assert full["rolling_fp"].to_pylist() == lean["rolling_fp"].to_pylist()
-    # identical docs share both fingerprints
-    assert full["fp"][0] == full["fp"][1] and full["rolling_fp"][0] == full["rolling_fp"][1]
 
 
 def test_codec_registry_external_decoder_flows_through():

@@ -77,6 +77,34 @@ def test_init_idempotent(tmp_path):
     assert m1 == m2 and m1["epoch"] == 0
 
 
+def test_racing_inits_write_one_snapshot(tmp_path, monkeypatch):
+    """Inits of one new lake race past ``exists()``: epoch 0's snapshot
+    is created put-if-absent, so one of them writes it and every one
+    returns the manifest it holds."""
+    import threading
+
+    n, path = 4, str(tmp_path / "l")
+    real_write = lake_mod._atomic_write_json
+    barrier = threading.Barrier(n, timeout=30)
+
+    def gated_write(*args, **kw):
+        barrier.wait()  # every init has found no lake
+        return real_write(*args, **kw)
+
+    monkeypatch.setattr(lake_mod, "_atomic_write_json", gated_write)
+    got = []
+    threads = [threading.Thread(target=lambda p=p: got.append(LakeTable(path, num_partitions=p).init()))
+               for p in range(1, n + 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads) and len(got) == n
+    assert all(m == got[0] for m in got) and got[0]["epoch"] == 0
+    assert os.listdir(os.path.join(path, "manifests")) == ["manifest-e000000.json"]
+    assert LakeTable(path).manifest() == got[0]
+
+
 def test_apply_and_read_matches_oracle(lake, tmp_path):
     base, log_dir, all_events = make_log(tmp_path)
     seeded_lake(lake, base)
@@ -129,37 +157,28 @@ def test_partial_overlap_rejected(lake, tmp_path):
         lake.apply(ev, [segs[0], segs[1]])
 
 
-@pytest.mark.parametrize("crash_at", ["snapshot", "pointer"])
+@pytest.mark.parametrize("crash_at", ["snapshot"])
 def test_crash_between_epoch_write_and_manifest_swap(lake, tmp_path, monkeypatch, crash_at):
-    """Kill the commit after the epoch's state files are written. At the
-    snapshot create (the commit point) the lake stays at the old epoch; at
-    the pointer swap after it, the epoch is committed and ``manifest()``
-    rolls forward to it. Either way vacuum keeps the epoch it reads, and
-    tailing on reconverges with no segment applied twice."""
-    import json
-
+    """Kill the commit after the epoch's state files are written, at its
+    one write, the snapshot create: the lake stays at the old epoch,
+    vacuum keeps that epoch, and tailing on reconverges with no segment
+    applied twice."""
     base, log_dir, all_events = make_log(tmp_path, seed=37, n_segments=2)
     seeded_lake(lake, base)
     real_write = lake_mod._atomic_write_json
 
     def crashing_write(path, obj, exclusive=False):
-        if exclusive == (crash_at == "snapshot"):
-            raise OSError(f"simulated crash at the {crash_at} write")
-        real_write(path, obj, exclusive)
+        raise OSError(f"simulated crash at the {crash_at} write")
 
     monkeypatch.setattr(lake_mod, "_atomic_write_json", crashing_write)
     with pytest.raises(OSError):
         tail_once(lake, log_dir, max_segments_per_epoch=1, batch_size=256)
     monkeypatch.setattr(lake_mod, "_atomic_write_json", real_write)
-    with open(lake.manifest_path) as f:
-        assert json.load(f)["epoch"] == 1  # the pointer never swapped
-    epoch = 1 if crash_at == "snapshot" else 2
-    assert lake.manifest()["epoch"] == epoch
+    assert lake.manifest()["epoch"] == 1
     # orphan epoch files on disk are ignored; the epoch read is kept
     lake.vacuum(keep_epochs=0)
-    assert lake.epochs() == [epoch]
-    done = [pq.read_table(os.path.join(log_dir, f)) for f in sorted(os.listdir(log_dir))[:epoch - 1]]
-    assert_eq(collect(lake.read()), fold_events(base, pa.concat_tables([all_events.slice(0, 0), *done])))
+    assert lake.epochs() == [1]
+    assert_eq(collect(lake.read()), fold_events(base, all_events.slice(0, 0)))
     tail_until_caught_up(lake, log_dir, batch_size=256)
     applied = lake.manifest()["segments_applied"]
     assert len(applied) == len(set(applied)) == 3
@@ -627,11 +646,36 @@ def test_run_and_base_files_are_zstd_without_dictionary(tmp_path):
     assert_eq(collect(lk.read()), fold_events(base, all_events))
 
 
-def test_same_input_writes_identical_lake_files(tmp_path):
+def _tree(root: str) -> dict[str, bytes]:
+    """Every file under ``root``, by relative path, with its bytes."""
+    tree = {}
+    for d, _, files in os.walk(root):
+        for f in files:
+            with open(os.path.join(d, f), "rb") as fh:
+                tree[os.path.relpath(os.path.join(d, f), root)] = fh.read()
+    return tree
+
+
+def test_same_input_writes_identical_lake_files(tmp_path, monkeypatch):
     """Two fresh lakes that apply the same input write byte-identical
-    ``_manifest.json``, manifest snapshots and state files — several runs
-    per epoch included — so ``bytes_written`` is a function of the input."""
+    manifest snapshots and state files — several runs per epoch
+    included — so ``bytes_written`` is a function of the input. Each
+    commit writes one file, its epoch's snapshot, and no lake has a
+    ``_manifest.json``."""
     base, log_dir, _ = make_log(tmp_path, seed=59, n_segments=4)
+    real_commit = LakeTable._commit_manifest
+    commits = []
+
+    def one_file_commit(self, m, record, **changes):
+        before = _tree(self.path)
+        m2 = real_commit(self, m, record, **changes)
+        after = _tree(self.path)
+        moved = {p for p in before.keys() | after.keys() if before.get(p) != after.get(p)}
+        assert moved == {f"manifests/manifest-e{m2['epoch']:06d}.json"}
+        commits.append(m2["epoch"])
+        return m2
+
+    monkeypatch.setattr(LakeTable, "_commit_manifest", one_file_commit)
     trees = []
     for name in ("a", "b"):
         lk = LakeTable(str(tmp_path / name), num_partitions=8)
@@ -640,13 +684,9 @@ def test_same_input_writes_identical_lake_files(tmp_path):
         tail_until_caught_up(lk, log_dir, max_segments_per_epoch=3, batch_size=None)
         assert len(lk.manifest()["l0"]) > 2
         lk.compact()
-        tree = {}
-        for root, _, files in os.walk(lk.path):
-            for f in files:
-                with open(os.path.join(root, f), "rb") as fh:
-                    tree[os.path.relpath(os.path.join(root, f), lk.path)] = fh.read()
-        trees.append(tree)
-    assert "_manifest.json" in trees[0]
+        trees.append(_tree(lk.path))
+    assert commits == [1, 2, 3, 4] * 2
+    assert not [p for p in trees[0] if os.path.basename(p) == "_manifest.json"]
     assert trees[0] == trees[1]
 
 
@@ -883,7 +923,8 @@ def test_concurrent_commits_from_one_epoch_commit_once(lake, monkeypatch):
         t.join()
     assert len(won) == 1 and len(lost) == n - 1
     assert lake.manifest() == won[0]
-    assert os.listdir(os.path.join(lake.path, "manifests")) == ["manifest-e000001.json"]
+    assert sorted(os.listdir(os.path.join(lake.path, "manifests"))) == [
+        "manifest-e000000.json", "manifest-e000001.json"]
 
 
 def test_writer_outlived_by_vacuum_cannot_commit(lake):
@@ -906,26 +947,77 @@ def test_writer_outlived_by_vacuum_cannot_commit(lake):
     assert collect(lake.read()).num_rows == 4
 
 
-def test_late_pointer_swap_after_vacuum_reads_the_newest_commit(lake):
-    """A writer links the epoch-1 snapshot and stalls before its pointer
-    swap; another commits epochs 2 and 3, a vacuum reclaims the snapshots
-    of 1 and 2, and then the stalled swap lands. The current epoch comes
-    from the snapshots: it stays 3, and the next commit lands at 4 with
-    every segment and row."""
-    m0 = lake.manifest()
-    m1 = {**m0, "epoch": 1, "segments_applied": ["s1"],
-          "history": [{"epoch": 1, "segments": ["s1"]}]}
-    os.makedirs(os.path.join(lake.path, "manifests"), exist_ok=True)
-    lake_mod._atomic_write_json(lake._snapshot_path(1), m1, exclusive=True)
-    for i in (2, 3):
-        lake.apply(rd.from_arrow(_one_event(f"k{i}", i)), [f"s{i}"])
-    lake.vacuum(keep_epochs=1)
-    assert lake.epochs() == [3]
-    lake_mod._atomic_write_json(lake.manifest_path, m1)  # the stalled swap lands
+@pytest.mark.parametrize("layout", ["pointer_only", "pointer_ahead", "stale_pointer"])
+def test_lake_with_a_legacy_pointer_reads_tails_compacts_and_vacuums(tmp_path, layout):
+    """Lakes written before the newest snapshot was the current manifest
+    also kept it in a ``_manifest.json`` pointer. A lake with only the
+    pointer (written before snapshots), or with a pointer newer than every
+    snapshot, opens at the pointer's epoch; a pointer older than the
+    newest snapshot is ignored. Each reads, tails, compacts and vacuums to
+    the oracle, its first commit lands at the next snapshot, and the
+    pointer is never written."""
+    import shutil
+
+    base, log_dir, all_events = make_log(tmp_path, seed=73, n_segments=4)
+    segs = sorted(os.listdir(log_dir))
+    lk = LakeTable(str(tmp_path / "lake"), num_partitions=8)
+    lk.init()
+    seeded_lake(lk, base)
+    for _ in range(2):  # epochs 2 and 3
+        tail_once(lk, log_dir, max_segments_per_epoch=1, batch_size=256)
+    pointer = os.path.join(lk.path, "_manifest.json")
+    lake_mod._atomic_write_json(pointer, lk.manifest(1 if layout == "stale_pointer" else 3))
+    os.remove(lk._snapshot_path(0))  # such lakes' init wrote only the pointer
+    if layout == "pointer_only":
+        shutil.rmtree(os.path.join(lk.path, "manifests"))
+    elif layout == "pointer_ahead":  # the pointer was once swapped before the snapshot
+        os.remove(lk._snapshot_path(3))
+    with open(pointer, "rb") as f:
+        frozen = f.read()
+
+    lk = LakeTable(lk.path)
+    assert lk.exists() and lk.manifest()["epoch"] == 3
+    assert lk.manifest_path == (lk._snapshot_path(3) if layout == "stale_pointer" else pointer)
+    assert_eq(collect(lk.read()), fold_events(base, pa.concat_tables(
+        [pq.read_table(os.path.join(log_dir, f)) for f in segs[:2]])))
+    tail_once(lk, log_dir, max_segments_per_epoch=1, batch_size=256)
+    assert lk.epochs()[-1] == 4 and lk.manifest_path == lk._snapshot_path(4)
+    tail_until_caught_up(lk, log_dir, max_segments_per_epoch=1, batch_size=256)
+    want = fold_events(base, all_events)
+    assert_eq(collect(lk.read()), want)
+    lk.compact()
+    lk.vacuum(keep_epochs=1)
+    assert lk.epochs() == [6]
+    assert_eq(collect(lk.read()), want)
+    assert lake_mod._pending(lk.manifest()["l0"]) == []
+    applied = lk.manifest()["segments_applied"]
+    assert len(applied) == len(set(applied)) == 5
+    with open(pointer, "rb") as f:
+        assert f.read() == frozen
+
+
+def test_manifest_lists_again_when_the_newest_snapshot_is_reclaimed(lake, monkeypatch):
+    """A reader lists the snapshots, and before it opens the newest, two
+    newer commits and a vacuum reclaim it (vacuum keeps only the current
+    snapshot). ``manifest()`` lists again and returns the newest epoch,
+    raising nothing."""
+    lake.apply(rd.from_arrow(_one_event("a", 1)), ["s1"])
+    other = LakeTable(lake.path)
+    listings = []
+
+    def racing_epochs():
+        listing = LakeTable.epochs(lake)
+        if not listings:  # the race, once: after the listing, before the open
+            for i in (2, 3):
+                other.apply(rd.from_arrow(_one_event(f"k{i}", i)), [f"s{i}"])
+            other.vacuum(keep_epochs=1)
+            assert other.epochs() == [3]
+        listings.append(listing)
+        return listing
+
+    monkeypatch.setattr(lake, "epochs", racing_epochs)
     assert lake.manifest()["epoch"] == 3
-    assert lake.apply(rd.from_arrow(_one_event("k4", 4)), ["s4"])["epoch"] == 4
-    assert lake.manifest()["segments_applied"] == ["s1", "s2", "s3", "s4"]
-    assert sorted(collect(lake.read())["doc_id"].to_pylist()) == ["k2", "k3", "k4"]
+    assert listings == [[0, 1], [3]]
 
 
 def test_writer_recreating_a_reclaimed_snapshot_raises_and_leaves_none(lake, monkeypatch):

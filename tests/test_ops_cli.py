@@ -1,7 +1,6 @@
 """ops.py building blocks + the CLI lifecycle (in-process main())."""
 
 import json
-import os
 
 import numpy as np
 import pyarrow as pa
@@ -135,11 +134,11 @@ def test_cli_errors(tmp_path, capsys):
     # is an error line, not a traceback
     import raycdc.lake as lake_mod
 
-    m = lake_mod.LakeTable(lake).manifest()
+    lk = lake_mod.LakeTable(lake)
+    path, m = lk.manifest_path, lk.manifest()
     for bad_part in ({"base": "b.parquet", "rows": 1, "deltas": ["d.parquet"]},
                      {"file": "f.parquet", "rows": 1}):
-        lake_mod._atomic_write_json(os.path.join(lake, lake_mod.MANIFEST),
-                                    dict(m, partitions={"0": bad_part}))
+        lake_mod._atomic_write_json(path, dict(m, partitions={"0": bad_part}))
         capsys.readouterr()
         assert main(["status", lake]) == 2
         assert capsys.readouterr().err.startswith("error: lake partition 0 has pending delta files")
