@@ -15,10 +15,13 @@ instead (exact-fold, error-bound, IVF-vs-brute, PPM round-trip).
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import hashlib
 import os
 import re
+import shutil
+import uuid
 from collections.abc import Callable
 from typing import Any
 
@@ -195,60 +198,104 @@ def q_pseudo_identity(sf_dir: str):
     return _docs(sf_dir).map_batches(gen, batch_format="pyarrow")
 
 
-def q_cdc_replay_events(sf_dir: str):
-    """The flagship CDC path under the driver's DuckDB oracle: the
-    driver's events table is cut into changelog segments, tailed through
-    the real ingest stack — tailer → make_validator → LakeTable.apply
-    (exactly-once epoch commits, shuffle-free L0 run files, manifest
-    swap) — and the converged lake state is read back (merge-on-read LWW
-    fold over the pending runs).
-    key=user_id, lsn=event_id; oracle = the LWW window function.
-    Mirrors the reference flagship flow ListenDICOM → DeidentifyDICOM →
-    PutDICOM (DeidentifyDICOM.java:173-193, PutDICOM.java:123-263) and
-    the DeidentifyDICOMTest.java:56-103 state assertions."""
-    import shutil
-    import uuid
+@contextlib.contextmanager
+def _scratch(name: str):
+    """A work directory ``/tmp/raycdc_work/{name}_<8 hex>``, removed
+    however the query ends. A query materializes its result inside the
+    block: a lazy read still holds paths into the directory."""
+    work = f"/tmp/raycdc_work/{name}_{uuid.uuid4().hex[:8]}"
+    os.makedirs(work)
+    try:
+        yield work
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
 
-    from raycdc.lake import LakeTable
-    from raycdc.tailer import tail_until_caught_up
 
-    work = f"/tmp/raycdc_work/events_replay_{uuid.uuid4().hex[:8]}"
-    log_dir = os.path.join(work, "log")
-    os.makedirs(log_dir, exist_ok=True)
+def _event_changes(sf_dir: str, deletes: bool = False) -> pa.Table:
+    """``events.parquet`` as change events keyed by ``user_id``: ``lsn``
+    is ``event_id`` and ``op`` is ``insert`` — or, with ``deletes``,
+    ``delete`` for every event whose ``event_id`` is a multiple of 10.
+    The payload is ``event_type``, ``value`` and ``cents =
+    round(value * 100)``."""
     ev = pq.read_table(
         os.path.join(sf_dir, "events.parquet"),
         columns=["event_id", "user_id", "event_type", "value"],
     )
-    ev = pa.table(
+    lsn = ev["event_id"].cast(pa.int64())
+    op = pa.array(["insert"] * ev.num_rows)
+    if deletes:  # integer divide truncates: lsn == lsn / 10 * 10 iff 10 divides lsn
+        op = pc.if_else(pc.equal(lsn, pc.multiply(pc.divide(lsn, 10), 10)), "delete", op)
+    return pa.table(
         {
-            "lsn": ev["event_id"].cast(pa.int64()),
-            "op": pa.array(["insert"] * ev.num_rows),
+            "lsn": lsn,
+            "op": op,
             "user_id": ev["user_id"],
             "event_type": ev["event_type"],
             "value": ev["value"],
+            "cents": pc.round(pc.multiply(ev["value"], 100.0)).cast(pa.int64()),
         }
     )
-    n_seg = 6
-    step = (ev.num_rows + n_seg - 1) // n_seg or 1
-    for k in range(0, n_seg):
-        seg = ev.slice(k * step, step)
-        if seg.num_rows:
-            pq.write_table(seg, os.path.join(log_dir, f"seg-{k:05d}.parquet"))
+
+
+def _slices(t: pa.Table, n: int) -> list[tuple[int, pa.Table]]:
+    """``t`` cut into ``n`` contiguous slices of ``ceil(rows / n)`` rows:
+    ``(k, slice k)`` for every non-empty one."""
+    step = -(-t.num_rows // n) or 1
+    return [(k, s) for k in range(n) if (s := t.slice(k * step, step)).num_rows]
+
+
+def _publish_log(log_dir: str, changes: pa.Table, n_seg: int, first: int = 0) -> None:
+    """``changes`` as a changelog of ``n_seg`` segments, numbered from
+    ``first``, each made visible by the WAL writer contract
+    (:func:`raycdc.tailer.publish_segment`: temp file, fsync, rename)."""
+    from raycdc.tailer import publish_segment
+
+    for k, seg in _slices(changes, n_seg):
+        publish_segment(log_dir, f"seg-{first + k:05d}.parquet", seg)
+
+
+def _lake(work: str):
+    """The queries' lake at ``<work>/lake``: 8 partitions keyed by
+    ``user_id``. ``init`` bootstraps it, or attaches to an existing one."""
+    from raycdc.lake import LakeTable
 
     lake = LakeTable(os.path.join(work, "lake"), num_partitions=8, key="user_id")
     lake.init()
-    # two epochs (3 segments each) so the converged read folds the L0
-    # runs of multiple commits, then the exactly-once read-back
-    tail_until_caught_up(lake, log_dir, max_segments_per_epoch=3)
-    out = lake.read(include_tombstones=True)
+    return lake
+
+
+def _replayed_events(lake) -> rd.Dataset:
+    """The converged events lake, materialized: ``user_id``, ``lsn``,
+    ``event_type`` and ``value`` rounded to cents."""
 
     def emit(t: pa.Table) -> pa.Table:
         t = t.select(["user_id", "lsn", "event_type", "value"])
         return t.set_column(3, "value", pc.round(t["value"], 2))
 
-    res = out.map_batches(emit, batch_format="pyarrow").materialize()
-    shutil.rmtree(work, ignore_errors=True)
-    return res
+    return lake.read(include_tombstones=True).map_batches(emit, batch_format="pyarrow").materialize()
+
+
+def q_cdc_replay_events(sf_dir: str):
+    """The flagship CDC path under the driver's DuckDB oracle: the
+    driver's events table is cut into changelog segments, tailed through
+    the real ingest stack — tailer → make_validator → LakeTable.apply
+    (exactly-once epoch commits: shuffle-free L0 run files, then one
+    put-if-absent manifest snapshot per epoch) — and the converged lake
+    state is read back (merge-on-read LWW fold over the pending runs).
+    key=user_id, lsn=event_id; oracle = the LWW window function.
+    Mirrors the reference flagship flow ListenDICOM → DeidentifyDICOM →
+    PutDICOM (DeidentifyDICOM.java:173-193, PutDICOM.java:123-263) and
+    the DeidentifyDICOMTest.java:56-103 state assertions."""
+    from raycdc.tailer import tail_until_caught_up
+
+    with _scratch("events_replay") as work:
+        log_dir = os.path.join(work, "log")
+        _publish_log(log_dir, _event_changes(sf_dir), 6)
+        lake = _lake(work)
+        # two epochs (3 segments each) so the converged read folds the L0
+        # runs of multiple commits, then the exactly-once read-back
+        tail_until_caught_up(lake, log_dir, max_segments_per_epoch=3)
+        return _replayed_events(lake)
 
 
 def q_cdc_replay_then_rank(sf_dir: str):
@@ -258,57 +305,19 @@ def q_cdc_replay_then_rank(sf_dir: str):
     top-k — the 'query your freshly-applied table' path a CDC engine
     exists for. Oracle = the LWW window fold chained into the same
     ORDER BY/LIMIT."""
-    import shutil
-    import uuid
-
-    from raycdc.lake import LakeTable
     from raycdc.ops import top_k
     from raycdc.tailer import tail_until_caught_up
 
-    work = f"/tmp/raycdc_work/replay_rank_{uuid.uuid4().hex[:8]}"
-    log_dir = os.path.join(work, "log")
-    os.makedirs(log_dir, exist_ok=True)
-    ev = pq.read_table(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "user_id", "event_type", "value"],
-    )
-    ev = pa.table(
-        {
-            "lsn": ev["event_id"].cast(pa.int64()),
-            "op": pa.array(["insert"] * ev.num_rows),
-            "user_id": ev["user_id"],
-            "event_type": ev["event_type"],
-            "value": ev["value"],
-        }
-    )
-    n_seg = 4
-    step = (ev.num_rows + n_seg - 1) // n_seg or 1
-    for k in range(n_seg):
-        seg = ev.slice(k * step, step)
-        if seg.num_rows:
-            pq.write_table(seg, os.path.join(log_dir, f"seg-{k:05d}.parquet"))
-
-    lake = LakeTable(os.path.join(work, "lake"), num_partitions=8, key="user_id")
-    lake.init()
-    tail_until_caught_up(lake, log_dir, max_segments_per_epoch=2)
-    out = lake.read(include_tombstones=True)
-
-    def emit(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "user_id": t["user_id"],
-                "lsn": t["lsn"],
-                "event_type": t["event_type"],
-                "cents": pc.round(pc.multiply(t["value"], 100.0)).cast(pa.int64()),
-            }
+    with _scratch("replay_rank") as work:
+        log_dir = os.path.join(work, "log")
+        _publish_log(log_dir, _event_changes(sf_dir), 4)
+        lake = _lake(work)
+        tail_until_caught_up(lake, log_dir, max_segments_per_epoch=2)
+        state = lake.read(include_tombstones=True).map_batches(
+            lambda t: t.select(["user_id", "lsn", "event_type", "cents"]),
+            batch_format="pyarrow",
         )
-
-    ranked = top_k(
-        out.map_batches(emit, batch_format="pyarrow"),
-        by="cents", k=10, descending=True, tiebreak="user_id",
-    ).materialize()
-    shutil.rmtree(work, ignore_errors=True)
-    return ranked
+        return top_k(state, by="cents", k=10, descending=True, tiebreak="user_id").materialize()
 
 
 def q_cdc_replay_tokens(sf_dir: str):
@@ -336,62 +345,28 @@ def q_cdc_schema_evolution(sf_dir: str):
     the late column. Reference analog: present-only tag rules tolerate
     absent/extra attributes (ClinicalTrialsAttributes.java rule
     application; SURVEY §1.2)."""
-    import shutil
-    import uuid
-
-    from raycdc.lake import LakeTable
     from raycdc.tailer import tail_until_caught_up
 
-    work = f"/tmp/raycdc_work/schema_evo_{uuid.uuid4().hex[:8]}"
-    log_dir = os.path.join(work, "log")
-    os.makedirs(log_dir, exist_ok=True)
-    ev = pq.read_table(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "user_id", "event_type", "value"],
-    )
-    lsn = ev["event_id"].cast(pa.int64())
-    cents = pc.round(pc.multiply(ev["value"], 100.0))
-    base = pa.table(
-        {
-            "lsn": lsn,
-            "op": pa.array(["insert"] * ev.num_rows),
-            "user_id": ev["user_id"],
-            "event_type": ev["event_type"],
-        }
-    )
-    odd = pc.equal(pc.bit_wise_and(lsn, 1), 1)
-    gen1 = base.filter(pc.invert(odd)).append_column(
-        "cents", cents.cast(pa.int32()).filter(pc.invert(odd)).combine_chunks()
-    )
-    gen2 = (
-        base.filter(odd)
-        .append_column("cents", cents.cast(pa.int64()).filter(odd).combine_chunks())
-        .append_column(
-            "channel", pc.utf8_upper(ev["event_type"].filter(odd)).combine_chunks()
-        )
-    )
-    # segment names sort gen1 first; one epoch per generation so the
-    # manifest schema demonstrably evolves between commits
-    for gen_idx, gen in ((0, gen1), (1, gen2)):
-        step = (gen.num_rows + 1) // 2 or 1
-        for k in range(2):
-            seg = gen.slice(k * step, step)
-            if seg.num_rows:
-                pq.write_table(
-                    seg, os.path.join(log_dir, f"seg-{gen_idx}{k:04d}.parquet")
-                )
-
-    lake = LakeTable(os.path.join(work, "lake"), num_partitions=8, key="user_id")
-    lake.init()
-    tail_until_caught_up(lake, log_dir, max_segments_per_epoch=2)
-    out = lake.read(include_tombstones=True)
-
-    def emit(t: pa.Table) -> pa.Table:
-        return t.select(["user_id", "lsn", "event_type", "cents", "channel"])
-
-    res = out.map_batches(emit, batch_format="pyarrow").materialize()
-    shutil.rmtree(work, ignore_errors=True)
-    return res
+    with _scratch("schema_evo") as work:
+        ev = _event_changes(sf_dir)
+        odd = pc.equal(pc.bit_wise_and(ev["lsn"], 1), 1)
+        cols = ["lsn", "op", "user_id", "event_type"]
+        gen1 = ev.filter(pc.invert(odd))
+        gen1 = gen1.select(cols).append_column("cents", gen1["cents"].cast(pa.int32()))
+        gen2 = ev.filter(odd)
+        gen2 = gen2.select(cols + ["cents"]).append_column(
+            "channel", pc.utf8_upper(gen2["event_type"]))
+        # two segments per generation, gen-1's named first; one epoch per
+        # generation so the manifest schema demonstrably evolves between commits
+        log_dir = os.path.join(work, "log")
+        _publish_log(log_dir, gen1, 2)
+        _publish_log(log_dir, gen2, 2, first=2)
+        lake = _lake(work)
+        tail_until_caught_up(lake, log_dir, max_segments_per_epoch=2)
+        return lake.read(include_tombstones=True).map_batches(
+            lambda t: t.select(["user_id", "lsn", "event_type", "cents", "channel"]),
+            batch_format="pyarrow",
+        ).materialize()
 
 
 def q_cdc_resume_replay(sf_dir: str):
@@ -403,53 +378,17 @@ def q_cdc_resume_replay(sf_dir: str):
     fold as cdc_replay_events. Reference analog: NiFi resumes flows from
     its FlowFile repository after restart; retry-by-requeue semantics of
     PutDICOM.java:83-86."""
-    import shutil
-    import uuid
-
-    from raycdc.lake import LakeTable
     from raycdc.tailer import tail_once, tail_until_caught_up
 
-    work = f"/tmp/raycdc_work/resume_{uuid.uuid4().hex[:8]}"
-    log_dir = os.path.join(work, "log")
-    os.makedirs(log_dir, exist_ok=True)
-    ev = pq.read_table(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "user_id", "event_type", "value"],
-    )
-    ev = pa.table(
-        {
-            "lsn": ev["event_id"].cast(pa.int64()),
-            "op": pa.array(["insert"] * ev.num_rows),
-            "user_id": ev["user_id"],
-            "event_type": ev["event_type"],
-            "value": ev["value"],
-        }
-    )
-    n_seg = 6
-    step = (ev.num_rows + n_seg - 1) // n_seg or 1
-    for k in range(n_seg):
-        seg = ev.slice(k * step, step)
-        if seg.num_rows:
-            pq.write_table(seg, os.path.join(log_dir, f"seg-{k:05d}.parquet"))
-
-    lake_path = os.path.join(work, "lake")
-    first = LakeTable(lake_path, num_partitions=8, key="user_id")
-    first.init()
-    tail_once(first, log_dir, max_segments_per_epoch=3)
-    del first  # handle dropped mid-log: manifest holds epoch 1 + offsets
-
-    resumed = LakeTable(lake_path, num_partitions=8, key="user_id")
-    resumed.init()  # idempotent bootstrap — attaches, never clobbers
-    tail_until_caught_up(resumed, log_dir, max_segments_per_epoch=3)
-    out = resumed.read(include_tombstones=True)
-
-    def emit(t: pa.Table) -> pa.Table:
-        t = t.select(["user_id", "lsn", "event_type", "value"])
-        return t.set_column(3, "value", pc.round(t["value"], 2))
-
-    res = out.map_batches(emit, batch_format="pyarrow").materialize()
-    shutil.rmtree(work, ignore_errors=True)
-    return res
+    with _scratch("resume") as work:
+        log_dir = os.path.join(work, "log")
+        _publish_log(log_dir, _event_changes(sf_dir), 6)
+        first = _lake(work)
+        tail_once(first, log_dir, max_segments_per_epoch=3)
+        del first  # handle dropped mid-log: manifest holds epoch 1 + offsets
+        resumed = _lake(work)  # the idempotent bootstrap attaches, never clobbers
+        tail_until_caught_up(resumed, log_dir, max_segments_per_epoch=3)
+        return _replayed_events(resumed)
 
 
 # --------------------------------------------------------------- relational
@@ -605,26 +544,21 @@ def q_csv_jsonl_roundtrip(sf_dir: str):
     readers/writers (types re-asserted after the lossy CSV hop). The
     oracle is the identity select — proving the hops preserve values
     exactly."""
-    import shutil
-    import uuid
-
-    work = f"/tmp/raycdc_work/fmt_{uuid.uuid4().hex[:8]}"
-    nation = _rp(os.path.join(sf_dir, "nation.parquet"))
-    nation.write_csv(os.path.join(work, "csv"))
-    back = rd.read_csv(os.path.join(work, "csv"))
-    back.write_json(os.path.join(work, "jsonl"))
-    out = rd.read_json(os.path.join(work, "jsonl")).map_batches(
-        lambda t: pa.table(
-            {
-                "n_nationkey": t["n_nationkey"].cast(pa.int64()),
-                "n_name": t["n_name"].cast(pa.string()),
-                "n_regionkey": t["n_regionkey"].cast(pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    ).materialize()
-    shutil.rmtree(work, ignore_errors=True)
-    return out
+    with _scratch("fmt") as work:
+        nation = _rp(os.path.join(sf_dir, "nation.parquet"))
+        nation.write_csv(os.path.join(work, "csv"))
+        back = rd.read_csv(os.path.join(work, "csv"))
+        back.write_json(os.path.join(work, "jsonl"))
+        return rd.read_json(os.path.join(work, "jsonl")).map_batches(
+            lambda t: pa.table(
+                {
+                    "n_nationkey": t["n_nationkey"].cast(pa.int64()),
+                    "n_name": t["n_name"].cast(pa.string()),
+                    "n_regionkey": t["n_regionkey"].cast(pa.int64()),
+                }
+            ),
+            batch_format="pyarrow",
+        ).materialize()
 
 
 def q_docs_ksample_per_lang(sf_dir: str):
@@ -2935,56 +2869,19 @@ def q_cdc_mv_source_counts(sf_dir: str):
     aggregate over the LWW-latest non-deleted rows — so the equality
     proves three chained incremental refreshes land exactly on the
     full-recompute answer."""
-    import shutil
-    import uuid
-
-    from raycdc.lake import LakeTable
     from raycdc.mv import MaterializedAggregate
 
-    work = f"/tmp/raycdc_work/mv_{uuid.uuid4().hex[:8]}"
-    os.makedirs(work, exist_ok=True)
-    try:
-        ev = pq.read_table(
-            os.path.join(sf_dir, "events.parquet"),
-            columns=["event_id", "user_id", "event_type", "value"],
-        )
-        op = pc.if_else(
-            pc.equal(
-                pc.subtract(ev["event_id"],
-                            pc.multiply(pc.divide(ev["event_id"],
-                                                  pa.scalar(10, pa.int64())),
-                                        pa.scalar(10, pa.int64()))),
-                pa.scalar(0, pa.int64()),
-            ),
-            "delete", "insert",
-        )
-        events = pa.table(
-            {
-                "lsn": ev["event_id"].cast(pa.int64()),
-                "op": op,
-                "user_id": ev["user_id"],
-                "event_type": ev["event_type"],
-                "cents": pc.round(pc.multiply(ev["value"], 100.0)).cast(pa.int64()),
-            }
-        )
-        lake = LakeTable(os.path.join(work, "lake"), num_partitions=8,
-                         key="user_id")
-        lake.init()
+    with _scratch("mv") as work:
+        lake = _lake(work)
         mv = MaterializedAggregate(
             lake, "event_type",
             {"sum_cents": ("cents", "sum"), "n_users": (None, "count")},
             os.path.join(work, "mv"),
         )
-        n_ep = 3
-        step = (events.num_rows + n_ep - 1) // n_ep or 1
-        for k in range(n_ep):
-            seg = events.slice(k * step, step)
-            if seg.num_rows:
-                lake.apply(rd.from_arrow(seg), [f"seg-{k}"])
-                mv.refresh()
+        for k, seg in _slices(_event_changes(sf_dir, deletes=True), 3):
+            lake.apply(rd.from_arrow(seg), [f"seg-{k}"])
+            mv.refresh()
         return mv.read()
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
 
 
 def q_cdc_snapshot_diff(sf_dir: str):
@@ -2995,42 +2892,14 @@ def q_cdc_snapshot_diff(sf_dir: str):
     key as insert / update / delete. Tombstones (every 10th event)
     exercise the delete arm. The oracle recomputes both states as LWW
     windows over the same lsn ranges."""
-    import shutil
-    import uuid
-
-    from raycdc.lake import LakeTable
     from raycdc.ops import hash_join
 
-    work = f"/tmp/raycdc_work/snapdiff_{uuid.uuid4().hex[:8]}"
-    os.makedirs(work, exist_ok=True)
-    try:
-        ev = pq.read_table(
-            os.path.join(sf_dir, "events.parquet"),
-            columns=["event_id", "user_id", "event_type", "value"],
-        )
-        mod10 = pc.subtract(
-            ev["event_id"],
-            pc.multiply(pc.divide(ev["event_id"], pa.scalar(10, pa.int64())),
-                        pa.scalar(10, pa.int64())),
-        )
-        events = pa.table(
-            {
-                "lsn": ev["event_id"].cast(pa.int64()),
-                "op": pc.if_else(pc.equal(mod10, pa.scalar(0, pa.int64())),
-                                 "delete", "insert"),
-                "user_id": ev["user_id"],
-                "event_type": ev["event_type"],
-                "cents": pc.round(pc.multiply(ev["value"], 100.0)).cast(pa.int64()),
-            }
-        )
-        cut = (int(pc.max(events["lsn"]).as_py()) + 1) // 2
-        lake = LakeTable(os.path.join(work, "lake"), num_partitions=8,
-                         key="user_id")
-        lake.init()
-        e1 = events.filter(pc.less_equal(events["lsn"], pa.scalar(cut, pa.int64())))
-        e2 = events.filter(pc.greater(events["lsn"], pa.scalar(cut, pa.int64())))
-        lake.apply(rd.from_arrow(e1), ["seg-0"])
-        lake.apply(rd.from_arrow(e2), ["seg-1"])
+    with _scratch("snapdiff") as work:
+        events = _event_changes(sf_dir, deletes=True)
+        cut = pa.scalar((int(pc.max(events["lsn"]).as_py()) + 1) // 2, pa.int64())
+        lake = _lake(work)
+        lake.apply(rd.from_arrow(events.filter(pc.less_equal(events["lsn"], cut))), ["seg-0"])
+        lake.apply(rd.from_arrow(events.filter(pc.greater(events["lsn"], cut))), ["seg-1"])
         old = lake.read(epoch=1).map_batches(
             lambda t: t.select(["user_id", "event_type", "cents"]).rename_columns(
                 ["user_id", "type_old", "cents_old"]),
@@ -3059,10 +2928,7 @@ def q_cdc_snapshot_diff(sf_dir: str):
             return t.filter(pc.not_equal(t["change"], "none")).select(
                 ["user_id", "change"])
 
-        # materialize before the work dir goes away (lazy reads hold paths)
         return j.map_batches(classify, batch_format="pyarrow").materialize()
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
 
 
 def q_lineitem_regression(sf_dir: str):
@@ -3345,13 +3211,9 @@ def q_events_zorder_layout(sf_dir: str):
     sort → partitioned parquet, read back. Physical layout → rows-only;
     the row-group pruning gate (z-layout prunes BOTH columns, a
     single-column sort can't) is pytest-verified."""
-    import shutil
-    import uuid
-
     from raycdc.ops import write_zordered
 
-    out = f"/tmp/raycdc_work/zorder_{uuid.uuid4().hex[:8]}"
-    try:
+    with _scratch("zorder") as out:
         ev = _ev(sf_dir).map_batches(
             lambda t: pa.table(
                 {
@@ -3364,8 +3226,6 @@ def q_events_zorder_layout(sf_dir: str):
         )
         back = write_zordered(ev, ["user_id", "cents"], out)
         return back.materialize()
-    finally:
-        shutil.rmtree(out, ignore_errors=True)
 
 
 def q_ab_welch_t(sf_dir: str):

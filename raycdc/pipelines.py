@@ -184,8 +184,6 @@ def cdc_replay(
     num_partitions: int | None = None,
     n_segments: int | None = None,
     segments_per_epoch: int | None = None,
-    batch_size: int = 65536,
-    fresh: bool = True,
     min_len: int | None = None,
     max_len: int | None = None,
 ) -> ray.data.Dataset:
@@ -209,18 +207,15 @@ def cdc_replay(
     lake_dir = os.path.join(
         work_root, f"lake_b{n_base}_e{n_events}_p{num_partitions}_l{min_len}-{max_len}"
     )
-    if fresh:
-        shutil.rmtree(lake_dir, ignore_errors=True)
+    shutil.rmtree(lake_dir, ignore_errors=True)
     lake = LakeTable(lake_dir, num_partitions=num_partitions)
     lake.init()
-    if "__base__" not in lake.manifest()["segments_applied"]:
-        lake.apply(base_as_inserts(read_parquet_clean(base_dir)), ["__base__"])
+    lake.apply(base_as_inserts(read_parquet_clean(base_dir)), ["__base__"])
     tail_until_caught_up(
         lake,
         log_dir,
         max_segments_per_epoch=segments_per_epoch,
         dead_letter_dir=os.path.join(lake_dir, "dead_letter"),
-        batch_size=batch_size,
     )
     return lake.read()
 

@@ -131,9 +131,14 @@ def tail_once(
     is the winner of its own raw key.
 
     ``batch_size=None`` keeps each segment ONE batch end-to-end through
-    the fused read → validate → transform → L0 write chain: maximal
-    per-batch LWW reduction and exactly one run file per segment (task
-    memory = one segment — bounded by the archiver's segment size).
+    the fused read → validate → transform → L0 write chain: exactly one
+    run file per segment (task memory = one segment — bounded by the
+    archiver's segment size), each folded alone. The default reduces
+    more: Ray Data handed the run writer the epoch's segments as one
+    block, so its fold spans segments. On perfbench's tail_bulk seed-7
+    epoch (8 segments, 32 partitions) the default wrote 1 run of 86,904
+    rows and ``None`` 8 runs of 160,046, but ``None`` ran about twice as
+    fast at 4 Ray CPUs on a 4-core host (one task per segment).
     """
     todo = pending_segments(lake, log_dir)
     if not todo:

@@ -105,3 +105,33 @@ def test_queries_literal_has_no_duplicate_keys():
     assert not dupes, f"duplicate queries() keys: {sorted(dupes)}"
     # and the registry agrees with the literal (no computed keys hiding)
     assert len(keys) == len(entrymod.queries())
+
+
+def test_cdc_queries_publish_segments_through_publish_segment():
+    """No lake-backed ``q_cdc_*`` query writes a changelog segment with a
+    raw ``pq.write_table``, which a tailer could list half-written: every
+    segment goes through ``raycdc.tailer.publish_segment`` (temp file,
+    fsync, one rename)."""
+    import inspect
+
+    cdc = {n: f for n, f in vars(entrymod).items() if n.startswith("q_cdc_")}
+    assert len(cdc) >= 6
+    assert [n for n, f in cdc.items() if "pq.write_table(" in inspect.getsource(f)] == []
+    assert "publish_segment(" in inspect.getsource(entrymod._publish_log)
+
+
+def test_cdc_query_removes_its_work_dir_when_it_raises(monkeypatch):
+    """A lake-backed query that raises leaves no work directory behind."""
+    import glob
+
+    import raycdc.tailer
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("tail failed")
+
+    pattern = "/tmp/raycdc_work/events_replay_*"
+    before = set(glob.glob(pattern))
+    monkeypatch.setattr(raycdc.tailer, "tail_until_caught_up", fail)
+    with pytest.raises(RuntimeError, match="tail failed"):
+        entrymod.q_cdc_replay_events(SF)
+    assert set(glob.glob(pattern)) == before

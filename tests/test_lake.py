@@ -519,6 +519,54 @@ def test_range_fold_read_and_compact_match_oracle(tmp_path, monkeypatch, range_r
     assert lk.live_rows() == want.num_rows
 
 
+def test_compaction_re_sorts_an_unfolded_range_out_of_bucket_order(tmp_path):
+    """A range where no two runs hold one bucket is not folded, so it
+    keeps its runs' order. Epoch 1 holds only odd buckets and epoch 2
+    only even ones, so every two-bucket range lists its higher bucket
+    first; compaction re-sorts such a range before it cuts one run per
+    bucket. One tombstone rides in the data."""
+    from raycdc.apply import is_tombstone
+    from raycdc.util import bucket_of
+
+    P = 8
+    kw = dict(n_base=60, seed=31, min_len=4, max_len=12, pct_malformed=0.0)
+    ins = events_table(EventGenConfig(n_events=400, pct_insert=1.0, pct_update=0.0,
+                                      pct_delete=0.0, **kw))
+    dele = events_table(EventGenConfig(n_events=1, pct_insert=0.0, pct_update=0.0,
+                                       pct_delete=1.0, lsn_offset=400, **kw))
+    dele = dele.set_column(2, "doc_id", ins["doc_id"].slice(0, 1))
+    ev = pa.concat_tables([ins, dele])
+    odd = pa.array(bucket_of(ev.column("doc_id"), P) % 2 == 1)
+    want = fold_events(base_table(0, seed=31), ev)
+    lk = LakeTable(str(tmp_path / "lake"), num_partitions=P)
+    lk.init()
+    lk.apply(rd.from_arrow(ev.filter(odd)), ["s1"])
+    lk.apply(rd.from_arrow(ev.filter(pc.invert(odd))), ["s2"])
+    m = lk.manifest()
+    held = {e["file"]: e["buckets"] for e in m["l0"]}
+    assert len(held) == 2 and lake_mod._pids(m) == list(range(P))
+
+    def read_order(r):  # the range's buckets, run by run, as the fold reads them
+        return [b for f, _ in r["runs"] for b in held[f] if r["lo"] <= b < r["hi"]]
+
+    assert any(not r["fold"] and read_order(r) != sorted(read_order(r))
+               for r in lake_mod._ranges(m))
+
+    def assert_one_bucket_runs():
+        runs = lk.manifest()["l0"]
+        assert len(runs) == P
+        for e in runs:
+            t = pq.read_table(os.path.join(lk.path, e["file"]), columns=["_bucket", "op"])
+            assert len(e["buckets"]) == 1 and set(t["_bucket"].to_pylist()) == set(e["buckets"])
+            assert e["live_rows"] == t.num_rows - int(is_tombstone(t["op"]).sum())
+        assert_eq(collect(lk.read()), want)
+
+    assert lk.compact() == 0
+    assert_one_bucket_runs()
+    assert lk.compact(drop_tombs=True) == 1
+    assert_one_bucket_runs()
+
+
 def test_l0_duplicate_block_content_counted_once(tmp_path):
     """Two input blocks with identical content produce ONE run file and
     ONE manifest entry (not a double-fold)."""
