@@ -2864,7 +2864,8 @@ def q_cdc_mv_source_counts(sf_dir: str):
     oracle: the events table replays through the real lake in three
     epochs (every 10th event a delete), and a per-event-type
     sum(cents)/count view is refreshed INCREMENTALLY after each epoch
-    (state-vs-state key-pruned delta, never a full rescan — raycdc/mv.py).
+    (state-vs-state key-pruned delta — raycdc/mv.py: two merge-on-read
+    scans per epoch, each filtered to the epoch's changed keys).
     The returned table is the final view; the oracle is the grouped
     aggregate over the LWW-latest non-deleted rows — so the equality
     proves three chained incremental refreshes land exactly on the

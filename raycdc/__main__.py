@@ -265,7 +265,11 @@ def main(argv=None) -> int:
             print("error: give at least one --sum/--count", file=sys.stderr)
             return 2
         view = MaterializedAggregate(lk, args.group, specs, args.mv_path)
-        t = view.refresh()
+        try:
+            t = view.refresh()
+        except ValueError as e:  # a float sum column, or a view newer than the lake
+            print(f"error: {e}", file=sys.stderr)
+            return 2
         print(json.dumps({"epoch": view.epoch(), "groups": t.num_rows}))
         return 0
 

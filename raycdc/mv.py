@@ -2,7 +2,7 @@
 
 A :class:`MaterializedAggregate` keeps a grouped SUM/COUNT table derived
 from the lake's converged state and brings it forward per committed
-epoch WITHOUT rescanning unchanged keys:
+epoch by a key-pruned delta:
 
     delta(E) = contrib(state_E ∩ changed_keys)
              − contrib(state_{E−1} ∩ changed_keys)
@@ -16,24 +16,23 @@ re-delivered older event appears in the epoch's files but LOSES the
 LWW fold, and only the state-vs-state difference accounts for that
 correctly (tombstones, duplicate replays, out-of-order lsns all
 included). A compaction epoch rewrites files but leaves the live state
-unchanged, so it reads nothing. Refresh is idempotent: the view is
-stamped with its epoch and re-refreshing at the same epoch is a no-op.
+unchanged, so it reads nothing. Each ingest epoch costs two full
+merge-on-read scans (states E and E−1), each filtered by key (a
+broadcast Arrow ``is_in``) before the combiner group-by.
 
-Scale shape: the key-set filter is a broadcast Arrow ``is_in`` inside
-``map_batches`` — one hash-set probe per row, so 200k rows against 2k
-keys take milliseconds, where ``np.isin`` over Python object arrays
-took seconds — and both scans are merge-on-read Datasets (one task per
-contiguous bucket range, parquet row-group pruning); contributions reduce
-through the combiner groupby, so only group-cardinality rows reach the
-driver — the view itself is group-cardinality by definition. Reference
-analog: nifi-dicom's running attribute counters
-(``LogCacheStatistics``-style derived state), maintained here as lake
-state instead of an in-process cache.
+The view is its newest ``mv-{epoch:08d}.parquet``, with no pointer
+beside it: a refresh folds every epoch it crosses and publishes one file
+at the lake's epoch, so a failed refresh leaves the previous view. The
+fold is one Arrow ``group_by(...).aggregate(sum)`` over the previous
+view and the contributions (the subtracted ones negated); a NULL group
+is one group, as in SQL. Sums are int64 and only of integer columns,
+the ones a delta subtracts exactly. Reference analog: nifi-dicom's
+running attribute counters (``LogCacheStatistics``-style derived
+state), kept here as lake state instead of an in-process cache.
 """
 
 from __future__ import annotations
 
-import json
 import os
 
 import pyarrow as pa
@@ -41,22 +40,18 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray
-import ray.data
 
-from raycdc.lake import LakeTable, _atomic_write_json, _atomic_write_parquet
-
-
-def _manifest_files(m: dict) -> set:
-    """Every state file of a manifest."""
-    return {e["file"] for e in m["l0"]}
+from raycdc.lake import LakeTable, _atomic_write_parquet
+from raycdc.schema_evo import schema_from_str
 
 
 class MaterializedAggregate:
     """Grouped SUM/COUNT view over the lake's live rows.
 
     ``specs``: out_col -> (value_col, "sum") | (None, "count"). A hidden
-    per-group row count is always maintained so groups whose last row
-    disappears are dropped exactly as a full recompute would drop them.
+    per-group row count ``_n`` is always maintained so groups whose last
+    row disappears are dropped exactly as a full recompute would drop
+    them; each count column is a copy of it.
     """
 
     def __init__(self, lake: LakeTable, group_col: str, specs: dict, mv_path: str):
@@ -66,127 +61,92 @@ class MaterializedAggregate:
         self.lake = lake
         self.group_col = group_col
         self.specs = dict(specs)
+        self.sums = [out for out, (_, kern) in self.specs.items() if kern == "sum"]
         self.path = mv_path
         os.makedirs(mv_path, exist_ok=True)
 
     # ------------------------------------------------------------ state
-    @property
-    def _stamp_path(self) -> str:
-        return os.path.join(self.path, "stamp.json")
+    def _file(self, epoch: int) -> str:
+        return os.path.join(self.path, f"mv-{epoch:08d}.parquet")
 
     def epoch(self) -> int | None:
-        try:
-            with open(self._stamp_path) as f:
-                return int(json.load(f)["epoch"])
-        except FileNotFoundError:
-            return None
+        """The epoch of the newest view file; None before the first refresh."""
+        return max((int(f[3:-8]) for f in os.listdir(self.path)
+                    if f.startswith("mv-") and f.endswith(".parquet")), default=None)
 
     def read(self) -> pa.Table:
         e = self.epoch()
         if e is None:
             raise FileNotFoundError("view has never been refreshed")
-        t = pq.read_table(os.path.join(self.path, f"mv-{e:08d}.parquet"))
-        return t.drop_columns(["_n"])
+        return pq.read_table(self._file(e)).drop_columns(["_n"])
 
     # ----------------------------------------------------------- refresh
-    def _contrib(self, ds: ray.data.Dataset, keys: pa.Array | None) -> dict:
-        """(group -> [aggs..., _n]) over live rows, optionally key-filtered."""
+    def _contrib(self, ds: ray.data.Dataset, keys: pa.Array | None = None) -> list[pa.Table]:
+        """The combiner group-by's (group, sums..., _n) tables of the live rows."""
         from raycdc.ops import partial_groupby_agg
 
         key_col = self.lake.key
         if keys is not None:
-            if len(keys) == 0:
-                return {}
             ref = ray.put(keys)
-
-            def keep(t: pa.Table) -> pa.Table:
-                return t.filter(pc.is_in(t.column(key_col), value_set=ray.get(ref)))
-
-            ds = ds.map_batches(keep, batch_format="pyarrow")
-        # one physical count only ("_n"); count specs alias it afterwards
-        # (duplicate (col, kernel) pairs collide inside the combiner)
-        aggs = {out: (col, "sum") for out, (col, kern) in self.specs.items()
-                if kern == "sum"}
+            ds = ds.map_batches(
+                lambda t: t.filter(pc.is_in(t.column(key_col), value_set=ray.get(ref))),
+                batch_format="pyarrow")
+        aggs = {out: (self.specs[out][0], "sum") for out in self.sums}
         aggs["_n"] = (key_col, "count")
-        count_outs = [out for out, (_, kern) in self.specs.items()
-                      if kern == "count"]
         folded = partial_groupby_agg(ds, self.group_col, aggs)
-        out: dict = {}
-        for t in folded.iter_batches(batch_size=None, batch_format="pyarrow"):
-            gs = t.column(self.group_col).to_pylist()
-            cols = {c: t.column(c).to_pylist() for c in t.column_names
-                    if c != self.group_col}
-            for i, g in enumerate(gs):
-                row = out.setdefault(
-                    g, dict.fromkeys([*self.specs, "_n"], 0))
-                for c in cols:
-                    row[c] += int(cols[c][i] or 0)
-                for c in count_outs:
-                    row[c] += int(cols["_n"][i] or 0)
-        return out
+        return [t for t in folded.iter_batches(batch_size=None, batch_format="pyarrow")
+                if t.num_rows]
 
-    def _write(self, mv: dict, epoch: int) -> None:
-        groups = sorted(mv)
-        cols = {self.group_col: pa.array(groups)}
-        for c in [*self.specs, "_n"]:
-            cols[c] = pa.array([mv[g][c] for g in groups], pa.int64())
-        _atomic_write_parquet(
-            os.path.join(self.path, f"mv-{epoch:08d}.parquet"), pa.table(cols)
-        )
-        _atomic_write_json(self._stamp_path, {"epoch": epoch})
+    def _changed_keys(self, e: int) -> pa.Array | None:
+        """Keys of the state files epoch ``e`` added; None when it added none."""
+        files = lambda m: {ent["file"] for ent in m["l0"]}
+        added = files(self.lake.manifest(e)) - files(self.lake.manifest(e - 1))
+        key_col = self.lake.key
+        cols = [pq.read_table(os.path.join(self.lake.path, f), columns=[key_col])
+                .column(key_col).combine_chunks() for f in sorted(added)]
+        return pc.unique(pa.concat_arrays(cols)) if cols else None
 
     def refresh(self) -> pa.Table:
         """Bring the view to the lake's current epoch; returns it."""
-        cur = int(self.lake.manifest()["epoch"])
-        have = self.epoch()
-        if have is None:
-            mv = self._contrib(self.lake.read(), keys=None)
-            self._write(mv, cur)
-            return self.read()
-        if have > cur:
+        m = self.lake.manifest()
+        cur, have = int(m["epoch"]), self.epoch()
+        if have is not None and have > cur:
             raise ValueError(f"view stamped at {have} but lake is at {cur}")
-        mv = {
-            r[self.group_col]: {c: r[c] for c in [*self.specs, "_n"]}
-            for r in pq.read_table(
-                os.path.join(self.path, f"mv-{have:08d}.parquet")
-            ).to_pylist()
-        }
-        avail = set(self.lake.epochs())
-        needed = set(range(have, cur + 1))  # e−1 reads need `have` too
-        if have < cur and not needed <= avail:
-            # a needed snapshot was vacuumed: fall back to full recompute
-            mv = self._contrib(self.lake.read(), keys=None)
-            self._write(mv, cur)
+        if have == cur:
             return self.read()
-        for e in range(have + 1, cur + 1):
-            m = self.lake.manifest(e)
-            if m["history"][-1].get("compaction"):  # the live state is unchanged
-                self._write(mv, e)
-                continue
-            new_files = _manifest_files(m) - _manifest_files(self.lake.manifest(e - 1))
-            key_col = self.lake.key
-            chunks = []
-            for f in sorted(new_files):
-                t = pq.read_table(os.path.join(self.lake.path, f),
-                                  columns=[key_col])
-                chunks.append(t.column(key_col).combine_chunks())
-            if not chunks:
-                self._write(mv, e)
-                continue
-            keys = pc.unique(pa.concat_arrays(
-                [c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
-                 for c in chunks]
-            ))
-            add = self._contrib(self.lake.read(epoch=e), keys)
-            sub = self._contrib(self.lake.read(epoch=e - 1), keys)
-            for g, row in add.items():
-                cur_row = mv.setdefault(g, dict.fromkeys([*self.specs, "_n"], 0))
-                for c in cur_row:
-                    cur_row[c] += row[c]
-            for g, row in sub.items():
-                cur_row = mv.setdefault(g, dict.fromkeys([*self.specs, "_n"], 0))
-                for c in cur_row:
-                    cur_row[c] -= row[c]
-            mv = {g: r for g, r in mv.items() if r["_n"] > 0}
-            self._write(mv, e)
-        return self.read()
+        types = {f.name: f.type for f in schema_from_str(m["schema"])} if m.get("schema") else {}
+        for out in self.sums:
+            t = types.get(self.specs[out][0], pa.null())
+            if not (pa.types.is_integer(t) or pa.types.is_null(t)):
+                raise ValueError(f"{out}: sums only integer columns, {self.specs[out][0]!r} is {t}")
+        if have is None or not set(range(have, cur + 1)) <= set(self.lake.epochs()):
+            # first refresh, or a needed snapshot was vacuumed: full recompute
+            parts = self._contrib(self.lake.read(epoch=cur))
+        else:
+            parts = [pq.read_table(self._file(have))]
+            for e in range(have + 1, cur + 1):
+                if self.lake.manifest(e)["history"][-1].get("compaction"):
+                    continue  # the live state is unchanged
+                keys = self._changed_keys(e)
+                if keys is None:
+                    continue
+                parts += self._contrib(self.lake.read(epoch=e), keys)
+                parts += [pa.table({c: t[c] if c == self.group_col else pc.negate(t[c])
+                                    for c in t.column_names})
+                          for t in self._contrib(self.lake.read(epoch=e - 1), keys)]
+        view = self._fold(parts, types.get(self.group_col, pa.null()))
+        _atomic_write_parquet(self._file(cur), view)
+        return view.drop_columns(["_n"])
+
+    def _fold(self, parts: list[pa.Table], group_type: pa.DataType) -> pa.Table:
+        """Per group the sum of every part, groups without a live row
+        dropped, sorted by group: ``[group, *specs, _n]``."""
+        g, cols = self.group_col, [*self.sums, "_n"]
+        empty = pa.schema([(g, group_type), *((c, pa.int64()) for c in cols)]).empty_table()
+        t = pa.concat_tables([empty, *(p.select([g, *cols]).cast(empty.schema) for p in parts)])
+        agg = t.group_by(g).aggregate([(c, "sum") for c in cols])
+        n = agg["_n_sum"]
+        view = pa.table({g: agg[g], **{
+            out: pc.fill_null(agg[f"{out}_sum"], 0) if kern == "sum" else n
+            for out, (_, kern) in self.specs.items()}, "_n": n})
+        return view.filter(pc.greater(n, 0)).sort_by(g)

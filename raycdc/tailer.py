@@ -164,22 +164,10 @@ def tail_once(
     return lake.apply(ds, todo)
 
 
-def tail_until_caught_up(
-    lake: LakeTable,
-    log_dir: str,
-    max_segments_per_epoch: int | None = None,
-    transform=None,
-    dead_letter_dir: str | None = None,
-    batch_size: int = 65536,
-) -> list[dict]:
-    """Drain the log: repeat tail_once until no pending segments."""
-    return list(tail_forever(
-        lake, log_dir, idle_timeout_s=0,
-        max_segments_per_epoch=max_segments_per_epoch,
-        transform=transform,
-        dead_letter_dir=dead_letter_dir,
-        batch_size=batch_size,
-    ))
+def tail_until_caught_up(lake: LakeTable, log_dir: str, **tail_kwargs) -> list[dict]:
+    """Drain the log: repeat :func:`tail_once` (``tail_kwargs`` are its
+    keywords) until no pending segments."""
+    return list(tail_forever(lake, log_dir, idle_timeout_s=0, **tail_kwargs))
 
 
 def tail_forever(

@@ -6,6 +6,7 @@ between groups, deletes, and duplicate replays of stale lsns."""
 import os
 
 import numpy as np
+import pytest
 import pyarrow as pa
 import ray.data as rd
 
@@ -150,3 +151,120 @@ def test_mv_refresh_skips_compaction_epochs(tmp_path, monkeypatch):
     assert reads == [2, 1]  # epoch 2 and its predecessor; nothing for epoch 3
     assert got == _full(lake) == {"b": (13, 2)}
     assert mv.epoch() == lake.manifest()["epoch"] == 3
+
+
+def _mv(lake, tmp_path, name="mv"):
+    return MaterializedAggregate(
+        lake, "grp", {"sum_cents": ("cents", "sum"), "n_docs": (None, "count")},
+        str(tmp_path / name))
+
+
+def test_mv_refuses_a_float_sum(tmp_path, capsys):
+    """Incremental subtraction is exact only on integers: a float sum
+    column is refused, never truncated (0.5 + 0.4 once summed to 0)."""
+    from raycdc.__main__ import main
+
+    lake = LakeTable(str(tmp_path / "lake"), num_partitions=2, key="doc_id")
+    lake.init()
+    lake.apply(rd.from_arrow(_ev([(1, "insert", "d1", "a", 1), (2, "insert", "d2", "a", 2)])
+                             .append_column("score", pa.array([0.5, 0.4]))), ["s0"])
+    mv = MaterializedAggregate(lake, "grp", {"total": ("score", "sum")}, str(tmp_path / "mv"))
+    with pytest.raises(ValueError, match="total.*double"):
+        mv.refresh()
+    assert mv.epoch() is None
+    capsys.readouterr()
+    assert main(["mv", lake.path, str(tmp_path / "mv2"), "--group", "grp",
+                 "--sum", "total=score"]) == 2
+    assert capsys.readouterr().err.startswith("error: total")
+
+
+def test_mv_null_group_is_one_group(tmp_path):
+    """A NULL group value is one group, as in SQL, on the first refresh
+    and through the incremental path."""
+    lake = LakeTable(str(tmp_path / "lake"), num_partitions=4, key="doc_id")
+    lake.init()
+    mv = _mv(lake, tmp_path)
+    for i, rows in enumerate([
+        [(1, "insert", "d1", None, 10), (2, "insert", "d2", "a", 20),
+         (3, "insert", "d3", None, 5)],
+        [(4, "update", "d2", None, 7), (5, "delete", "d1", None, 0),
+         (6, "insert", "d4", "b", 1)],
+    ]):
+        lake.apply(rd.from_arrow(_ev(rows)), [f"seg-{i}"])
+        got = _view(mv.refresh())
+        assert got == _full(lake), (i, got)
+    assert got == {None: (12, 2), "b": (1, 1)}
+
+
+def test_mv_full_recompute_reads_the_epoch_it_stamps(tmp_path, monkeypatch):
+    """A writer that commits right after refresh reads the lake's epoch
+    must not leak its rows into the view stamped at that epoch: the next
+    refresh would count them again."""
+    lake = LakeTable(str(tmp_path / "lake"), num_partitions=2, key="doc_id")
+    lake.init()
+    lake.apply(rd.from_arrow(_ev([(1, "insert", "d1", "a", 10)])), ["s0"])
+    other = LakeTable(lake.path)
+    real, raced = lake.manifest, []
+
+    def manifest(epoch=None):
+        m = real(epoch)
+        if epoch is None and not raced:
+            raced.append(other.apply(rd.from_arrow(_ev([(2, "insert", "d2", "a", 1)])), ["s1"]))
+        return m
+
+    mv = _mv(lake, tmp_path)
+    monkeypatch.setattr(lake, "manifest", manifest)
+    assert _view(mv.refresh()) == {"a": (10, 1)} and mv.epoch() == 1
+    monkeypatch.undo()
+    assert _view(mv.refresh()) == _full(lake) == {"a": (11, 2)}
+
+
+def test_mv_refresh_publishes_one_file(tmp_path):
+    """One refresh across four ingest epochs publishes exactly one view
+    file, at the lake's epoch, and nothing else."""
+    lake = LakeTable(str(tmp_path / "lake"), num_partitions=2, key="doc_id")
+    lake.init()
+    mv = _mv(lake, tmp_path)
+    lake.apply(rd.from_arrow(_ev([(1, "insert", "d1", "a", 5)])), ["s0"])
+    mv.refresh()
+    before = set(os.listdir(mv.path))
+    for i in range(4):
+        lake.apply(rd.from_arrow(_ev([(2 + i, "insert", f"e{i}", "ab"[i % 2], i)])), [f"s{i + 1}"])
+    assert _view(mv.refresh()) == _full(lake)
+    assert set(os.listdir(mv.path)) - before == {"mv-00000005.parquet"}
+    assert mv.epoch() == 5
+
+
+def test_mv_failed_publish_leaves_the_previous_view(tmp_path, monkeypatch):
+    import raycdc.mv
+
+    lake = LakeTable(str(tmp_path / "lake"), num_partitions=2, key="doc_id")
+    lake.init()
+    mv = _mv(lake, tmp_path)
+    lake.apply(rd.from_arrow(_ev([(1, "insert", "d1", "a", 5)])), ["s0"])
+    prev = mv.refresh()
+    lake.apply(rd.from_arrow(_ev([(2, "update", "d1", "b", 6),
+                                  (3, "insert", "d2", "a", 7)])), ["s1"])
+
+    def crash(path, table, row_group_size=None):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(raycdc.mv, "_atomic_write_parquet", crash)
+    with pytest.raises(OSError):
+        mv.refresh()
+    assert mv.epoch() == 1 and mv.read().equals(prev)
+    monkeypatch.undo()
+    assert _view(mv.refresh()) == _full(lake) == {"a": (7, 1), "b": (6, 1)}
+    assert mv.epoch() == 2
+
+
+def test_mv_of_an_empty_lake_is_empty_at_epoch_0(tmp_path):
+    lake = LakeTable(str(tmp_path / "lake"), num_partitions=2, key="doc_id")
+    lake.init()
+    mv = _mv(lake, tmp_path)
+    t = mv.refresh()
+    assert mv.epoch() == 0 and t.num_rows == 0
+    assert t.column_names == ["grp", "sum_cents", "n_docs"]
+    assert mv.read().equals(t)
+    lake.apply(rd.from_arrow(_ev([(1, "insert", "d1", "a", 5)])), ["s0"])
+    assert _view(mv.refresh()) == {"a": (5, 1)}
