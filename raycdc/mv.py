@@ -131,7 +131,9 @@ class MaterializedAggregate:
                 if keys is None:
                     continue
                 parts += self._contrib(self.lake.read(epoch=e), keys)
-                parts += [pa.table({c: t[c] if c == self.group_col else pc.negate(t[c])
+                # int64 before the negation: an unsigned sum would wrap
+                parts += [pa.table({c: t[c] if c == self.group_col
+                                    else pc.negate(t[c].cast(pa.int64()))
                                     for c in t.column_names})
                           for t in self._contrib(self.lake.read(epoch=e - 1), keys)]
         view = self._fold(parts, types.get(self.group_col, pa.null()))

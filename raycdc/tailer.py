@@ -167,7 +167,7 @@ def tail_once(
 def tail_until_caught_up(lake: LakeTable, log_dir: str, **tail_kwargs) -> list[dict]:
     """Drain the log: repeat :func:`tail_once` (``tail_kwargs`` are its
     keywords) until no pending segments."""
-    return list(tail_forever(lake, log_dir, idle_timeout_s=0, **tail_kwargs))
+    return list(iter(lambda: tail_once(lake, log_dir, **tail_kwargs), None))
 
 
 def tail_forever(

@@ -289,6 +289,9 @@ def test_all_dead_letter_segment_still_commits(lake, tmp_path):
     assert pq.read_table(str(tmp_path / "dead")).num_rows == 2
     # nothing pending afterwards
     assert tail_until_caught_up(lake, log_dir) == []
+    # it takes tail_once's keywords only: a watch loop's knobs are refused
+    with pytest.raises(TypeError, match="max_epochs"):
+        tail_until_caught_up(lake, log_dir, max_epochs=1)
 
 
 def test_delta_epoch_bytes_proportional_to_events(tmp_path):

@@ -178,6 +178,32 @@ def test_mv_refuses_a_float_sum(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: total")
 
 
+@pytest.mark.parametrize("uint64_partials", [False, True])
+def test_mv_sums_an_unsigned_column_through_updates(tmp_path, monkeypatch, uint64_partials):
+    """An unsigned sum column is an integer column: updating or deleting
+    a row subtracts its old value exactly, also when the contributions
+    come back as uint64 (Arrow's own group-by sum of an unsigned column),
+    where a negation before the int64 cast would wrap."""
+    lake = LakeTable(str(tmp_path / "lake"), num_partitions=2, key="doc_id")
+    lake.init()
+    mv = _mv(lake, tmp_path)
+    if uint64_partials:
+        real = mv._contrib
+        monkeypatch.setattr(mv, "_contrib", lambda ds, keys=None: [
+            t.set_column(t.schema.get_field_index("sum_cents"), "sum_cents",
+                         t["sum_cents"].cast(pa.uint64())) for t in real(ds, keys)])
+    for i, rows in enumerate([
+        [(1, "insert", "d1", "a", 10), (2, "insert", "d2", "a", 20)],
+        [(3, "update", "d1", "b", 4), (4, "delete", "d2", "a", 0)],
+    ]):
+        t = _ev(rows)
+        lake.apply(rd.from_arrow(t.set_column(4, "cents", t["cents"].cast(pa.uint32()))),
+                   [f"seg-{i}"])
+        got = _view(mv.refresh())
+        assert got == _full(lake), (i, got)
+    assert got == {"b": (4, 1)}
+
+
 def test_mv_null_group_is_one_group(tmp_path):
     """A NULL group value is one group, as in SQL, on the first refresh
     and through the incremental path."""
