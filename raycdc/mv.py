@@ -101,9 +101,8 @@ class MaterializedAggregate:
         """Keys of the state files epoch ``e`` added; None when it added none."""
         files = lambda m: {ent["file"] for ent in m["l0"]}
         added = files(self.lake.manifest(e)) - files(self.lake.manifest(e - 1))
-        key_col = self.lake.key
-        cols = [pq.read_table(os.path.join(self.lake.path, f), columns=[key_col])
-                .column(key_col).combine_chunks() for f in sorted(added)]
+        cols = [pq.read_table(os.path.join(self.lake.path, f), columns=[self.lake.key])
+                .column(0).combine_chunks() for f in sorted(added)]
         return pc.unique(pa.concat_arrays(cols)) if cols else None
 
     def refresh(self) -> pa.Table:
@@ -131,9 +130,8 @@ class MaterializedAggregate:
                 if keys is None:
                     continue
                 parts += self._contrib(self.lake.read(epoch=e), keys)
-                # int64 before the negation: an unsigned sum would wrap
                 parts += [pa.table({c: t[c] if c == self.group_col
-                                    else pc.negate(t[c].cast(pa.int64()))
+                                    else pc.negate(t[c].cast(pa.int64()))  # unsigned would wrap
                                     for c in t.column_names})
                           for t in self._contrib(self.lake.read(epoch=e - 1), keys)]
         view = self._fold(parts, types.get(self.group_col, pa.null()))
