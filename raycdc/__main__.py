@@ -267,7 +267,7 @@ def main(argv=None) -> int:
         view = MaterializedAggregate(lk, args.group, specs, args.mv_path)
         try:
             t = view.refresh()
-        except ValueError as e:  # a float sum column, or a view newer than the lake
+        except ValueError as e:  # a missing or float column, or a view newer than the lake
             print(f"error: {e}", file=sys.stderr)
             return 2
         print(json.dumps({"epoch": view.epoch(), "groups": t.num_rows}))

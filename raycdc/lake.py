@@ -51,12 +51,16 @@ the LWW fold against the tombstone instead of resurrecting a deleted
 row. ``read()`` filters tombstones out; ``compact(drop_tombs=True)``
 drops them permanently once upstream segments can no longer be replayed.
 Runs hold the rows in a *stored form* (:func:`_encode_stored`): a
-``list`` column of ints or floats with no null element is a ``binary``
-view of the same buffers, whose field metadata names the logical type
-and the byte order. The run writer's payload take, the fold and
-compaction move those bytes, never list structure; ``read()`` returns
-the logical form, and the manifest ``schema`` is the logical one. Files
-without that metadata (the list form) read as they are.
+``list`` column of ints or floats with no null element is ``binary``,
+each value its row's packed elements, and its field metadata names the
+logical type and the byte order. Integer elements are packed at the
+narrowest width that holds every element of the column in that file
+(``uint16`` for a 50,000-token vocabulary), and the metadata names that
+type too. The run writer's payload take, the fold and compaction move
+those bytes, never list structure; ``read()`` returns the logical form,
+and the manifest ``schema`` is the logical one. Files without that
+metadata (the list form) read as they are, and so do stored files
+without a packed type (elements at their logical width).
 
 Concurrency: the commit is its own compare-and-swap, with no lock. A
 writer that read epoch N commits with one durable write, ``os.link``-ing
@@ -153,10 +157,15 @@ def _load(path: str) -> dict | None:
 # The stored form of runs: a ``list`` column of ints or floats
 # whose child holds no null is written as ``binary``, each value the
 # row's packed elements. Its field metadata keeps the logical field and
-# the byte order of the packed elements.
+# the byte order of the packed elements and, when integer elements are
+# packed narrower than the logical type, the type they are packed as.
 _LOGICAL_FIELD = b"raycdc.logical_field"
 _BYTE_ORDER = b"raycdc.byte_order"
+_STORED_TYPE = b"raycdc.stored_type"
 _MAX_BINARY = (1 << 31) - 1  # bytes a ``binary`` column's int32 offsets address
+# the packed integer types, narrowest first: (unsigned, signed)
+_PACKED = [(pa.uint8(), pa.int8()), (pa.uint16(), pa.int16()),
+           (pa.uint32(), pa.int32()), (pa.uint64(), pa.int64())]
 
 
 def _element_width(f: pa.Field) -> int:
@@ -169,6 +178,15 @@ def _element_width(f: pa.Field) -> int:
     return v.bit_width // 8 if pa.types.is_integer(v) or pa.types.is_floating(v) else 0
 
 
+def _narrowest(lo: int, hi: int) -> pa.DataType:
+    """The narrowest packed type that holds every integer in ``[lo, hi]``:
+    unsigned when ``lo >= 0``, signed otherwise."""
+    for t in (u if lo >= 0 else s for u, s in _PACKED):
+        info = np.iinfo(t.to_pandas_dtype())
+        if info.min <= lo and hi <= info.max:
+            return t
+
+
 def _validity(a: pa.Array) -> pa.Buffer | None:
     """``a``'s validity bitmap, starting at its first row."""
     return pc.is_valid(a).buffers()[1] if a.null_count else None
@@ -176,10 +194,16 @@ def _validity(a: pa.Array) -> pa.Buffer | None:
 
 def _encode_stored(t: pa.Table) -> pa.Table:
     """The stored form of ``t``: each ``list<fixed-width>`` column whose
-    child holds no null becomes a zero-copy ``binary`` view — offsets are
-    the list offsets × element width, data is the child's values buffer.
-    The column is ``large_binary`` when it would pass 2 GiB, so a take
-    over all its chunks cannot overflow. Every other column is untouched."""
+    child holds no null becomes a ``binary`` column, each value its row's
+    packed elements; offsets are the list offsets × packed width.
+    Integer elements are packed at the narrowest type that holds every
+    element of the column (:func:`_narrowest`), one cast per chunk, and
+    the field metadata names that type. A float column, a column that
+    needs its logical width and one with no element share the child's
+    values buffer, zero-copy, and name no packed type. The column is
+    ``large_binary`` when its packed bytes would pass 2 GiB, so a take
+    over all its chunks cannot overflow. Every other column is
+    untouched."""
     for i, f in enumerate(t.schema):
         w = _element_width(f)
         col = t.column(i)
@@ -187,17 +211,23 @@ def _encode_stored(t: pa.Table) -> pa.Table:
             continue
         # empty chunks are dropped: Arrow lets them go without buffers
         parts = [(c, np.asarray(c.offsets)) for c in col.chunks if len(c)]  # slice-aware
-        large = sum(int(o[-1] - o[0]) for _, o in parts) * w > _MAX_BINARY
+        vals = [c.values.slice(int(o[0]), int(o[-1] - o[0])) for c, o in parts]
+        meta = {_LOGICAL_FIELD: schema_to_str(pa.schema([f])), _BYTE_ORDER: sys.byteorder}
+        vt = f.type.value_type
+        if pa.types.is_integer(vt) and vals:
+            lo, hi = pc.min_max(pa.chunked_array(vals, vt)).values()
+            packed = vt if lo.as_py() is None else _narrowest(lo.as_py(), hi.as_py())
+            if packed.bit_width < vt.bit_width:  # numpy's astype: 3x pc.cast's speed
+                vals = [pa.array(np.asarray(v).astype(packed.to_pandas_dtype())) for v in vals]
+                w, meta[_STORED_TYPE] = packed.bit_width // 8, str(packed)
+        large = sum(len(v) for v in vals) * w > _MAX_BINARY
         btype, otype = (pa.large_binary(), np.int64) if large else (pa.binary(), np.int32)
         chunks = []
-        for c, o in parts:
-            child = c.values
-            data = child.buffers()[1] or pa.py_buffer(b"")
-            data = data.slice((child.offset + int(o[0])) * w, int(o[-1] - o[0]) * w)
+        for (c, o), v in zip(parts, vals):
+            data = (v.buffers()[1] or pa.py_buffer(b"")).slice(v.offset * w, len(v) * w)
             offsets = pa.py_buffer(((o - o[0]) * w).astype(otype))
             chunks.append(pa.Array.from_buffers(btype, len(c), [_validity(c), offsets, data],
                                                 null_count=c.null_count))
-        meta = {_LOGICAL_FIELD: schema_to_str(pa.schema([f])), _BYTE_ORDER: sys.byteorder}
         t = t.set_column(i, pa.field(f.name, btype, f.nullable, meta),
                          pa.chunked_array(chunks, btype))
     return t
@@ -205,9 +235,12 @@ def _encode_stored(t: pa.Table) -> pa.Table:
 
 def _decode_stored(t: pa.Table) -> pa.Table:
     """The logical form of a stored table, the exact inverse of
-    :func:`_encode_stored`: only the offsets are rewritten, the values
-    buffer is shared. Columns without its metadata (list-form files)
-    are returned as they are."""
+    :func:`_encode_stored`: elements packed narrower than the logical
+    type are widened back with one cast per chunk; otherwise only the
+    offsets are rewritten and the values buffer is shared. Columns
+    without its metadata (list-form files) are returned as they are. A
+    stored column that names no packed type holds its elements at the
+    logical width, as every stored file written before packing does."""
     for i, f in enumerate(t.schema):
         meta = f.metadata or {}
         if _LOGICAL_FIELD not in meta:
@@ -216,7 +249,9 @@ def _decode_stored(t: pa.Table) -> pa.Table:
             raise ValueError(f"column {f.name!r} holds {meta.get(_BYTE_ORDER)!r}-endian "
                              f"elements; this host is {sys.byteorder}-endian")
         logical = schema_from_str(meta[_LOGICAL_FIELD].decode()).field(0)
-        w = _element_width(logical)
+        vt = logical.type.value_type
+        packed = pa.type_for_alias(meta[_STORED_TYPE].decode()) if _STORED_TYPE in meta else vt
+        w = packed.bit_width // 8
         btype = np.int64 if pa.types.is_large_binary(f.type) else np.int32
         otype = np.int64 if pa.types.is_large_list(logical.type) else np.int32
         chunks = []
@@ -226,7 +261,9 @@ def _decode_stored(t: pa.Table) -> pa.Table:
             _, offsets, data = c.buffers()
             o = np.frombuffer(offsets, btype)[c.offset:c.offset + len(c) + 1]
             data = (data or pa.py_buffer(b"")).slice(int(o[0]), int(o[-1] - o[0]))
-            child = pa.Array.from_buffers(logical.type.value_type, len(data) // w, [None, data])
+            child = pa.Array.from_buffers(packed, len(data) // w, [None, data])
+            if packed != vt:
+                child = pa.array(np.asarray(child).astype(vt.to_pandas_dtype()))
             offsets = pa.py_buffer(((o - o[0]) // w).astype(otype))
             chunks.append(pa.Array.from_buffers(logical.type, len(c), [_validity(c), offsets],
                                                 null_count=c.null_count, children=[child]))
@@ -252,7 +289,9 @@ def _write_options(table: pa.Table) -> dict:
     payload (a large vocabulary) cost ~40% of encode time and made files
     larger. A column in the stored form (:func:`_encode_stored`) gets no
     statistics: byte-order min/max of packed elements prunes nothing.
-    Every other column keeps them, ``_bucket`` row-group pruning included."""
+    Its elements come packed at the narrowest width, so zstd is not left
+    to squeeze out their high zero bytes. Every other column keeps its
+    statistics, ``_bucket`` row-group pruning included."""
     encoded = {f.name for f in table.schema if _LOGICAL_FIELD in (f.metadata or {})}
     stats = [p for f in table.schema if f.name not in encoded
              for p in _leaf_paths(f)] if encoded else True

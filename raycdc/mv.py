@@ -114,6 +114,9 @@ class MaterializedAggregate:
         if have == cur:
             return self.read()
         types = {f.name: f.type for f in schema_from_str(m["schema"])} if m.get("schema") else {}
+        for col in (self.group_col, *(self.specs[out][0] for out in self.sums)):
+            if types and col not in types:
+                raise ValueError(f"the lake has no column {col!r}")
         for out in self.sums:
             t = types.get(self.specs[out][0], pa.null())
             if not (pa.types.is_integer(t) or pa.types.is_null(t)):

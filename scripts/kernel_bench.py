@@ -1,9 +1,10 @@
 """Micro-bench of engine kernels, each against the variant it replaced
 or beat: dedup candidate-pair generation and pair-Jaccard verify, the
-L0 run writer's LWW fold and its parquet encode, the unordered LWW
-fold of ``lww_apply``, the LWW pre-fold ahead of the deid transform
-and the deid stage's pseudonymize and seal loops. Pure numpy/Arrow —
-no Ray session; identical output asserted per kernel.
+L0 run writer's LWW fold, its parquet encode and its payload width
+(with the read fold), the unordered LWW fold of ``lww_apply``, the LWW
+pre-fold ahead of the deid transform and the deid stage's pseudonymize
+and seal loops. Pure numpy/Arrow — no Ray session; identical output
+asserted per kernel.
 
     python scripts/kernel_bench.py
 
@@ -48,7 +49,17 @@ Outcome (this bench DROVE the shipped choice of every kernel):
   5.00 MB vs snappy + dictionary 53 ms / 6.18 MB, same read-back time.
   SHIPS (lake._write_options). The token lists as one binary view of
   the same buffers (lake._encode_stored) skip Parquet's list encoding
-  on top of that. SHIPS (every run and base)."""
+  on top of that. SHIPS (every run and base).
+- run WIDTH (the 8 raw tail_bulk segments through the run writer's
+  steps, 4 cores in the affinity mask, nproc 1, pyarrow 16.1, best of 5,
+  two runs): the token payload packed as uint16 (its min/max, one numpy
+  astype per chunk ahead of the take) 0.317/0.319 s and 33,011,329 run
+  bytes, vs int32 at its logical width 0.429/0.425 s and 40,331,374
+  bytes (-18.1%); the read fold over each side's 8 runs (widen, concat,
+  re-pack, LWW fold, widen) 0.213/0.187 s vs 0.233/0.259 s. Identical
+  decoded runs, run names and fold output (86,904 rows). pc.cast in
+  place of astype took 2-3x as long each way. SHIPS
+  (lake._encode_stored / _decode_stored)."""
 
 from __future__ import annotations
 
@@ -432,6 +443,60 @@ def bench_run_encode(partitions: int = 32) -> dict:
     return out
 
 
+def bench_run_width(partitions: int = 32) -> dict:
+    """The ingest run writer over the eight raw ``tail_bulk`` segments
+    (validate, ok LWW order, ``_encode_stored``, payload take, parquet
+    encode with the run write options; no fsync) with the token payload
+    packed at its logical width (int32) against the shipped narrowest
+    width (uint16 for the 50,000-token vocabulary), then the read fold
+    over each side's eight runs (one range: read, decode, concat,
+    encode, LWW fold, decode). Identical decoded runs, run names and
+    fold output asserted."""
+    import raycdc.lake as lake_mod
+    from raycdc.apply import last_writer_per_key
+    from raycdc.lake import _decode_stored, _encode_stored, _write_options, ok_lww_order
+    from raycdc.routing import stamp_route
+
+    segs = _raw_segments()
+    narrowest = lake_mod._narrowest
+
+    def write() -> list[tuple[bytes, str]]:
+        out = []
+        for s in segs:
+            t, order = ok_lww_order(stamp_route(s, "doc_id"), "doc_id", partitions)
+            t = last_writer_per_key(_encode_stored(t), order=order)
+            buf = io.BytesIO()
+            pq.write_table(t, buf, row_group_size=max(2048, -(-t.num_rows // partitions)),
+                           **_write_options(t))
+            out.append((buf.getvalue(), _run_name(t)))
+        return out
+
+    def fold(runs: list[tuple[bytes, str]]) -> pa.Table:
+        parts = [_decode_stored(pq.read_table(io.BytesIO(data))) for data, _ in runs]
+        t = _encode_stored(pa.concat_tables(parts, promote_options="permissive"))
+        return _decode_stored(last_writer_per_key(t))
+
+    out = {"kernel": "run_width", "segments": len(segs)}
+    results = {}
+    for label, packed in (("logical_int32", lambda lo, hi: pa.int64()), ("shipped_narrowest", narrowest)):
+        lake_mod._narrowest = packed  # int64 is never narrower than the logical type
+        try:
+            t_write, runs = timeit(write, reps=5)
+            t_fold, folded = timeit(lambda: fold(runs), reps=5)
+        finally:
+            lake_mod._narrowest = narrowest
+        results[label] = (runs, folded)
+        out.update({f"{label}_write_sec": round(t_write, 4), f"{label}_fold_sec": round(t_fold, 4),
+                    f"{label}_bytes": sum(len(d) for d, _ in runs)})
+    (wide, wide_fold), (narrow, narrow_fold) = results.values()
+    assert [n for _, n in wide] == [n for _, n in narrow]
+    assert all(_decode_stored(pq.read_table(io.BytesIO(a))).equals(_decode_stored(pq.read_table(io.BytesIO(b))))
+               for (a, _), (b, _) in zip(wide, narrow))
+    assert wide_fold.equals(narrow_fold)
+    out["fold_rows"] = narrow_fold.num_rows
+    return out
+
+
 if __name__ == "__main__":
     print(json.dumps(bench_pairgen()))
     print(json.dumps(bench_jaccard()))
@@ -440,3 +505,4 @@ if __name__ == "__main__":
     print(json.dumps(bench_deid_prefold()))
     print(json.dumps(bench_deid_seal()))
     print(json.dumps(bench_run_encode()))
+    print(json.dumps(bench_run_width()))

@@ -8,6 +8,7 @@ requeue (`PutDICOM.java:83-86`), replay/resume equivalence (north rule).
 
 import os
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -17,6 +18,7 @@ import ray.data as rd
 import raycdc.lake as lake_mod
 from raycdc.apply import base_as_inserts
 from raycdc.lake import LakeTable
+from raycdc.schema_evo import schema_to_str
 from raycdc.synth import (
     EventGenConfig,
     base_table,
@@ -694,6 +696,12 @@ def test_run_and_base_files_are_zstd_without_dictionary(tmp_path):
         assert field.type == pa.binary(), rel
         assert field.metadata[b"raycdc.byte_order"] == b"little", rel
         assert b"raycdc.logical_field" in field.metadata, rel
+        # every token lies in the 50,000-token vocabulary: packed as uint16
+        # (uint8 if a run's tokens all fit in one byte)
+        tokens = lake_mod._decode_stored(pq.read_table(os.path.join(lk.path, rel)))["tokens"]
+        lo, hi = pc.min_max(pc.list_flatten(tokens)).values()
+        assert 0 <= lo.as_py() and hi.as_py() < 65536, rel
+        assert field.metadata[b"raycdc.stored_type"] == (b"uint8" if hi.as_py() < 256 else b"uint16"), rel
     assert_eq(collect(lk.read()), fold_events(base, all_events))
 
 
@@ -903,6 +911,73 @@ def test_list_form_lake_reads_tails_and_compacts(tmp_path):
     lk.compact()
     for e in lk.manifest()["l0"]:
         assert pq.read_schema(os.path.join(lk.path, e["file"])).field("tokens").type == pa.binary()
+    assert_eq(collect(lk.read()), want)
+
+
+def _write_four_byte_stored(path: str) -> None:
+    """Rewrite the state file at ``path`` in the stored form written
+    before integer elements were packed narrower: each row's int32
+    tokens as 4 little-endian bytes, no ``raycdc.stored_type`` key."""
+    t = lake_mod._decode_stored(pq.read_table(path))
+    i = t.schema.get_field_index("tokens")
+    f = t.schema.field(i)
+    meta = {b"raycdc.logical_field": schema_to_str(pa.schema([f])), b"raycdc.byte_order": b"little"}
+    rows = [None if r is None else np.asarray(r, "<i4").tobytes() for r in t["tokens"].to_pylist()]
+    t = t.set_column(i, pa.field("tokens", pa.binary(), f.nullable, meta), pa.array(rows, pa.binary()))
+    pq.write_table(t, path, **lake_mod._write_options(t))
+
+
+def _map_segment_tokens(path: str, fn) -> None:
+    """Rewrite the changelog segment at ``path`` with ``fn`` applied to
+    every token; lengths and nulls stay, so no event turns malformed."""
+    t = pq.read_table(path)
+    tok = t["tokens"].combine_chunks()
+    vals = pa.array(fn(np.asarray(tok.values)).astype(np.int32))
+    tok = pa.ListArray.from_arrays(tok.offsets, vals, mask=pc.is_null(tok))
+    pq.write_table(t.set_column(t.schema.get_field_index("tokens"), "tokens", tok), path)
+
+
+def test_four_byte_stored_lake_folds_runs_of_every_width(tmp_path):
+    """A lake whose runs and bases hold 4-byte elements without the
+    stored-type key (the stored form before elements were packed
+    narrower) reads as before. Runs packed as uint8, uint16 and at the
+    full int32 width tail into it, so every range folds all four kinds
+    of file; read, compaction and compaction dropping tombstones match
+    the oracle."""
+    base, log_dir, _ = make_log(tmp_path, seed=71, n_segments=5)
+    segs = sorted(os.listdir(log_dir))
+    _map_segment_tokens(os.path.join(log_dir, segs[2]), lambda v: v % 256)
+    _map_segment_tokens(os.path.join(log_dir, segs[4]), lambda v: v + 16_000)
+    all_events = pa.concat_tables([pq.read_table(os.path.join(log_dir, f)) for f in segs])
+    lk = LakeTable(str(tmp_path / "lake"), num_partitions=8)
+    lk.init()
+    seeded_lake(lk, base)
+    tail_once(lk, log_dir, max_segments_per_epoch=1, batch_size=None)
+    lk.compact()
+    tail_once(lk, log_dir, max_segments_per_epoch=1, batch_size=None)
+    files = [e["file"] for e in lk.manifest()["l0"]]
+    for rel in files:
+        path = os.path.join(lk.path, rel)
+        _write_four_byte_stored(path)
+        assert b"raycdc.stored_type" not in pq.read_schema(path).field("tokens").metadata
+    early = pa.concat_tables([pq.read_table(os.path.join(log_dir, f)) for f in segs[:2]])
+    got = collect(lk.read())
+    assert got.schema.field("tokens").type == pa.list_(pa.int32())
+    assert_eq(got, fold_events(base, early))
+
+    tail_until_caught_up(lk, log_dir, max_segments_per_epoch=1, batch_size=None)
+    fresh = [e["file"] for e in lk.manifest()["l0"] if e["file"] not in files]
+    packed = [pq.read_schema(os.path.join(lk.path, rel)).field("tokens").metadata.get(b"raycdc.stored_type")
+              for rel in fresh]
+    assert packed == [b"uint8", b"uint16", None]
+    for r in lake_mod._ranges(lk.manifest()):  # each range folds every kind of file
+        held = {f for f, _ in r["runs"]}
+        assert set(fresh) <= held and held & set(files) and r["fold"]
+    want = fold_events(base, all_events)
+    assert_eq(collect(lk.read()), want)
+    lk.compact()
+    assert_eq(collect(lk.read()), want)
+    lk.compact(drop_tombs=True)
     assert_eq(collect(lk.read()), want)
 
 

@@ -178,6 +178,27 @@ def test_mv_refuses_a_float_sum(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: total")
 
 
+@pytest.mark.parametrize("sum_col, group", [("nope", "grp"), ("cents", "nogrp")])
+def test_mv_refuses_a_column_the_lake_lacks(tmp_path, capsys, sum_col, group):
+    """A sum or group column the lake does not have is refused before
+    any scan (it once died in the combiner as a Ray task error), and the
+    CLI prints ``error: …`` and exits 2."""
+    from raycdc.__main__ import main
+
+    lake = LakeTable(str(tmp_path / "lake"), num_partitions=2, key="doc_id")
+    lake.init()
+    lake.apply(rd.from_arrow(_ev([(1, "insert", "d1", "a", 1)])), ["s0"])
+    missing = sum_col if group == "grp" else group
+    mv = MaterializedAggregate(lake, group, {"total": (sum_col, "sum")}, str(tmp_path / "mv"))
+    with pytest.raises(ValueError, match=f"no column '{missing}'"):
+        mv.refresh()
+    assert mv.epoch() is None
+    capsys.readouterr()
+    assert main(["mv", lake.path, str(tmp_path / "mv2"), "--group", group,
+                 "--sum", f"total={sum_col}"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: the lake has no column '{missing}'")
+
+
 @pytest.mark.parametrize("uint64_partials", [False, True])
 def test_mv_sums_an_unsigned_column_through_updates(tmp_path, monkeypatch, uint64_partials):
     """An unsigned sum column is an integer column: updating or deleting
