@@ -116,8 +116,8 @@ def run_bench() -> dict:
     # stage) on the timed tail, the workload DeidentifyEncryptDICOM
     # performs per image. --scaling uses it so the timed tail carries the
     # reference's per-record CPU profile (see BASELINE.md). tail_once
-    # hands the transform each segment's LWW winners, not every event, so
-    # with kdf="row" a run pays one KDF per segment winner.
+    # hands the transform each segment group's LWW winners, not every
+    # event, so with kdf="row" a run pays one KDF per group winner.
     transform = None
     tname = os.environ.get("RAYCDC_BENCH_TRANSFORM", "")
     if tname == "deid":
@@ -129,8 +129,8 @@ def run_bench() -> dict:
         raise ValueError(f"unknown RAYCDC_BENCH_TRANSFORM {tname!r}")
 
     def tail(lake: LakeTable) -> None:
-        # whole-segment batches: one fused task per segment, one L0 run per
-        # segment, maximal per-batch LWW reduction (see tail_once docstring)
+        # whole-group batches: one fused task and one L0 run per group of
+        # segments, folded as one (see tail_once docstring)
         tail_until_caught_up(lake, log_dir, transform=transform, batch_size=None)
 
     # untimed warm-up pass: faults worker heaps / object store pages once

@@ -71,8 +71,10 @@ manifest. :meth:`LakeTable.vacuum` never touches a newer epoch's files,
 which may belong to an apply or compaction still in flight.
 
 Scale: a read or compaction task folds one range of at most about
-``RANGE_ROWS`` rows (or one partition); output is partitioned parquet so
-a failed run resumes by skipping committed epochs.
+``RANGE_ROWS`` rows (or one partition), and an ingest task one group of
+an epoch's segments of at most ``RANGE_ROWS`` rows (or one larger
+segment); output is partitioned parquet so a failed run resumes by
+skipping committed epochs.
 """
 
 from __future__ import annotations
@@ -100,8 +102,8 @@ from raycdc.util import bucket_of, str_hash_u64
 # the current-manifest pointer of older lakes: read while no snapshot
 # is as new, never written
 _LEGACY_MANIFEST = "_manifest.json"
-# rows one merge-on-read / compaction task folds at most (beyond one
-# range per cluster CPU): bounds a fold task's memory
+# rows one merge-on-read / compaction / ingest task folds at most
+# (beyond one task per cluster CPU): bounds a fold task's memory
 RANGE_ROWS = 1 << 18
 
 
@@ -192,18 +194,38 @@ def _validity(a: pa.Array) -> pa.Buffer | None:
     return pc.is_valid(a).buffers()[1] if a.null_count else None
 
 
-def _encode_stored(t: pa.Table) -> pa.Table:
+def _kept_values(parts: list[tuple[pa.Array, np.ndarray]], keep: np.ndarray) -> list[pa.Array]:
+    """The elements of the rows ``keep`` marks, as zero-copy slices of
+    each chunk's child values: one per run of consecutive kept rows.
+    ``parts`` are the non-empty chunks with their offsets."""
+    out, base = [], 0
+    for c, o in parts:
+        k = keep[base:base + len(c)]
+        base += len(c)
+        edges = np.flatnonzero(np.diff(np.concatenate([[False], k, [False]])))
+        out += [c.values.slice(int(o[a]), int(o[b] - o[a])) for a, b in edges.reshape(-1, 2)]
+    return out
+
+
+def _encode_stored(t: pa.Table, rows: np.ndarray | pa.Array | None = None) -> pa.Table:
     """The stored form of ``t``: each ``list<fixed-width>`` column whose
     child holds no null becomes a ``binary`` column, each value its row's
     packed elements; offsets are the list offsets × packed width.
     Integer elements are packed at the narrowest type that holds every
-    element of the column (:func:`_narrowest`), one cast per chunk, and
+    element of the column (:func:`_narrowest`) — of its ``rows``, when
+    given: the rows the caller writes, so a row it leaves out, such as a
+    dead-lettered one, cannot widen the others — one cast per chunk, and
     the field metadata names that type. A float column, a column that
     needs its logical width and one with no element share the child's
     values buffer, zero-copy, and name no packed type. The column is
     ``large_binary`` when its packed bytes would pass 2 GiB, so a take
     over all its chunks cannot overflow. Every other column is
     untouched."""
+    keep = None
+    if rows is not None:
+        keep = np.zeros(t.num_rows, dtype=bool)
+        keep[np.asarray(rows)] = True
+        keep = None if keep.all() else keep
     for i, f in enumerate(t.schema):
         w = _element_width(f)
         col = t.column(i)
@@ -215,7 +237,8 @@ def _encode_stored(t: pa.Table) -> pa.Table:
         meta = {_LOGICAL_FIELD: schema_to_str(pa.schema([f])), _BYTE_ORDER: sys.byteorder}
         vt = f.type.value_type
         if pa.types.is_integer(vt) and vals:
-            lo, hi = pc.min_max(pa.chunked_array(vals, vt)).values()
+            sel = vals if keep is None else _kept_values(parts, keep)
+            lo, hi = pc.min_max(pa.chunked_array(sel, vt)).values()
             packed = vt if lo.as_py() is None else _narrowest(lo.as_py(), hi.as_py())
             if packed.bit_width < vt.bit_width:  # numpy's astype: 3x pc.cast's speed
                 vals = [pa.array(np.asarray(v).astype(packed.to_pandas_dtype())) for v in vals]
@@ -381,16 +404,23 @@ def _range(m: dict, lo: int, hi: int) -> dict:
     return {"lo": lo, "hi": hi, "runs": runs, "fold": len(held) > len(set(held))}
 
 
+def fold_tasks(units: int, rows: int) -> int:
+    """How many fold tasks share ``units`` contiguous fold units (a read's
+    partitions, an epoch's segments) that hold ``rows`` rows: one per
+    cluster CPU, more when they hold over ``RANGE_ROWS`` rows per CPU,
+    never more than ``units``."""
+    cpus = int(ray.cluster_resources().get("CPU", 1)) if ray.is_initialized() else os.cpu_count()
+    return min(units, max(cpus, -(-rows // RANGE_ROWS)))
+
+
 def _ranges(m: dict) -> list[dict]:
-    """``_pids(m)`` cut into contiguous ranges: about one per cluster CPU,
-    more when the manifest holds over ``RANGE_ROWS`` rows per CPU."""
+    """``_pids(m)`` cut into :func:`fold_tasks` contiguous ranges, by
+    partition count."""
     pids = _pids(m)
     if not pids:
         return []
     rows = sum(e.get("rows") or 0 for e in m["l0"])
-    cpus = int(ray.cluster_resources().get("CPU", 1)) if ray.is_initialized() else os.cpu_count()
-    n = min(len(pids), max(cpus, -(-rows // RANGE_ROWS)))
-    chunks = np.array_split(np.asarray(pids), n)
+    chunks = np.array_split(np.asarray(pids), fold_tasks(len(pids), rows))
     his = [int(c[0]) for c in chunks[1:]] + [pids[-1] + 1]
     return [_range(m, int(c[0]), hi) for c, hi in zip(chunks, his)]
 
@@ -702,8 +732,9 @@ class LakeTable:
             # the manifest schema is the logical one
             sch = schema_to_str(t.drop_columns(["_bucket"]).schema)
             # the payload take below and the run's parquet encode move
-            # the stored form's bytes, not list structure
-            t = last_writer_per_key(_encode_stored(t), key=key, order=order)
+            # the stored form's bytes, not list structure, packed at the
+            # width the ok rows need
+            t = last_writer_per_key(_encode_stored(t, order), key=key, order=order)
             rg = max(2048, -(-t.num_rows // P))  # ≈ one row group per partition
             entry = write(f"{epoch_rel}/l0", t, rg)
             return pa.table({"entry": [json.dumps(entry)], "schema": [sch]})

@@ -21,18 +21,20 @@ merge-on-read scans (states E and E−1), each filtered by key (a
 broadcast Arrow ``is_in``) before the combiner group-by.
 
 The view is its newest ``mv-{epoch:08d}.parquet``, with no pointer
-beside it: a refresh folds every epoch it crosses and publishes one file
-at the lake's epoch, so a failed refresh leaves the previous view. The
-fold is one Arrow ``group_by(...).aggregate(sum)`` over the previous
-view and the contributions (the subtracted ones negated); a NULL group
-is one group, as in SQL. Sums are int64 and only of integer columns,
-the ones a delta subtracts exactly. Reference analog: nifi-dicom's
-running attribute counters (``LogCacheStatistics``-style derived
-state), kept here as lake state instead of an in-process cache.
+beside it: a refresh folds every epoch it crosses, publishes one file
+at the lake's epoch and then removes the older ones, so a failed
+refresh leaves the previous view. The fold is one Arrow
+``group_by(...).aggregate(sum)`` over the previous view and the
+contributions (the subtracted ones negated); a NULL group is one group,
+as in SQL. Sums are int64 and only of integer columns, the ones a
+delta subtracts exactly. Reference analog: nifi-dicom's running
+attribute counters (``LogCacheStatistics``-style derived state), kept
+here as lake state instead of an in-process cache.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import pyarrow as pa
@@ -69,16 +71,31 @@ class MaterializedAggregate:
     def _file(self, epoch: int) -> str:
         return os.path.join(self.path, f"mv-{epoch:08d}.parquet")
 
+    def _epochs(self) -> list[int]:
+        return sorted(int(f[3:-8]) for f in os.listdir(self.path)
+                      if f.startswith("mv-") and f.endswith(".parquet"))
+
     def epoch(self) -> int | None:
         """The epoch of the newest view file; None before the first refresh."""
-        return max((int(f[3:-8]) for f in os.listdir(self.path)
-                    if f.startswith("mv-") and f.endswith(".parquet")), default=None)
+        return max(self._epochs(), default=None)
+
+    def _newest(self) -> tuple[int | None, pa.Table | None]:
+        """The epoch and table of the newest view file; (None, None)
+        before the first refresh. A refresh removes the older files once
+        it has published, so the file listed can be gone when it is
+        opened: then it lists again, as ``LakeTable._current`` does."""
+        while True:
+            e = self.epoch()
+            if e is None:
+                return None, None
+            with contextlib.suppress(FileNotFoundError):
+                return e, pq.read_table(self._file(e))
 
     def read(self) -> pa.Table:
-        e = self.epoch()
+        e, view = self._newest()
         if e is None:
             raise FileNotFoundError("view has never been refreshed")
-        return pq.read_table(self._file(e)).drop_columns(["_n"])
+        return view.drop_columns(["_n"])
 
     # ----------------------------------------------------------- refresh
     def _contrib(self, ds: ray.data.Dataset, keys: pa.Array | None = None) -> list[pa.Table]:
@@ -108,11 +125,11 @@ class MaterializedAggregate:
     def refresh(self) -> pa.Table:
         """Bring the view to the lake's current epoch; returns it."""
         m = self.lake.manifest()
-        cur, have = int(m["epoch"]), self.epoch()
+        cur, (have, prev) = int(m["epoch"]), self._newest()
         if have is not None and have > cur:
             raise ValueError(f"view stamped at {have} but lake is at {cur}")
         if have == cur:
-            return self.read()
+            return prev.drop_columns(["_n"])
         types = {f.name: f.type for f in schema_from_str(m["schema"])} if m.get("schema") else {}
         for col in (self.group_col, *(self.specs[out][0] for out in self.sums)):
             if types and col not in types:
@@ -125,7 +142,7 @@ class MaterializedAggregate:
             # first refresh, or a needed snapshot was vacuumed: full recompute
             parts = self._contrib(self.lake.read(epoch=cur))
         else:
-            parts = [pq.read_table(self._file(have))]
+            parts = [prev]
             for e in range(have + 1, cur + 1):
                 if self.lake.manifest(e)["history"][-1].get("compaction"):
                     continue  # the live state is unchanged
@@ -139,6 +156,10 @@ class MaterializedAggregate:
                           for t in self._contrib(self.lake.read(epoch=e - 1), keys)]
         view = self._fold(parts, types.get(self.group_col, pa.null()))
         _atomic_write_parquet(self._file(cur), view)
+        for e in self._epochs():  # the older views: another refresh may remove them first
+            if e < cur:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(self._file(e))
         return view.drop_columns(["_n"])
 
     def _fold(self, parts: list[pa.Table], group_type: pa.DataType) -> pa.Table:

@@ -166,8 +166,8 @@ def deid_transform(password: str | None = "bench", iterations: int = 200,
     tail then carries the reference's real per-record CPU profile (rules
     + envelope crypto) rather than raw byte movement, which is what the
     N-vs-4N scaling criterion is meant to exercise (see BASELINE.md).
-    Behind ``tail_once`` the records are each segment's LWW winners, not
-    every event."""
+    Behind ``tail_once`` the records are each segment group's LWW
+    winners, not every event."""
     stage = deid_stage(password, iterations, kdf)
 
     def transform(ds: ray.data.Dataset) -> ray.data.Dataset:

@@ -17,10 +17,12 @@ import os
 import time
 from typing import Callable, Iterator
 
+import numpy as np
 import pyarrow as pa
 
 import ray.data
 
+import raycdc.lake as lake_mod
 from raycdc.apply import _in_input_order, lww_winners
 from raycdc.lake import LakeTable, _publish, ok_lww_order
 from raycdc.routing import make_validator
@@ -59,33 +61,64 @@ def pending_segments(lake: LakeTable, log_dir: str) -> list[str]:
     return [s for s in list_segments(log_dir) if s not in done]
 
 
+def segment_groups(rows: list[int]) -> list[list[int]]:
+    """An epoch's segments, given their row counts in append order, cut
+    into contiguous groups, as segment indices. The epoch's rows are cut
+    into :func:`~raycdc.lake.fold_tasks` equal shares (as many as a read
+    has ranges: one per Ray CPU, more past ``RANGE_ROWS`` rows per CPU),
+    and each segment joins the share its middle row falls in, so
+    segments of about equal size make one group per share. A group
+    closes early rather than pass ``RANGE_ROWS`` rows: it holds at most
+    ``RANGE_ROWS`` rows or is one larger segment. The cut depends only on
+    the row counts and the CPU count, so a re-run of an epoch makes the
+    same groups."""
+    if not rows:
+        return []
+    n = lake_mod.fold_tasks(len(rows), sum(rows))
+    sizes = np.asarray(rows, dtype=np.int64)
+    mids = 2 * np.cumsum(sizes) - sizes  # twice each segment's middle row
+    share = np.minimum(mids * n // max(2 * int(sizes.sum()), 1), n - 1).tolist()
+    groups, size = [[0]], rows[0]
+    for i in range(1, len(rows)):
+        if share[i] != share[i - 1] or size + rows[i] > lake_mod.RANGE_ROWS:
+            groups.append([])
+            size = 0
+        groups[-1].append(i)
+        size += rows[i]
+    return groups
+
+
 def read_segments(log_dir: str, names: list[str]) -> ray.data.Dataset:
-    """Segment reader: each file is read INSIDE the map stage
-    (``from_items(paths) → map_batches(read)``). Ray 2.49 does not fuse
-    ``ReadParquet`` with downstream ``map_batches``, so a ``read_parquet``
-    read pays a full object-store round trip for every ingested byte
-    before the first transform — on a 100-TB tail that is an extra
-    corpus-sized pass through plasma. Reading in the map stage makes
-    read → validate → transform → L0 ``write_run`` ONE task per
-    segment with zero payload bytes in the object store (the map-only
-    ingest ideal; run-file stats are the only task output). Parallelism
-    = pending segment count, and each task materializes one segment, so
-    the archiver's segment size bounds task memory (documented
-    contract; split oversized segments upstream)."""
+    """Segment reader: the segments, cut into :func:`segment_groups` by
+    the row counts in their footers, are read INSIDE the map stage
+    (``from_items(groups) → map_batches(read)``), each group as one
+    table — ``pa.concat_tables(..., promote_options="permissive")``, the
+    unification the commit applies to run schemas, so a column one
+    segment lacks is null in its rows. Ray 2.49 does not fuse
+    ``ReadParquet`` with downstream ``map_batches``, so a
+    ``read_parquet`` read pays a full object-store round trip for every
+    ingested byte before the first transform. Reading in the map stage
+    makes read → validate → transform → L0 ``write_run`` ONE task per
+    group with zero payload bytes in the object store (the map-only
+    ingest ideal; run-file stats are the only task output), and the
+    group, not the segment, is what the run writer folds: a key changed
+    in several segments of a group is written once. Task memory is one
+    group: at most ``RANGE_ROWS`` rows, or one larger segment."""
     import pyarrow.parquet as pq
 
-    def read_files(t: pa.Table):
-        for p in t.column("path").to_pylist():
-            yield pq.read_table(p)
+    def read_group(t: pa.Table):
+        for paths in t.column("paths").to_pylist():
+            yield pa.concat_tables([pq.read_table(p) for p in paths], promote_options="permissive")
 
     paths = [os.path.join(log_dir, n) for n in names]
+    groups = segment_groups([pq.read_metadata(p).num_rows for p in paths])
     ds = ray.data.from_items(
-        [{"path": p} for p in paths], override_num_blocks=len(paths)
+        [{"paths": [paths[i] for i in g]} for g in groups], override_num_blocks=len(groups)
     )
-    # batch_size=1: one TASK per segment — without it the operator
-    # bundles the (byte-tiny) path blocks into a handful of tasks and
-    # parallelism collapses to the bundle count, not the segment count
-    return ds.map_batches(read_files, batch_format="pyarrow", batch_size=1)
+    # batch_size=1: one TASK per group — without it the operator bundles
+    # the (byte-tiny) path blocks into a handful of tasks and parallelism
+    # collapses to the bundle count, not the group count
+    return ds.map_batches(read_group, batch_format="pyarrow", batch_size=1)
 
 
 def ok_winners(t: pa.Table, key: str) -> pa.Table:
@@ -103,7 +136,7 @@ def tail_once(
     max_segments_per_epoch: int | None = None,
     transform: Callable[[ray.data.Dataset], ray.data.Dataset] | None = None,
     dead_letter_dir: str | None = None,
-    batch_size: int | None = 65536,
+    batch_size: int | None = None,
 ) -> dict | None:
     """Apply ONE epoch of pending segments (or None if fully caught up).
 
@@ -130,15 +163,18 @@ def tail_once(
     as if every row had been transformed: the row that wins a mapped key
     is the winner of its own raw key.
 
-    ``batch_size=None`` keeps each segment ONE batch end-to-end through
-    the fused read → validate → transform → L0 write chain: exactly one
-    run file per segment (task memory = one segment — bounded by the
-    archiver's segment size), each folded alone. The default reduces
-    more: Ray Data handed the run writer the epoch's segments as one
-    block, so its fold spans segments. On perfbench's tail_bulk seed-7
-    epoch (8 segments, 32 partitions) the default wrote 1 run of 86,904
-    rows and ``None`` 8 runs of 160,046, but ``None`` ran about twice as
-    fast at 4 Ray CPUs on a 4-core host (one task per segment).
+    The epoch's segments are read in contiguous groups, one task each
+    (:func:`read_segments`), and a group is the fold unit: with the
+    default ``batch_size=None`` it stays ONE batch end-to-end through
+    the fused read → validate → transform → L0 write chain, so each
+    group writes one run, and a transform sees the group's ok winners.
+    A ``batch_size`` cuts the validator's batches instead, and each
+    batch is folded and written alone; so does Ray Data with a group
+    larger than its ``target_max_block_size`` (128 MiB by default). At
+    one Ray CPU an epoch under ``RANGE_ROWS`` rows is one group, and
+    perfbench's tail_bulk epoch (8 segments, 204,000 events, 91 MB)
+    writes one run of 86,904 rows instead of 8 runs of 160,046 folded
+    one segment at a time.
     """
     todo = pending_segments(lake, log_dir)
     if not todo:

@@ -3,8 +3,9 @@ or beat: dedup candidate-pair generation and pair-Jaccard verify, the
 L0 run writer's LWW fold, its parquet encode and its payload width
 (with the read fold), the unordered LWW fold of ``lww_apply``, the LWW
 pre-fold ahead of the deid transform and the deid stage's pseudonymize
-and seal loops. Pure numpy/Arrow — no Ray session; identical output
-asserted per kernel.
+and seal loops, and the fold unit of an ingest epoch. Pure numpy/Arrow —
+no Ray session, except ``epoch_groups``, which starts its own; identical
+output asserted per kernel.
 
     python scripts/kernel_bench.py
 
@@ -59,7 +60,16 @@ Outcome (this bench DROVE the shipped choice of every kernel):
   re-pack, LWW fold, widen) 0.213/0.187 s vs 0.233/0.259 s. Identical
   decoded runs, run names and fold output (86,904 rows). pc.cast in
   place of astype took 2-3x as long each way. SHIPS
-  (lake._encode_stored / _decode_stored)."""
+  (lake._encode_stored / _decode_stored).
+- EPOCH groups (tail_once of the 8 raw tail_bulk seed-7 segments into a
+  base-seeded 32-partition lake, 4 cores in the affinity mask, nproc 1,
+  Ray 2.49.2, medians of 5 alternating pairs, two runs): one run per
+  tailer.segment_groups group vs one run per segment. At 1 Ray CPU
+  1 run of 86,904 rows / 19,050,404 bytes vs 8 runs of 160,046 rows /
+  33,011,329 bytes, 0.73/0.83 s vs 0.87/0.91 s; at 4 Ray CPUs 4 runs of
+  142,144 rows / 29,621,666 bytes vs the same 8 runs, 0.30/0.30 s vs
+  0.39/0.35 s (grouped faster in 9 of 10 pairs). Identical read().
+  SHIPS (tailer.read_segments)."""
 
 from __future__ import annotations
 
@@ -464,7 +474,7 @@ def bench_run_width(partitions: int = 32) -> dict:
         out = []
         for s in segs:
             t, order = ok_lww_order(stamp_route(s, "doc_id"), "doc_id", partitions)
-            t = last_writer_per_key(_encode_stored(t), order=order)
+            t = last_writer_per_key(_encode_stored(t, order), order=order)
             buf = io.BytesIO()
             pq.write_table(t, buf, row_group_size=max(2048, -(-t.num_rows // partitions)),
                            **_write_options(t))
@@ -497,6 +507,87 @@ def bench_run_width(partitions: int = 32) -> dict:
     return out
 
 
+def bench_epoch_groups(cpus: tuple[int, ...] = (1, 4), pairs: int = 5,
+                       partitions: int = 32) -> dict:
+    """``tail_once`` of one epoch — the eight raw ``tail_bulk`` seed-7
+    segments into a 32-partition lake seeded with that workload's 50,000
+    base rows — folding each segment alone (one run per segment, the
+    replaced fold unit) against the shipped one run per
+    ``tailer.segment_groups`` group, in a Ray session of ``n`` CPUs for
+    each ``n`` in ``cpus``. Each pair builds both lakes (untimed) and
+    times one ``tail_once`` on each, the side that goes first
+    alternating; the first pair is a warm-up. Reports each side's runs,
+    run rows, run bytes and median seconds, and asserts that ``read()``
+    returns the same rows both ways. Starts its own Ray sessions."""
+    import logging
+    import shutil
+    import tempfile
+
+    import ray
+    import ray.data
+
+    from raycdc import tailer
+    from raycdc.apply import base_as_inserts
+    from raycdc.lake import LakeTable
+    from raycdc.synth import base_table
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    segs = _raw_segments()
+    base = base_table(50_000, seed=7, min_len=48, max_len=192)
+    shipped = tailer.segment_groups
+    sides = {"per_segment": lambda rows: [[i] for i in range(len(rows))], "shipped_groups": shipped}
+    work = tempfile.mkdtemp(prefix="epoch_groups_")
+    out = {"kernel": "epoch_groups", "segments": len(segs), "events": sum(s.num_rows for s in segs)}
+    try:
+        log = os.path.join(work, "log")
+        for k, seg in enumerate(segs):
+            tailer.publish_segment(log, f"seg-{k:05d}.parquet", seg)
+        for n in cpus:
+            ray.init(address="local", num_cpus=n, include_dashboard=False, logging_level="ERROR",
+                     log_to_driver=False, runtime_env={"env_vars": {"PYTHONPATH": root}})
+            ctx = ray.data.DataContext.get_current()
+            ctx.enable_progress_bars = ctx.print_on_execution_start = False
+            logging.getLogger("ray.data").setLevel(logging.ERROR)
+            secs, lakes = {side: [] for side in sides}, {}
+            try:
+                for rep in range(pairs + 1):
+                    for side in (list(sides) if rep % 2 else list(sides)[::-1]):
+                        lk = LakeTable(os.path.join(work, f"lake-{n}-{rep}-{side}"),
+                                       num_partitions=partitions)
+                        lk.init()
+                        lk.apply(base_as_inserts(ray.data.from_arrow(base)), ["__base__"])
+                        tailer.segment_groups = sides[side]
+                        try:
+                            t0 = time.perf_counter()
+                            tailer.tail_once(lk, log)
+                            took = time.perf_counter() - t0
+                        finally:
+                            tailer.segment_groups = shipped
+                        if rep:
+                            secs[side].append(took)
+                        if lakes.get(side):
+                            shutil.rmtree(lakes[side].path)
+                        lakes[side] = lk
+                rows = {}
+                for side in sides:
+                    lk = lakes[side]
+                    runs = [e for e in lk.manifest()["l0"] if e["file"].startswith("state/e000002/")]
+                    parts = list(lk.read().iter_batches(batch_size=None, batch_format="pyarrow"))
+                    rows[side] = pa.concat_tables(parts).sort_by("doc_id").combine_chunks()
+                    out.update({f"{side}_cpus{n}_runs": len(runs),
+                                f"{side}_cpus{n}_run_rows": sum(e["rows"] for e in runs),
+                                f"{side}_cpus{n}_run_bytes": sum(
+                                    os.path.getsize(os.path.join(lk.path, e["file"])) for e in runs),
+                                f"{side}_cpus{n}_sec": round(float(np.median(secs[side])), 4)})
+                assert rows["per_segment"].equals(rows["shipped_groups"])
+                out[f"cpus{n}_secs"] = {side: [round(x, 4) for x in v] for side, v in secs.items()}
+            finally:
+                ray.shutdown()
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    return out
+
+
 if __name__ == "__main__":
     print(json.dumps(bench_pairgen()))
     print(json.dumps(bench_jaccard()))
@@ -506,3 +597,4 @@ if __name__ == "__main__":
     print(json.dumps(bench_deid_seal()))
     print(json.dumps(bench_run_encode()))
     print(json.dumps(bench_run_width()))
+    print(json.dumps(bench_epoch_groups()))

@@ -664,6 +664,166 @@ def test_all_dead_segment_writes_no_run(lake, tmp_path):
     assert_eq(collect(lake.read()), fold_events(base, pa.concat_tables([bad, good])))
 
 
+def test_dead_rows_do_not_widen_the_run(tmp_path):
+    """The run writer packs the token payload at the width its ok rows
+    need: a dead-lettered row's wide element widens nothing, and the run
+    is byte for byte the run of the pre-filtered block."""
+    from raycdc.routing import make_validator
+    from raycdc.synth import EVENT_SCHEMA
+
+    ok = {"lsn": 1, "op": "insert", "doc_id": "d1", "tokens": [1, 2, 3], "n_tok": 3, "source": "w"}
+    bad = {**ok, "lsn": 2, "doc_id": "d2", "tokens": [70000], "n_tok": 2}  # n_tok is wrong
+    runs = {}
+    for label, ev in (("filtered", pa.Table.from_pylist([ok], schema=EVENT_SCHEMA)),
+                      ("stamped", make_validator("doc_id")(
+                          pa.Table.from_pylist([ok, bad], schema=EVENT_SCHEMA)))):
+        lk = LakeTable(str(tmp_path / label), num_partitions=4)
+        lk.init()
+        lk.apply(rd.from_arrow(ev), ["s0"])
+        [run] = [os.path.join(lk.path, e["file"]) for e in lk.manifest()["l0"]]
+        assert pq.read_schema(run).field("tokens").metadata[b"raycdc.stored_type"] == b"uint8"
+        with open(run, "rb") as f:
+            runs[label] = (os.path.basename(run), f.read())
+    assert runs["stamped"] == runs["filtered"]
+
+
+def _base_seeded(path, base: pa.Table) -> LakeTable:
+    lk = LakeTable(str(path), num_partitions=8)
+    lk.init()
+    return seeded_lake(lk, base)
+
+
+def _one_group(monkeypatch):
+    """Every epoch's segments in one group (and every read one range)."""
+    monkeypatch.setattr(lake_mod, "fold_tasks", lambda units, rows: 1)
+
+
+def test_grouped_epoch_matches_the_oracle(tmp_path, monkeypatch):
+    """One group of several segments folds to ``fold_events`` and writes
+    one run: replays and (key, lsn) ties across segments — the later
+    segment's row wins a tie, as in the oracle —, a delete and a
+    re-insert in later segments, a malformed row with its key's highest
+    lsn, a segment that adds a column (null in every other row) and one
+    without the key column, whose rows are dead-lettered while the
+    other segments apply."""
+    from raycdc.synth import EVENT_SCHEMA
+    from raycdc.tailer import publish_segment
+
+    _one_group(monkeypatch)
+    base, log_dir, _ = make_log(tmp_path, seed=83, n_segments=3)
+    top = max(pc.max(pq.read_table(os.path.join(log_dir, f))["lsn"]).as_py()
+              for f in os.listdir(log_dir))
+    x, y = base["doc_id"][0].as_py(), base["doc_id"][1].as_py()
+
+    def ev(lsn, op, key, tokens=(1,), **extra):
+        n = None if op == "delete" else len(tokens)
+        return {"lsn": top + lsn, "op": op, "doc_id": key, "source": "s",
+                "tokens": None if op == "delete" else list(tokens), "n_tok": n, **extra}
+
+    def seg(rows, schema=EVENT_SCHEMA):
+        return pa.Table.from_pylist(rows, schema=schema)
+
+    added = EVENT_SCHEMA.append(pa.field("lang", pa.string()))
+    extra = [
+        seg([ev(1, "insert", x, (1, 2)), ev(2, "update", y, (3,)), ev(3, "insert", "doc-new", (4,))]),
+        seg([ev(1, "insert", x, (1, 2)),  # a replay of the segment before
+             ev(2, "update", y, (5, 6)),  # a (key, lsn) tie: this later row wins
+             ev(4, "delete", "doc-new")]),
+        seg([ev(5, "insert", "doc-new", (7, 8, 9)),  # re-inserted after the delete
+             {**ev(9, "update", x, (70000,)), "n_tok": 2}]),  # malformed, x's highest lsn
+        seg([ev(6, "insert", "doc-lang", (10,), lang="en")], schema=added),
+        seg([ev(7, "insert", x, (11,))]).rename_columns(
+            ["lsn", "op", "user_id", "tokens", "n_tok", "source"]),  # no doc_id column
+    ]
+    for k, t in enumerate(extra):
+        publish_segment(log_dir, f"seg-{3 + k:05d}.parquet", t)
+    segs = [pq.read_table(os.path.join(log_dir, f)) for f in sorted(os.listdir(log_dir))]
+    lk = _base_seeded(tmp_path / "lake", base)
+    dead = str(tmp_path / "dead")
+    r = tail_once(lk, log_dir, dead_letter_dir=dead)
+    assert len(r["segments"]) == 8 and r["l0_runs"] == 1
+
+    got = collect(lk.read())
+    want = fold_events(base, pa.concat_tables(segs[:-1], promote_options="permissive"))
+    assert_eq(got.select(want.column_names), want)
+    rows = {d: (tok, lang) for d, tok, lang in zip(got["doc_id"].to_pylist(),
+                                                   got["tokens"].to_pylist(),
+                                                   got["lang"].to_pylist())}
+    assert rows[x] == ([1, 2], None) and rows[y] == ([5, 6], None)
+    assert rows["doc-new"] == ([7, 8, 9], None) and rows["doc-lang"] == ([10], "en")
+    assert sum(lang is not None for _, lang in rows.values()) == 1
+    dl = pq.read_table(dead)
+    n_bad = sum(int(is_malformed_mask(t).sum()) for t in segs[:-1])
+    assert dl.num_rows == n_bad + 1
+    assert dl.filter(pc.is_valid(dl["user_id"]))["tokens"].to_pylist() == [[11]]
+
+
+def test_an_epoch_writes_one_run_per_ray_cpu(tmp_path):
+    """With ``batch_size=None`` an epoch of S segments of about equal size
+    at N Ray CPUs writes min(S, N) runs, and converges."""
+    import ray
+
+    cpus = int(ray.cluster_resources()["CPU"])
+    for s in (2, cpus + 2):
+        base, log_dir, all_events = make_log(tmp_path / f"s{s}", seed=89, n_segments=s)
+        lk = _base_seeded(tmp_path / f"s{s}" / "lake", base)
+        r = tail_once(lk, log_dir)
+        assert (len(r["segments"]), r["l0_runs"]) == (s, min(s, cpus))
+        assert_eq(collect(lk.read()), fold_events(base, all_events))
+
+
+def test_segment_groups_cut_by_rows_and_range_rows(monkeypatch):
+    """Groups are contiguous, one per share of the epoch's rows; a group
+    that would pass ``RANGE_ROWS`` rows splits, and a larger segment is
+    a group of its own."""
+    from raycdc.tailer import segment_groups
+
+    monkeypatch.setattr(lake_mod, "fold_tasks", lambda units, rows: min(units, 4))
+    assert segment_groups([100] * 8) == [[0, 1], [2, 3], [4, 5], [6, 7]]
+    assert segment_groups([110, 90, 100, 100]) == [[0], [1], [2], [3]]
+    assert segment_groups([100, 100]) == [[0], [1]]
+    monkeypatch.setattr(lake_mod, "RANGE_ROWS", 150)
+    assert segment_groups([100] * 8) == [[i] for i in range(8)]
+    assert segment_groups([40, 40, 40, 40, 40, 40, 40, 40]) == [[0, 1], [2, 3], [4, 5], [6, 7]]
+    monkeypatch.setattr(lake_mod, "fold_tasks", lambda units, rows: 1)
+    assert segment_groups([40] * 5 + [500, 40]) == [[0, 1, 2], [3, 4], [5], [6]]
+
+
+def test_a_group_over_range_rows_splits(tmp_path, monkeypatch):
+    """Past ``RANGE_ROWS`` rows an epoch's group splits: more runs than
+    one per CPU, and the lake still converges."""
+    _one_group(monkeypatch)
+    base, log_dir, all_events = make_log(tmp_path, seed=97, n_segments=4)
+    lk = _base_seeded(tmp_path / "lake", base)
+    sizes = [pq.read_metadata(os.path.join(log_dir, f)).num_rows for f in sorted(os.listdir(log_dir))]
+    monkeypatch.setattr(lake_mod, "RANGE_ROWS", sizes[0] + sizes[1])
+    r = tail_once(lk, log_dir)
+    assert r["l0_runs"] == 2
+    assert_eq(collect(lk.read()), fold_events(base, all_events))
+
+
+def test_rerun_of_an_uncommitted_epoch_writes_the_same_runs(tmp_path, monkeypatch):
+    """An epoch that crashed at its commit and is tailed again at the same
+    CPU count cuts the same groups and rewrites the same run files."""
+    base, log_dir, all_events = make_log(tmp_path, seed=101, n_segments=6)
+    lk = _base_seeded(tmp_path / "lake", base)
+
+    def crashing_write(path, obj, exclusive=False):
+        raise OSError("simulated crash at the commit")
+
+    monkeypatch.setattr(lake_mod, "_atomic_write_json", crashing_write)
+    with pytest.raises(OSError):
+        tail_once(lk, log_dir)
+    monkeypatch.undo()
+    epoch_dir = os.path.join(lk.path, "state", "e000002")
+    first = sorted(os.listdir(epoch_dir))
+    assert lk.manifest()["epoch"] == 1 and len(first) > 1
+    tail_once(lk, log_dir)
+    assert sorted(os.listdir(epoch_dir)) == first
+    assert sorted(os.path.basename(e["file"]) for e in lk.manifest()["l0"][1:]) == first
+    assert_eq(collect(lk.read()), fold_events(base, all_events))
+
+
 def test_run_and_base_files_are_zstd_without_dictionary(tmp_path):
     """Every L0 run and compacted base is zstd-compressed with no
     dictionary pages, and each run's row groups keep the ``_bucket``

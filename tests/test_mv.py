@@ -268,18 +268,39 @@ def test_mv_full_recompute_reads_the_epoch_it_stamps(tmp_path, monkeypatch):
 
 def test_mv_refresh_publishes_one_file(tmp_path):
     """One refresh across four ingest epochs publishes exactly one view
-    file, at the lake's epoch, and nothing else."""
+    file, at the lake's epoch, and removes the view it replaced."""
     lake = LakeTable(str(tmp_path / "lake"), num_partitions=2, key="doc_id")
     lake.init()
     mv = _mv(lake, tmp_path)
     lake.apply(rd.from_arrow(_ev([(1, "insert", "d1", "a", 5)])), ["s0"])
     mv.refresh()
     before = set(os.listdir(mv.path))
+    assert "mv-00000001.parquet" in before
     for i in range(4):
         lake.apply(rd.from_arrow(_ev([(2 + i, "insert", f"e{i}", "ab"[i % 2], i)])), [f"s{i + 1}"])
     assert _view(mv.refresh()) == _full(lake)
     assert set(os.listdir(mv.path)) - before == {"mv-00000005.parquet"}
+    assert "mv-00000001.parquet" not in os.listdir(mv.path)
     assert mv.epoch() == 5
+
+
+def test_mv_read_lists_again_when_the_listed_view_is_reclaimed(tmp_path, monkeypatch):
+    """A reader that listed a view file a newer refresh then removed
+    lists again and reads the newer view."""
+    lake = LakeTable(str(tmp_path / "lake"), num_partitions=2, key="doc_id")
+    lake.init()
+    mv = _mv(lake, tmp_path)
+    lake.apply(rd.from_arrow(_ev([(1, "insert", "d1", "a", 5)])), ["s0"])
+    mv.refresh()
+    lake.apply(rd.from_arrow(_ev([(2, "insert", "d2", "b", 7)])), ["s1"])
+    want = mv.refresh()
+    assert os.listdir(mv.path) == ["mv-00000002.parquet"]
+    stale = [1]  # the listing of a reader that raced the second refresh
+    real = MaterializedAggregate.epoch
+    monkeypatch.setattr(MaterializedAggregate, "epoch",
+                        lambda self: stale.pop() if stale else real(self))
+    assert mv.read().equals(want)
+    assert not stale
 
 
 def test_mv_failed_publish_leaves_the_previous_view(tmp_path, monkeypatch):
