@@ -127,17 +127,15 @@ def main(argv=None) -> int:
 
     from raycdc.lake import LakeTable
 
-    if args.cmd == "init":
-        lk = LakeTable(args.lake, num_partitions=args.partitions)
-        m = lk.init()
-        print(json.dumps({"lake": args.lake, "epoch": m["epoch"], "partitions": m["num_partitions"]}))
-        return 0
-
     try:
-        lk = LakeTable(args.lake)
+        lk = LakeTable(args.lake, **({"num_partitions": args.partitions} if args.cmd == "init" else {}))
     except ValueError as e:  # a manifest this engine refuses
         print(f"error: {e}", file=sys.stderr)
         return 2
+    if args.cmd == "init":
+        m = lk.init()
+        print(json.dumps({"lake": args.lake, "epoch": m["epoch"], "partitions": m["num_partitions"]}))
+        return 0
     if not lk.exists():
         print(f"error: no lake at {args.lake} (run `init` first)", file=sys.stderr)
         return 2
@@ -203,7 +201,7 @@ def main(argv=None) -> int:
                     "segments_applied": len(m["segments_applied"]),
                     "live_rows": live,
                     # rows in every run (tombstones included)
-                    "state_rows": sum(int(e.get("rows", 0)) for e in m["l0"]),
+                    "state_rows": sum(e["rows"] for e in m["l0"]),
                     "pending_l0_runs": len(_pending(m["l0"])),
                     "last_history": (m.get("history") or [None])[-1],
                 }

@@ -58,9 +58,14 @@ narrowest width that holds every element of the column in that file
 (``uint16`` for a 50,000-token vocabulary), and the metadata names that
 type too. The run writer's payload take, the fold and compaction move
 those bytes, never list structure; ``read()`` returns the logical form,
-and the manifest ``schema`` is the logical one. Files without that
-metadata (the list form) read as they are, and so do stored files
-without a packed type (elements at their logical width).
+and the manifest ``schema`` is the logical one. A list column whose
+child holds a null stays in the list form.
+
+Format: the manifest's ``version`` is the lake format (:data:`FORMAT`),
+and its ``fingerprint`` names the bucket hash that laid the lake out
+(:func:`~raycdc.util.bucket_fingerprint`). A lake that differs in either
+is refused on open, not read with an older reader: the lake is derived
+state, so it is rebuilt by replaying its changelog into a fresh one.
 
 Concurrency: the commit is its own compare-and-swap, with no lock. A
 writer that read epoch N commits with one durable write, ``os.link``-ing
@@ -97,11 +102,10 @@ import ray.data
 from raycdc.apply import LSN, OP, drop_tombstones, last_writer_per_key, lww_order
 from raycdc.routing import ROUTE_COL, ROUTE_OK
 from raycdc.schema_evo import conform_to, schema_from_str, schema_to_str, unify
-from raycdc.util import bucket_of, str_hash_u64
+from raycdc.util import bucket_fingerprint, bucket_of, str_hash_u64
 
-# the current-manifest pointer of older lakes: read while no snapshot
-# is as new, never written
-_LEGACY_MANIFEST = "_manifest.json"
+# the lake format this engine writes and reads: the manifest's "version"
+FORMAT = 4
 # rows one merge-on-read / compaction / ingest task folds at most
 # (beyond one task per cluster CPU): bounds a fold task's memory
 RANGE_ROWS = 1 << 18
@@ -260,10 +264,9 @@ def _decode_stored(t: pa.Table) -> pa.Table:
     """The logical form of a stored table, the exact inverse of
     :func:`_encode_stored`: elements packed narrower than the logical
     type are widened back with one cast per chunk; otherwise only the
-    offsets are rewritten and the values buffer is shared. Columns
-    without its metadata (list-form files) are returned as they are. A
-    stored column that names no packed type holds its elements at the
-    logical width, as every stored file written before packing does."""
+    offsets are rewritten and the values buffer is shared (elements that
+    need the logical width name no packed type). A column without its
+    metadata (a list whose child holds a null) is returned as it is."""
     for i, f in enumerate(t.schema):
         meta = f.metadata or {}
         if _LOGICAL_FIELD not in meta:
@@ -332,36 +335,6 @@ def _atomic_write_parquet(path: str, table: pa.Table,
         table, tmp, row_group_size=row_group_size, **_write_options(table)))
 
 
-def _upgrade(m: dict) -> dict:
-    """``m`` with every state file in ``l0``. Lakes written before
-    compaction wrote runs list per-partition base files under
-    ``partitions``; each base becomes a one-bucket entry ahead of the
-    runs (its file has no ``_bucket`` column: the fold stamps it), and
-    the next commit writes the manifest without that key. Refuses the
-    layouts only the removed shuffle commit mode wrote — pending
-    ``deltas`` and the v1 single-file ``{"file": ...}`` entry — rather
-    than fold (or vacuum) the lake without those files' rows."""
-    if "partitions" not in m:
-        return m
-    bases = []
-    for k, ent in sorted(m["partitions"].items(), key=lambda kv: int(kv[0])):
-        if ent.get("deltas") or "file" in ent:
-            raise ValueError(
-                f"lake partition {k} has pending delta files from the removed "
-                "shuffle commit mode (or the v1 single-file layout); this "
-                "engine reads only base files plus L0 runs"
-            )
-        if ent.get("base"):
-            pid = int(k)
-            bases.append({"file": ent["base"], "rows": ent.get("rows", 0),
-                          "watermark": ent.get("watermark", -1),
-                          "bmin": pid, "bmax": pid, "buckets": [pid],
-                          **({"live_rows": ent["live_rows"]}
-                             if ent.get("live_rows") is not None else {})})
-    m = {k: v for k, v in m.items() if k != "partitions"}
-    return dict(m, l0=bases + list(m.get("l0", [])))
-
-
 def _pending(runs: list[dict]) -> list[dict]:
     """The runs no compaction wrote: entries without ``live_rows``."""
     return [e for e in runs if "live_rows" not in e]
@@ -372,34 +345,28 @@ def _live_rows(runs: list[dict]) -> int | None:
     return None if _pending(runs) else sum(e["live_rows"] for e in runs)
 
 
-def _buckets(ent: dict, num_partitions: int) -> list[int] | range:
-    """The buckets a run's metadata admits; every one without metadata."""
-    if ent.get("buckets") is not None:
-        return ent["buckets"]
-    if ent.get("bmin") is not None:
-        return range(ent["bmin"], ent["bmax"] + 1)
-    return range(num_partitions)
+def _buckets(ent: dict) -> list[int] | range:
+    """The buckets a run's entry admits: its ``buckets``, or the span
+    ``bmin``..``bmax`` of a run over more than 64 buckets."""
+    return ent["buckets"] if ent["buckets"] is not None else range(ent["bmin"], ent["bmax"] + 1)
 
 
 def _pids(m: dict) -> list[int]:
     """The partition ids with state: the buckets a run's metadata admits."""
-    return sorted({b for e in m["l0"] for b in _buckets(e, m["num_partitions"])})
+    return sorted({b for e in m["l0"] for b in _buckets(e)})
 
 
 def _range(m: dict, lo: int, hi: int) -> dict:
     """The fold unit ``[lo, hi)``: ``runs``, the runs whose buckets meet
-    it, oldest first, each as ``(file, b)``; and ``fold``, false when no
-    two of them can hold the same bucket. ``b`` is None when the run
-    holds a bucket outside the range: it is read with a ``_bucket``
-    filter. Else ``b`` is its lowest bucket: it is read whole, and a base
-    file of an older lake (one bucket, no ``_bucket`` column) is stamped
-    with ``b``."""
+    it, oldest first, each as ``(file, whole)``; and ``fold``, false when
+    no two of them can hold the same bucket. A run is read ``whole`` when
+    all its buckets lie in the range, else with a ``_bucket`` filter."""
     runs, held = [], []
     for e in m["l0"]:
-        bs = _buckets(e, m["num_partitions"])
+        bs = _buckets(e)
         mine = [b for b in bs if lo <= b < hi]
         if mine:
-            runs.append((e["file"], bs[0] if len(mine) == len(bs) else None))
+            runs.append((e["file"], len(mine) == len(bs)))
             held += mine
     return {"lo": lo, "hi": hi, "runs": runs, "fold": len(held) > len(set(held))}
 
@@ -419,7 +386,7 @@ def _ranges(m: dict) -> list[dict]:
     pids = _pids(m)
     if not pids:
         return []
-    rows = sum(e.get("rows") or 0 for e in m["l0"])
+    rows = sum(e["rows"] for e in m["l0"])
     chunks = np.array_split(np.asarray(pids), fold_tasks(len(pids), rows))
     his = [int(c[0]) for c in chunks[1:]] + [pids[-1] + 1]
     return [_range(m, int(c[0]), hi) for c, hi in zip(chunks, his)]
@@ -490,17 +457,12 @@ class LakeTable:
 
     # ------------------------------------------------------------ manifest
     def _current(self) -> tuple[str, dict | None]:
-        """The file that holds the current manifest and its content (None
-        before :meth:`init`): the newest snapshot, or a legacy
-        ``_manifest.json`` that no snapshot is as new as. A newer commit
-        and a vacuum can reclaim the listed snapshot before it is opened
-        (vacuum keeps only the current one): then it lists again."""
-        legacy = os.path.join(self.path, _LEGACY_MANIFEST)
-        old = _load(legacy)
+        """The newest snapshot and its content (None before :meth:`init`).
+        A newer commit and a vacuum can reclaim the listed snapshot before
+        it is opened (vacuum keeps only the current one): then it lists
+        again."""
         while True:
             snaps = self.epochs()
-            if old is not None and (not snaps or old["epoch"] > snaps[-1]):
-                return legacy, old
             path = self._snapshot_path(snaps[-1] if snaps else 0)
             m = _load(path)
             if m is not None or not snaps:
@@ -512,20 +474,26 @@ class LakeTable:
         return self._current()[0]
 
     def exists(self) -> bool:
-        return bool(self.epochs()) or os.path.exists(os.path.join(self.path, _LEGACY_MANIFEST))
+        return bool(self.epochs())
 
     def manifest(self, epoch: int | None = None) -> dict:
         """Current manifest (the newest snapshot) or, time travel, the
         snapshot committed at ``epoch``: each is immutable and retained
-        until :meth:`vacuum` (``keep_epochs``) reclaims it."""
+        until :meth:`vacuum` (``keep_epochs``) reclaims it. A manifest of
+        another format version or bucket fingerprint raises
+        ``ValueError`` (module docstring)."""
         m = self._current()[1] if epoch is None else _load(self._snapshot_path(epoch))
         if m is None and epoch is not None:
-            raise LookupError(f"no manifest snapshot for epoch {epoch}: it was never committed, "
-                              "pre-dates snapshotting, or was vacuumed (raise "
-                              "vacuum(keep_epochs=...) to retain more history)")
+            raise LookupError(f"no manifest snapshot for epoch {epoch}: it was never committed "
+                              "or was vacuumed (raise vacuum(keep_epochs=...) to retain more history)")
         if m is None:
             raise FileNotFoundError(f"no lake at {self.path}")
-        return _upgrade(m)
+        if (m.get("version"), m.get("fingerprint")) != (FORMAT, bucket_fingerprint()):
+            raise ValueError(f"lake {self.path} is format {m.get('version')}, bucket hash "
+                             f"{m.get('fingerprint')}; this engine reads format {FORMAT}, bucket "
+                             f"hash {bucket_fingerprint()}: rebuild it by replaying its changelog "
+                             "into a fresh lake")
+        return m
 
     def _snapshot_path(self, epoch: int) -> str:
         return os.path.join(self.path, "manifests", f"manifest-e{epoch:06d}.json")
@@ -554,11 +522,10 @@ class LakeTable:
         reading it — so a newer snapshot is never its child."""
         epoch = m["epoch"] + 1
         m2 = {**m, **changes, "epoch": epoch,
-              "history": [*m.get("history", []), {"epoch": epoch, **record}]}
+              "history": [*m["history"], {"epoch": epoch, **record}]}
         lost = ConcurrentWriterError(f"another writer committed epoch {epoch} first")
         if self.manifest()["epoch"] != m["epoch"]:
             raise lost
-        os.makedirs(os.path.join(self.path, "manifests"), exist_ok=True)
         snap = self._snapshot_path(epoch)
         try:
             _atomic_write_json(snap, m2, exclusive=True)
@@ -577,7 +544,8 @@ class LakeTable:
         if self.exists():
             return self.manifest()
         m = {
-            "version": 3,
+            "version": FORMAT,
+            "fingerprint": bucket_fingerprint(),
             "epoch": 0,
             "num_partitions": self._requested_partitions,
             "key": self.key,
@@ -612,18 +580,10 @@ class LakeTable:
 
         def fold(batch: pa.Table) -> pa.Table:
             r = plan[batch["item"][0].as_py()]
-            lo, hi = r["lo"], r["hi"]
-            parts = []
-            for f, b in r["runs"]:
-                path = os.path.join(lake_path, f)
-                if b is None:  # bucket-sorted: row-group statistics prune the read
-                    parts.append(pq.read_table(path, filters=[("_bucket", ">=", lo), ("_bucket", "<", hi)]))
-                    continue
-                t = pq.read_table(path)
-                if "_bucket" not in t.column_names:  # a base file of an older lake
-                    t = t.append_column("_bucket", pa.array(np.full(t.num_rows, b, np.int32)))
-                parts.append(t)
-            parts = [_decode_stored(p) for p in parts]
+            # a run is bucket-sorted: row-group statistics prune a filtered read
+            rng = [("_bucket", ">=", r["lo"]), ("_bucket", "<", r["hi"])]
+            parts = [_decode_stored(pq.read_table(os.path.join(lake_path, f), filters=None if whole else rng))
+                     for f, whole in r["runs"]]
             if conform:
                 parts = [conform(p) for p in parts]
             parts = [p for p in parts if p.num_rows] or parts[:1]
@@ -632,7 +592,7 @@ class LakeTable:
                 t = last_writer_per_key(t, key=key, drop_tombs=not include_tombstones)
             elif not include_tombstones:  # each run is one row per key, and no key is in two
                 t = drop_tombstones(t)
-            return t.drop_columns([c for c in drop if c in t.column_names])
+            return t.drop_columns(drop)
 
         return fold
 
@@ -895,12 +855,12 @@ def lineage(lake: "LakeTable", pid: int | None = None) -> list[dict]:
     prev_files: dict = {}
     for e in lake.epochs():
         m = lake.manifest(e)
-        segs = set(m.get("segments_applied", []))
+        segs = set(m["segments_applied"])
         new_segs = sorted(segs - prev_segs)
         for ipid in _pids(m):
             if pid is not None and ipid != pid:
                 continue
-            ents = [x for x in m["l0"] if ipid in _buckets(x, m["num_partitions"])]
+            ents = [x for x in m["l0"] if ipid in _buckets(x)]
             files = {x["file"] for x in ents}
             added = sorted(files - prev_files.get(ipid, set()))
             if e == 0 or added or new_segs:
@@ -909,8 +869,7 @@ def lineage(lake: "LakeTable", pid: int | None = None) -> list[dict]:
                     "pid": ipid,
                     "segments": new_segs,
                     "files_added": added,
-                    "watermark": max((x["watermark"] for x in ents
-                                      if x.get("watermark") is not None), default=None),
+                    "watermark": max((x["watermark"] for x in ents), default=None),
                     # exact only once no run is pending for the partition
                     "live_rows": _live_rows(ents),
                 })

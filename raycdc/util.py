@@ -17,6 +17,8 @@ computed it — that property is what makes replay re-convergent
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import os
 
 import numpy as np
@@ -88,7 +90,8 @@ def str_hash_u64(values, seed: int = 0) -> np.ndarray:
     second one would silently route keys to other buckets. polars is a
     declared dependency, and ``tests/test_lake.py::
     test_bucket_of_values_are_pinned`` fails if a polars upgrade moves
-    the values (such a lake must then be rebuilt).
+    the values. A lake laid out under other values is refused on open
+    (:func:`bucket_fingerprint`) and must be rebuilt.
     """
     if isinstance(values, pa.ChunkedArray):
         arr = values
@@ -119,6 +122,20 @@ def bucket_of(keys, num_buckets: int) -> np.ndarray:
     for i, col in enumerate(cols[1:], 1):
         h = splitmix64(h ^ str_hash_u64(col, seed=i))
     return (h % np.uint64(num_buckets)).astype(np.int32)
+
+
+# the bucket fingerprint's probe keys: empty, non-ASCII, numeric-looking, integer
+_PROBE_KEYS = (["", "doc-0001", "Zürich", "日本語テキスト", "0", "-7", "3.5"], [0, 42, -7, 1 << 40])
+
+
+@functools.cache
+def bucket_fingerprint() -> str:
+    """A short digest of :func:`str_hash_u64` over fixed probe keys,
+    computed once per process. A lake stores it and is refused where it
+    differs: under a hash that moved, a key's updates would land in
+    another bucket than its row, which would stay live beside them."""
+    h = np.concatenate([str_hash_u64(pa.array(keys)) for keys in _PROBE_KEYS])
+    return hashlib.sha256(h.astype("<u8").tobytes()).hexdigest()[:16]
 
 
 def strip_schema_metadata(table: pa.Table) -> pa.Table:

@@ -130,18 +130,16 @@ def test_cli_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"rules": [{"column": "x", "action": "bogus"}]}')
     assert main(["tail", lake, str(tmp_path), "--rules", str(bad)]) == 2
-    # a manifest the engine refuses (shuffle-mode deltas, the v1 layout)
-    # is an error line, not a traceback
+    # a manifest the engine refuses (another format version) is an
+    # error line, not a traceback, for init too
     import raycdc.lake as lake_mod
 
     lk = lake_mod.LakeTable(lake)
-    path, m = lk.manifest_path, lk.manifest()
-    for bad_part in ({"base": "b.parquet", "rows": 1, "deltas": ["d.parquet"]},
-                     {"file": "f.parquet", "rows": 1}):
-        lake_mod._atomic_write_json(path, dict(m, partitions={"0": bad_part}))
+    lake_mod._atomic_write_json(lk.manifest_path, dict(lk.manifest(), version=3))
+    for cmd in ("status", "init"):
         capsys.readouterr()
-        assert main(["status", lake]) == 2
-        assert capsys.readouterr().err.startswith("error: lake partition 0 has pending delta files")
+        assert main([cmd, lake]) == 2
+        assert capsys.readouterr().err.startswith(f"error: lake {lake} is format 3, bucket hash")
 
 
 class _RayUpCalled(Exception):
